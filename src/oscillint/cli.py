@@ -356,8 +356,8 @@ def config_from_dict(raw: dict) -> ProblemConfig:
     )
 
 
-def load_config(path) -> ProblemConfig:
-    """Read, parse, and validate a JSON configuration file."""
+def _read_config(path) -> dict:
+    """Read a JSON configuration file; returns its top-level object."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -368,7 +368,12 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError(
             f"config: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from None
-    return config_from_dict(raw)
+    return _ensure_mapping(raw, "config")
+
+
+def load_config(path) -> ProblemConfig:
+    """Read, parse, and validate a JSON configuration file."""
+    return config_from_dict(_read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -728,27 +733,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config: invalid JSON at line {exc.lineno} column "
-                f"{exc.colno}: {exc.msg}") from None
+        raw = _read_config(args.config)
         if args.horizon is not None:
-            raw = dict(raw) if isinstance(raw, dict) else raw
             raw["horizon"] = args.horizon
         if args.periodic is not None:
             raw["periodic"] = args.periodic
         config = config_from_dict(raw)
         report = run(args.subcommand, config, dump_traces=args.dump_traces,
                      squared_variant=args.squared_variant)
-    except OSError as exc:
-        print(f"oscillint: error: cannot read {args.config}: {exc}",
-              file=sys.stderr)
-        return EXIT_ERROR
     except (ConfigError, ExprError, TransformError, IntegrationError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         print(f"oscillint: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,9 +1,10 @@
 """Shared numerical kernels.
 
 Cumulative quadrature on grids, an adaptive embedded Runge-Kutta 4(5)
-integrator (Dormand-Prince pair) with cubic-Hermite dense output,
-zero-crossing event detection with bisection refinement, escape
-(blow-up) detection, and bracketed root refinement.
+integrator (Dormand-Prince pair) with cubic-Hermite dense output that
+also advances a batch of members on one step grid, zero-crossing event
+detection with bisection refinement, escape (blow-up) detection, and
+bracketed root refinement.
 
 The integrator is deliberately self-contained: the rest of the library
 depends on its exact semantics (dense output shape, dual escape
@@ -81,6 +82,7 @@ class Event:
     time: float
     direction: int = 0  # +1 rising, -1 falling (crossings)
     component: int | None = None
+    member: int | None = None  # batch solves: the member it happened to
 
 
 @dataclass(frozen=True)
@@ -158,9 +160,10 @@ class CubicHermiteCurve:
 @dataclass
 class Trajectory:
     grid: Grid
-    states: np.ndarray  # shape (n, dim)
+    states: np.ndarray  # shape (n, dim), or (n, dim, m) for a batch of m members
     events: list[Event] = field(default_factory=list)
-    derivs: np.ndarray | None = None  # shape (n, dim), for dense output
+    derivs: np.ndarray | None = None  # shape of states, for dense output
+    ends: np.ndarray | None = None  # batch only: each member's end time
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=float)
@@ -193,6 +196,32 @@ class Trajectory:
         if self.derivs is None:
             raise ValueError("trajectory has no stored derivatives for dense output")
         return CubicHermiteCurve(self.grid.nodes, self.states[:, index], self.derivs[:, index])
+
+    def members(self) -> list["Trajectory"]:
+        """Split a batch solve into one trajectory per member.
+
+        Each member keeps the shared grid up to its own end time. A member
+        that retired inside a step gets a last node at its refined end time,
+        taken from the next row, which holds its frozen state.
+        """
+        if self.ends is None:
+            raise ValueError("not a batch trajectory")
+        nodes = self.grid.nodes
+        events: list[list[Event]] = [[] for _ in self.ends]
+        for ev in self.events:
+            events[ev.member].append(ev)
+        out = []
+        for j, end in enumerate(self.ends):
+            k = int(np.searchsorted(nodes, end, side="right"))
+            if nodes[k - 1] < end:
+                ts, rows = np.append(nodes[:k], end), np.arange(k + 1)
+            else:
+                # a member that ended at the start keeps the first step, frozen
+                rows = np.arange(max(k, 2))
+                ts = nodes[rows]
+            out.append(Trajectory(Grid(ts), self.states[rows, :, j], events[j],
+                                  self.derivs[rows, :, j]))
+        return out
 
     def escape_time(self) -> float | None:
         for ev in self.events:
@@ -293,14 +322,21 @@ _MAX_STEPS = 1_000_000
 _STEP_COLLAPSE = 1e-12
 
 
-def _call_field(field_fn, t, y, dim):
+def _call_field(field_fn, t, y, shape):
+    """Field at (t, y reshaped to shape), flattened; None if it fails."""
     try:
-        out = np.asarray(field_fn(t, y), dtype=float)
+        out = np.asarray(field_fn(t, y.reshape(shape)), dtype=float)
     except (ValueError, ZeroDivisionError, OverflowError, FloatingPointError):
         return None
-    if out.shape != (dim,) or not np.all(np.isfinite(out)):
+    if out.shape != shape or not np.isfinite(out).all():
         return None
-    return out
+    return out.reshape(-1)
+
+
+def _member_curve(j: int, dim: int, t: float, h: float, y0, y1, f0, f1):
+    """Dense output of member j over the step [t, t + h], from flat batch arrays."""
+    y0, y1, f0, f1 = (a.reshape(dim, -1)[:, j] for a in (y0, y1, f0, f1))
+    return lambda tq: _hermite((tq - t) / h, h, y0, y1, f0, f1)
 
 
 def integrate_ode(
@@ -317,68 +353,91 @@ def integrate_ode(
     4th/5th order pair. Integration ends early with a terminal event, or
     with an escape event once |state| exceeds escape_magnitude or the
     step size collapses below 1e-12 * span width.
+
+    A y0 of shape (dim, m) solves m members on one shared step grid. The
+    field and the event functions then get states of shape (dim, m) and
+    must broadcast over that trailing member axis (an event function
+    returns one value per member); both also get one member's (dim,)
+    state where that member's event or end is refined. A step is accepted
+    only when each live member's own RMS error is within tolerance, and
+    each member's crossings are bisected on its own dense output. A member
+    that hits a terminal event or escapes retires at its refined time with
+    its state frozen there while the others run on; a step collapse ends
+    every live member. The result then has states of shape (n, dim, m),
+    events tagged with their member and each member's end time in `ends`;
+    `Trajectory.members()` splits it. A 1-D y0 is the single-member case.
     """
     t_a, t_b = float(span[0]), float(span[1])
     if not t_b > t_a:
         raise ValueError("span must satisfy t_a < t_b")
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.array(y0, dtype=float)
     if y.ndim == 0:
         y = y[None]
-    dim = len(y)
+    if y.ndim > 2:
+        raise ValueError("y0 must have shape (dim,) or (dim, m)")
+    shape = y.shape
+    batch = y.ndim == 2
+    dim, m = shape[0], (shape[1] if batch else 1)
+    y = y.reshape(-1)  # flat working state, member index fastest
+
+    def columns(a):
+        return a.reshape(dim, m)
+
+    def tag(j):
+        return int(j) if batch else None
+
     width = t_b - t_a
     if max_step is None:
         max_step = width / 16.0
     tol = tolerances
 
-    ts = [t_a]
-    ys = [y.copy()]
-    fs = []
-    recorded: list[Event] = []
-
-    f_now = _call_field(field_fn, t_a, y, dim)
+    f_now = _call_field(field_fn, t_a, y, shape)
     if f_now is None:
         raise IntegrationError("field not evaluable at start", t_a)
-    fs.append(f_now.copy())
+    ts = [t_a]
+    ys = [y.copy()]
+    fs = [f_now.copy()]
+    recorded: list[Event] = []
+    ends = np.full(m, t_a)
 
-    if float(np.max(np.abs(y))) > tol.escape_magnitude:
-        recorded.append(Event("escape", t_a))
-        return Trajectory(Grid(np.array([t_a, t_a + width * 1e-15])),
-                          np.array([y, y]), recorded, np.array([f_now, f_now]))
+    live = np.abs(columns(y)).max(axis=0) <= tol.escape_magnitude
+    n_live = int(live.sum())
+    idle = np.flatnonzero(~live)  # retired members; their derivative is held at 0
+    for j in idle:
+        recorded.append(Event("escape", t_a, member=tag(j)))
+    columns(f_now)[:, idle] = 0.0
 
-    # initial step heuristic
+    # initial step heuristic, the smallest over live members
     scale = tol.abs_tol + tol.rel_tol * np.abs(y)
-    d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f_now / scale) ** 2)))
-    h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else width / 100.0
-    h = min(h, max_step, width)
+    d0 = np.sqrt(np.mean(columns(y / scale) ** 2, axis=0))
+    d1 = np.sqrt(np.mean(columns(f_now / scale) ** 2, axis=0))
+    usable = (d0 > 1e-5) & (d1 > 1e-5)
+    h_member = np.where(usable, 0.01 * d0 / np.where(usable, d1, 1.0), width / 100.0)
+    h = min(float(np.min(h_member[live], initial=width)), max_step, width)
 
     t = t_a
-    terminal_hit = False
-    k = np.empty((7, dim))
-
-    def finish():
-        grid = Grid(np.asarray(ts))
-        traj = Trajectory(grid, np.asarray(ys), recorded, np.asarray(fs))
-        return traj
+    k = np.empty((7, y.size))
 
     for _ in range(_MAX_STEPS):
         # the sliver guard keeps a 1-ulp remainder from looking like collapse
-        if t >= t_b - 1e-13 * width or terminal_hit:
+        if not n_live or t >= t_b - 1e-13 * width:
             break
         h = min(h, t_b - t)
         if h < _STEP_COLLAPSE * width:
-            recorded.append(Event("escape", t))
+            recorded.extend(Event("escape", t, member=tag(j)) for j in np.flatnonzero(live))
             break
 
         k[0] = f_now
         failed_stage = False
         for i in range(1, 7):
             yi = y + h * (_DP_A[i] @ k[:i])
-            ki = _call_field(field_fn, t + _DP_C[i] * h, yi, dim)
+            ki = _call_field(field_fn, t + _DP_C[i] * h, yi, shape)
             if ki is None:
                 failed_stage = True
                 break
             k[i] = ki
+            if idle.size:
+                columns(k[i])[:, idle] = 0.0
         if failed_stage:
             h *= 0.25
             continue
@@ -386,7 +445,9 @@ def integrate_ode(
         y_new = y + h * (_DP_B5 @ k)  # same as stage-6 state (FSAL), kept explicit
         err_vec = h * (_DP_E @ k)
         scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        # worst member RMS; retired members have zero error
+        ratio = err_vec / scale
+        err = float(np.sqrt(np.add.reduce(columns(ratio * ratio), axis=0) / dim).max())
 
         if not np.isfinite(err):
             h *= 0.25
@@ -401,62 +462,87 @@ def integrate_ode(
             t_new = t_b
         # FSAL stage is field(t_new, y_new); copy, k is overwritten on retries
         f_new = k[6].copy()
-        curve_y0, curve_y1 = y.copy(), y_new.copy()
-        curve_f0, curve_f1 = k[0].copy(), f_new.copy()
-        hh = h
 
-        def dense(tq, y0=curve_y0, y1=curve_y1, f0=curve_f0, f1=curve_f1, ta=t, hseg=hh):
-            s = (tq - ta) / hseg
-            return _hermite(s, hseg, y0, y1, f0, f1)
+        def curve(j):
+            return _member_curve(j, dim, t, h, y, y_new, k[0], f_new)
 
-        # event scan on the dense output
-        step_events: list[Event] = []
-        cut_time: float | None = None
-        for spec in events:
+        # member -> (end time, state, derivative) for members retiring here
+        ending: dict[int, tuple] = {}
+        step_events: list[tuple[int, Event]] = []
+
+        # event scan on the dense output, one batch evaluation per subsample
+        if events:
             samples = np.linspace(t, t_new, _EVENT_SUBSAMPLES + 1)
-            gs = [spec.fn(tq, dense(tq)) for tq in samples]
-            for j in range(_EVENT_SUBSAMPLES):
-                ga, gb = gs[j], gs[j + 1]
-                if ga == 0.0 or not ((ga < 0 < gb) or (gb < 0 < ga) or (ga != 0.0 and gb == 0.0)):
-                    continue
-                direction = 1 if gb > ga else -1
-                if spec.direction != 0 and direction != spec.direction:
-                    continue
-                te = _bisect_event(lambda tq: spec.fn(tq, dense(tq)),
-                                   samples[j], samples[j + 1], tol.root_tol)
-                step_events.append(Event(spec.kind, float(te), direction, spec.component))
-                if spec.terminal and (cut_time is None or te < cut_time):
-                    cut_time = float(te)
-        step_events.sort(key=lambda ev: ev.time)
+            dense = _hermite(((samples - t) / h)[:, None], h, y, y_new, k[0], f_new)
+            cut = np.full(m, np.inf)
+            for spec in events:
+                g = np.array([spec.fn(tq, yq.reshape(shape)) for tq, yq in zip(samples, dense)],
+                             dtype=float).reshape(len(samples), m)
+                ga, gb = g[:-1], g[1:]
+                rising = gb > ga
+                # a strict sign change, or a landing on zero from a nonzero value
+                hit = live & (ga != 0.0) & ((ga < 0) & (gb > 0) | (gb < 0) & (ga > 0) | (gb == 0.0))
+                if spec.direction != 0:
+                    hit &= rising == (spec.direction > 0)
+                for sub, j in zip(*np.nonzero(hit)):
+                    dense_j = curve(j)
+                    te = float(_bisect_event(lambda tq: spec.fn(tq, dense_j(tq)),
+                                             samples[sub], samples[sub + 1], tol.root_tol))
+                    direction = 1 if rising[sub, j] else -1
+                    step_events.append((j, Event(spec.kind, te, direction, spec.component, tag(j))))
+                    if spec.terminal and te < cut[j]:
+                        cut[j] = te
+            step_events.sort(key=lambda item: item[1].time)
+            for j in np.flatnonzero(cut < np.inf):
+                te = float(cut[j])
+                y_cut = curve(j)(te)
+                f_cut = _call_field(field_fn, te, y_cut, (dim,))
+                ending[j] = (te, y_cut, f_cut if f_cut is not None else y_cut)
 
-        if cut_time is not None:
-            recorded.extend(ev for ev in step_events if ev.time <= cut_time)
-            y_cut = dense(cut_time)
-            f_cut = _call_field(field_fn, cut_time, y_cut, dim)
-            if cut_time > t:
-                ts.append(cut_time)
-                ys.append(y_cut)
-                fs.append(f_cut if f_cut is not None else dense(cut_time))
-            terminal_hit = True
-            break
-        recorded.extend(step_events)
-
-        # escape by magnitude, refined on the dense output
-        if float(np.max(np.abs(y_new))) > tol.escape_magnitude:
-            g_esc = lambda tq: float(np.max(np.abs(dense(tq)))) - tol.escape_magnitude
+        # escape by magnitude, refined on the member's dense output
+        escaping = []
+        if np.abs(y_new).max() > tol.escape_magnitude:
+            escaping = np.flatnonzero(live & (np.abs(columns(y_new)).max(axis=0)
+                                              > tol.escape_magnitude))
+        escapes = []
+        for j in escaping:
+            if j in ending:
+                continue
+            dense_j = curve(j)
+            g_esc = lambda tq: float(np.max(np.abs(dense_j(tq)))) - tol.escape_magnitude
             te = _bisect_event(g_esc, t, t_new, tol.root_tol) if g_esc(t) < 0 else t
-            y_esc = dense(te)
-            if te > t:
-                ts.append(te)
-                ys.append(y_esc)
-                f_esc = _call_field(field_fn, te, y_esc, dim)
-                fs.append(f_esc if f_esc is not None else fs[-1])
-            recorded.append(Event("escape", float(te)))
-            break
+            y_esc = dense_j(te)
+            f_esc = _call_field(field_fn, te, y_esc, (dim,)) if te > t else None
+            escapes.append(Event("escape", float(te), member=tag(j)))
+            ending[j] = (float(te), y_esc, f_esc if f_esc is not None else columns(fs[-1])[:, j])
+
+        # a member records nothing past the time it ends
+        recorded.extend(ev for j, ev in step_events
+                        if j not in ending or ev.time <= ending[j][0])
+        recorded.extend(escapes)
+
+        f_row = f_new
+        if ending:
+            f_row = f_new.copy()
+            for j, (te, y_end, f_end) in ending.items():
+                live[j] = False
+                n_live -= 1
+                ends[j] = te
+                columns(y_new)[:, j] = y_end
+                columns(f_row)[:, j] = f_end
+            idle = np.flatnonzero(~live)
+            columns(f_new)[:, idle] = 0.0
+            if not n_live:
+                t_last = max(te for te, _, _ in ending.values())
+                if t_last > t:
+                    ts.append(t_last)
+                    ys.append(y_new)
+                    fs.append(f_row)
+                break
 
         ts.append(t_new)
-        ys.append(y_new.copy())
-        fs.append(f_new.copy())
+        ys.append(y_new)
+        fs.append(f_row)
         t, y, f_now = t_new, y_new, f_new
 
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
@@ -464,9 +550,14 @@ def integrate_ode(
     else:
         raise IntegrationError("step budget exhausted", t)
 
+    ends[live] = t
     if len(ts) == 1:
-        # terminal/escape event at the very start; emit a degenerate short span
+        # every member ended at the very start; emit a degenerate short span
         ts.append(t_a + max(width * 1e-15, 1e-300))
         ys.append(ys[0].copy())
         fs.append(fs[0].copy())
-    return finish()
+    grid = Grid(np.asarray(ts))
+    if not batch:
+        return Trajectory(grid, np.asarray(ys), recorded, np.asarray(fs))
+    return Trajectory(grid, np.asarray(ys).reshape(-1, dim, m), recorded,
+                      np.asarray(fs).reshape(-1, dim, m), ends)

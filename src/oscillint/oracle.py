@@ -91,12 +91,17 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
                       tol: Tolerances = Tolerances()) -> list[Trajectory]:
     """One trajectory per member, with sign changes of phi recorded.
 
-    Members are independent; order of the result matches the ensemble.
+    All members are integrated in one solve of the stacked (2, m) state, so
+    coefficients are evaluated once per stage for the whole ensemble and
+    every member shares one step grid. Error is still held per member: a
+    step is accepted only when each member's own error is within
+    tolerance, and each member's zeros are refined on its own dense
+    output. A member that escapes ends there on its own while the others
+    run on. Order of the result matches the ensemble.
     """
-    fld = sys.field()
-    watcher = zero_crossing(0)
-    return [integrate_ode(fld, [phi0, psi0], ens.span, tol, events=[watcher])
-            for phi0, psi0 in ens.initial_conditions]
+    start = np.array(ens.initial_conditions).T
+    batch = integrate_ode(sys.field(), start, ens.span, tol, events=[zero_crossing(0)])
+    return batch.members()
 
 
 def member_zero_times(traj: Trajectory) -> list[float]:

@@ -254,6 +254,15 @@ class TestMainEntry:
         assert code == EXIT_ERROR
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [[], ["--horizon", "5"],
+                                          ["--periodic", "2"]])
+    def test_non_object_config_rejected(self, tmp_path, capsys, override):
+        path = write_doc(tmp_path, [1, 2])
+        code = main(["analyze", "--config", str(path), *override])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "oscillint: error: config: expected an object\n"
+
     def test_horizon_override_echoed(self, tmp_path, capsys):
         path = write_doc(tmp_path, decaying_doc())
         out_file = tmp_path / "report.txt"

@@ -123,6 +123,18 @@ class TestIntegrator:
         assert te == pytest.approx(math.pi / 2, abs=1e-4)
         assert traj.events[-1].kind == "escape"
 
+    def test_no_crossing_recorded_past_escape(self):
+        # a growing spiral: with loose tolerances the step in which |y|
+        # passes 1.5 also holds a zero of phi after the escape time
+        field = lambda t, y: np.array([0.1 * y[0] - y[1], y[0] + 0.1 * y[1]])
+        tol = Tolerances(rel_tol=1e-4, escape_magnitude=1.5)
+        traj = integrate_ode(field, [0.8, 0.0], (0.0, 30.0), tol,
+                             events=[zero_crossing(0)])
+        te = traj.escape_time()
+        assert te is not None
+        assert traj.events[-1].kind == "escape"
+        assert all(ev.time <= te for ev in traj.events)
+
     def test_no_escape_for_bounded_solution(self):
         traj = integrate_ode(lambda t, y: np.array([math.sin(t)]), [0.0], (0.0, 10.0))
         assert traj.escape_time() is None
@@ -175,6 +187,65 @@ class TestIntegrator:
             after = float(curve(ev.time + 1e-5))
             assert before * after < 0
             assert np.sign(after - before) == ev.direction
+
+
+class TestMemberAxis:
+    """A (dim, m) start state solves m members on one step grid."""
+
+    rotation = staticmethod(lambda t, y: np.array([-y[1], y[0]]))
+
+    def test_terminal_event_ends_only_its_member(self):
+        # (cos t, sin t) stops at pi/2; cos t - sin t runs on to 3 pi / 4
+        spec = EventSpec(fn=lambda t, y: y[0], terminal=True, component=0)
+        start = np.array([[1.0, 1.0], [0.0, -1.0]])
+        batch = integrate_ode(self.rotation, start, (0.0, 10.0), events=[spec])
+        first, second = batch.members()
+        assert batch.ends.tolist() == [first.span[1], second.span[1]]
+        assert first.span[1] == pytest.approx(math.pi / 2, abs=1e-8)
+        assert second.span[1] == pytest.approx(3 * math.pi / 4, abs=1e-8)
+        assert [ev.member for ev in first.events] == [0]
+        assert [ev.member for ev in second.events] == [1]
+        np.testing.assert_allclose(first.states[-1], [0.0, 1.0], atol=1e-7)
+        # the retired member's state stays frozen in every later batch row
+        later = batch.grid.nodes > first.span[1]
+        assert later.any()
+        assert np.all(batch.states[later, :, 0] == first.states[-1])
+        for j, member in enumerate((first, second)):
+            alone = integrate_ode(self.rotation, start[:, j], (0.0, 10.0), events=[spec])
+            assert alone.grid.nodes[-1] == pytest.approx(member.span[1], abs=1e-8)
+
+    def test_quiet_members_do_not_dilute_error(self):
+        # error is held per member, so zero members padding the batch must
+        # leave the moving member's step count and zeros where they are
+        alone = integrate_ode(self.rotation, [1.0, 0.0], (0.0, 30.0),
+                              events=[zero_crossing(0)])
+        start = np.zeros((2, 16))
+        start[0, 0] = 1.0
+        member = integrate_ode(self.rotation, start, (0.0, 30.0),
+                               events=[zero_crossing(0)]).members()[0]
+        assert abs(len(member.grid) - len(alone.grid)) <= 2
+        np.testing.assert_allclose([ev.time for ev in member.events],
+                                   [ev.time for ev in alone.events], atol=1e-9)
+
+    def test_single_member_batch_matches_plain_solve(self):
+        plain = integrate_ode(self.rotation, [1.0, 0.0], (0.0, 8.0),
+                              events=[zero_crossing(0)])
+        batch = integrate_ode(self.rotation, [[1.0], [0.0]], (0.0, 8.0),
+                              events=[zero_crossing(0)])
+        (member,) = batch.members()
+        np.testing.assert_array_equal(member.grid.nodes, plain.grid.nodes)
+        np.testing.assert_array_equal(member.states, plain.states)
+        assert [ev.time for ev in member.events] == [ev.time for ev in plain.events]
+
+    def test_plain_solve_is_not_a_batch(self):
+        traj = integrate_ode(lambda t, y: -y, [1.0], (0.0, 1.0))
+        assert traj.ends is None
+        with pytest.raises(ValueError, match="batch"):
+            traj.members()
+
+    def test_start_state_of_rank_three_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            integrate_ode(self.rotation, np.ones((2, 2, 2)), (0.0, 1.0))
 
 
 class TestRefineRoot:

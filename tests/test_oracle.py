@@ -1,11 +1,14 @@
 """Oracle tests against closed-form solutions and seeded ensembles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from oscillint.numerics import Tolerances
+from oscillint.cli import load_config
+from oscillint.numerics import Tolerances, integrate_ode, zero_crossing
 from oscillint.oracle import (
     MIXED_OBSERVED,
     NONOSCILLATORY_OBSERVED,
@@ -77,6 +80,57 @@ class TestSimulation:
         phi = trajs[0].component(0)(ts)
         exact = np.cos(ts) + 0.5 * (np.sin(ts) - ts * np.cos(ts))
         assert np.max(np.abs(phi - exact)) < 1e-5
+
+
+class TestMembersEndIndependently:
+    def test_escape_ends_only_its_member(self):
+        # phi'' = phi: (1, 0) is cosh t and escapes at acosh(1e8); (1, -1)
+        # is exp(-t) and must still reach the horizon
+        sys = make_system(q="1", r="1")
+        ens = Ensemble(((1.0, 0.0), (1.0, -1.0)), 0, (0.0, 30.0))
+        grows, decays = simulate_ensemble(sys, ens)
+        assert grows.escape_time() == pytest.approx(math.acosh(1e8), abs=1e-4)
+        assert grows.span[1] == grows.escape_time()
+        assert decays.escape_time() is None
+        assert decays.span[1] == 30.0
+        assert np.all(np.abs(decays.states) <= 1.0 + 1e-9)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestBatchedOracleAgainstReferences:
+    """Each member of the one-solve ensemble against a solve of its own and
+    against scipy's RK45 event roots."""
+
+    @pytest.mark.parametrize("name", ["forced_harmonic", "bursty_coupling",
+                                      "decaying_forcing"])
+    def test_member_zero_times(self, name):
+        config = load_config(CONFIG_DIR / f"{name}.json")
+        sys_spec = config.working_system()
+        ens = default_ensemble(config.span(), seed=config.oracle_seed,
+                               size=config.oracle_size)
+        members = simulate_ensemble(sys_spec, ens, config.tolerances)
+        field = sys_spec.field()
+        size = len(ens)
+        # one stacked scipy solve with an event per member; scipy counts a
+        # start value of exactly 0 as a root, the oracle does not
+        reference = solve_ivp(
+            lambda t, y: field(t, y.reshape(2, size)).reshape(-1), ens.span,
+            np.array(ens.initial_conditions).T.reshape(-1), method="RK45",
+            rtol=1e-11, atol=1e-13,
+            events=[lambda t, y, j=j: y[j] for j in range(size)])
+        for j, (start, traj) in enumerate(zip(ens.initial_conditions, members)):
+            zeros = np.array(member_zero_times(traj))
+            alone = integrate_ode(field, start, ens.span, config.tolerances,
+                                  events=[zero_crossing(0)])
+            separate = np.array(member_zero_times(alone))
+            assert len(zeros) == len(separate), j
+            assert np.all(np.abs(zeros - separate) <= 1e-6), j
+            roots = reference.t_events[j]
+            roots = roots[roots > ens.span[0]]
+            assert len(zeros) == len(roots), j
+            assert np.all(np.abs(zeros - roots) <= 2e-6), j
 
 
 class TestClassification:
