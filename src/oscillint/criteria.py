@@ -37,12 +37,13 @@ from .expr import (
     sample,
 )
 from .numerics import (
+    CubicHermiteCurve,
     EventSpec,
     Grid,
     Tolerances,
     definite_simpson,
     integrate_ode,
-    refine_root,
+    refine_roots,
 )
 from .transform import (
     DEFAULT_GRID_NODES,
@@ -165,9 +166,17 @@ def angle_line_crossings(sys: SystemSpec, span: tuple[float, float],
                          tol: Tolerances = Tolerances()) -> list[float]:
     """Times where the phase angle crosses a vertical line theta = pi/2 - m pi,
     i.e. where the first component of the matching solution vanishes with a
-    sign change."""
+    sign change.  Only crossings up to where the angle solve stopped are
+    found; `horizon_nonoscillation_test` checks that it reached the end."""
+    return _angle_crossings(sys, span, theta0, tol)[0]
+
+
+def _angle_crossings(sys: SystemSpec, span: tuple[float, float], theta0: float,
+                     tol: Tolerances) -> tuple[list[float], float]:
+    """Confirmed angle-line crossings and the time the angle solve reached."""
     spec = EventSpec(fn=lambda t, y: math.cos(y[0]), kind="angle-line")
     traj = integrate_ode(prufer_angle_field(sys), [theta0], span, tol, events=[spec])
+    reached = traj.span[1]
     times = [ev.time for ev in traj.events if ev.kind == "angle-line"]
     # collapse numerically duplicated detections of one crossing
     width = span[1] - span[0]
@@ -177,7 +186,7 @@ def angle_line_crossings(sys: SystemSpec, span: tuple[float, float],
             continue
         merged.append(t)
     if not merged:
-        return merged
+        return merged, reached
     # an angle grazing the line produces detections out of 1e-16 noise; keep
     # only crossings where cos(theta) flips sign with genuine magnitude
     curve = traj.component(0)
@@ -188,12 +197,16 @@ def angle_line_crossings(sys: SystemSpec, span: tuple[float, float],
         right = math.cos(float(curve(min(t + delta, span[1]))))
         if left * right < 0.0 and min(abs(left), abs(right)) > 1e-12:
             confirmed.append(t)
-    return confirmed
+    return confirmed, reached
 
 
 def _angle_descent(sys: SystemSpec, lo: float, hi: float,
-                   tol: Tolerances) -> float:
+                   tol: Tolerances) -> float | None:
+    """Descent of the angle started at pi/2 over [lo, hi]; None when the
+    solve stops before hi, since the descent there is unknown."""
     traj = integrate_ode(prufer_angle_field(sys), [math.pi / 2], (lo, hi), tol)
+    if traj.span[1] < hi:
+        return None
     return math.pi / 2 - float(traj.states[-1, 0])
 
 
@@ -216,6 +229,9 @@ def interval_oscillation_test(sys: SystemSpec, interval: tuple[float, float],
                        notes=f"coupling coefficient q is negative at t = {bad_t:.6g}; "
                              "the angle test needs q >= 0")
     descent = _angle_descent(sys, lo, hi, tol)
+    if descent is None:
+        return Verdict(INCONCLUSIVE, (lo, hi),
+                       notes="the angle solve stopped before the end of the interval")
     margin = descent - math.pi
     evidence = {"descent": descent, "margin": margin, "interval": (lo, hi)}
     if descent >= math.pi - ANGLE_SLACK:
@@ -242,7 +258,12 @@ def horizon_nonoscillation_test(sys: SystemSpec, horizon: tuple[float, float],
     width = hi - lo
     if persistence_window is None:
         persistence_window = final_fraction * width / 2.0
-    crossings = angle_line_crossings(sys, (lo, hi), tol=tol)
+    crossings, reached = _angle_crossings(sys, (lo, hi), math.pi / 2, tol)
+    if reached < hi:
+        return Verdict(INCONCLUSIVE, (lo, hi),
+                       evidence={"crossings": crossings, "stopped_at": reached},
+                       notes=f"the angle solve stopped at t = {reached:.6g}, "
+                             "before the end of the horizon")
     tail_start = hi - final_fraction * width
     tail = [t for t in crossings if t >= tail_start]
     fenced = [lo] + crossings + [hi]
@@ -358,56 +379,50 @@ def sign_windows(values: np.ndarray, grid: Grid, required_sign: int,
     values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
         raise ValueError("values must be sampled on the grid")
-    mask = required_sign * values >= -slack
-    windows = []
-    for i, j in _runs(mask):
-        if j > i:
-            windows.append((float(grid.nodes[i]), float(grid.nodes[j])))
-    return windows
-
-
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    runs = []
-    start = None
-    for idx, ok in enumerate(mask):
-        if ok and start is None:
-            start = idx
-        elif not ok and start is not None:
-            runs.append((start, idx - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask) - 1))
-    return runs
-
-
-def _refined_windows(margin_fn: Callable[[np.ndarray], np.ndarray], grid: Grid,
-                     slack: float = SIGN_SLACK,
-                     min_width: float | None = None) -> list[tuple[float, float]]:
-    """Sign windows of a continuous margin with endpoints sharpened off-grid.
-
-    Grid nodes rarely hit the true sign-change times; interval tests need the
-    full window (a half period, say), so each boundary adjacent to a violating
-    node is pushed to the bracketed root of margin + slack.
-    """
+    _, first, last = _runs(required_sign * values[None, :] >= -slack)
     nodes = grid.nodes
-    vals = np.asarray(margin_fn(nodes), dtype=float)
-    mask = vals >= -slack
-    if min_width is None:
-        min_width = 1e-9 * (nodes[-1] - nodes[0])
+    return [(float(nodes[i]), float(nodes[j])) for i, j in zip(first, last) if j > i]
 
-    def scalar(t: float) -> float:
-        return float(np.atleast_1d(margin_fn(np.array([t])))[0]) + slack
 
-    windows = []
-    for i, j in _runs(mask):
-        lo = float(nodes[i])
-        hi = float(nodes[j])
-        if i > 0:
-            lo = refine_root(scalar, float(nodes[i - 1]), lo, tol=1e-13)
-        if j < len(nodes) - 1:
-            hi = refine_root(scalar, hi, float(nodes[j + 1]), tol=1e-13)
-        if hi - lo > min_width:
-            windows.append((lo, hi))
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of True in each row of a (k, n) mask, as the row, first
+    and last node index of every run, ordered by row and then by node."""
+    n = mask.shape[1]
+    edges = np.diff(np.pad(mask.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    row, first = np.divmod(np.flatnonzero(edges == 1), n + 1)
+    last = np.flatnonzero(edges == -1) % (n + 1) - 1
+    return row, first, last
+
+
+def _refined_windows(margins: np.ndarray,
+                     margin_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     nodes: np.ndarray, slack: float = SIGN_SLACK
+                     ) -> list[list[tuple[float, float]]]:
+    """Sign windows of each row of continuous margins, endpoints sharpened
+    off-grid.
+
+    margins holds the rows' values at the nodes, shape (k, n); margin_at
+    evaluates row rows[i] at time t[i].  Grid nodes rarely hit the true
+    sign-change times; interval tests need the full window (a half period,
+    say), so each boundary adjacent to a violating node is pushed to the
+    bracketed root of margin + slack, all rows in one vectorised solve.
+    """
+    row, first, last = _runs(margins >= -slack)
+    lo, hi = nodes[first], nodes[last]
+    left = np.flatnonzero(first > 0)
+    right = np.flatnonzero(last < len(nodes) - 1)
+    lanes = np.concatenate([row[left], row[right]])
+    if lanes.size:
+        roots = refine_roots(lambda t: margin_at(lanes, t) + slack,
+                             np.concatenate([nodes[first[left] - 1], nodes[last[right]]]),
+                             np.concatenate([lo[left], nodes[last[right] + 1]]),
+                             tol=1e-13)
+        lo[left], hi[right] = roots[:left.size], roots[left.size:]
+    min_width = 1e-9 * (nodes[-1] - nodes[0])
+    windows: list[list[tuple[float, float]]] = [[] for _ in margins]
+    for r, a, b in zip(row, lo, hi):
+        if b - a > min_width:
+            windows[r].append((float(a), float(b)))
     return windows
 
 
@@ -434,36 +449,122 @@ def _clip_windows(windows: list[tuple[float, float]], start: float,
     return out
 
 
+def _window_pairs(first: list[tuple[float, float]],
+                  second: list[tuple[float, float]],
+                  min_width: float) -> list[tuple[float, float, float, float]]:
+    """Candidate (s1, t1, s2, t2), earliest first: a window of first followed
+    by a window of second, overlapping ones split at their overlap's middle."""
+    candidates = []
+    for w1 in first:
+        for w2 in second:
+            if w2[1] <= w1[0]:
+                continue
+            if w1[1] <= w2[0] + 1e-9:
+                pair = (w1[0], w1[1], max(w2[0], w1[1]), w2[1])
+            else:
+                shared_lo = max(w1[0], w2[0])
+                shared_hi = min(w1[1], w2[1])
+                mid = 0.5 * (shared_lo + shared_hi)
+                pair = (w1[0], mid, mid, w2[1])
+            s1, t1, s2, t2 = pair
+            if t1 - s1 > min_width and t2 - s2 > min_width and t1 <= s2:
+                candidates.append(pair)
+    candidates.sort()
+    return candidates
+
+
 # ---------------------------------------------------------------------------
 # Oscillation witness search
 
 
-def _shifted_trace(base: AlphaTrace, lam: float, p_vals: np.ndarray,
-                   f_vals: np.ndarray, r_vals: np.ndarray,
-                   g_vals: np.ndarray) -> AlphaTrace:
-    # alpha is affine in lam with slope growth; rebuild the trace arrays
-    # without repeating the quadrature
-    if lam == base.lam:
-        return base
-    alpha = base.alpha + (lam - base.lam) * base.growth
-    return AlphaTrace(lam=lam, grid=base.grid, growth=base.growth, alpha=alpha,
-                      g_lambda=r_vals * alpha + g_vals,
-                      alpha_rate=p_vals * alpha + f_vals,
-                      growth_rate=base.growth_rate, system=base.system)
+@dataclass(frozen=True, eq=False)
+class _ShiftWindows:
+    """Sign windows of alpha_lam and the shifted forcing on a lam grid, and
+    their margins as a function of (row, t).  With k = len(lams), rows
+    [0, k) hold -alpha, [k, 2k) -forcing, [2k, 3k) alpha, [3k, 4k) forcing,
+    one row per lam in each block."""
+
+    lams: list[float]
+    first: list[list[tuple[float, float]]]  # per lam: both curves <= 0
+    second: list[list[tuple[float, float]]]  # per lam: both curves >= 0
+    margin_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _shift_windows(sys: SystemSpec, grid: Grid, base: AlphaTrace,
+                   lambda_grid: Sequence[float]) -> _ShiftWindows:
+    """Windows of every lam at once, ordered by |lam|.
+
+    alpha_lam = alpha_0 + (lam - lam_0) growth is affine in lam, so the
+    traces of all lams are rows of one (lam, node) matrix; the margins at
+    the nodes come straight from it, and one root solve sharpens the window
+    boundaries of every row.
+    """
+    lams = sorted(dict.fromkeys(float(v) for v in lambda_grid), key=abs)
+    ts = grid.nodes
+    k = len(lams)
+    # filled in place: these matrices dominate the memory of a check
+    margins = np.empty((4 * k, len(ts)))
+    alpha, forcing = margins[2 * k:3 * k], margins[3 * k:]
+    np.multiply(np.array(lams)[:, None] - base.lam, base.growth, out=alpha)
+    alpha += base.alpha
+    np.multiply(sample(sys.r, ts), alpha, out=forcing)
+    forcing += sample(sys.g, ts)
+    np.negative(margins[2 * k:], out=margins[:2 * k])
+    rate = sample(sys.p, ts) * alpha
+    rate += sample(sys.f, ts)
+    alpha_curve = CubicHermiteCurve(ts, alpha.T, rate.T)
+
+    def margin_at(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        a = alpha_curve.columns_at(t, rows % k)
+        is_forcing = (rows // k) % 2 == 1
+        v = np.where(is_forcing, sample(sys.r, t) * a + sample(sys.g, t), a)
+        return np.where(rows < 2 * k, -v, v)
+
+    windows = _refined_windows(margins, margin_at, ts)
+    min_width = 1e-9 * (ts[-1] - ts[0])
+    first = [_intersect_windows(windows[i], windows[k + i], min_width) for i in range(k)]
+    second = [_intersect_windows(windows[2 * k + i], windows[3 * k + i], min_width)
+              for i in range(k)]
+    return _ShiftWindows(lams, first, second, margin_at)
 
 
 def _window_oscillates(sys_h: SystemSpec, window: tuple[float, float],
-                       cache: dict, tol: Tolerances) -> tuple[bool, float]:
+                       cache: dict, tol: Tolerances) -> tuple[bool, float | None]:
     key = (round(window[0], 12), round(window[1], 12))
     if key not in cache:
         descent = _angle_descent(sys_h, window[0], window[1], tol)
-        cache[key] = (descent >= math.pi - ANGLE_SLACK, descent)
+        cache[key] = (descent is not None and descent >= math.pi - ANGLE_SLACK, descent)
     return cache[key]
 
 
-def _window_margin(margin_fn, lo: float, hi: float) -> float:
-    ts = np.linspace(lo, hi, 65)
-    return float(np.min(margin_fn(ts)))
+def _first_witness(shift: _ShiftWindows, sys_h: SystemSpec, T: float,
+                   horizon: tuple[float, float], angle_cache: dict,
+                   tol: Tolerances) -> IntervalWitness | None:
+    lo, hi = horizon
+    if not lo <= T < hi:
+        raise ValueError("reference time must lie inside the horizon")
+    min_width = 1e-9 * (hi - lo)
+    k = len(shift.lams)
+    for i, lam in enumerate(shift.lams):
+        candidates = _window_pairs(_clip_windows(shift.first[i], T, min_width),
+                                   _clip_windows(shift.second[i], T, min_width),
+                                   min_width)
+        for s1, t1, s2, t2 in candidates:
+            ok1, descent1 = _window_oscillates(sys_h, (s1, t1), angle_cache, tol)
+            if not ok1:
+                continue
+            ok2, descent2 = _window_oscillates(sys_h, (s2, t2), angle_cache, tol)
+            if not ok2:
+                continue
+            sign_margins = tuple(
+                float(np.min(shift.margin_at(np.full(65, row), np.linspace(a, b, 65))))
+                for row, a, b in ((i, s1, t1), (k + i, s1, t1),
+                                  (2 * k + i, s2, t2), (3 * k + i, s2, t2)))
+            return IntervalWitness(s1=s1, t1=t1, s2=s2, t2=t2, lam=lam,
+                                   sign_margins=sign_margins,
+                                   osc_margins=(descent1 - math.pi,
+                                                descent2 - math.pi))
+    return None
 
 
 def find_interval_witness(sys: SystemSpec, T: float,
@@ -488,68 +589,9 @@ def find_interval_witness(sys: SystemSpec, T: float,
     grid = Grid.uniform(lo, hi, grid_nodes)
     if base_trace is None:
         base_trace = alpha_lambda(sys, 0.0, grid)
-    ts = grid.nodes
-    p_vals = sample(sys.p, ts)
-    f_vals = sample(sys.f, ts)
-    r_vals = sample(sys.r, ts)
-    g_vals = sample(sys.g, ts)
-    sys_h = sys.homogeneous()
-    if angle_cache is None:
-        angle_cache = {}
-    min_width = 1e-9 * (hi - lo)
-
-    lams = sorted(dict.fromkeys(float(v) for v in lambda_grid), key=abs)
-    for lam in lams:
-        trace = _shifted_trace(base_trace, lam, p_vals, f_vals, r_vals, g_vals)
-
-        def alpha_margin(t, sign):
-            return sign * np.atleast_1d(trace.alpha_at(t))
-
-        def forcing_margin(t, sign):
-            return sign * np.atleast_1d(trace.g_lambda_at(t))
-
-        sided: dict[int, list[tuple[float, float]]] = {}
-        for sign in (-1, 1):
-            a_windows = _refined_windows(lambda t, s=sign: alpha_margin(t, s), grid)
-            f_windows = _refined_windows(lambda t, s=sign: forcing_margin(t, s), grid)
-            merged = _intersect_windows(a_windows, f_windows, min_width)
-            sided[sign] = _clip_windows(merged, T, min_width)
-
-        candidates = []
-        for w1 in sided[-1]:
-            for w2 in sided[1]:
-                if w2[1] <= w1[0]:
-                    continue
-                if w1[1] <= w2[0] + 1e-9:
-                    pair = (w1[0], w1[1], max(w2[0], w1[1]), w2[1])
-                else:
-                    shared_lo = max(w1[0], w2[0])
-                    shared_hi = min(w1[1], w2[1])
-                    mid = 0.5 * (shared_lo + shared_hi)
-                    pair = (w1[0], mid, mid, w2[1])
-                s1, t1, s2, t2 = pair
-                if t1 - s1 > min_width and t2 - s2 > min_width and t1 <= s2:
-                    candidates.append(pair)
-        candidates.sort()
-
-        for s1, t1, s2, t2 in candidates:
-            ok1, descent1 = _window_oscillates(sys_h, (s1, t1), angle_cache, tol)
-            if not ok1:
-                continue
-            ok2, descent2 = _window_oscillates(sys_h, (s2, t2), angle_cache, tol)
-            if not ok2:
-                continue
-            margins = (
-                _window_margin(lambda t: alpha_margin(t, -1), s1, t1),
-                _window_margin(lambda t: forcing_margin(t, -1), s1, t1),
-                _window_margin(lambda t: alpha_margin(t, 1), s2, t2),
-                _window_margin(lambda t: forcing_margin(t, 1), s2, t2),
-            )
-            return IntervalWitness(s1=s1, t1=t1, s2=s2, t2=t2, lam=lam,
-                                   sign_margins=margins,
-                                   osc_margins=(descent1 - math.pi,
-                                                descent2 - math.pi))
-    return None
+    shift = _shift_windows(sys, grid, base_trace, lambda_grid)
+    return _first_witness(shift, sys.homogeneous(), T, (lo, hi),
+                          {} if angle_cache is None else angle_cache, tol)
 
 
 def default_lambda_grid(sys: SystemSpec, grid: Grid,
@@ -602,13 +644,12 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(sys, grid, base_trace)
 
+    shift = _shift_windows(sys, grid, base_trace, lambda_grid)
+    sys_h = sys.homogeneous()
     angle_cache: dict = {}
     witnesses = []
     for T in scan:
-        witness = find_interval_witness(sys, float(T), lambda_grid, (lo, hi),
-                                        grid_nodes=grid_nodes, tol=tol,
-                                        base_trace=base_trace,
-                                        angle_cache=angle_cache)
+        witness = _first_witness(shift, sys_h, float(T), (lo, hi), angle_cache, tol)
         if witness is None:
             return Verdict(INCONCLUSIVE, (lo, hi),
                            evidence={"witnesses": witnesses,
@@ -666,14 +707,13 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
                            endpoint=False)
     if test_function_factory is None:
         test_function_factory = half_sine_bridge
-    grid = Grid.uniform(lo, hi, grid_nodes)
+    nodes = Grid.uniform(lo, hi, grid_nodes).nodes
     min_width = 1e-9 * (hi - lo)
-
-    def margin(sign):
-        return lambda ts: sign * sample(eq.d, np.asarray(ts, dtype=float))
-
-    neg_windows = _refined_windows(margin(-1), grid)
-    pos_windows = _refined_windows(margin(1), grid)
+    d_vals = sample(eq.d, nodes)
+    # row 0 holds -d, row 1 holds d
+    neg_windows, pos_windows = _refined_windows(
+        np.stack([-d_vals, d_vals]),
+        lambda rows, ts: np.where(rows == 0, -1.0, 1.0) * sample(eq.d, ts), nodes)
 
     functional_cache: dict = {}
 
@@ -686,25 +726,10 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
 
     records = []
     for T in scan:
-        first = _clip_windows(neg_windows, float(T), min_width)
-        second = _clip_windows(pos_windows, float(T), min_width)
         found = None
-        candidates = []
-        for w1 in first:
-            for w2 in second:
-                if w2[1] <= w1[0]:
-                    continue
-                if w1[1] <= w2[0] + 1e-9:
-                    pair = (w1[0], w1[1], max(w2[0], w1[1]), w2[1])
-                else:
-                    shared_lo = max(w1[0], w2[0])
-                    shared_hi = min(w1[1], w2[1])
-                    mid = 0.5 * (shared_lo + shared_hi)
-                    pair = (w1[0], mid, mid, w2[1])
-                s1, t1, s2, t2 = pair
-                if t1 - s1 > min_width and t2 - s2 > min_width and t1 <= s2:
-                    candidates.append(pair)
-        candidates.sort()
+        candidates = _window_pairs(_clip_windows(neg_windows, float(T), min_width),
+                                   _clip_windows(pos_windows, float(T), min_width),
+                                   min_width)
         for s1, t1, s2, t2 in candidates:
             j1 = functional_on((s1, t1))
             if j1 < -functional_slack:

@@ -126,12 +126,16 @@ class CubicHermiteCurve:
         if len(self.ts) != len(self.values) or len(self.ts) != len(self.derivs):
             raise ValueError("mismatched interpolant arrays")
 
-    def __call__(self, t):
+    def _locate(self, t):
+        """Step index, normalized position and step width of each query time."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         idx = np.clip(np.searchsorted(self.ts, t_arr, side="right") - 1, 0, len(self.ts) - 2)
         t0 = self.ts[idx]
         h = self.ts[idx + 1] - t0
-        s = (t_arr - t0) / h
+        return idx, (t_arr - t0) / h, h
+
+    def __call__(self, t):
+        idx, s, h = self._locate(t)
         if self.values.ndim == 1:
             out = _hermite(s, h, self.values[idx], self.values[idx + 1],
                            self.derivs[idx], self.derivs[idx + 1])
@@ -140,13 +144,15 @@ class CubicHermiteCurve:
                            self.derivs[idx], self.derivs[idx + 1])
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
+    def columns_at(self, t: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Column cols[i] of a curve with (n, k) values, at time t[i]."""
+        idx, s, h = self._locate(t)
+        v, d = self.values, self.derivs
+        return _hermite(s, h, v[idx, cols], v[idx + 1, cols], d[idx, cols], d[idx + 1, cols])
+
     def rate(self, t):
         """Exact derivative of the piecewise cubic at t."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.clip(np.searchsorted(self.ts, t_arr, side="right") - 1, 0, len(self.ts) - 2)
-        t0 = self.ts[idx]
-        h = self.ts[idx + 1] - t0
-        s = (t_arr - t0) / h
+        idx, s, h = self._locate(t)
         if self.values.ndim != 1:
             s, h = s[:, None], h[:, None]
         y0, y1 = self.values[idx], self.values[idx + 1]
@@ -279,6 +285,87 @@ def refine_root(fn: Callable[[float], float], lo: float, hi: float, tol: float =
     if np.sign(f_lo) == np.sign(f_hi):
         raise RootBracketError(f"no sign change on [{lo}, {hi}]")
     return float(brentq(fn, lo, hi, xtol=tol))
+
+
+_BRENT_RTOL = 4 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def refine_roots(fn: Callable[[np.ndarray], np.ndarray], lo, hi,
+                 tol: float = 1e-9) -> np.ndarray:
+    """Many bracketed roots at once, each equal to refine_root's bit for bit.
+
+    fn maps an array of points, one per bracket, to the values there. Each
+    lane runs scipy's brentq (same xtol, rtol = 4 eps, step rules and
+    stopping test); an iteration makes one call of fn over all brackets, and
+    a lane that has converged stays at its root.
+    """
+    xpre = np.array(lo, dtype=float)
+    xcur = np.array(hi, dtype=float)
+    if np.any(xcur <= xpre):
+        raise RootBracketError("empty bracket")
+
+    def values(x):
+        out = np.asarray(fn(x), dtype=float)
+        if np.isnan(out).any():
+            raise ValueError("root function returned NaN")
+        return out
+
+    fpre, fcur = values(xpre), values(xcur)
+    done = (fpre == 0.0) | (fcur == 0.0)
+    if np.any(~done & (np.signbit(fpre) == np.signbit(fcur))):
+        raise RootBracketError("no sign change on some bracket")
+    root = np.where(fpre == 0.0, xpre, xcur)
+    xblk = np.zeros_like(xcur)
+    fblk = np.zeros_like(xcur)
+    spre = np.zeros_like(xcur)
+    scur = np.zeros_like(xcur)
+    for _ in range(_BRENT_MAXITER):
+        if done.all():
+            return root
+        # lanes that have converged keep their state; their steps are discarded
+        live = ~done
+        flip = live & (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        # keep the better estimate in xcur
+        swap = live & (np.abs(fblk) < np.abs(fcur))
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (tol + _BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        converged = live & ((fcur == 0.0) | (np.abs(sbis) < delta))
+        root = np.where(converged, xcur, root)
+        done = done | converged
+        live = ~done
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # secant when the contrapoint is the previous iterate, else
+            # inverse quadratic interpolation
+            interpolated = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolated = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+        stry = np.where(xpre == xblk, interpolated, extrapolated)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre = np.where(live, np.where(short, scur, sbis), spre)
+        scur = np.where(live, np.where(short, stry, sbis), scur)
+
+        xpre = np.where(live, xcur, xpre)
+        fpre = np.where(live, fcur, fpre)
+        step = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        xcur = np.where(live, xcur + step, xcur)
+        fcur = np.where(live, values(xcur), fcur)
+    if not done.all():
+        raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations")
+    return root
 
 
 def _bisect_event(g: Callable[[float], float], a: float, b: float, tol: float) -> float:

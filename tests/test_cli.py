@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,8 @@ from oscillint.cli import (
     write_report,
 )
 from oscillint.criteria import NON_OSCILLATORY, OSCILLATORY
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def forced_harmonic_doc(**overrides):
@@ -263,6 +266,15 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err == "oscillint: error: config: expected an object\n"
 
+    def test_solve_that_stops_early_is_inconclusive(self, tmp_path, capsys):
+        # the angle solve collapses at t = 3.3; the tail [5, 10] it never
+        # reached must not count as free of zeros
+        path = write_doc(tmp_path, {"system": {"q": "1", "r": "-1/(t-3.3)^2"},
+                                    "horizon": 10})
+        code = main(["analyze", "--config", str(path)])
+        assert code == EXIT_INCONCLUSIVE
+        assert "outcome: inconclusive" in capsys.readouterr().out
+
     def test_horizon_override_echoed(self, tmp_path, capsys):
         path = write_doc(tmp_path, decaying_doc())
         out_file = tmp_path / "report.txt"
@@ -339,3 +351,21 @@ class TestReports:
 
     def test_exit_code_without_verdict(self):
         assert Report("sweep").exit_code() == EXIT_RAN
+
+
+@pytest.mark.parametrize("name, subcommand, expected", [
+    ("forced_harmonic", "analyze", EXIT_OSCILLATORY),
+    ("forced_harmonic", "oracle", EXIT_OSCILLATORY),
+    ("forced_harmonic", "wong", EXIT_OSCILLATORY),
+    ("bursty_coupling", "analyze", EXIT_OSCILLATORY),
+    ("bursty_coupling", "oracle", EXIT_OSCILLATORY),
+    ("decaying_forcing", "analyze", EXIT_NON_OSCILLATORY),
+    ("decaying_forcing", "oracle", EXIT_NON_OSCILLATORY),
+    ("decaying_forcing", "wong", EXIT_INCONCLUSIVE),
+    ("harmonic_riccati", "riccati", EXIT_RAN),
+    ("riccati_comparison", "compare", EXIT_RAN),
+])
+def test_shipped_config_exit_codes(name, subcommand, expected, capsys):
+    code = main([subcommand, "--config", str(CONFIG_DIR / f"{name}.json")])
+    capsys.readouterr()
+    assert code == expected

@@ -1,10 +1,12 @@
 """Criteria tests: angle flow closed forms, feasibility, witnesses, functionals."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oscillint.cli import load_config
 from oscillint.criteria import (
     INCONCLUSIVE,
     NON_OSCILLATORY,
@@ -23,12 +25,16 @@ from oscillint.criteria import (
     interval_oscillation_test,
     lambda_feasibility,
     prufer_angle_field,
+    _runs,
     sign_windows,
     variational_functional,
 )
 from oscillint.expr import Mul, Constant, parse_text
 from oscillint.numerics import Grid, integrate_ode, zero_crossing
 from oscillint.transform import SecondOrderSpec, SystemSpec, reduce_equation
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_system(p="0", q="0", r="0", s="0", f="0", g="0", t0=0.0):
@@ -116,6 +122,38 @@ class TestHorizonClassification:
         assert np.max(np.abs(np.array(crossings) - np.array(direct))) < 1e-6
 
 
+class TestAngleSolveStopsEarly:
+    """The angle flow of q = 1, r = -1/(t - 3.3)^2 collapses just before
+    t = 3.3, where zeros pile up; nothing past there may be read as
+    'no zeros'."""
+
+    @staticmethod
+    def singular():
+        return make_system(q="1", r="-1/(t-3.3)^2")
+
+    def test_horizon_test_is_inconclusive(self):
+        verdict = horizon_nonoscillation_test(self.singular(), (0.0, 10.0))
+        assert verdict.outcome == INCONCLUSIVE
+        assert 3.2 < verdict.evidence["stopped_at"] < 3.3
+        assert "stopped" in verdict.notes
+
+    def test_interval_test_is_inconclusive(self):
+        verdict = interval_oscillation_test(self.singular(), (0.0, 10.0))
+        assert verdict.outcome == INCONCLUSIVE
+        assert "stopped" in verdict.notes
+
+    def test_crossings_stay_a_list(self):
+        crossings = angle_line_crossings(self.singular(), (0.0, 10.0))
+        assert isinstance(crossings, list)
+        assert crossings and max(crossings) < 3.3
+
+    def test_windows_the_solve_cannot_cross_are_no_witness(self):
+        # both halves of the split window hold a singularity; a descent
+        # measured only up to where the solve stopped proves nothing
+        sys = make_system(q="1", r="-1/(t-3.3)^2 - 1/(t-8.3)^2")
+        assert find_interval_witness(sys, 0.0, [0.0], (0.0, 10.0)) is None
+
+
 class TestLambdaFeasibility:
     def test_decaying_forced_lower_bound(self):
         sys = decaying_forced()
@@ -200,6 +238,43 @@ class TestSignWindows:
         values = np.array([-1.0, 1.0, -1.0, -1.0, -1.0])
         assert sign_windows(values, grid, required_sign=1) == []
 
+    def test_no_node_inside(self):
+        grid = Grid.uniform(0.0, 4.0, 5)
+        assert sign_windows(np.ones(5), grid, required_sign=-1) == []
+
+    def test_single_node_runs_at_both_ends_dropped(self):
+        grid = Grid.uniform(0.0, 4.0, 5)
+        values = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+        assert sign_windows(values, grid, required_sign=1) == [(2.0, 3.0)]
+        alternating = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        assert sign_windows(alternating, grid, required_sign=1) == []
+        assert sign_windows(alternating, grid, required_sign=-1) == []
+
+
+class TestRuns:
+    def test_all_true(self):
+        row, first, last = _runs(np.ones((1, 6), dtype=bool))
+        assert (row.tolist(), first.tolist(), last.tolist()) == ([0], [0], [5])
+
+    def test_all_false(self):
+        row, first, last = _runs(np.zeros((2, 6), dtype=bool))
+        assert row.size == first.size == last.size == 0
+
+    def test_alternating_gives_single_node_runs(self):
+        mask = np.array([[True, False, True, False, True]])
+        row, first, last = _runs(mask)
+        assert first.tolist() == last.tolist() == [0, 2, 4]
+        assert row.tolist() == [0, 0, 0]
+
+    def test_rows_are_independent(self):
+        # a run ending a row must not join one starting the next
+        mask = np.array([[False, True, True],
+                         [True, True, False],
+                         [True, False, True]])
+        row, first, last = _runs(mask)
+        assert list(zip(row.tolist(), first.tolist(), last.tolist())) == [
+            (0, 1, 2), (1, 0, 1), (2, 0, 0), (2, 2, 2)]
+
 
 class TestWitnessSearch:
     def test_forced_harmonic_witness_pattern(self):
@@ -263,6 +338,32 @@ class TestOscillationCheck:
         long = check_oscillation(sys, (0.0, 16.0 * math.pi), scan=scan)
         assert short.outcome == OSCILLATORY
         assert long.outcome == OSCILLATORY
+
+
+class TestWindowSharing:
+    """check_oscillation builds the sign windows once for all reference
+    times; a search from scratch at each reference time must agree."""
+
+    @pytest.mark.parametrize("name", ["forced_harmonic", "bursty_coupling"])
+    def test_witnesses_match_fresh_searches(self, name):
+        config = load_config(CONFIG_DIR / f"{name}.json")
+        sys_spec = config.working_system()
+        horizon = config.span()
+        verdict = check_oscillation(sys_spec, horizon, scan=config.scan_values,
+                                    lambda_grid=config.lambda_values,
+                                    grid_nodes=config.grid_nodes,
+                                    periodic=config.periodic,
+                                    tol=config.tolerances)
+        assert verdict.outcome == OSCILLATORY
+        lams = config.lambda_values
+        if lams is None:
+            lams = default_lambda_grid(
+                sys_spec, Grid.uniform(*horizon, config.grid_nodes))
+        for T, witness in verdict.evidence["witnesses"]:
+            fresh = find_interval_witness(sys_spec, T, lams, horizon,
+                                          grid_nodes=config.grid_nodes,
+                                          tol=config.tolerances)
+            assert fresh == witness, T
 
 
 class TestVariationalFunctional:

@@ -22,6 +22,7 @@ from oscillint.numerics import (
     definite_simpson,
     integrate_ode,
     refine_root,
+    refine_roots,
     zero_crossing,
 )
 
@@ -259,6 +260,55 @@ class TestRefineRoot:
     def test_no_sign_change_rejected(self):
         with pytest.raises(RootBracketError):
             refine_root(lambda x: 1.0 + x * x, 0.0, 1.0)
+
+
+class TestRefineRoots:
+    """The vectorised Brent solve against the scalar one, lane by lane."""
+
+    @staticmethod
+    def cubic(a, b, c):
+        # a (x - c)^3 + b (x - c): b << a makes a near-triple root that Brent
+        # reaches in many steps, b >> a one it reaches in a few secants
+        def fn(x):
+            d = x - c
+            return a * d * d * d + b * d
+        return fn
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-9])
+    def test_bit_identical_to_refine_root(self, tol):
+        rng = np.random.default_rng(3)
+        n = 400
+        c = rng.uniform(-5.0, 5.0, n)
+        a = rng.uniform(0.1, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        b = a * 10.0 ** rng.uniform(-4.0, 2.0, n)
+        lo = c - rng.uniform(1e-6, 4.0, n)
+        hi = c + rng.uniform(1e-6, 4.0, n)
+        lo[:5] = c[:5]  # zero exactly at the left end
+        hi[5:10] = c[5:10]  # and at the right end
+        got = refine_roots(self.cubic(a, b, c), lo, hi, tol=tol)
+        for i in range(n):
+            fn = self.cubic(float(a[i]), float(b[i]), float(c[i]))
+            expected = refine_root(fn, float(lo[i]), float(hi[i]), tol=tol)
+            assert got[i] == expected, i
+        assert np.all(got[:5] == lo[:5]) and np.all(got[5:10] == hi[5:10])
+
+    def test_one_call_per_iteration(self):
+        calls = []
+
+        def fn(x):
+            calls.append(len(x))
+            return np.cos(x)
+        roots = refine_roots(fn, [1.0, 4.0], [2.0, 5.0], tol=1e-12)
+        assert roots == pytest.approx([math.pi / 2, 3 * math.pi / 2], abs=1e-10)
+        assert set(calls) == {2}
+
+    def test_empty_bracket_rejected(self):
+        with pytest.raises(RootBracketError, match="empty"):
+            refine_roots(lambda x: x, [0.0, 1.0], [1.0, 1.0])
+
+    def test_no_sign_change_rejected(self):
+        with pytest.raises(RootBracketError, match="sign change"):
+            refine_roots(lambda x: x - 0.5, [0.0, 0.6], [1.0, 0.9])
 
 
 class TestTrajectory:
