@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from .criteria import (
     OSCILLATORY,
     SIGN_SLACK,
     DEFAULT_LAMBDA_POINTS,
-    DEFAULT_SCAN_POINTS,
     IntervalWitness,
     Verdict,
     check_nonoscillation,
@@ -42,9 +41,12 @@ from .criteria import (
     default_lambda_grid,
     lambda_feasibility,
 )
-from .expr import Expr, ExprError, compile_scalar, parse_text, print_expr
+from .expr import Expr, ExprError, compile_scalar, parse_text, print_expr, sample
 from .numerics import Grid, IntegrationError, Tolerances
 from .oracle import (
+    DEFAULT_ENSEMBLE_SIZE,
+    DEFAULT_FINAL_WINDOW_FRACTION,
+    DEFAULT_SEED,
     NONOSCILLATORY_OBSERVED,
     OSCILLATORY_OBSERVED,
     EmpiricalVerdict,
@@ -99,11 +101,6 @@ class ConfigError(ValueError):
 # configuration loading
 
 
-_SYSTEM_FIELDS = ("p", "q", "r", "s", "f", "g")
-_EQUATION_FIELDS = ("a", "b", "c", "d")
-_EQUATION_DEFAULTS = {"a": "1", "b": "0", "c": "0", "d": "0"}
-
-
 def _ensure_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -116,14 +113,17 @@ def _reject_unknown(section: dict, allowed, path: str) -> None:
             raise ConfigError(f"{path}: unknown field '{key}'")
 
 
-def _number(value, path: str, integral: bool = False):
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    if integral:
-        if float(value) != int(value):
-            raise ConfigError(f"{path}: expected an integer")
-        return int(value)
     return float(value)
+
+
+def _integer(value, path: str) -> int:
+    _number(value, path)
+    if float(value) != int(value):
+        raise ConfigError(f"{path}: expected an integer")
+    return int(value)
 
 
 def _expression(value, path: str) -> Expr:
@@ -141,12 +141,58 @@ def _number_list(value, path: str) -> tuple:
     return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
+def _at_least(low: int):
+    return lambda value, read: None if value >= low else f"must be at least {low}"
+
+
+_REQUIRED = object()
+
+# One row per setting: (path, reader, default, check).  A check takes the
+# value and the settings read before it and returns an error text or None.
+# A default of None makes the setting optional; null then stays null.
+# The echo lists the settings in this order.
+_SETTINGS = (
+    *((f"system.{k}", _expression, "0", None) for k in "pqrsfg"),
+    ("equation.a", _expression, "1", None),
+    *((f"equation.{k}", _expression, "0", None) for k in "bcd"),
+    ("t0", _number, 0.0, None),
+    ("horizon", _number, _REQUIRED,
+     lambda value, read: None if value > read["t0"] else "must exceed t0"),
+    ("grid_nodes", _integer, DEFAULT_GRID_NODES, _at_least(64)),
+    *((f"tolerances.{f.name}", _number, f.default, None) for f in fields(Tolerances)),
+    ("lambda.values", _number_list, None, None),
+    ("lambda.points", _integer, DEFAULT_LAMBDA_POINTS, _at_least(2)),
+    ("scan.values", _number_list, None, None),
+    ("periodic", _number, None,
+     lambda value, read: None if value > 0 else "must be positive"),
+    ("oracle.seed", _integer, DEFAULT_SEED, None),
+    ("oracle.size", _integer, DEFAULT_ENSEMBLE_SIZE, _at_least(2)),
+    ("oracle.final_window_fraction", _number, DEFAULT_FINAL_WINDOW_FRACTION,
+     lambda value, read: None if 0.0 < value <= 1.0 else "must lie in (0, 1]"),
+    ("riccati.y0", _number, 0.0, None),
+)
+
+
+def _keys_by_section() -> dict:
+    keys = {}
+    for path, *_ in _SETTINGS:
+        section, _, key = path.rpartition(".")
+        keys.setdefault(section, []).append(key)
+    return keys
+
+
+_SECTION_KEYS = _keys_by_section()
+_TOP_LEVEL = (*_SECTION_KEYS.pop(""), *_SECTION_KEYS, "compare")
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemConfig:
     """Validated run inputs with every default materialized.
 
     `effective` is the JSON-ready echo of the whole configuration; feeding
     it back through load_config reproduces this object and hence the report.
+    Each setting outside the problem block and `tolerances` is the field
+    named by its path, with '.' read as '_'.
     """
 
     system: SystemSpec | None
@@ -158,15 +204,12 @@ class ProblemConfig:
     lambda_values: tuple | None
     lambda_points: int
     scan_values: tuple | None
-    scan_points: int
     periodic: float | None
     oracle_seed: int
     oracle_size: int
-    final_window_fraction: float
+    oracle_final_window_fraction: float
     riccati_y0: float
-    riccati_lam: float
     compare: ComparisonInstance | None
-    compare_squared: bool
     effective: dict = field(repr=False)
 
     def working_system(self) -> SystemSpec:
@@ -215,145 +258,67 @@ def _parse_compare(section: dict, path: str) -> ComparisonInstance:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _echo(given, value):
+    """JSON form of a setting: expressions as written, arrays as lists."""
+    if isinstance(value, Expr):
+        return given
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _group(read: dict, section: str) -> dict:
+    """Remove one section's settings from `read`, keyed by field name."""
+    return {key: read.pop(f"{section}.{key}") for key in _SECTION_KEYS[section]}
+
+
 def config_from_dict(raw: dict) -> ProblemConfig:
     raw = _ensure_mapping(raw, "config")
-    _reject_unknown(raw, ("system", "equation", "t0", "horizon", "grid_nodes",
-                          "tolerances", "lambda", "scan", "periodic", "oracle",
-                          "riccati", "compare"), "config")
-
-    has_system = "system" in raw
-    has_equation = "equation" in raw
-    if has_system == has_equation:
+    _reject_unknown(raw, _TOP_LEVEL, "config")
+    if ("system" in raw) == ("equation" in raw):
         raise ConfigError("config: exactly one of 'system' and 'equation' "
                           "must be present")
 
-    t0 = _number(raw.get("t0", 0.0), "t0")
-    if "horizon" not in raw:
-        raise ConfigError("horizon: required")
-    horizon = _number(raw["horizon"], "horizon")
-    if not horizon > t0:
-        raise ConfigError("horizon: must exceed t0")
+    read = {}
+    effective = {}
+    for path, reader, default, check in _SETTINGS:
+        section, _, key = path.rpartition(".")
+        if section in ("system", "equation") and section not in raw:
+            continue
+        given_in, echo_in = raw, effective
+        if section:
+            given_in = _ensure_mapping(raw.get(section, {}), section)
+            _reject_unknown(given_in, _SECTION_KEYS[section], section)
+            echo_in = effective.setdefault(section, {})
+        given = given_in.get(key, default)
+        if given is _REQUIRED:
+            raise ConfigError(f"{path}: required")
+        value = None
+        if given is not None or default is not None:
+            value = reader(given, path)
+            error = check and check(value, read)
+            if error:
+                raise ConfigError(f"{path}: {error}")
+        read[path] = value
+        echo_in[key] = _echo(given, value)
 
-    system = None
-    equation = None
-    if has_system:
-        section = _ensure_mapping(raw["system"], "system")
-        _reject_unknown(section, _SYSTEM_FIELDS, "system")
-        texts = {k: section.get(k, "0") for k in _SYSTEM_FIELDS}
-        parsed = {k: _expression(v, f"system.{k}") for k, v in texts.items()}
-        system = SystemSpec(parsed["p"], parsed["q"], parsed["r"], parsed["s"],
-                            parsed["f"], parsed["g"], t0)
-        problem_echo = ("system", texts)
+    system = equation = None
+    if "system" in raw:
+        system = SystemSpec(**_group(read, "system"), t0=read["t0"])
     else:
-        section = _ensure_mapping(raw["equation"], "equation")
-        _reject_unknown(section, _EQUATION_FIELDS, "equation")
-        texts = {k: section.get(k, _EQUATION_DEFAULTS[k])
-                 for k in _EQUATION_FIELDS}
-        parsed = {k: _expression(v, f"equation.{k}") for k, v in texts.items()}
-        equation = SecondOrderSpec(parsed["a"], parsed["b"], parsed["c"],
-                                   parsed["d"], t0)
-        problem_echo = ("equation", texts)
-
-    grid_nodes = _number(raw.get("grid_nodes", DEFAULT_GRID_NODES),
-                         "grid_nodes", integral=True)
-    if grid_nodes < 64:
-        raise ConfigError("grid_nodes: must be at least 64")
-
-    tol_section = _ensure_mapping(raw.get("tolerances", {}), "tolerances")
-    _reject_unknown(tol_section, ("rel_tol", "abs_tol", "escape_magnitude",
-                                  "root_tol"), "tolerances")
-    tol_kwargs = {k: _number(v, f"tolerances.{k}")
-                  for k, v in tol_section.items()}
+        equation = SecondOrderSpec(**_group(read, "equation"), t0=read["t0"])
     try:
-        tolerances = Tolerances(**tol_kwargs)
+        tolerances = Tolerances(**_group(read, "tolerances"))
     except ValueError as exc:
         raise ConfigError(f"tolerances: {exc}") from None
-
-    lam_section = _ensure_mapping(raw.get("lambda", {}), "lambda")
-    _reject_unknown(lam_section, ("values", "points"), "lambda")
-    lambda_values = None
-    if lam_section.get("values") is not None:
-        lambda_values = _number_list(lam_section["values"], "lambda.values")
-    lambda_points = _number(lam_section.get("points", DEFAULT_LAMBDA_POINTS),
-                            "lambda.points", integral=True)
-    if lambda_points < 2:
-        raise ConfigError("lambda.points: must be at least 2")
-
-    scan_section = _ensure_mapping(raw.get("scan", {}), "scan")
-    _reject_unknown(scan_section, ("values", "points"), "scan")
-    scan_values = None
-    if scan_section.get("values") is not None:
-        scan_values = _number_list(scan_section["values"], "scan.values")
-    scan_points = _number(scan_section.get("points", DEFAULT_SCAN_POINTS),
-                          "scan.points", integral=True)
-    if scan_points < 1:
-        raise ConfigError("scan.points: must be at least 1")
-
-    periodic = None
-    if raw.get("periodic") is not None:
-        periodic = _number(raw["periodic"], "periodic")
-        if not periodic > 0:
-            raise ConfigError("periodic: must be positive")
-
-    oracle_section = _ensure_mapping(raw.get("oracle", {}), "oracle")
-    _reject_unknown(oracle_section, ("seed", "size", "final_window_fraction"),
-                    "oracle")
-    oracle_seed = _number(oracle_section.get("seed", 1729), "oracle.seed",
-                          integral=True)
-    oracle_size = _number(oracle_section.get("size", 16), "oracle.size",
-                          integral=True)
-    if oracle_size < 2:
-        raise ConfigError("oracle.size: must be at least 2")
-    window_fraction = _number(oracle_section.get("final_window_fraction", 0.5),
-                              "oracle.final_window_fraction")
-    if not 0.0 < window_fraction <= 1.0:
-        raise ConfigError("oracle.final_window_fraction: must lie in (0, 1]")
-
-    riccati_section = _ensure_mapping(raw.get("riccati", {}), "riccati")
-    _reject_unknown(riccati_section, ("y0", "lam"), "riccati")
-    riccati_y0 = _number(riccati_section.get("y0", 0.0), "riccati.y0")
-    riccati_lam = _number(riccati_section.get("lam", 0.0), "riccati.lam")
-
     compare = None
-    compare_echo = None
     if raw.get("compare") is not None:
-        compare_echo = raw["compare"]
-        compare = _parse_compare(_ensure_mapping(compare_echo, "compare"),
+        compare = _parse_compare(_ensure_mapping(raw["compare"], "compare"),
                                  "compare")
-
-    effective = {
-        problem_echo[0]: problem_echo[1],
-        "t0": t0,
-        "horizon": horizon,
-        "grid_nodes": grid_nodes,
-        "tolerances": {
-            "rel_tol": tolerances.rel_tol,
-            "abs_tol": tolerances.abs_tol,
-            "escape_magnitude": tolerances.escape_magnitude,
-            "root_tol": tolerances.root_tol,
-        },
-        "lambda": {"values": list(lambda_values) if lambda_values else None,
-                   "points": lambda_points},
-        "scan": {"values": list(scan_values) if scan_values else None,
-                 "points": scan_points},
-        "periodic": periodic,
-        "oracle": {"seed": oracle_seed, "size": oracle_size,
-                   "final_window_fraction": window_fraction},
-        "riccati": {"y0": riccati_y0, "lam": riccati_lam},
-    }
-    if compare_echo is not None:
-        effective["compare"] = compare_echo
-
-    return ProblemConfig(
-        system=system, equation=equation, t0=t0, horizon=horizon,
-        grid_nodes=grid_nodes, tolerances=tolerances,
-        lambda_values=lambda_values, lambda_points=lambda_points,
-        scan_values=scan_values, scan_points=scan_points, periodic=periodic,
-        oracle_seed=oracle_seed, oracle_size=oracle_size,
-        final_window_fraction=window_fraction, riccati_y0=riccati_y0,
-        riccati_lam=riccati_lam, compare=compare, compare_squared=False,
-        effective=effective,
-    )
+        effective["compare"] = raw["compare"]
+    return ProblemConfig(system=system, equation=equation,
+                         tolerances=tolerances, compare=compare,
+                         effective=effective,
+                         **{path.replace(".", "_"): value
+                            for path, value in read.items()})
 
 
 def _read_config(path) -> dict:
@@ -405,9 +370,7 @@ def to_jsonable(obj):
         return {"outcome": obj.outcome, "horizon": to_jsonable(obj.horizon),
                 "notes": obj.notes, "evidence": to_jsonable(obj.evidence)}
     if isinstance(obj, IntervalWitness):
-        return {"s1": obj.s1, "t1": obj.t1, "s2": obj.s2, "t2": obj.t2,
-                "lam": obj.lam, "sign_margins": to_jsonable(obj.sign_margins),
-                "osc_margins": to_jsonable(obj.osc_margins)}
+        return to_jsonable(asdict(obj))
     if isinstance(obj, EmpiricalVerdict):
         return {"outcome": obj.outcome,
                 "window": to_jsonable(obj.window),
@@ -482,14 +445,10 @@ class Report:
 
     def to_dict(self) -> dict:
         doc = {"subcommand": self.subcommand}
-        if self.verdict is not None:
-            doc["verdict"] = to_jsonable(self.verdict)
-        if self.empirical is not None:
-            doc["empirical"] = to_jsonable(self.empirical)
-        if self.certificate is not None:
-            doc["certificate"] = to_jsonable(self.certificate)
-        if self.validation is not None:
-            doc["validation"] = to_jsonable(self.validation)
+        for name in ("verdict", "empirical", "certificate", "validation"):
+            value = getattr(self, name)
+            if value is not None:
+                doc[name] = to_jsonable(value)
         if self.details:
             doc["details"] = to_jsonable(self.details)
         doc["provenance"] = to_jsonable(self.provenance)
@@ -533,16 +492,12 @@ def write_report(report: Report, out_path) -> tuple:
 # subcommands
 
 
-def _provenance(config: ProblemConfig) -> dict:
-    return {"tool_version": __version__, "config": config.effective}
-
-
 def _simulate(config: ProblemConfig, sys_spec: SystemSpec, dump_traces):
     ens = default_ensemble(config.span(), seed=config.oracle_seed,
                            size=config.oracle_size)
     trajectories = simulate_ensemble(sys_spec, ens, config.tolerances)
     verdict = empirical_classification(trajectories,
-                                       config.final_window_fraction)
+                                       config.oracle_final_window_fraction)
     names = []
     if dump_traces is not None:
         directory = Path(dump_traces)
@@ -556,10 +511,7 @@ def _simulate(config: ProblemConfig, sys_spec: SystemSpec, dump_traces):
 
 def _validate_problem(config: ProblemConfig) -> None:
     probe = Grid.uniform(config.t0, config.horizon, 513)
-    if config.equation is not None:
-        config.equation.validate_on(probe)
-    if config.system is not None:
-        config.system.validate_on(probe)
+    (config.system or config.equation).validate_on(probe)
 
 
 def _run_analyze(config: ProblemConfig, dump_traces) -> Report:
@@ -596,14 +548,13 @@ def _run_analyze(config: ProblemConfig, dump_traces) -> Report:
     if agrees is not None:
         details["oracle_agrees"] = agrees
     return Report("analyze", verdict=verdict, empirical=empirical,
-                  details=details, provenance=_provenance(config))
+                  details=details)
 
 
 def _run_oracle(config: ProblemConfig, dump_traces) -> Report:
     empirical, names = _simulate(config, config.working_system(), dump_traces)
     details = {"trace_files": names} if names else {}
-    return Report("oracle", empirical=empirical, details=details,
-                  provenance=_provenance(config))
+    return Report("oracle", empirical=empirical, details=details)
 
 
 def _run_riccati(config: ProblemConfig) -> Report:
@@ -623,7 +574,7 @@ def _run_riccati(config: ProblemConfig) -> Report:
         "final_value": float(sol.trajectory.states[-1, 0]),
         "steps": len(sol.trajectory.grid),
     }
-    return Report("riccati", details=details, provenance=_provenance(config))
+    return Report("riccati", details=details)
 
 
 def _run_reduce(config: ProblemConfig) -> Report:
@@ -632,7 +583,7 @@ def _run_reduce(config: ProblemConfig) -> Report:
     sys_spec = reduce_equation(config.equation)
     details = {"system": {name: print_expr(coef) for name, coef
                           in sys_spec.coefficients().items()}}
-    return Report("reduce", details=details, provenance=_provenance(config))
+    return Report("reduce", details=details)
 
 
 def _run_wong(config: ProblemConfig) -> Report:
@@ -641,7 +592,7 @@ def _run_wong(config: ProblemConfig) -> Report:
     verdict = check_undamped_equation(config.equation, config.span(),
                                       scan=config.scan_values,
                                       grid_nodes=config.grid_nodes)
-    return Report("wong", verdict=verdict, provenance=_provenance(config))
+    return Report("wong", verdict=verdict)
 
 
 def _run_compare(config: ProblemConfig, squared_variant: bool) -> Report:
@@ -653,8 +604,7 @@ def _run_compare(config: ProblemConfig, squared_variant: bool) -> Report:
                                   tol=config.tolerances)
     val = comparison_validate(config.compare, tol=config.tolerances)
     details = {"agreement": cert.holds == val.passed}
-    return Report("compare", certificate=cert, validation=val,
-                  details=details, provenance=_provenance(config))
+    return Report("compare", certificate=cert, validation=val, details=details)
 
 
 def _run_sweep(config: ProblemConfig) -> Report:
@@ -662,7 +612,6 @@ def _run_sweep(config: ProblemConfig) -> Report:
     grid = Grid.uniform(config.t0, config.horizon, config.grid_nodes)
     base = alpha_lambda(sys_spec, 0.0, grid)
     interval = lambda_feasibility(sys_spec, grid, base)
-    from .expr import sample
     r_vals = sample(sys_spec.r, grid.nodes)
     g_vals = sample(sys_spec.g, grid.nodes)
     lams = (list(config.lambda_values) if config.lambda_values is not None
@@ -678,7 +627,7 @@ def _run_sweep(config: ProblemConfig) -> Report:
                      "feasible": bool(min(margin_alpha, margin_coupling)
                                       >= -SIGN_SLACK and lam >= 0.0)})
     details = {"feasible_interval": interval, "rows": rows}
-    return Report("sweep", details=details, provenance=_provenance(config))
+    return Report("sweep", details=details)
 
 
 def run(subcommand: str, config: ProblemConfig, dump_traces=None,
@@ -688,18 +637,21 @@ def run(subcommand: str, config: ProblemConfig, dump_traces=None,
         raise ConfigError(f"unknown subcommand '{subcommand}'")
     _validate_problem(config)
     if subcommand == "analyze":
-        return _run_analyze(config, dump_traces)
-    if subcommand == "oracle":
-        return _run_oracle(config, dump_traces)
-    if subcommand == "riccati":
-        return _run_riccati(config)
-    if subcommand == "reduce":
-        return _run_reduce(config)
-    if subcommand == "wong":
-        return _run_wong(config)
-    if subcommand == "compare":
-        return _run_compare(config, squared_variant)
-    return _run_sweep(config)
+        report = _run_analyze(config, dump_traces)
+    elif subcommand == "oracle":
+        report = _run_oracle(config, dump_traces)
+    elif subcommand == "riccati":
+        report = _run_riccati(config)
+    elif subcommand == "reduce":
+        report = _run_reduce(config)
+    elif subcommand == "wong":
+        report = _run_wong(config)
+    elif subcommand == "compare":
+        report = _run_compare(config, squared_variant)
+    else:
+        report = _run_sweep(config)
+    report.provenance = {"tool_version": __version__, "config": config.effective}
+    return report
 
 
 # ---------------------------------------------------------------------------

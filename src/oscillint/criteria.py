@@ -58,6 +58,7 @@ SIGN_SLACK = 1e-12
 FUNCTIONAL_SLACK = 1e-9
 DEFAULT_SCAN_POINTS = 8
 DEFAULT_LAMBDA_POINTS = 41
+_ANGLE_NEEDS_Q = "; the angle test needs q >= 0"
 
 OSCILLATORY = "oscillatory"
 NON_OSCILLATORY = "non_oscillatory"
@@ -97,9 +98,6 @@ class IntervalWitness:
     def __post_init__(self):
         if not (self.s1 < self.t1 <= self.s2 < self.t2):
             raise ValueError("witness intervals must satisfy s1 < t1 <= s2 < t2")
-
-    def intervals(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return (self.s1, self.t1), (self.s2, self.t2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,14 +149,17 @@ def prufer_angle_field(sys: SystemSpec) -> Callable[[float, np.ndarray], np.ndar
     return rhs
 
 
-def _q_sign_violation(sys: SystemSpec, lo: float, hi: float,
-                      nodes: int = 513) -> float | None:
-    ts = np.linspace(lo, hi, nodes)
-    q_vals = sample(sys.q, ts)
-    bad = q_vals < -SIGN_SLACK
-    if np.any(bad):
-        return float(ts[int(np.argmax(bad))])
-    return None
+def _negative_q_verdict(sys: SystemSpec, lo: float, hi: float,
+                        why: str = "") -> Verdict | None:
+    """The inconclusive verdict for a q that dips below zero on [lo, hi]
+    (probed at 513 points), or None when q >= 0 there."""
+    ts = np.linspace(lo, hi, 513)
+    bad = sample(sys.q, ts) < -SIGN_SLACK
+    if not np.any(bad):
+        return None
+    bad_t = float(ts[int(np.argmax(bad))])
+    return Verdict(INCONCLUSIVE, (lo, hi),
+                   notes=f"coupling coefficient q is negative at t = {bad_t:.6g}{why}")
 
 
 def angle_line_crossings(sys: SystemSpec, span: tuple[float, float],
@@ -223,11 +224,9 @@ def interval_oscillation_test(sys: SystemSpec, interval: tuple[float, float],
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("interval must be increasing")
-    bad_t = _q_sign_violation(sys, lo, hi)
-    if bad_t is not None:
-        return Verdict(INCONCLUSIVE, (lo, hi),
-                       notes=f"coupling coefficient q is negative at t = {bad_t:.6g}; "
-                             "the angle test needs q >= 0")
+    negative_q = _negative_q_verdict(sys, lo, hi, _ANGLE_NEEDS_Q)
+    if negative_q is not None:
+        return negative_q
     descent = _angle_descent(sys, lo, hi, tol)
     if descent is None:
         return Verdict(INCONCLUSIVE, (lo, hi),
@@ -250,11 +249,9 @@ def horizon_nonoscillation_test(sys: SystemSpec, horizon: tuple[float, float],
     of the persistence width; inconclusive between the two.
     """
     lo, hi = float(horizon[0]), float(horizon[1])
-    bad_t = _q_sign_violation(sys, lo, hi)
-    if bad_t is not None:
-        return Verdict(INCONCLUSIVE, (lo, hi),
-                       notes=f"coupling coefficient q is negative at t = {bad_t:.6g}; "
-                             "the angle test needs q >= 0")
+    negative_q = _negative_q_verdict(sys, lo, hi, _ANGLE_NEEDS_Q)
+    if negative_q is not None:
+        return negative_q
     width = hi - lo
     if persistence_window is None:
         persistence_window = final_fraction * width / 2.0
@@ -337,10 +334,9 @@ def check_nonoscillation(sys: SystemSpec, horizon: tuple[float, float],
     """
     lo, hi = float(horizon[0]), float(horizon[1])
     grid = Grid.uniform(lo, hi, grid_nodes)
-    bad_t = _q_sign_violation(sys, lo, hi)
-    if bad_t is not None:
-        return Verdict(INCONCLUSIVE, (lo, hi),
-                       notes=f"coupling coefficient q is negative at t = {bad_t:.6g}")
+    negative_q = _negative_q_verdict(sys, lo, hi)
+    if negative_q is not None:
+        return negative_q
     feasible = lambda_feasibility(sys, grid)
     if feasible is None:
         return Verdict(INCONCLUSIVE, (lo, hi),
@@ -348,11 +344,13 @@ def check_nonoscillation(sys: SystemSpec, horizon: tuple[float, float],
                              "sign constraints on the grid")
     homogeneous = horizon_nonoscillation_test(sys.homogeneous(), (lo, hi), tol=tol)
     if homogeneous.outcome != NON_OSCILLATORY:
+        notes = "homogeneous companion is not non-oscillatory on the horizon"
+        if homogeneous.notes:
+            notes += f": {homogeneous.notes}"
         return Verdict(INCONCLUSIVE, (lo, hi),
                        evidence={"lambda_interval": feasible,
                                  "homogeneous": homogeneous.outcome},
-                       notes="homogeneous companion is not non-oscillatory "
-                             "on the horizon")
+                       notes=notes)
     lam_lo, lam_hi = feasible
     trace = alpha_lambda(sys, lam_lo, grid)
     margins = {
@@ -631,10 +629,9 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
     inconclusive.
     """
     lo, hi = float(horizon[0]), float(horizon[1])
-    bad_t = _q_sign_violation(sys, lo, hi)
-    if bad_t is not None:
-        return Verdict(INCONCLUSIVE, (lo, hi),
-                       notes=f"coupling coefficient q is negative at t = {bad_t:.6g}")
+    negative_q = _negative_q_verdict(sys, lo, hi)
+    if negative_q is not None:
+        return negative_q
     if scan is None:
         reach = periodic if periodic is not None else (hi - lo) / 2.0
         reach = min(reach, hi - lo)

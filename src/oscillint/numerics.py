@@ -136,12 +136,10 @@ class CubicHermiteCurve:
 
     def __call__(self, t):
         idx, s, h = self._locate(t)
-        if self.values.ndim == 1:
-            out = _hermite(s, h, self.values[idx], self.values[idx + 1],
-                           self.derivs[idx], self.derivs[idx + 1])
-        else:
-            out = _hermite(s[:, None], h[:, None], self.values[idx], self.values[idx + 1],
-                           self.derivs[idx], self.derivs[idx + 1])
+        if self.values.ndim != 1:
+            s, h = s[:, None], h[:, None]
+        out = _hermite(s, h, self.values[idx], self.values[idx + 1],
+                       self.derivs[idx], self.derivs[idx + 1])
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
     def columns_at(self, t: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ MIXED_OBSERVED = "mixed"
 
 DEFAULT_ENSEMBLE_SIZE = 16
 DEFAULT_SEED = 1729
+DEFAULT_FINAL_WINDOW_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,9 @@ def _is_trivial(traj: Trajectory) -> bool:
     return not np.any(traj.states)
 
 
-def empirical_classification(trajectories: list[Trajectory],
-                             final_window_fraction: float = 0.5) -> EmpiricalVerdict:
+def empirical_classification(
+        trajectories: list[Trajectory],
+        final_window_fraction: float = DEFAULT_FINAL_WINDOW_FRACTION) -> EmpiricalVerdict:
     """Classify simulated behavior by zeros inside the trailing window.
 
     A member that stopped early (escape) contributes whatever zeros it

@@ -103,9 +103,6 @@ class ComparisonInstance:
         if np.min(f1_vals) < -1e-12:
             raise ValueError("quadratic coefficient of problem 1 must be nonnegative")
 
-    def start(self) -> float:
-        return self.span[0]
-
 
 @dataclass(frozen=True, eq=False)
 class CertificateReport:

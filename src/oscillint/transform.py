@@ -149,21 +149,14 @@ class AlphaTrace:
     alpha: np.ndarray
     g_lambda: np.ndarray
     alpha_rate: np.ndarray
-    growth_rate: np.ndarray
     system: SystemSpec
 
     def __post_init__(self):
-        nodes = self.grid.nodes
-        object.__setattr__(self, "_alpha_curve",
-                           CubicHermiteCurve(nodes, self.alpha, self.alpha_rate))
-        object.__setattr__(self, "_growth_curve",
-                           CubicHermiteCurve(nodes, self.growth, self.growth_rate))
+        object.__setattr__(self, "_alpha_curve", CubicHermiteCurve(
+            self.grid.nodes, self.alpha, self.alpha_rate))
 
     def alpha_at(self, t):
         return self._alpha_curve(t)
-
-    def growth_at(self, t):
-        return self._growth_curve(t)
 
     def g_lambda_at(self, t):
         if np.ndim(t) == 0:
@@ -259,10 +252,10 @@ def alpha_lambda(sys: SystemSpec, lam: float, grid: Grid) -> AlphaTrace:
     forced = cumulative_integral(f_vals / growth, grid, method="simpson")
     alpha = growth * (lam + forced)
     g_lam = r_vals * alpha + g_vals
-    # exact nodal slopes: growth' = p growth, alpha' = p alpha + f
+    # exact nodal slope: alpha' = p alpha + f
     return AlphaTrace(lam=float(lam), grid=grid, growth=growth, alpha=alpha,
                       g_lambda=g_lam, alpha_rate=p_vals * alpha + f_vals,
-                      growth_rate=p_vals * growth, system=sys)
+                      system=sys)
 
 
 def reduce_equation(eq: SecondOrderSpec, grid: Grid | None = None) -> SystemSpec:

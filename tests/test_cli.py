@@ -23,7 +23,22 @@ from oscillint.cli import (
 )
 from oscillint.criteria import NON_OSCILLATORY, OSCILLATORY
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+
+# (shipped config, subcommand, exit code)
+SHIPPED_RUNS = [
+    ("forced_harmonic", "analyze", EXIT_OSCILLATORY),
+    ("forced_harmonic", "oracle", EXIT_OSCILLATORY),
+    ("forced_harmonic", "wong", EXIT_OSCILLATORY),
+    ("bursty_coupling", "analyze", EXIT_OSCILLATORY),
+    ("bursty_coupling", "oracle", EXIT_OSCILLATORY),
+    ("decaying_forcing", "analyze", EXIT_NON_OSCILLATORY),
+    ("decaying_forcing", "oracle", EXIT_NON_OSCILLATORY),
+    ("decaying_forcing", "wong", EXIT_INCONCLUSIVE),
+    ("harmonic_riccati", "riccati", EXIT_RAN),
+    ("riccati_comparison", "compare", EXIT_RAN),
+]
 
 
 def forced_harmonic_doc(**overrides):
@@ -105,7 +120,7 @@ class TestConfigLoading:
         assert echo["grid_nodes"] == 2048
         assert echo["tolerances"]["rel_tol"] == 1e-8
         assert echo["oracle"]["seed"] == 1729
-        assert echo["scan"]["points"] == 8
+        assert "points" not in echo["scan"]
         assert echo["lambda"]["points"] == 41
         assert echo["periodic"] is None
 
@@ -273,7 +288,9 @@ class TestMainEntry:
                                     "horizon": 10})
         code = main(["analyze", "--config", str(path)])
         assert code == EXIT_INCONCLUSIVE
-        assert "outcome: inconclusive" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "outcome: inconclusive" in out
+        assert "the angle solve stopped at t = 3.3" in out
 
     def test_horizon_override_echoed(self, tmp_path, capsys):
         path = write_doc(tmp_path, decaying_doc())
@@ -344,6 +361,21 @@ class TestReports:
         replay = run("analyze", load_config(replay_path))
         assert replay.render_json() == report.render_json()
 
+    @pytest.mark.parametrize("name, subcommand, _", SHIPPED_RUNS)
+    def test_idempotent_rerun_of_shipped_config(self, tmp_path, name,
+                                                subcommand, _):
+        report = run(subcommand, load_config(CONFIG_DIR / f"{name}.json"))
+        replay_path = write_doc(tmp_path, report.provenance["config"],
+                                name="replay.json")
+        replay = run(subcommand, load_config(replay_path))
+        assert replay.render_json() == report.render_json()
+
+    def test_readme_configuration_block_is_its_own_echo(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Configuration", 1)[1]
+        block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        assert config_from_dict(block).effective == block
+
     def test_infinities_serialized_as_strings(self):
         assert to_jsonable(float("inf")) == "inf"
         assert to_jsonable(float("-inf")) == "-inf"
@@ -353,18 +385,7 @@ class TestReports:
         assert Report("sweep").exit_code() == EXIT_RAN
 
 
-@pytest.mark.parametrize("name, subcommand, expected", [
-    ("forced_harmonic", "analyze", EXIT_OSCILLATORY),
-    ("forced_harmonic", "oracle", EXIT_OSCILLATORY),
-    ("forced_harmonic", "wong", EXIT_OSCILLATORY),
-    ("bursty_coupling", "analyze", EXIT_OSCILLATORY),
-    ("bursty_coupling", "oracle", EXIT_OSCILLATORY),
-    ("decaying_forcing", "analyze", EXIT_NON_OSCILLATORY),
-    ("decaying_forcing", "oracle", EXIT_NON_OSCILLATORY),
-    ("decaying_forcing", "wong", EXIT_INCONCLUSIVE),
-    ("harmonic_riccati", "riccati", EXIT_RAN),
-    ("riccati_comparison", "compare", EXIT_RAN),
-])
+@pytest.mark.parametrize("name, subcommand, expected", SHIPPED_RUNS)
 def test_shipped_config_exit_codes(name, subcommand, expected, capsys):
     code = main([subcommand, "--config", str(CONFIG_DIR / f"{name}.json")])
     capsys.readouterr()
