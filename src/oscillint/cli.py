@@ -525,6 +525,7 @@ def _run_analyze(config: ProblemConfig, dump_traces) -> Report:
     else:
         osc = check_oscillation(sys_spec, horizon, scan=config.scan_values,
                                 lambda_grid=config.lambda_values,
+                                lambda_points=config.lambda_points,
                                 grid_nodes=config.grid_nodes,
                                 periodic=config.periodic,
                                 tol=config.tolerances)
@@ -602,7 +603,7 @@ def _run_compare(config: ProblemConfig, squared_variant: bool) -> Report:
                                   squared_variant=squared_variant,
                                   grid_nodes=config.grid_nodes,
                                   tol=config.tolerances)
-    val = comparison_validate(config.compare, tol=config.tolerances)
+    val = comparison_validate(config.compare, tol=config.tolerances, y2=cert.y2)
     details = {"agreement": cert.holds == val.passed}
     return Report("compare", certificate=cert, validation=val, details=details)
 

@@ -618,13 +618,15 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
                       lambda_grid: Sequence[float] | None = None,
                       grid_nodes: int = DEFAULT_GRID_NODES,
                       periodic: float | None = None,
-                      tol: Tolerances = Tolerances()) -> Verdict:
+                      tol: Tolerances = Tolerances(),
+                      lambda_points: int = DEFAULT_LAMBDA_POINTS) -> Verdict:
     """Certify oscillation: a witness must exist beyond every scanned
     reference time.
 
     The scan defaults to 8 reference times over the first half of the
     horizon, or over one period when periodic is given (periodicity then
-    extends the evidence to all later reference times).  Failure of this
+    extends the evidence to all later reference times).  Without a
+    lambda_grid, the default grid has lambda_points values.  Failure of this
     sufficient condition proves nothing, so the negative outcome is always
     inconclusive.
     """
@@ -639,7 +641,7 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
     grid = Grid.uniform(lo, hi, grid_nodes)
     base_trace = alpha_lambda(sys, 0.0, grid)
     if lambda_grid is None:
-        lambda_grid = default_lambda_grid(sys, grid, base_trace)
+        lambda_grid = default_lambda_grid(sys, grid, base_trace, lambda_points)
 
     shift = _shift_windows(sys, grid, base_trace, lambda_grid)
     sys_h = sys.homogeneous()

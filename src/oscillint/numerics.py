@@ -6,6 +6,11 @@ also advances a batch of members on one step grid, zero-crossing event
 detection with bisection refinement, escape (blow-up) detection, and
 bracketed root refinement.
 
+`integrate_ode` has two step loops behind one entry point, chosen by the
+shape of the start state: a one-component state (the scalar Riccati and
+Prufer angle equations) steps on Python floats, and every other state,
+batches included, steps on numpy arrays. Both keep the same contract.
+
 The integrator is deliberately self-contained: the rest of the library
 depends on its exact semantics (dense output shape, dual escape
 detection via magnitude threshold or step collapse, events refined on
@@ -14,6 +19,7 @@ the dense output), which off-the-shelf solvers do not pin down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -388,40 +394,43 @@ def _bisect_event(g: Callable[[float], float], a: float, b: float, tol: float) -
 # ---------------------------------------------------------------------------
 # Adaptive Dormand-Prince 4(5) with FSAL
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
+# The tableau as floats for the scalar loop; the array loop uses numpy copies
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+_DP_C = np.array(_C)
+_DP_A = [np.array(row) for row in _A]
+_DP_B5 = np.array(_B5)
+_DP_E = np.array(_E)
 
 _EVENT_SUBSAMPLES = 6
 _MAX_STEPS = 1_000_000
 _STEP_COLLAPSE = 1e-12
+_FIELD_ERRORS = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
 
 
-def _call_field(field_fn, t, y, shape):
-    """Field at (t, y reshaped to shape), flattened; None if it fails."""
-    try:
-        out = np.asarray(field_fn(t, y.reshape(shape)), dtype=float)
-    except (ValueError, ZeroDivisionError, OverflowError, FloatingPointError):
-        return None
-    if out.shape != shape or not np.isfinite(out).all():
-        return None
-    return out.reshape(-1)
+def _step_factor(err: float) -> float:
+    """Step-size multiplier after a step with RMS error ratio err; below 1
+    for a rejected step (err > 1)."""
+    return 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
 
 
-def _member_curve(j: int, dim: int, t: float, h: float, y0, y1, f0, f1):
-    """Dense output of member j over the step [t, t + h], from flat batch arrays."""
-    y0, y1, f0, f1 = (a.reshape(dim, -1)[:, j] for a in (y0, y1, f0, f1))
-    return lambda tq: _hermite((tq - t) / h, h, y0, y1, f0, f1)
+def _dot(coeffs, k) -> float:
+    """Sum of coefficient times stage value, left to right."""
+    acc = 0.0
+    for a, kj in zip(coeffs, k):
+        acc += a * kj
+    return acc
 
 
 def integrate_ode(
@@ -451,6 +460,13 @@ def integrate_ode(
     every live member. The result then has states of shape (n, dim, m),
     events tagged with their member and each member's end time in `ends`;
     `Trajectory.members()` splits it. A 1-D y0 is the single-member case.
+
+    The start state's shape picks the step loop. A scalar or a y0 of
+    shape (1,) (the Riccati and angle equations) is stepped on Python
+    floats, which saves the fixed cost of numpy calls on 1-element arrays;
+    any other shape, a (1, m) batch included, runs the numpy loop. Both
+    loops share the tableau, step-size rule, dense output and event
+    bisection, and the field is called with a 1-element array either way.
     """
     t_a, t_b = float(span[0]), float(span[1])
     if not t_b > t_a:
@@ -460,6 +476,179 @@ def integrate_ode(
         y = y[None]
     if y.ndim > 2:
         raise ValueError("y0 must have shape (dim,) or (dim, m)")
+    if max_step is None:
+        max_step = (t_b - t_a) / 16.0
+    if y.shape == (1,):
+        return _scalar_loop(field_fn, float(y[0]), t_a, t_b, tolerances, events, max_step)
+    return _array_loop(field_fn, y, t_a, t_b, tolerances, events, max_step)
+
+
+def _scalar_field(field_fn, t: float, y: float) -> float | None:
+    """Field at the 1-component state y, as a float; None if it fails."""
+    try:
+        out = np.asarray(field_fn(t, np.array((y,))), dtype=float)
+    except _FIELD_ERRORS:
+        return None
+    if out.shape != (1,):
+        return None
+    value = out.item()
+    return value if math.isfinite(value) else None
+
+
+def _scalar_event(spec: EventSpec, t: float, y: float) -> float:
+    """Event function at the 1-component state y, as a float."""
+    value = spec.fn(t, np.array((y,)))
+    return value if isinstance(value, float) else float(np.reshape(value, ()))
+
+
+def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
+                 events: Sequence[EventSpec], max_step: float) -> Trajectory:
+    """integrate_ode for a one-component state, stepped on Python floats."""
+    width = t_b - t_a
+    f_now = _scalar_field(field_fn, t_a, y)
+    if f_now is None:
+        raise IntegrationError("field not evaluable at start", t_a)
+    ts, ys, fs = [t_a], [y], [f_now]
+    recorded: list[Event] = []
+    escape = tol.escape_magnitude
+    live = abs(y) <= escape
+    if not live:
+        recorded.append(Event("escape", t_a))
+
+    # initial step heuristic
+    scale = tol.abs_tol + tol.rel_tol * abs(y)
+    d0, d1 = abs(y / scale), abs(f_now / scale)
+    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else width / 100.0
+    h = min(h, max_step, width)
+
+    t = t_a
+    for _ in range(_MAX_STEPS):
+        # the sliver guard keeps a 1-ulp remainder from looking like collapse
+        if not live or t >= t_b - 1e-13 * width:
+            break
+        h = min(h, t_b - t)
+        if h < _STEP_COLLAPSE * width:
+            recorded.append(Event("escape", t))
+            break
+
+        k = [f_now]
+        for c, row in zip(_C[1:], _A[1:]):
+            ki = _scalar_field(field_fn, t + c * h, y + h * _dot(row, k))
+            if ki is None:
+                break
+            k.append(ki)
+        if len(k) < 7:  # a stage failed
+            h *= 0.25
+            continue
+
+        y_new = y + h * _dot(_B5, k)
+        ratio = h * _dot(_E, k) / (tol.abs_tol + tol.rel_tol * max(abs(y), abs(y_new)))
+        err = math.sqrt(ratio * ratio)  # the RMS as the numpy loop takes it, overflow included
+        if not math.isfinite(err):
+            h *= 0.25
+            continue
+        if err > 1.0:
+            h *= _step_factor(err)
+            continue
+
+        # accepted
+        t_new = t + h
+        if t_b - t_new < 1e-12 * width:
+            t_new = t_b
+        f_new = k[6]  # FSAL: field(t_new, y_new)
+
+        def dense(tq):
+            return _hermite((tq - t) / h, h, y, y_new, f_now, f_new)
+
+        end = None  # (time, state, derivative) when the solve ends in this step
+        step_events: list[Event] = []
+
+        # event scan on the dense output at the subsample times
+        if events:
+            step = (t_new - t) / _EVENT_SUBSAMPLES
+            samples = [t + i * step for i in range(_EVENT_SUBSAMPLES)] + [t_new]
+            cut = math.inf
+            for spec in events:
+                g = [_scalar_event(spec, tq, dense(tq)) for tq in samples]
+                for sub in range(_EVENT_SUBSAMPLES):
+                    ga, gb = g[sub], g[sub + 1]
+                    # a strict sign change, or a landing on zero from a nonzero value
+                    if ga == 0.0 or not (ga < 0 < gb or gb < 0 < ga or gb == 0.0):
+                        continue
+                    rising = gb > ga
+                    if spec.direction != 0 and rising != (spec.direction > 0):
+                        continue
+                    te = float(_bisect_event(lambda tq: _scalar_event(spec, tq, dense(tq)),
+                                             samples[sub], samples[sub + 1], tol.root_tol))
+                    step_events.append(Event(spec.kind, te, 1 if rising else -1,
+                                             spec.component))
+                    if spec.terminal:
+                        cut = min(cut, te)
+            step_events.sort(key=lambda ev: ev.time)
+            if cut < math.inf:
+                y_cut = dense(cut)
+                f_cut = _scalar_field(field_fn, cut, y_cut)
+                end = (cut, y_cut, f_cut if f_cut is not None else y_cut)
+
+        # escape by magnitude, refined on the dense output
+        escaped = None
+        if end is None and abs(y_new) > escape:
+            g_esc = lambda tq: abs(dense(tq)) - escape
+            te = float(_bisect_event(g_esc, t, t_new, tol.root_tol)) if g_esc(t) < 0 else t
+            y_esc = dense(te)
+            f_esc = _scalar_field(field_fn, te, y_esc) if te > t else None
+            escaped = Event("escape", te)
+            end = (te, y_esc, f_esc if f_esc is not None else fs[-1])
+
+        if end is not None:
+            # nothing is recorded past the time the solve ends
+            recorded.extend(ev for ev in step_events if ev.time <= end[0])
+            if escaped is not None:
+                recorded.append(escaped)
+            if end[0] > t:
+                ts.append(end[0])
+                ys.append(end[1])
+                fs.append(end[2])
+            break
+
+        recorded.extend(step_events)
+        ts.append(t_new)
+        ys.append(y_new)
+        fs.append(f_new)
+        t, y, f_now = t_new, y_new, f_new
+        h = min(h * _step_factor(err), max_step)
+    else:
+        raise IntegrationError("step budget exhausted", t)
+
+    if len(ts) == 1:
+        # ended at the very start; emit a degenerate short span
+        ts.append(t_a + max(width * 1e-15, 1e-300))
+        ys.append(ys[0])
+        fs.append(fs[0])
+    return Trajectory(Grid(np.asarray(ts)), np.array(ys)[:, None], recorded,
+                      np.array(fs)[:, None])
+
+
+def _call_field(field_fn, t, y, shape):
+    """Field at (t, y reshaped to shape), flattened; None if it fails."""
+    try:
+        out = np.asarray(field_fn(t, y.reshape(shape)), dtype=float)
+    except _FIELD_ERRORS:
+        return None
+    if out.shape != shape or not np.isfinite(out).all():
+        return None
+    return out.reshape(-1)
+
+
+def _member_curve(j: int, dim: int, t: float, h: float, y0, y1, f0, f1):
+    """Dense output of member j over the step [t, t + h], from flat batch arrays."""
+    y0, y1, f0, f1 = (a.reshape(dim, -1)[:, j] for a in (y0, y1, f0, f1))
+    return lambda tq: _hermite((tq - t) / h, h, y0, y1, f0, f1)
+
+
+def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances,
+                events: Sequence[EventSpec], max_step: float) -> Trajectory:
+    """integrate_ode for a (dim,) or (dim, m) state, stepped on numpy arrays."""
     shape = y.shape
     batch = y.ndim == 2
     dim, m = shape[0], (shape[1] if batch else 1)
@@ -472,9 +661,6 @@ def integrate_ode(
         return int(j) if batch else None
 
     width = t_b - t_a
-    if max_step is None:
-        max_step = width / 16.0
-    tol = tolerances
 
     f_now = _call_field(field_fn, t_a, y, shape)
     if f_now is None:
@@ -538,7 +724,7 @@ def integrate_ode(
             h *= 0.25
             continue
         if err > 1.0:
-            h *= max(0.2, 0.9 * err ** -0.2)
+            h *= _step_factor(err)
             continue
 
         # accepted
@@ -630,8 +816,7 @@ def integrate_ode(
         fs.append(f_row)
         t, y, f_now = t_new, y_new, f_new
 
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        h = min(h * factor, max_step)
+        h = min(h * _step_factor(err), max_step)
     else:
         raise IntegrationError("step budget exhausted", t)
 

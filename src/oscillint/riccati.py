@@ -106,15 +106,20 @@ class ComparisonInstance:
 
 @dataclass(frozen=True, eq=False)
 class CertificateReport:
-    """Running value of the comparison integral and its pointwise minimum."""
+    """Running value of the comparison integral and its pointwise minimum,
+    with the solution of equation 2 it was evaluated along."""
 
+    y2: RiccatiSolution
     grid: Grid
     phi_trace: np.ndarray
     min_value: float
     holds: bool
     slack: float
-    escape_time: float | None
     squared_variant: bool
+
+    @property
+    def escape_time(self) -> float | None:
+        return self.y2.escape_time
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,22 +192,26 @@ def comparison_certificate(inst: ComparisonInstance, squared_variant: bool = Fal
     phi_trace = (inst.gamma - inst.y2_start
                  + cumulative_integral(weight * bracket, grid, method="simpson"))
     min_value = float(np.min(phi_trace))
-    return CertificateReport(grid=grid, phi_trace=phi_trace, min_value=min_value,
+    return CertificateReport(y2=y2, grid=grid, phi_trace=phi_trace, min_value=min_value,
                              holds=min_value >= -slack, slack=slack,
-                             escape_time=y2.escape_time, squared_variant=squared_variant)
+                             squared_variant=squared_variant)
 
 
 def comparison_validate(inst: ComparisonInstance, tol: Tolerances = Tolerances(),
                         grid_nodes: int = 1024,
-                        ordering_slack: float = ORDERING_SLACK) -> ValidationReport:
+                        ordering_slack: float = ORDERING_SLACK,
+                        y2: RiccatiSolution | None = None) -> ValidationReport:
     """Check the comparison conclusion directly.
 
     Solves equation 1 from eta1(t0) and equation 2 from y2_start, then
     verifies that the first solution exists for as long as the second and
-    stays above it up to ordering_slack.
+    stays above it up to ordering_slack.  A y2 already solved at tol, such
+    as the one a CertificateReport carries, is used instead of solving
+    equation 2 again.
     """
     lo = inst.span[0]
-    y2 = solve_riccati(inst.problem2, inst.y2_start, tol)
+    if y2 is None:
+        y2 = solve_riccati(inst.problem2, inst.y2_start, tol)
     y1 = solve_riccati(inst.problem1, float(inst.eta1(lo)), tol)
 
     end2 = y2.end_time

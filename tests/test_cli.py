@@ -157,6 +157,13 @@ class TestSubcommands:
         report = run("analyze", config)
         assert report.exit_code() == EXIT_INCONCLUSIVE
 
+    def test_analyze_uses_lambda_points(self):
+        doc = json.loads((CONFIG_DIR / "forced_harmonic.json").read_text(encoding="utf-8"))
+        doc["lambda"] = {"points": 5}
+        report = run("analyze", config_from_dict(doc))
+        assert report.verdict.outcome == OSCILLATORY
+        assert report.verdict.evidence["lambda_grid_size"] == 5
+
     def test_oracle_only(self):
         config = config_from_dict(forced_harmonic_doc())
         report = run("oracle", config)
@@ -216,6 +223,22 @@ class TestSubcommands:
         assert report.validation.passed is True
         assert report.details["agreement"] is True
         assert report.exit_code() == EXIT_RAN
+
+    def test_compare_solves_equation_two_once(self, monkeypatch):
+        from oscillint import riccati
+        config = load_config(CONFIG_DIR / "riccati_comparison.json")
+        expected = run("compare", config).render_json()
+        solved = []
+        solve = riccati.solve_riccati
+
+        def counted(prob, y0, tol):
+            solved.append(prob)
+            return solve(prob, y0, tol)
+        monkeypatch.setattr(riccati, "solve_riccati", counted)
+        report = run("compare", config)
+        assert solved == [config.compare.problem2, config.compare.problem1]
+        assert report.validation.y2 is report.certificate.y2
+        assert report.render_json() == expected
 
     def test_compare_squared_variant_flag(self):
         config = config_from_dict({

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from oscillint.cli import load_config
 from oscillint.criteria import (
@@ -30,7 +31,7 @@ from oscillint.criteria import (
     variational_functional,
 )
 from oscillint.expr import Mul, Constant, parse_text
-from oscillint.numerics import Grid, integrate_ode, zero_crossing
+from oscillint.numerics import Grid, Tolerances, integrate_ode, zero_crossing
 from oscillint.transform import SecondOrderSpec, SystemSpec, reduce_equation
 
 
@@ -120,6 +121,31 @@ class TestHorizonClassification:
         direct = [ev.time for ev in traj.events if ev.kind == "zero-crossing"]
         assert len(crossings) == len(direct)
         assert np.max(np.abs(np.array(crossings) - np.array(direct))) < 1e-6
+
+
+class TestAngleCrossingsAgainstScipy:
+    """Angle-line crossings of the homogeneous companion against the event
+    roots of scipy's RK45 (the same Dormand-Prince pair) on the angle field."""
+
+    @pytest.mark.parametrize("name", ["forced_harmonic", "bursty_coupling"])
+    @pytest.mark.parametrize("rel_tol, bound", [(None, 2e-6), (1e-10, 2e-7)])
+    def test_crossing_times(self, name, rel_tol, bound):
+        config = load_config(CONFIG_DIR / f"{name}.json")
+        tol = config.tolerances
+        if rel_tol is not None:
+            tol = Tolerances(rel_tol=rel_tol, abs_tol=rel_tol / 100)
+        sys_h = config.working_system().homogeneous()
+        span = config.span()
+        crossings = angle_line_crossings(sys_h, span, tol=tol)
+        # scipy looks for sign changes only between its step ends, and on the
+        # harmonic's linear angle its steps would span several crossings
+        reference = solve_ivp(prufer_angle_field(sys_h), span, [math.pi / 2],
+                              method="RK45", rtol=1e-11, atol=1e-13, max_step=0.1,
+                              events=lambda t, y: math.cos(y[0]))
+        assert reference.status == 0
+        roots = reference.t_events[0]
+        assert len(crossings) == len(roots) >= 8
+        assert np.max(np.abs(np.array(crossings) - roots)) <= bound
 
 
 class TestAngleSolveStopsEarly:

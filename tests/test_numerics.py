@@ -249,6 +249,97 @@ class TestMemberAxis:
             integrate_ode(self.rotation, np.ones((2, 2, 2)), (0.0, 1.0))
 
 
+def _log_to_ceiling(t, y):
+    # math.log raises from t = 1.3 on, so every stage past it fails
+    return y * 0.0 + math.log(1.3 - t)
+
+
+class TestScalarLoop:
+    """A one-component start state runs on the Python-float step loop; a
+    (1, 1) batch of the same equation runs on the numpy loop."""
+
+    angle_line = EventSpec(fn=lambda t, y: np.cos(y[0]), kind="angle-line")
+    falls_to_half = EventSpec(fn=lambda t, y: y[0] - 0.5, direction=-1, terminal=True)
+    CASES = {
+        "smooth": (lambda t, y: np.sin(t) - y, 1.0, (0.0, 10.0), Tolerances(), ()),
+        # angle of phi'' + 4 phi = 0: theta' = -(4 cos^2 + sin^2)
+        "angle": (lambda t, y: -(4.0 * np.cos(y) ** 2 + np.sin(y) ** 2), math.pi / 2,
+                  (0.0, 12.0), Tolerances(), (angle_line,)),
+        "tangent": (lambda t, y: 1.0 + y * y, 0.0, (0.0, 3.0), Tolerances(), ()),
+        "field_raises": (_log_to_ceiling, 0.0, (0.0, 3.0), Tolerances(), ()),
+        "starts_escaped": (lambda t, y: -y, 2e8, (0.0, 1.0), Tolerances(), ()),
+        # steps grow to max_step, so the escape is refined inside a long step
+        "linear_escape": (lambda t, y: 1.0 + 0.0 * y, 0.0, (0.0, 4.0),
+                          Tolerances(escape_magnitude=1.5), ()),
+        "nan_field": (lambda t, y: y * (math.nan if t > 0.5 else 1.0), 1.0, (0.0, 1.0),
+                      Tolerances(), ()),
+        "terminal": (lambda t, y: -y, 1.0, (0.0, 3.0), Tolerances(), (falls_to_half,)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_agrees_with_numpy_loop(self, case):
+        field, y0, span, tol, events = self.CASES[case]
+        calls = {"plain": 0, "batch": 0}
+
+        def counted(kind):
+            def fn(t, y):
+                calls[kind] += 1
+                return field(t, y)
+            return fn
+        plain = integrate_ode(counted("plain"), [y0], span, tol, events=events)
+        (member,) = integrate_ode(counted("batch"), [[y0]], span, tol,
+                                  events=events).members()
+        # the same steps, retries and refinements cost the same evaluations
+        assert calls["plain"] == calls["batch"]
+        assert len(plain.grid) == len(member.grid)
+        assert plain.states.shape == (len(plain.grid), 1)
+        assert plain.derivs.shape == plain.states.shape
+        assert plain.span[1] == pytest.approx(member.span[1], abs=1e-9)
+        assert [ev.kind for ev in plain.events] == [ev.kind for ev in member.events]
+        assert [ev.direction for ev in plain.events] == [ev.direction for ev in member.events]
+        np.testing.assert_allclose([ev.time for ev in plain.events],
+                                   [ev.time for ev in member.events], rtol=0, atol=1e-9)
+        if plain.escape_time() is None:
+            assert plain.states[-1, 0] == pytest.approx(member.states[-1, 0], rel=1e-9)
+
+    def test_cases_end_as_intended(self):
+        ends = {}
+        for case, (field, y0, span, tol, events) in self.CASES.items():
+            traj = integrate_ode(field, [y0], span, tol, events=events)
+            ends[case] = (traj.span[1], traj.escape_time(), len(traj.events))
+        assert ends["smooth"] == (10.0, None, 0)
+        assert ends["angle"][:2] == (12.0, None)
+        assert ends["angle"][2] == 7  # theta passes a line every pi/2
+        assert ends["tangent"][1] == pytest.approx(math.pi / 2, abs=1e-4)
+        assert ends["field_raises"][1] == pytest.approx(1.3, abs=1e-6)
+        assert ends["starts_escaped"][1] == 0.0
+        assert ends["linear_escape"][1] == pytest.approx(1.5, abs=1e-9)
+        assert ends["nan_field"][1] == pytest.approx(0.5, abs=1e-6)
+        # exp(-t) falls through 0.5 at ln 2
+        assert ends["terminal"][0] == pytest.approx(math.log(2.0), abs=1e-6)
+        assert ends["terminal"][1:] == (None, 1)
+
+    def test_scalar_start_takes_the_scalar_loop(self):
+        seen = []
+
+        def field(t, y):
+            seen.append(y.shape)
+            return -y
+        bare = integrate_ode(field, 1.0, (0.0, 1.0))
+        listed = integrate_ode(field, [1.0], (0.0, 1.0))
+        assert set(seen) == {(1,)}
+        np.testing.assert_array_equal(bare.states, listed.states)
+        assert bare.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-7)
+
+    @pytest.mark.parametrize("bad", [
+        lambda t, y: np.array([1.0, 2.0]),
+        lambda t, y: np.array(1.0),  # a 0-d result is not a (1,) state
+    ])
+    def test_field_of_wrong_shape_rejected(self, bad):
+        with pytest.raises(IntegrationError):
+            integrate_ode(bad, [1.0], (0.0, 1.0))
+
+
 class TestRefineRoot:
     def test_cos_root(self):
         got = refine_root(math.cos, 1.0, 2.0, tol=1e-12)

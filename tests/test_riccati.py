@@ -61,6 +61,21 @@ class TestSolve:
         sol = solve_riccati(riccati_of_system(sys, span=(0.0, 3.0)), 0.0)
         assert sol.escape_time == pytest.approx(first_zero, abs=1e-4)
 
+    @pytest.mark.parametrize("k, y0", [(0.5, 0.0), (1.0, 2.0), (1.0, -3.0),
+                                       (2.0, 0.5), (3.0, 10.0)])
+    def test_escape_time_matches_closed_form(self, k, y0):
+        # y' = -(y^2 + k^2) is y = k tan(atan(y0/k) - k t), which falls to
+        # -infinity at (pi/2 + atan(y0/k))/k; |y| passes 1e8 about 1e-8 earlier.
+        # The end state is the dense output there, steep enough that a time
+        # refined to root_tol leaves it a few percent off the threshold
+        prob = constant_problem(1.0, 0.0, k * k, (0.0, 4.0 / k))
+        sol = solve_riccati(prob, y0)
+        assert sol.escaped()
+        blowup = (math.pi / 2 + math.atan(y0 / k)) / k
+        assert sol.escape_time == pytest.approx(blowup, abs=1e-6)
+        assert sol.end_time == sol.escape_time
+        assert sol.trajectory.states[-1, 0] == pytest.approx(-1e8, rel=0.05)
+
     def test_residual_vanishes_at_nodes(self):
         prob = RiccatiProblem(lambda t: 1.0, lambda t: 0.3 * math.cos(t),
                               lambda t: -0.5, (0.0, 3.0))
