@@ -141,6 +141,18 @@ def _number_list(value, path: str) -> tuple:
     return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
+def _number_pair(value, path: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}: expected [lo, hi]")
+    return _number_list(value, path)
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false")
+    return value
+
+
 def _at_least(low: int):
     return lambda value, read: None if value >= low else f"must be at least {low}"
 
@@ -150,7 +162,9 @@ _REQUIRED = object()
 # One row per setting: (path, reader, default, check).  A check takes the
 # value and the settings read before it and returns an error text or None.
 # A default of None makes the setting optional; null then stays null.
-# The echo lists the settings in this order.
+# A section that holds a required setting is itself required, except the
+# problem block that is not given and an absent or null `compare`, whose
+# settings are skipped.  The echo lists the settings in this order.
 _SETTINGS = (
     *((f"system.{k}", _expression, "0", None) for k in "pqrsfg"),
     ("equation.a", _expression, "1", None),
@@ -170,19 +184,32 @@ _SETTINGS = (
     ("oracle.final_window_fraction", _number, DEFAULT_FINAL_WINDOW_FRACTION,
      lambda value, read: None if 0.0 < value <= 1.0 else "must lie in (0, 1]"),
     ("riccati.y0", _number, 0.0, None),
+    *((f"compare.{p}.{k}", _expression, _REQUIRED, None)
+      for p in ("problem1", "problem2") for k in "fgh"),
+    ("compare.span", _number_pair, _REQUIRED,
+     lambda value, read: None if -math.inf < value[0] < value[1] < math.inf
+     else "must be a finite increasing pair"),
+    ("compare.y2_start", _number, _REQUIRED, None),
+    ("compare.gamma", _number, None, None),
+    ("compare.eta_offset", _number, 1.0, None),
+    ("compare.squared_variant", _flag, False, None),
 )
 
 
 def _keys_by_section() -> dict:
+    """The keys each section may hold, nested sections included; the
+    top level is the section ''."""
     keys = {}
     for path, *_ in _SETTINGS:
-        section, _, key = path.rpartition(".")
-        keys.setdefault(section, []).append(key)
+        parts = path.split(".")
+        for depth, part in enumerate(parts):
+            keys.setdefault(".".join(parts[:depth]), {})[part] = None
     return keys
 
 
 _SECTION_KEYS = _keys_by_section()
-_TOP_LEVEL = (*_SECTION_KEYS.pop(""), *_SECTION_KEYS, "compare")
+_REQUIRED_SECTIONS = {path.rpartition(".")[0]
+                      for path, _, default, _ in _SETTINGS if default is _REQUIRED}
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +218,8 @@ class ProblemConfig:
 
     `effective` is the JSON-ready echo of the whole configuration; feeding
     it back through load_config reproduces this object and hence the report.
-    Each setting outside the problem block and `tolerances` is the field
-    named by its path, with '.' read as '_'.
+    Each setting outside the problem block, `tolerances` and the comparison
+    instance is the field named by its path, with '.' read as '_'.
     """
 
     system: SystemSpec | None
@@ -211,6 +238,7 @@ class ProblemConfig:
     riccati_y0: float
     compare: ComparisonInstance | None
     effective: dict = field(repr=False)
+    compare_squared_variant: bool = False
 
     def working_system(self) -> SystemSpec:
         if self.system is not None:
@@ -219,43 +247,6 @@ class ProblemConfig:
 
     def span(self) -> tuple:
         return (self.t0, self.horizon)
-
-
-def _parse_compare(section: dict, path: str) -> ComparisonInstance:
-    _reject_unknown(section, ("problem1", "problem2", "span", "y2_start",
-                              "gamma", "eta_offset"), path)
-    for key in ("problem1", "problem2", "span", "y2_start"):
-        if key not in section:
-            raise ConfigError(f"{path}.{key}: required")
-    span = section["span"]
-    if not isinstance(span, list) or len(span) != 2:
-        raise ConfigError(f"{path}.span: expected [lo, hi]")
-    lo = _number(span[0], f"{path}.span[0]")
-    hi = _number(span[1], f"{path}.span[1]")
-
-    def scalar_problem(block, block_path):
-        block = _ensure_mapping(block, block_path)
-        _reject_unknown(block, ("f", "g", "h"), block_path)
-        parts = []
-        for key in ("f", "g", "h"):
-            if key not in block:
-                raise ConfigError(f"{block_path}.{key}: required")
-            parts.append(compile_scalar(_expression(block[key],
-                                                    f"{block_path}.{key}")))
-        return RiccatiProblem(parts[0], parts[1], parts[2], (lo, hi))
-
-    prob1 = scalar_problem(section["problem1"], f"{path}.problem1")
-    prob2 = scalar_problem(section["problem2"], f"{path}.problem2")
-    y2_start = _number(section["y2_start"], f"{path}.y2_start")
-    gamma = None
-    if section.get("gamma") is not None:
-        gamma = _number(section["gamma"], f"{path}.gamma")
-    eta_offset = _number(section.get("eta_offset", 1.0), f"{path}.eta_offset")
-    try:
-        return ComparisonInstance(prob1, prob2, y2_start, (lo, hi),
-                                  gamma=gamma, eta_offset=eta_offset)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _echo(given, value):
@@ -270,24 +261,44 @@ def _group(read: dict, section: str) -> dict:
     return {key: read.pop(f"{section}.{key}") for key in _SECTION_KEYS[section]}
 
 
+def _comparison(read: dict) -> ComparisonInstance:
+    """Remove the comparison instance's settings from `read` and build it."""
+    span = read.pop("compare.span")
+    problems = [RiccatiProblem(*(compile_scalar(read.pop(f"compare.{name}.{k}"))
+                                 for k in "fgh"), span)
+                for name in ("problem1", "problem2")]
+    try:
+        return ComparisonInstance(*problems, read.pop("compare.y2_start"), span,
+                                  gamma=read.pop("compare.gamma"),
+                                  eta_offset=read.pop("compare.eta_offset"))
+    except ValueError as exc:
+        raise ConfigError(f"compare: {exc}") from None
+
+
 def config_from_dict(raw: dict) -> ProblemConfig:
     raw = _ensure_mapping(raw, "config")
-    _reject_unknown(raw, _TOP_LEVEL, "config")
+    _reject_unknown(raw, _SECTION_KEYS[""], "config")
     if ("system" in raw) == ("equation" in raw):
         raise ConfigError("config: exactly one of 'system' and 'equation' "
                           "must be present")
+    skipped = {name for name in ("system", "equation") if name not in raw}
+    if raw.get("compare") is None:
+        skipped.add("compare")
 
     read = {}
     effective = {}
     for path, reader, default, check in _SETTINGS:
-        section, _, key = path.rpartition(".")
-        if section in ("system", "equation") and section not in raw:
+        if path.partition(".")[0] in skipped:
             continue
+        *names, key = path.split(".")
         given_in, echo_in = raw, effective
-        if section:
-            given_in = _ensure_mapping(raw.get(section, {}), section)
+        for depth, name in enumerate(names, 1):
+            section = ".".join(names[:depth])
+            if name not in given_in and section in _REQUIRED_SECTIONS:
+                raise ConfigError(f"{section}: required")
+            given_in = _ensure_mapping(given_in.get(name, {}), section)
             _reject_unknown(given_in, _SECTION_KEYS[section], section)
-            echo_in = effective.setdefault(section, {})
+            echo_in = echo_in.setdefault(name, {})
         given = given_in.get(key, default)
         if given is _REQUIRED:
             raise ConfigError(f"{path}: required")
@@ -309,11 +320,7 @@ def config_from_dict(raw: dict) -> ProblemConfig:
         tolerances = Tolerances(**_group(read, "tolerances"))
     except ValueError as exc:
         raise ConfigError(f"tolerances: {exc}") from None
-    compare = None
-    if raw.get("compare") is not None:
-        compare = _parse_compare(_ensure_mapping(raw["compare"], "compare"),
-                                 "compare")
-        effective["compare"] = raw["compare"]
+    compare = None if "compare" in skipped else _comparison(read)
     return ProblemConfig(system=system, equation=equation,
                          tolerances=tolerances, compare=compare,
                          effective=effective,
@@ -564,8 +571,7 @@ def _run_riccati(config: ProblemConfig) -> Report:
         raise ConfigError(
             "riccati: the scalar correspondence needs an unforced system "
             "(f = 0, g = 0); use 'compare' for forced scalar problems")
-    prob = riccati_of_system(sys_spec, span=config.span(),
-                             grid_nodes=config.grid_nodes)
+    prob = riccati_of_system(sys_spec, config.span())
     sol = solve_riccati(prob, config.riccati_y0, config.tolerances)
     details = {
         "y0": config.riccati_y0,
@@ -596,11 +602,11 @@ def _run_wong(config: ProblemConfig) -> Report:
     return Report("wong", verdict=verdict)
 
 
-def _run_compare(config: ProblemConfig, squared_variant: bool) -> Report:
+def _run_compare(config: ProblemConfig) -> Report:
     if config.compare is None:
         raise ConfigError("compare: a 'compare' section is required")
     cert = comparison_certificate(config.compare,
-                                  squared_variant=squared_variant,
+                                  squared_variant=config.compare_squared_variant,
                                   grid_nodes=config.grid_nodes,
                                   tol=config.tolerances)
     val = comparison_validate(config.compare, tol=config.tolerances, y2=cert.y2)
@@ -631,8 +637,7 @@ def _run_sweep(config: ProblemConfig) -> Report:
     return Report("sweep", details=details)
 
 
-def run(subcommand: str, config: ProblemConfig, dump_traces=None,
-        squared_variant: bool = False) -> Report:
+def run(subcommand: str, config: ProblemConfig, dump_traces=None) -> Report:
     """Dispatch one subcommand on a validated configuration."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand '{subcommand}'")
@@ -648,7 +653,7 @@ def run(subcommand: str, config: ProblemConfig, dump_traces=None,
     elif subcommand == "wong":
         report = _run_wong(config)
     elif subcommand == "compare":
-        report = _run_compare(config, squared_variant)
+        report = _run_compare(config)
     else:
         report = _run_sweep(config)
     report.provenance = {"tool_version": __version__, "config": config.effective}
@@ -675,9 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write one CSV per ensemble member")
     parser.add_argument("--out", metavar="FILE",
                         help="write the text report here plus a .json sibling")
-    parser.add_argument("--squared-variant", action="store_true",
-                        help="square the quadratic coefficient gap in the "
-                             "comparison certificate")
     parser.add_argument("--version", action="version",
                         version=f"oscillint {__version__}")
     return parser
@@ -692,8 +694,7 @@ def main(argv=None) -> int:
         if args.periodic is not None:
             raw["periodic"] = args.periodic
         config = config_from_dict(raw)
-        report = run(args.subcommand, config, dump_traces=args.dump_traces,
-                     squared_variant=args.squared_variant)
+        report = run(args.subcommand, config, dump_traces=args.dump_traces)
     except (ConfigError, ExprError, TransformError, IntegrationError,
             ValueError, OSError) as exc:
         print(f"oscillint: error: {exc}", file=sys.stderr)

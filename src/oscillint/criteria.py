@@ -239,29 +239,27 @@ def interval_oscillation_test(sys: SystemSpec, interval: tuple[float, float],
 
 
 def horizon_nonoscillation_test(sys: SystemSpec, horizon: tuple[float, float],
-                                final_fraction: float = 0.5,
-                                persistence_window: float | None = None,
                                 tol: Tolerances = Tolerances()) -> Verdict:
     """Classify the homogeneous companion over the whole horizon.
 
-    non_oscillatory when no angle-line crossing happens in the trailing
-    fraction of the horizon; oscillatory when crossings recur in every window
-    of the persistence width; inconclusive between the two.
+    non_oscillatory when no angle-line crossing happens in the trailing half
+    of the horizon; oscillatory when crossings recur in every window of a
+    quarter of the horizon (the persistence width); inconclusive between the
+    two.
     """
     lo, hi = float(horizon[0]), float(horizon[1])
     negative_q = _negative_q_verdict(sys, lo, hi, _ANGLE_NEEDS_Q)
     if negative_q is not None:
         return negative_q
     width = hi - lo
-    if persistence_window is None:
-        persistence_window = final_fraction * width / 2.0
+    persistence_window = 0.25 * width
     crossings, reached = _angle_crossings(sys, (lo, hi), math.pi / 2, tol)
     if reached < hi:
         return Verdict(INCONCLUSIVE, (lo, hi),
                        evidence={"crossings": crossings, "stopped_at": reached},
                        notes=f"the angle solve stopped at t = {reached:.6g}, "
                              "before the end of the horizon")
-    tail_start = hi - final_fraction * width
+    tail_start = hi - 0.5 * width
     tail = [t for t in crossings if t >= tail_start]
     fenced = [lo] + crossings + [hi]
     max_gap = float(np.max(np.diff(fenced))) if len(fenced) > 1 else width
@@ -366,9 +364,9 @@ def check_nonoscillation(sys: SystemSpec, horizon: tuple[float, float],
 # Sign windows
 
 
-def sign_windows(values: np.ndarray, grid: Grid, required_sign: int,
-                 slack: float = SIGN_SLACK) -> list[tuple[float, float]]:
-    """Maximal closed grid intervals where sign * values >= -slack.
+def sign_windows(values: np.ndarray, grid: Grid,
+                 required_sign: int) -> list[tuple[float, float]]:
+    """Maximal closed grid intervals where sign * values >= -SIGN_SLACK.
 
     Single-node runs are dropped; they cannot carry an interval condition.
     """
@@ -377,7 +375,7 @@ def sign_windows(values: np.ndarray, grid: Grid, required_sign: int,
     values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
         raise ValueError("values must be sampled on the grid")
-    _, first, last = _runs(required_sign * values[None, :] >= -slack)
+    _, first, last = _runs(required_sign * values[None, :] >= -SIGN_SLACK)
     nodes = grid.nodes
     return [(float(nodes[i]), float(nodes[j])) for i, j in zip(first, last) if j > i]
 
@@ -394,8 +392,7 @@ def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _refined_windows(margins: np.ndarray,
                      margin_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                     nodes: np.ndarray, slack: float = SIGN_SLACK
-                     ) -> list[list[tuple[float, float]]]:
+                     nodes: np.ndarray) -> list[list[tuple[float, float]]]:
     """Sign windows of each row of continuous margins, endpoints sharpened
     off-grid.
 
@@ -403,15 +400,15 @@ def _refined_windows(margins: np.ndarray,
     evaluates row rows[i] at time t[i].  Grid nodes rarely hit the true
     sign-change times; interval tests need the full window (a half period,
     say), so each boundary adjacent to a violating node is pushed to the
-    bracketed root of margin + slack, all rows in one vectorised solve.
+    bracketed root of margin + SIGN_SLACK, all rows in one vectorised solve.
     """
-    row, first, last = _runs(margins >= -slack)
+    row, first, last = _runs(margins >= -SIGN_SLACK)
     lo, hi = nodes[first], nodes[last]
     left = np.flatnonzero(first > 0)
     right = np.flatnonzero(last < len(nodes) - 1)
     lanes = np.concatenate([row[left], row[right]])
     if lanes.size:
-        roots = refine_roots(lambda t: margin_at(lanes, t) + slack,
+        roots = refine_roots(lambda t: margin_at(lanes, t) + SIGN_SLACK,
                              np.concatenate([nodes[first[left] - 1], nodes[last[right]]]),
                              np.concatenate([lo[left], nodes[last[right] + 1]]),
                              tol=1e-13)
@@ -569,9 +566,7 @@ def find_interval_witness(sys: SystemSpec, T: float,
                           lambda_grid: Sequence[float],
                           horizon: tuple[float, float],
                           grid_nodes: int = DEFAULT_GRID_NODES,
-                          tol: Tolerances = Tolerances(),
-                          base_trace: AlphaTrace | None = None,
-                          angle_cache: dict | None = None
+                          tol: Tolerances = Tolerances()
                           ) -> IntervalWitness | None:
     """First witness of paired sign windows beyond T, scanning the shift
     parameter grid.
@@ -585,11 +580,8 @@ def find_interval_witness(sys: SystemSpec, T: float,
     if not lo <= T < hi:
         raise ValueError("reference time must lie inside the horizon")
     grid = Grid.uniform(lo, hi, grid_nodes)
-    if base_trace is None:
-        base_trace = alpha_lambda(sys, 0.0, grid)
-    shift = _shift_windows(sys, grid, base_trace, lambda_grid)
-    return _first_witness(shift, sys.homogeneous(), T, (lo, hi),
-                          {} if angle_cache is None else angle_cache, tol)
+    shift = _shift_windows(sys, grid, alpha_lambda(sys, 0.0, grid), lambda_grid)
+    return _first_witness(shift, sys.homogeneous(), T, (lo, hi), {}, tol)
 
 
 def default_lambda_grid(sys: SystemSpec, grid: Grid,
@@ -669,8 +661,7 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
 # Variational criterion for undamped second-order equations
 
 
-def variational_functional(a: Expr, c: Expr, u: TestFunction,
-                           subintervals: int = 2048) -> float:
+def variational_functional(a: Expr, c: Expr, u: TestFunction) -> float:
     """Integral of c u^2 - a u'^2 over the test interval, u' symbolic."""
     du = differentiate(u.u)
     lo, hi = u.interval
@@ -679,19 +670,18 @@ def variational_functional(a: Expr, c: Expr, u: TestFunction,
         return (sample(c, ts) * sample(u.u, ts) ** 2
                 - sample(a, ts) * sample(du, ts) ** 2)
 
-    return definite_simpson(integrand, lo, hi, subintervals=subintervals)
+    return definite_simpson(integrand, lo, hi)
 
 
 def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
-                            test_function_factory: Callable[[float, float], TestFunction] | None = None,
                             scan: Sequence[float] | None = None,
-                            grid_nodes: int = DEFAULT_GRID_NODES,
-                            functional_slack: float = FUNCTIONAL_SLACK) -> Verdict:
+                            grid_nodes: int = DEFAULT_GRID_NODES) -> Verdict:
     """Variational oscillation test for (a phi')' + c phi = d.
 
     For every scanned reference time there must be a window with d <= 0
-    followed by one with d >= 0 on which the functional of a test function is
-    nonnegative.  Requires a genuinely undamped equation (b identically 0).
+    followed by one with d >= 0 on which the functional of the half-sine
+    bridge is nonnegative.  Requires a genuinely undamped equation (b
+    identically 0).
     """
     lo, hi = float(horizon[0]), float(horizon[1])
     probe = np.linspace(lo, hi, 513)
@@ -704,8 +694,6 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
     if scan is None:
         scan = np.linspace(lo, lo + (hi - lo) / 2.0, DEFAULT_SCAN_POINTS,
                            endpoint=False)
-    if test_function_factory is None:
-        test_function_factory = half_sine_bridge
     nodes = Grid.uniform(lo, hi, grid_nodes).nodes
     min_width = 1e-9 * (hi - lo)
     d_vals = sample(eq.d, nodes)
@@ -719,7 +707,7 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
     def functional_on(window: tuple[float, float]) -> float:
         key = (round(window[0], 12), round(window[1], 12))
         if key not in functional_cache:
-            u = test_function_factory(window[0], window[1])
+            u = half_sine_bridge(window[0], window[1])
             functional_cache[key] = variational_functional(eq.a, eq.c, u)
         return functional_cache[key]
 
@@ -731,10 +719,10 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
                                    min_width)
         for s1, t1, s2, t2 in candidates:
             j1 = functional_on((s1, t1))
-            if j1 < -functional_slack:
+            if j1 < -FUNCTIONAL_SLACK:
                 continue
             j2 = functional_on((s2, t2))
-            if j2 < -functional_slack:
+            if j2 < -FUNCTIONAL_SLACK:
                 continue
             found = {"T": float(T), "windows": ((s1, t1), (s2, t2)),
                      "functionals": (j1, j2)}

@@ -260,12 +260,11 @@ def cumulative_integral(values: np.ndarray, grid: Grid, method: str = "trapezoid
     raise ValueError(f"unknown quadrature method '{method}'")
 
 
-def definite_simpson(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                     subintervals: int = 2048) -> float:
-    """Composite Simpson for a vectorized integrand on [lo, hi]."""
+def definite_simpson(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    """Composite Simpson on 2048 panels for a vectorized integrand on [lo, hi]."""
     if hi <= lo:
         raise ValueError("empty integration interval")
-    n = subintervals + (subintervals % 2)  # even number of panels
+    n = 2048
     ts = np.linspace(lo, hi, n + 1)
     ys = np.asarray(fn(ts), dtype=float)
     h = (hi - lo) / n

@@ -136,14 +136,13 @@ class ValidationReport:
     passed: bool
 
 
-def hypothesis_residuals(inst: ComparisonInstance,
-                         grid_nodes: int = 513) -> tuple[float, float]:
-    """Minimal inequality residuals of eta1 and eta2 over the span.
+def hypothesis_residuals(inst: ComparisonInstance) -> tuple[float, float]:
+    """Minimal inequality residuals of eta1 and eta2 at 513 points of the span.
 
     Nonnegative minima mean the supplied eta functions genuinely solve the
     differential inequalities the certificate presumes.
     """
-    ts = np.linspace(inst.span[0], inst.span[1], grid_nodes)
+    ts = np.linspace(inst.span[0], inst.span[1], 513)
     minima = []
     for prob, eta, rate in ((inst.problem1, inst.eta1, inst.eta1_rate),
                             (inst.problem2, inst.eta2, inst.eta2_rate)):
@@ -158,16 +157,16 @@ def hypothesis_residuals(inst: ComparisonInstance,
 
 
 def comparison_certificate(inst: ComparisonInstance, squared_variant: bool = False,
-                           slack: float = CERTIFICATE_SLACK, grid_nodes: int = 2048,
-                           tol: Tolerances = Tolerances()) -> CertificateReport:
+                           grid_nodes: int = 2048, tol: Tolerances = Tolerances()
+                           ) -> CertificateReport:
     """Evaluate the running comparison integral along the solution of
     equation 2.
 
     The trace is gamma - y2(t0) plus the integral of a weight (exponential of
     the cumulative eta-coupling of equation 1) against the coefficient-gap
     bracket; with squared_variant the quadratic gap enters squared.  The
-    certificate holds when the trace never dips below -slack.  If y2 blows up
-    early, the trace is truncated there.
+    certificate holds when the trace never dips below -CERTIFICATE_SLACK.
+    If y2 blows up early, the trace is truncated there.
     """
     y2 = solve_riccati(inst.problem2, inst.y2_start, tol)
     lo = inst.span[0]
@@ -193,21 +192,20 @@ def comparison_certificate(inst: ComparisonInstance, squared_variant: bool = Fal
                  + cumulative_integral(weight * bracket, grid, method="simpson"))
     min_value = float(np.min(phi_trace))
     return CertificateReport(y2=y2, grid=grid, phi_trace=phi_trace, min_value=min_value,
-                             holds=min_value >= -slack, slack=slack,
+                             holds=min_value >= -CERTIFICATE_SLACK,
+                             slack=CERTIFICATE_SLACK,
                              squared_variant=squared_variant)
 
 
 def comparison_validate(inst: ComparisonInstance, tol: Tolerances = Tolerances(),
-                        grid_nodes: int = 1024,
-                        ordering_slack: float = ORDERING_SLACK,
                         y2: RiccatiSolution | None = None) -> ValidationReport:
     """Check the comparison conclusion directly.
 
     Solves equation 1 from eta1(t0) and equation 2 from y2_start, then
     verifies that the first solution exists for as long as the second and
-    stays above it up to ordering_slack.  A y2 already solved at tol, such
-    as the one a CertificateReport carries, is used instead of solving
-    equation 2 again.
+    stays above it, up to ORDERING_SLACK, at 1024 points.  A y2 already
+    solved at tol, such as the one a CertificateReport carries, is used
+    instead of solving equation 2 again.
     """
     lo = inst.span[0]
     if y2 is None:
@@ -219,11 +217,11 @@ def comparison_validate(inst: ComparisonInstance, tol: Tolerances = Tolerances()
     width = end2 - lo
     y1_exists = end1 >= end2 - 1e-9 * max(width, 1.0)
     common_end = min(end1, end2)
-    ts = np.linspace(lo, common_end, grid_nodes)
+    ts = np.linspace(lo, common_end, 1024)
     diff = np.atleast_1d(y1.value_at(ts)) - np.atleast_1d(y2.value_at(ts))
     min_difference = float(np.min(diff))
     res1, res2 = hypothesis_residuals(inst)
-    passed = bool(y1_exists and min_difference >= -ordering_slack)
+    passed = bool(y1_exists and min_difference >= -ORDERING_SLACK)
     return ValidationReport(y1=y1, y2=y2, y1_exists=y1_exists,
                             min_difference=min_difference,
                             eta1_residual_min=res1, eta2_residual_min=res2,

@@ -279,20 +279,9 @@ def shift_system(sys: SystemSpec, lam: float, grid: Grid) -> ShiftedSystem:
     return ShiftedSystem(p=sys.p, q=sys.q, r=sys.r, s=sys.s, t0=sys.t0, trace=trace)
 
 
-def riccati_of_system(
-    sys: SystemSpec,
-    phi1_trace: Trajectory | None = None,
-    lam: float = 0.0,
-    span: tuple[float, float] | None = None,
-    trace: AlphaTrace | None = None,
-    grid_nodes: int = DEFAULT_GRID_NODES,
-) -> RiccatiProblem:
-    """Scalar quadratic problem matched to the system through y = psi / phi.
-
-    Without a first-component trace this is the homogeneous correspondence
-    (hcoef = -r).  With one, the forcing enters as -r - g_lambda / phi1 and
-    phi1 must stay bounded away from zero on the span.
-    """
+def riccati_of_system(sys: SystemSpec, span: tuple[float, float]) -> RiccatiProblem:
+    """Scalar quadratic problem matched to the homogeneous part of the system
+    through y = psi / phi: fcoef = q, gcoef = p - s, hcoef = -r."""
     q_ = compile_scalar(sys.q)
     p_ = compile_scalar(sys.p)
     s_ = compile_scalar(sys.s)
@@ -301,30 +290,10 @@ def riccati_of_system(
     def gcoef(t: float) -> float:
         return p_(t) - s_(t)
 
-    if phi1_trace is None:
-        if span is None:
-            raise ValueError("span is required without a phi1 trace")
+    def hcoef(t: float) -> float:
+        return -r_(t)
 
-        def hcoef(t: float) -> float:
-            return -r_(t)
-
-        return RiccatiProblem(q_, gcoef, hcoef, span)
-
-    if span is None:
-        span = phi1_trace.span
-    curve = phi1_trace.component(0)
-    probe = np.linspace(span[0], span[1], 4097)
-    phi_vals = np.atleast_1d(curve(probe))
-    if np.any(phi_vals == 0.0) or np.any(phi_vals[:-1] * phi_vals[1:] < 0.0):
-        raise TransformError("phi1 vanishes on the span; correspondence undefined")
-    if trace is None:
-        agrid = Grid.uniform(sys.t0, span[1], grid_nodes)
-        trace = alpha_lambda(sys, lam, agrid)
-
-    def hcoef_forced(t: float) -> float:
-        return -r_(t) - trace.g_lambda_at(t) / float(curve(t))
-
-    return RiccatiProblem(q_, gcoef, hcoef_forced, span)
+    return RiccatiProblem(q_, gcoef, hcoef, span)
 
 
 def lift_riccati_solution(y: Trajectory, phi1_at_start: float, sys: SystemSpec,

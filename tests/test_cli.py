@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from oscillint.cli import (
     EXIT_RAN,
     ConfigError,
     Report,
+    build_parser,
     config_from_dict,
     load_config,
     main,
@@ -128,6 +130,57 @@ class TestConfigLoading:
         config = config_from_dict(decaying_doc(**{"lambda": {"values": [0.0, 1.0]}}))
         assert config.lambda_values == (0.0, 1.0)
 
+    def test_compare_defaults_echoed(self):
+        config = load_config(CONFIG_DIR / "riccati_comparison.json")
+        echo = config.effective["compare"]
+        assert list(echo) == ["problem1", "problem2", "span", "y2_start",
+                              "gamma", "eta_offset", "squared_variant"]
+        assert (echo["gamma"], echo["eta_offset"], echo["squared_variant"]) == (
+            None, 1.0, False)
+        assert config.compare_squared_variant is False
+
+    @pytest.mark.parametrize("change, message", [
+        ({"span": None}, "compare.span: required"),
+        ({"span": [0.0]}, "compare.span: expected [lo, hi]"),
+        ({"span": [0.0, "1"]}, "compare.span[1]: expected a number"),
+        ({"span": [1.0, 0.0]},
+         "compare.span: must be a finite increasing pair"),
+        ({"extra": 1}, "compare: unknown field 'extra'"),
+        ({"problem1": {"f": "1", "g": "0", "h": "1/2", "k": "1"}},
+         "compare.problem1: unknown field 'k'"),
+        ({"problem1": {"f": "1", "h": "1/2"}}, "compare.problem1.g: required"),
+        ({"problem1": None}, "compare.problem1: required"),
+        ({"problem2": [1]}, "compare.problem2: expected an object"),
+        ({"problem1": {"f": "1", "g": "0", "h": "1 + + t"}},
+         "compare.problem1.h: unexpected token '+' at offset 4"),
+        ({"gamma": -1.0},
+         "compare: gamma must lie between y2_start and eta1 at the start"),
+        ({"problem1": {"f": "-1", "g": "0", "h": "1/2"}},
+         "compare: quadratic coefficient of problem 1 must be nonnegative"),
+        ({"squared_variant": 1}, "compare.squared_variant: expected true or false"),
+    ])
+    def test_compare_section_errors(self, change, message):
+        doc = json.loads((CONFIG_DIR / "riccati_comparison.json").read_text(
+            encoding="utf-8"))
+        for key, value in change.items():
+            if value is None:  # None drops the key
+                del doc["compare"][key]
+            else:
+                doc["compare"][key] = value
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict(doc)
+        assert str(caught.value) == message
+
+    def test_null_problem_block_rejected(self):
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict({"system": None, "horizon": 1.0})
+        assert str(caught.value) == "system: expected an object"
+
+    def test_null_compare_section_skipped(self):
+        config = config_from_dict(decaying_doc(compare=None))
+        assert config.compare is None
+        assert "compare" not in config.effective
+
 
 class TestSubcommands:
     def test_analyze_oscillatory(self):
@@ -241,16 +294,29 @@ class TestSubcommands:
         assert report.render_json() == expected
 
     def test_compare_squared_variant_flag(self):
-        config = config_from_dict({
+        doc = {
             "system": {"q": "1", "r": "-1"}, "horizon": 3.0,
             "compare": {
                 "problem1": {"f": "1", "g": "0", "h": "1"},
                 "problem2": {"f": "3", "g": "0", "h": "1"},
-                "span": [0.0, 0.5], "y2_start": 0.0}})
-        plain = run("compare", config)
-        squared = run("compare", config, squared_variant=True)
+                "span": [0.0, 0.5], "y2_start": 0.0}}
+        plain = run("compare", config_from_dict(doc))
+        doc["compare"]["squared_variant"] = True
+        squared = run("compare", config_from_dict(doc))
         assert squared.certificate.squared_variant is True
         assert plain.certificate.squared_variant is False
+
+    def test_squared_variant_compare_reruns_from_echo(self, tmp_path):
+        doc = json.loads((CONFIG_DIR / "riccati_comparison.json").read_text(
+            encoding="utf-8"))
+        doc["compare"]["squared_variant"] = True
+        report = run("compare", config_from_dict(doc))
+        assert report.to_dict()["certificate"]["squared_variant"] is True
+        echo = report.provenance["config"]
+        assert echo["compare"]["squared_variant"] is True
+        replay_path = write_doc(tmp_path, echo, name="replay.json")
+        replay = run("compare", load_config(replay_path))
+        assert replay.render_json() == report.render_json()
 
     def test_compare_requires_section(self):
         config = config_from_dict(decaying_doc())
@@ -324,6 +390,13 @@ class TestMainEntry:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["provenance"]["config"]["horizon"] == 20.0
         assert doc["verdict"]["horizon"] == [0.0, 20.0]
+
+    def test_readme_synopsis_names_every_option(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        synopsis = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        usage = build_parser().format_usage()
+        option = r"--[a-z][a-z-]*"
+        assert set(re.findall(option, synopsis)) == set(re.findall(option, usage))
 
     def test_dump_traces(self, tmp_path):
         path = write_doc(tmp_path, forced_harmonic_doc(

@@ -205,25 +205,8 @@ class TestRiccatiCorrespondence:
         assert prob.hcoef(1.0) == 0.0
         assert prob.residual(1.0, 2.0, -4.0) == 0.0
 
-    def test_forced_case_with_unit_first_component(self):
-        sys = make_system(q="1", g="1")
-        ts = np.linspace(0.0, 2.0, 101)
-        phi1 = make_trajectory(ts, [np.ones_like(ts), np.zeros_like(ts)],
-                               [np.zeros_like(ts), np.zeros_like(ts)])
-        prob = riccati_of_system(sys, phi1_trace=phi1, lam=0.0)
-        for t in (0.1, 1.0, 1.9):
-            assert prob.hcoef(t) == pytest.approx(-1.0, abs=1e-9)
-
-    def test_vanishing_first_component_rejected(self):
-        sys = make_system(q="1", g="1")
-        ts = np.linspace(0.0, 3.0, 301)
-        phi1 = make_trajectory(ts, [np.cos(ts), np.zeros_like(ts)],
-                               [-np.sin(ts), np.zeros_like(ts)])
-        with pytest.raises(TransformError, match="vanishes"):
-            riccati_of_system(sys, phi1_trace=phi1)
-
     def test_span_required_without_trace(self):
-        with pytest.raises(ValueError, match="span"):
+        with pytest.raises(TypeError, match="span"):
             riccati_of_system(make_system(q="1"))
 
 
