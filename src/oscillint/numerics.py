@@ -11,6 +11,16 @@ shape of the start state: a one-component state (the scalar Riccati and
 Prufer angle equations) steps on Python floats, and every other state,
 batches included, steps on numpy arrays. Both keep the same contract.
 
+Events are located on each step's cubic (Hairer, Norsett & Wanner,
+Solving ODEs I, II.6; Shampine & Thompson, Comput. Math. Appl. 39,
+2000): a sign change between two of the step's subsamples is bisected
+to root_tol. The scalar loop bisects each crossing as it finds it. The
+numpy loop hands an event function lanes, one state column per time,
+and bisects many crossings as lanes of one solve: a terminal crossing
+within its step, since the member stops there, and every other crossing
+once after the step loop, each lane on the cubic of the step it was
+found in.
+
 The integrator is deliberately self-contained: the rest of the library
 depends on its exact semantics (dense output shape, dual escape
 detection via magnitude threshold or step collapse, events refined on
@@ -93,9 +103,14 @@ class Event:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Watch g(t, y) for sign changes along the solution."""
+    """Watch g(t, y) for sign changes along the solution.
 
-    fn: Callable[[float, np.ndarray], float]
+    fn must broadcast over lanes: given times of shape (L,) and states of
+    shape (dim, L), one column per time, it returns the L values. The
+    scalar step loop calls it with one float time and a (1,) state.
+    """
+
+    fn: Callable[[float | np.ndarray, np.ndarray], float | np.ndarray]
     direction: int = 0  # 0: both; +1: rising only; -1: falling only
     terminal: bool = False
     kind: str = "zero-crossing"
@@ -120,6 +135,22 @@ def _hermite(s: np.ndarray, h: float, y0, y1, f0, f1):
     h01 = -2 * s3 + 3 * s2
     h11 = s3 - s2
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+
+
+def _hermite_weights(s: float, h: float) -> tuple:
+    """The weights _hermite gives y0, f0, y1 and f1, in the order it adds
+    them, with the same arithmetic; it stays inline there, where the
+    scalar loop calls it most."""
+    s2 = s * s
+    s3 = s2 * s
+    return 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h, -2 * s3 + 3 * s2, (s3 - s2) * h
+
+
+def _hermite_rate(s: np.ndarray, h: float, y0, y1, f0, f1):
+    """Exact time derivative of the cubic Hermite basis at normalized s."""
+    return ((6.0 * s * s - 6.0 * s) * (y0 - y1) / h
+            + (3.0 * s * s - 4.0 * s + 1.0) * f0
+            + (3.0 * s * s - 2.0 * s) * f1)
 
 
 class CubicHermiteCurve:
@@ -159,11 +190,8 @@ class CubicHermiteCurve:
         idx, s, h = self._locate(t)
         if self.values.ndim != 1:
             s, h = s[:, None], h[:, None]
-        y0, y1 = self.values[idx], self.values[idx + 1]
-        f0, f1 = self.derivs[idx], self.derivs[idx + 1]
-        out = ((6.0 * s * s - 6.0 * s) * (y0 - y1) / h
-               + (3.0 * s * s - 4.0 * s + 1.0) * f0
-               + (3.0 * s * s - 2.0 * s) * f1)
+        out = _hermite_rate(s, h, self.values[idx], self.values[idx + 1],
+                            self.derivs[idx], self.derivs[idx + 1])
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
@@ -390,6 +418,50 @@ def _bisect_event(g: Callable[[float], float], a: float, b: float, tol: float) -
     return 0.5 * (a + b)
 
 
+def _bisect_lanes(g: Callable[[np.ndarray], np.ndarray], a, b, tol: float) -> np.ndarray:
+    """_bisect_event on many brackets at once, each lane equal to it bit for bit.
+
+    g maps an array of times, one per bracket, to the event values there;
+    an iteration makes one call of g over every lane, and a lane that has
+    stopped keeps its result.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    ga = g(a)
+    root = a.copy()
+    done = ga == 0.0
+    for _ in range(128):
+        open_ = ~done & (b - a > tol)
+        if not open_.any():
+            break
+        mid = 0.5 * (a + b)
+        gm = g(mid)
+        zero = open_ & (gm == 0.0)
+        root[zero] = mid[zero]
+        done |= zero
+        left = open_ & ~zero & ((ga < 0) == (gm < 0))
+        right = open_ & ~zero & ~left
+        a = np.where(left, mid, a)
+        ga = np.where(left, gm, ga)
+        b = np.where(right, mid, b)
+    return np.where(done, root, 0.5 * (a + b))
+
+
+def _refine_on_cubics(spec: EventSpec, t, h, cubic: np.ndarray, a, b,
+                      tol: float) -> np.ndarray:
+    """Times where spec's function changes sign inside the brackets [a, b].
+
+    Lane i follows the step cubic over [t[i], t[i] + h[i]] whose start and
+    end states and derivatives are cubic[:, :, i], stacked as (y0, f0, y1,
+    f1); t and h may be floats shared by every lane.
+    """
+    y0, f0, y1, f1 = cubic
+
+    def g(tq):
+        return np.asarray(spec.fn(tq, _hermite((tq - t) / h, h, y0, y1, f0, f1)), dtype=float)
+    return _bisect_lanes(g, a, b, tol)
+
+
 # ---------------------------------------------------------------------------
 # Adaptive Dormand-Prince 4(5) with FSAL
 
@@ -416,6 +488,12 @@ _EVENT_SUBSAMPLES = 6
 _MAX_STEPS = 1_000_000
 _STEP_COLLAPSE = 1e-12
 _FIELD_ERRORS = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
+
+
+def _subsamples(t: float, t_new: float) -> list[float]:
+    """Event scan times on the step [t, t_new], as np.linspace gives them."""
+    step = (t_new - t) / _EVENT_SUBSAMPLES
+    return [i * step + t for i in range(_EVENT_SUBSAMPLES)] + [t_new]
 
 
 def _step_factor(err: float) -> float:
@@ -448,24 +526,35 @@ def integrate_ode(
     step size collapses below 1e-12 * span width.
 
     A y0 of shape (dim, m) solves m members on one shared step grid. The
-    field and the event functions then get states of shape (dim, m) and
-    must broadcast over that trailing member axis (an event function
-    returns one value per member); both also get one member's (dim,)
-    state where that member's event or end is refined. A step is accepted
-    only when each live member's own RMS error is within tolerance, and
-    each member's crossings are bisected on its own dense output. A member
-    that hits a terminal event or escapes retires at its refined time with
-    its state frozen there while the others run on; a step collapse ends
-    every live member. The result then has states of shape (n, dim, m),
-    events tagged with their member and each member's end time in `ends`;
+    field then gets states of shape (dim, m) and must broadcast over that
+    trailing member axis; it also gets one member's (dim,) state where
+    that member's end is refined. A step is accepted only when each live
+    member's own RMS error is within tolerance. A member that hits a
+    terminal event or escapes retires at its refined time with its state
+    frozen there while the others run on; a step collapse ends every live
+    member. The result then has states of shape (n, dim, m), events tagged
+    with their member and each member's end time in `ends`;
     `Trajectory.members()` splits it. A 1-D y0 is the single-member case.
+
+    Events are found by sign changes between 7 equally spaced samples of
+    each step's cubic, the first of which is the step before's last, and
+    bisected to root_tol on the cubic of the step they were found in. In
+    the numpy loop an event function gets lanes, an (L,) array of times
+    and a (dim, L) array of states, one column per time: once per step
+    for every member's samples, and once per bisection iteration for
+    every crossing being refined. Crossings of a terminal event are
+    refined within their step, since the member stops at the first; all
+    others are refined together after the last step. Either way each time
+    equals a bisection of that member's own cubic alone, bit for bit. A
+    member records no crossing past its end time.
 
     The start state's shape picks the step loop. A scalar or a y0 of
     shape (1,) (the Riccati and angle equations) is stepped on Python
-    floats, which saves the fixed cost of numpy calls on 1-element arrays;
-    any other shape, a (1, m) batch included, runs the numpy loop. Both
-    loops share the tableau, step-size rule, dense output and event
-    bisection, and the field is called with a 1-element array either way.
+    floats, which saves the fixed cost of numpy calls on 1-element arrays,
+    and its event functions get a float time and a (1,) state; any other
+    shape, a (1, m) batch included, runs the numpy loop. Both loops share
+    the tableau, step-size rule, dense output and event bisection, and the
+    field is called with a 1-element array either way.
     """
     t_a, t_b = float(span[0]), float(span[1])
     if not t_b > t_a:
@@ -521,6 +610,7 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
     h = min(h, max_step, width)
 
     t = t_a
+    carried: list[float] = []  # each event's value at t, once a step has ended there
     for _ in range(_MAX_STEPS):
         # the sliver guard keeps a 1-ulp remainder from looking like collapse
         if not live or t >= t_b - 1e-13 * width:
@@ -559,16 +649,27 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
         def dense(tq):
             return _hermite((tq - t) / h, h, y, y_new, f_now, f_new)
 
-        end = None  # (time, state, derivative) when the solve ends in this step
+        def end_at(te):
+            """(time, state, derivative) where the solve ends in this step."""
+            y_end = dense(te)
+            f_end = _scalar_field(field_fn, te, y_end) if te > t else f_now
+            if f_end is None:  # the field fails there: the cubic's own slope
+                f_end = _hermite_rate((te - t) / h, h, y, y_new, f_now, f_new)
+            return te, y_end, f_end
+
+        end = None  # end_at(end time) when the solve ends in this step
         step_events: list[Event] = []
 
-        # event scan on the dense output at the subsample times
+        # event scan on the dense output at the subsample times; the first
+        # sample is the last one of the step before, whose values carry over
         if events:
-            step = (t_new - t) / _EVENT_SUBSAMPLES
-            samples = [t + i * step for i in range(_EVENT_SUBSAMPLES)] + [t_new]
+            samples = _subsamples(t, t_new)
             cut = math.inf
-            for spec in events:
-                g = [_scalar_event(spec, tq, dense(tq)) for tq in samples]
+            scanned = []
+            for i, spec in enumerate(events):
+                head = [carried[i]] if carried else []
+                g = head + [_scalar_event(spec, tq, dense(tq)) for tq in samples[len(head):]]
+                scanned.append(g[-1])
                 for sub in range(_EVENT_SUBSAMPLES):
                     ga, gb = g[sub], g[sub + 1]
                     # a strict sign change, or a landing on zero from a nonzero value
@@ -583,21 +684,18 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
                                              spec.component))
                     if spec.terminal:
                         cut = min(cut, te)
+            carried = scanned
             step_events.sort(key=lambda ev: ev.time)
             if cut < math.inf:
-                y_cut = dense(cut)
-                f_cut = _scalar_field(field_fn, cut, y_cut)
-                end = (cut, y_cut, f_cut if f_cut is not None else y_cut)
+                end = end_at(cut)
 
         # escape by magnitude, refined on the dense output
         escaped = None
         if end is None and abs(y_new) > escape:
             g_esc = lambda tq: abs(dense(tq)) - escape
             te = float(_bisect_event(g_esc, t, t_new, tol.root_tol)) if g_esc(t) < 0 else t
-            y_esc = dense(te)
-            f_esc = _scalar_field(field_fn, te, y_esc) if te > t else None
             escaped = Event("escape", te)
-            end = (te, y_esc, f_esc if f_esc is not None else fs[-1])
+            end = end_at(te)
 
         if end is not None:
             # nothing is recorded past the time the solve ends
@@ -639,10 +737,9 @@ def _call_field(field_fn, t, y, shape):
     return out.reshape(-1)
 
 
-def _member_curve(j: int, dim: int, t: float, h: float, y0, y1, f0, f1):
-    """Dense output of member j over the step [t, t + h], from flat batch arrays."""
-    y0, y1, f0, f1 = (a.reshape(dim, -1)[:, j] for a in (y0, y1, f0, f1))
-    return lambda tq: _hermite((tq - t) / h, h, y0, y1, f0, f1)
+def _member_cubic(j: int, dim: int, y0, y1, f0, f1) -> tuple:
+    """Member j's start and end states and derivatives, from flat batch arrays."""
+    return tuple(a.reshape(dim, -1)[:, j] for a in (y0, y1, f0, f1))
 
 
 def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances,
@@ -667,14 +764,20 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
     ts = [t_a]
     ys = [y.copy()]
     fs = [f_now.copy()]
-    recorded: list[Event] = []
+    # what the solve found, in order: escape Events, and for each step with
+    # crossings a list of (spec, members, directions, [their times]), the
+    # times filled in once refined
+    log: list = []
+    # per event: each step's crossings still to refine, as (t, h, step cubic
+    # columns, bracket starts, bracket ends, the slot for their times)
+    pending: list[list[tuple]] = [[] for _ in events]
     ends = np.full(m, t_a)
 
     live = np.abs(columns(y)).max(axis=0) <= tol.escape_magnitude
     n_live = int(live.sum())
     idle = np.flatnonzero(~live)  # retired members; their derivative is held at 0
     for j in idle:
-        recorded.append(Event("escape", t_a, member=tag(j)))
+        log.append(Event("escape", t_a, member=tag(j)))
     columns(f_now)[:, idle] = 0.0
 
     # initial step heuristic, the smallest over live members
@@ -687,6 +790,7 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
 
     t = t_a
     k = np.empty((7, y.size))
+    carried = None  # each event's values at t, once a step has ended there
 
     for _ in range(_MAX_STEPS):
         # the sliver guard keeps a 1-ulp remainder from looking like collapse
@@ -694,7 +798,7 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
             break
         h = min(h, t_b - t)
         if h < _STEP_COLLAPSE * width:
-            recorded.extend(Event("escape", t, member=tag(j)) for j in np.flatnonzero(live))
+            log.extend(Event("escape", t, member=tag(j)) for j in np.flatnonzero(live))
             break
 
         k[0] = f_now
@@ -733,63 +837,87 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
         # FSAL stage is field(t_new, y_new); copy, k is overwritten on retries
         f_new = k[6].copy()
 
-        def curve(j):
-            return _member_curve(j, dim, t, h, y, y_new, k[0], f_new)
+        def cubic(j):
+            return _member_cubic(j, dim, y, y_new, f_now, f_new)
+
+        def end_at(j, te):
+            """(time, state, derivative) where member j ends in this step."""
+            y0, y1, f0, f1 = cubic(j)
+            y_end = _hermite((te - t) / h, h, y0, y1, f0, f1)
+            f_end = _call_field(field_fn, te, y_end, (dim,)) if te > t else f0
+            if f_end is None:  # the field fails there: the cubic's own slope
+                f_end = _hermite_rate((te - t) / h, h, y0, y1, f0, f1)
+            return te, y_end, f_end
 
         # member -> (end time, state, derivative) for members retiring here
         ending: dict[int, tuple] = {}
-        step_events: list[tuple[int, Event]] = []
 
-        # event scan on the dense output, one batch evaluation per subsample
+        # event scan on the dense output: one call per event over all the
+        # members and subsamples; the first sample is the last one of the
+        # step before, whose values carry over
         if events:
-            samples = np.linspace(t, t_new, _EVENT_SUBSAMPLES + 1)
-            dense = _hermite(((samples - t) / h)[:, None], h, y, y_new, k[0], f_new)
-            cut = np.full(m, np.inf)
-            for spec in events:
-                g = np.array([spec.fn(tq, yq.reshape(shape)) for tq, yq in zip(samples, dense)],
-                             dtype=float).reshape(len(samples), m)
+            samples = _subsamples(t, t_new)
+            fresh = samples if carried is None else samples[1:]
+            # per sample: its time, then the weights of y, f_now, y_new, f_new
+            rows = np.array([(tq, *_hermite_weights((tq - t) / h, h)) for tq in fresh]).T
+            step_cubic = np.array((y, f_now, y_new, f_new)).reshape(4, dim, m)
+            # lane i * m + j is member j at fresh[i]; summing the stacked terms
+            # over the first axis adds them in _hermite's order
+            lane_y = np.add.reduce(rows[1:].reshape(4, 1, -1, 1) * step_cubic[:, :, None],
+                                   axis=0).reshape(dim, -1)
+            lane_t = rows[0].repeat(m)
+            cut: dict[int, float] = {}
+            found = []
+            scanned = []
+            for i, spec in enumerate(events):
+                g = np.asarray(spec.fn(lane_t, lane_y), dtype=float).reshape(-1)
+                if carried is not None:
+                    g = np.concatenate((carried[i], g))
+                g = g.reshape(-1, m)
+                scanned.append(g[-1])
+                sign = np.sign(g)
+                turn = sign[:-1] * sign[1:]  # < 0 at a strict sign change, 0 next to a zero
+                if turn.min() > 0:
+                    continue
                 ga, gb = g[:-1], g[1:]
-                rising = gb > ga
                 # a strict sign change, or a landing on zero from a nonzero value
-                hit = live & (ga != 0.0) & ((ga < 0) & (gb > 0) | (gb < 0) & (ga > 0) | (gb == 0.0))
+                hit = ((turn < 0) | (gb == 0.0)) & (ga != 0.0) & live
                 if spec.direction != 0:
-                    hit &= rising == (spec.direction > 0)
-                for sub, j in zip(*np.nonzero(hit)):
-                    dense_j = curve(j)
-                    te = float(_bisect_event(lambda tq: spec.fn(tq, dense_j(tq)),
-                                             samples[sub], samples[sub + 1], tol.root_tol))
-                    direction = 1 if rising[sub, j] else -1
-                    step_events.append((j, Event(spec.kind, te, direction, spec.component, tag(j))))
-                    if spec.terminal and te < cut[j]:
-                        cut[j] = te
-            step_events.sort(key=lambda item: item[1].time)
-            for j in np.flatnonzero(cut < np.inf):
-                te = float(cut[j])
-                y_cut = curve(j)(te)
-                f_cut = _call_field(field_fn, te, y_cut, (dim,))
-                ending[j] = (te, y_cut, f_cut if f_cut is not None else y_cut)
+                    hit &= (gb > ga) == (spec.direction > 0)
+                subs, js = np.nonzero(hit)
+                if not js.size:
+                    continue
+                at = np.array(samples)
+                lanes = (step_cubic[:, :, js], at[subs], at[subs + 1])
+                if spec.terminal:
+                    # the member stops at its first such crossing: refine now
+                    times = [_refine_on_cubics(spec, t, h, *lanes, tol.root_tol)]
+                    for j, te in zip(js.tolist(), times[0].tolist()):
+                        cut[j] = min(cut.get(j, math.inf), te)
+                else:
+                    times = []
+                    pending[i].append((t, h, *lanes, times))
+                found.append((spec, js, np.where(gb[subs, js] > ga[subs, js], 1, -1), times))
+            carried = scanned
+            if found:
+                log.append(found)
+            for j in sorted(cut):
+                ending[j] = end_at(j, cut[j])
 
         # escape by magnitude, refined on the member's dense output
         escaping = []
         if np.abs(y_new).max() > tol.escape_magnitude:
             escaping = np.flatnonzero(live & (np.abs(columns(y_new)).max(axis=0)
                                               > tol.escape_magnitude))
-        escapes = []
         for j in escaping:
             if j in ending:
                 continue
-            dense_j = curve(j)
-            g_esc = lambda tq: float(np.max(np.abs(dense_j(tq)))) - tol.escape_magnitude
-            te = _bisect_event(g_esc, t, t_new, tol.root_tol) if g_esc(t) < 0 else t
-            y_esc = dense_j(te)
-            f_esc = _call_field(field_fn, te, y_esc, (dim,)) if te > t else None
-            escapes.append(Event("escape", float(te), member=tag(j)))
-            ending[j] = (float(te), y_esc, f_esc if f_esc is not None else columns(fs[-1])[:, j])
-
-        # a member records nothing past the time it ends
-        recorded.extend(ev for j, ev in step_events
-                        if j not in ending or ev.time <= ending[j][0])
-        recorded.extend(escapes)
+            cubic_j = cubic(j)
+            g_esc = lambda tq: (float(np.max(np.abs(_hermite((tq - t) / h, h, *cubic_j))))
+                                - tol.escape_magnitude)
+            te = float(_bisect_event(g_esc, t, t_new, tol.root_tol)) if g_esc(t) < 0 else t
+            log.append(Event("escape", te, member=tag(j)))
+            ending[j] = end_at(j, te)
 
         f_row = f_new
         if ending:
@@ -820,6 +948,31 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
         raise IntegrationError("step budget exhausted", t)
 
     ends[live] = t
+    # refine every deferred crossing, one lane solve per event
+    for spec, chunks in zip(events, pending):
+        if not chunks:
+            continue
+        t_at, h_at, cubics, lo, hi, slots = zip(*chunks)
+        sizes = [len(a) for a in lo]
+        times = _refine_on_cubics(spec, np.repeat(t_at, sizes), np.repeat(h_at, sizes),
+                                  np.concatenate(cubics, axis=2), np.concatenate(lo),
+                                  np.concatenate(hi), tol.root_tol)
+        for slot, part in zip(slots, np.split(times, np.cumsum(sizes)[:-1])):
+            slot.append(part)
+    recorded: list[Event] = []
+    for entry in log:
+        if isinstance(entry, Event):
+            recorded.append(entry)
+            continue
+        crossings = []
+        for spec, js, directions, (times,) in entry:
+            crossings.extend((te, j, Event(spec.kind, te, d, spec.component, tag(j)))
+                             for te, j, d in zip(times.tolist(), js.tolist(),
+                                                 directions.tolist()))
+        crossings.sort(key=lambda item: item[0])
+        # a member records nothing past the time it ends
+        recorded.extend(ev for te, j, ev in crossings if te <= ends[j])
+
     if len(ts) == 1:
         # every member ended at the very start; emit a degenerate short span
         ts.append(t_a + max(width * 1e-15, 1e-300))

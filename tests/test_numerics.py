@@ -25,6 +25,7 @@ from oscillint.numerics import (
     refine_roots,
     zero_crossing,
 )
+from oscillint.numerics import _bisect_event, _bisect_lanes, _subsamples
 
 
 class TestGrid:
@@ -247,6 +248,205 @@ class TestMemberAxis:
     def test_start_state_of_rank_three_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             integrate_ode(self.rotation, np.ones((2, 2, 2)), (0.0, 1.0))
+
+
+def _bisected_crossings(member: Trajectory, spec: EventSpec, tol: float) -> list:
+    """(time, direction) of each crossing that scanning and bisecting the
+    member's own cubic, one step and one crossing at a time, finds."""
+    curve = member.interpolant()
+
+    def g(tq):
+        return float(spec.fn(np.array([tq]), curve(tq)[:, None])[0])
+    out = []
+    nodes = member.grid.nodes
+    for t0, t1 in zip(nodes[:-1], nodes[1:]):
+        samples = _subsamples(t0, t1)
+        vals = [g(tq) for tq in samples]
+        for a, b, ga, gb in zip(samples, samples[1:], vals, vals[1:]):
+            if ga != 0.0 and (ga < 0 < gb or gb < 0 < ga or gb == 0.0):
+                out.append((_bisect_event(g, a, b, tol), 1 if gb > ga else -1))
+    return out
+
+
+class TestEventLanes:
+    """Batch crossings are bisected as lanes: terminal ones within their
+    step, every other one after the last step."""
+
+    rotation = staticmethod(lambda t, y: np.array([-y[1], y[0]]))
+
+    def test_lanes_equal_scalar_bisection(self):
+        rng = np.random.default_rng(7)
+        n = 300
+        c = rng.uniform(-3.0, 3.0, n)
+        a = rng.uniform(0.1, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        lo = c - rng.uniform(1e-6, 2.0, n)
+        hi = c + rng.uniform(1e-6, 2.0, n)
+        lo[:4] = c[:4]  # zero at the bracket start
+        lo[4:8], hi[4:8] = c[4:8] - 1.0, c[4:8] + 1.0  # zero at the first midpoint
+        lo[8:12], hi[8:12] = -1e30, 1e30  # too wide for 128 halvings to reach tol
+
+        def g(x):
+            return a * (x - c) ** 3 + (x - c)
+        for tol in (1e-9, 0.0):
+            got = _bisect_lanes(g, lo, hi, tol)
+            for i in range(n):
+                fn = lambda x, i=i: float(a[i] * (x - c[i]) ** 3 + (x - c[i]))
+                assert got[i] == _bisect_event(fn, float(lo[i]), float(hi[i]), tol), i
+            np.testing.assert_array_equal(got[:8], c[:8])
+
+    @pytest.mark.parametrize("spec", [
+        zero_crossing(0),
+        EventSpec(fn=lambda t, y: np.cos(y[0]), kind="angle-line"),
+    ], ids=["zero_crossing", "angle_line"])
+    def test_batch_times_equal_member_bisection(self, spec):
+        # at rest at t = 0 the first step falls back to width / 100, and the
+        # error stays so small that every step is max_step = 2**-5: each node
+        # is exact and each step's width is its nodes' difference
+        field = lambda t, y: t * np.array([-y[1], y[0]])
+        phase = np.linspace(0.3, 5.9, 6)
+        start = 2.0 * np.array([np.cos(phase), np.sin(phase)])
+        tol = Tolerances(rel_tol=1e-6, abs_tol=1e-8)
+        step = 2.0 ** -5
+        batch = integrate_ode(field, start, (0.0, 4.0), tol, events=[spec], max_step=step)
+        np.testing.assert_array_equal(batch.grid.nodes, np.arange(129) * step)
+        for j, member in enumerate(batch.members()):
+            got = [(ev.time, ev.direction) for ev in member.events]
+            assert len(got) >= 2
+            assert got == _bisected_crossings(member, spec, tol.root_tol), j
+            # a plain solve takes the same steps; its states may differ from
+            # the batch's in the last bit, so its times are held to root_tol
+            alone = integrate_ode(field, start[:, j], (0.0, 4.0), tol, events=[spec],
+                                  max_step=step)
+            assert len(alone.events) == len(got)
+            np.testing.assert_allclose([ev.time for ev in alone.events],
+                                       [te for te, _ in got], rtol=0, atol=tol.root_tol)
+
+    def test_no_crossing_recorded_past_escape(self):
+        # member 0 spirals out past 1.5 inside a step that also holds one of
+        # its zeros; member 1 runs to the end
+        field = lambda t, y: np.array([0.1 * y[0] - y[1], y[0] + 0.1 * y[1]])
+        start = np.array([[0.8, 0.01], [0.0, 0.0]])
+        batch = integrate_ode(field, start, (0.0, 30.0),
+                              Tolerances(rel_tol=1e-4, escape_magnitude=1.5),
+                              events=[zero_crossing(0)])
+        unbounded = integrate_ode(field, start, (0.0, 30.0), Tolerances(rel_tol=1e-4),
+                                  events=[zero_crossing(0)])
+        end = batch.ends[0]
+        k = int(np.searchsorted(batch.grid.nodes, end))
+        # the two solves share every step up to the escape's
+        np.testing.assert_array_equal(unbounded.grid.nodes[:k + 1], batch.grid.nodes[:k + 1])
+        later = [ev.time for ev in unbounded.events
+                 if ev.member == 0 and end < ev.time <= batch.grid.nodes[k]]
+        assert later, "the escape step holds no later zero"
+        first, second = batch.members()
+        assert first.escape_time() == end
+        assert all(ev.time <= end for ev in first.events)
+        assert batch.ends[1] == 30.0 and second.escape_time() is None
+
+    def test_no_crossing_recorded_past_terminal_cut(self):
+        # (cos t, sin t) stops where sin t rises through 0.9999, in the step
+        # that also holds the zero of cos t at pi / 2; half of it runs on
+        stop = EventSpec(fn=lambda t, y: y[1] - 0.9999, direction=1, terminal=True, kind="stop")
+        start = np.array([[1.0, 0.5], [0.0, 0.0]])
+        batch = integrate_ode(self.rotation, start, (0.0, 10.0),
+                              events=[stop, zero_crossing(0)])
+        end = batch.ends[0]
+        k = int(np.searchsorted(batch.grid.nodes, end))
+        assert end < math.pi / 2 < batch.grid.nodes[k]
+        first, second = batch.members()
+        assert [(ev.kind, ev.time) for ev in first.events] == [("stop", end)]
+        assert len(second.events) == 3  # cos t crosses at pi/2, 3pi/2, 5pi/2
+
+    def test_mixed_specs_give_members_their_own_ends(self):
+        # each member stops where its first component falls through 0.5 and
+        # records the zeros of its second component on the way
+        falls = EventSpec(fn=lambda t, y: y[0] - 0.5, direction=-1, terminal=True, kind="stop")
+        specs = [falls, zero_crossing(1)]
+        phase = np.array([0.2, 1.9, 3.0, 4.4])
+        start = np.array([np.cos(phase), np.sin(phase)])
+        batch = integrate_ode(self.rotation, start, (0.0, 20.0), events=specs)
+        members = batch.members()
+        # cos(t + phase) falls through 0.5 where t + phase = pi / 3 mod 2 pi
+        np.testing.assert_allclose(batch.ends, (math.pi / 3 - phase) % (2 * math.pi),
+                                   atol=1e-6)
+        for j, member in enumerate(members):
+            alone = integrate_ode(self.rotation, start[:, j], (0.0, 20.0), events=specs)
+            assert batch.ends[j] == member.span[1]
+            assert member.span[1] == pytest.approx(alone.span[1], abs=1e-6)
+            assert member.events[-1].kind == "stop"
+            assert [(ev.kind, ev.direction) for ev in member.events] == \
+                [(ev.kind, ev.direction) for ev in alone.events]
+            np.testing.assert_allclose([ev.time for ev in member.events],
+                                       [ev.time for ev in alone.events], atol=1e-6)
+
+    @pytest.mark.parametrize("start", [[1.0], [[1.0, 2.0, 3.0]]], ids=["scalar", "batch"])
+    def test_step_boundaries_evaluated_once(self, start):
+        # y never reaches -1, so every event call is a scan, none a bisection:
+        # the start, then the 6 samples past each step's first
+        lanes = []
+
+        def fn(t, y):
+            lanes.append(np.size(t))
+            return y[0] + 1.0
+        traj = integrate_ode(lambda t, y: y, start, (0.0, 2.0), events=[EventSpec(fn=fn)])
+        steps = len(traj.grid) - 1
+        members = np.shape(start)[-1] if np.ndim(start) == 2 else 1
+        assert traj.events == []
+        assert sum(lanes) == (6 * steps + 1) * members
+
+
+class TestFailedFieldAtEnd:
+    """A field that fails exactly where a terminal event cuts the step, or
+    where the solution escapes, leaves the cubic's own slope as the last
+    derivative."""
+
+    @staticmethod
+    def rotation_failing_at_quarter_turn(t, y):
+        if abs(t - math.pi / 2) < 1e-6:
+            raise ValueError("no field here")
+        return np.array([-y[1], y[0]])
+
+    @staticmethod
+    def decay_failing_at_half(t, y):
+        if abs(t - math.log(2.0)) < 1e-6:
+            raise ValueError("no field here")
+        return -y
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_rotation(self, batch):
+        spec = EventSpec(fn=lambda t, y: y[0], terminal=True, component=0)
+        start = np.array([[1.0, 1.0], [0.0, -1.0]]) if batch else [1.0, 0.0]
+        traj = integrate_ode(self.rotation_failing_at_quarter_turn, start, (0.0, 10.0),
+                             events=[spec])
+        if batch:
+            traj = traj.members()[0]
+        assert traj.span[1] == pytest.approx(math.pi / 2, abs=1e-8)
+        np.testing.assert_allclose(traj.derivs[-1], [-1.0, 0.0], atol=1e-5)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_decay(self, batch):
+        # the scalar loop for [1.0], the numpy loop for [[1.0]]
+        spec = EventSpec(fn=lambda t, y: y[0] - 0.5, direction=-1, terminal=True)
+        traj = integrate_ode(self.decay_failing_at_half, [[1.0]] if batch else [1.0],
+                             (0.0, 3.0), events=[spec])
+        if batch:
+            traj = traj.members()[0]
+        assert traj.span[1] == pytest.approx(math.log(2.0), abs=1e-6)
+        assert traj.derivs[-1, 0] == pytest.approx(-0.5, abs=1e-4)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_escape(self, batch):
+        # tan t passes 1.5 at atan 1.5, where its slope is 1 + 1.5^2
+        def tangent(t, y):
+            if abs(t - math.atan(1.5)) < 1e-6:
+                raise ValueError("no field here")
+            return 1.0 + y * y
+        traj = integrate_ode(tangent, [[0.0]] if batch else [0.0], (0.0, 3.0),
+                             Tolerances(escape_magnitude=1.5))
+        if batch:
+            traj = traj.members()[0]
+        assert traj.escape_time() == pytest.approx(math.atan(1.5), abs=1e-5)
+        assert traj.derivs[-1, 0] == pytest.approx(3.25, abs=1e-3)
 
 
 def _log_to_ceiling(t, y):

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from oscillint.cli import load_config
-from oscillint.numerics import Tolerances, integrate_ode, zero_crossing
+from oscillint.numerics import EventSpec, Tolerances, integrate_ode, zero_crossing
 from oscillint.oracle import (
     MIXED_OBSERVED,
     NONOSCILLATORY_OBSERVED,
@@ -131,6 +131,29 @@ class TestBatchedOracleAgainstReferences:
             roots = roots[roots > ens.span[0]]
             assert len(zeros) == len(roots), j
             assert np.all(np.abs(zeros - roots) <= 2e-6), j
+
+    def test_event_calls_per_solve(self):
+        # one scan call per accepted step and one lane bisection (its start
+        # and at most 128 halvings) for every crossing of the solve
+        config = load_config(CONFIG_DIR / "forced_harmonic.json")
+        sys_spec = config.working_system()
+        ens = default_ensemble(config.span(), seed=config.oracle_seed,
+                               size=config.oracle_size)
+        calls = [0]
+        phi = zero_crossing(0)
+
+        def counted(t, y):
+            calls[0] += 1
+            return phi.fn(t, y)
+        start = np.array(ens.initial_conditions).T
+        batch = integrate_ode(sys_spec.field(), start, ens.span, config.tolerances,
+                              events=[EventSpec(fn=counted, component=0)])
+        steps = len(batch.grid) - 1
+        assert calls[0] <= steps + 129
+        oracle = simulate_ensemble(sys_spec, ens, config.tolerances)
+        assert sum(len(member_zero_times(m)) for m in oracle) > 100
+        assert [member_zero_times(m) for m in batch.members()] == \
+            [member_zero_times(m) for m in oracle]
 
 
 class TestClassification:
