@@ -116,7 +116,13 @@ def _reject_unknown(section: dict, allowed, path: str) -> None:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number")
+    return number
 
 
 def _integer(value, path: str) -> int:
@@ -187,8 +193,7 @@ _SETTINGS = (
     *((f"compare.{p}.{k}", _expression, _REQUIRED, None)
       for p in ("problem1", "problem2") for k in "fgh"),
     ("compare.span", _number_pair, _REQUIRED,
-     lambda value, read: None if -math.inf < value[0] < value[1] < math.inf
-     else "must be a finite increasing pair"),
+     lambda value, read: None if value[0] < value[1] else "must be a finite increasing pair"),
     ("compare.y2_start", _number, _REQUIRED, None),
     ("compare.gamma", _number, None, None),
     ("compare.eta_offset", _number, 1.0, None),

@@ -11,15 +11,15 @@ shape of the start state: a one-component state (the scalar Riccati and
 Prufer angle equations) steps on Python floats, and every other state,
 batches included, steps on numpy arrays. Both keep the same contract.
 
-Events are located on each step's cubic (Hairer, Norsett & Wanner,
-Solving ODEs I, II.6; Shampine & Thompson, Comput. Math. Appl. 39,
-2000): a sign change between two of the step's subsamples is bisected
-to root_tol. The scalar loop bisects each crossing as it finds it. The
-numpy loop hands an event function lanes, one state column per time,
-and bisects many crossings as lanes of one solve: a terminal crossing
-within its step, since the member stops there, and every other crossing
-once after the step loop, each lane on the cubic of the step it was
-found in.
+Events are sign changes of a function of the solution, in either
+direction; none ends the solve. They are located on each step's cubic
+(Hairer, Norsett & Wanner, Solving ODEs I, II.6; Shampine & Thompson,
+Comput. Math. Appl. 39, 2000): a sign change between two of the step's
+subsamples is bisected to root_tol. The scalar loop bisects each
+crossing as it finds it. The numpy loop hands an event function lanes,
+one state column per time, and bisects all of an event's crossings as
+lanes of one solve after the step loop, each lane on the cubic of the
+step it was found in.
 
 The integrator is deliberately self-contained: the rest of the library
 depends on its exact semantics (dense output shape, dual escape
@@ -97,13 +97,13 @@ class Event:
     kind: str  # "zero-crossing" | "escape"
     time: float
     direction: int = 0  # +1 rising, -1 falling (crossings)
-    component: int | None = None
     member: int | None = None  # batch solves: the member it happened to
 
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Watch g(t, y) for sign changes along the solution.
+    """Record every sign change of g(t, y) along the solution, rising or
+    falling, as an Event of this kind; the solve runs on past each one.
 
     fn must broadcast over lanes: given times of shape (L,) and states of
     shape (dim, L), one column per time, it returns the L values. The
@@ -111,19 +111,11 @@ class EventSpec:
     """
 
     fn: Callable[[float | np.ndarray, np.ndarray], float | np.ndarray]
-    direction: int = 0  # 0: both; +1: rising only; -1: falling only
-    terminal: bool = False
     kind: str = "zero-crossing"
-    component: int | None = None
 
 
-def zero_crossing(component: int, direction: int = 0, terminal: bool = False) -> EventSpec:
-    return EventSpec(
-        fn=lambda t, y: y[component],
-        direction=direction,
-        terminal=terminal,
-        component=component,
-    )
+def zero_crossing(component: int) -> EventSpec:
+    return EventSpec(fn=lambda t, y: y[component])
 
 
 def _hermite(s: np.ndarray, h: float, y0, y1, f0, f1):
@@ -272,20 +264,15 @@ class Trajectory:
 # Quadrature
 
 
-def cumulative_integral(values: np.ndarray, grid: Grid, method: str = "trapezoid") -> np.ndarray:
-    """Cumulative integral of sampled values along the grid; starts at 0."""
+def cumulative_integral(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Cumulative Simpson integral of sampled values along the grid; starts at 0."""
     values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
         raise ValueError("values must be sampled on the grid")
     if not np.all(np.isfinite(values)):
         bad = int(np.argmax(~np.isfinite(values)))
         raise IntegrationError("non-finite integrand sample", float(grid.nodes[bad]))
-    if method == "trapezoid":
-        seg = 0.5 * (values[1:] + values[:-1]) * np.diff(grid.nodes)
-        return np.concatenate(([0.0], np.cumsum(seg)))
-    if method == "simpson":
-        return cumulative_simpson(values, x=grid.nodes, initial=0.0)
-    raise ValueError(f"unknown quadrature method '{method}'")
+    return cumulative_simpson(values, x=grid.nodes, initial=0.0)
 
 
 def definite_simpson(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
@@ -453,7 +440,7 @@ def _refine_on_cubics(spec: EventSpec, t, h, cubic: np.ndarray, a, b,
 
     Lane i follows the step cubic over [t[i], t[i] + h[i]] whose start and
     end states and derivatives are cubic[:, :, i], stacked as (y0, f0, y1,
-    f1); t and h may be floats shared by every lane.
+    f1).
     """
     y0, f0, y1, f1 = cubic
 
@@ -521,32 +508,31 @@ def integrate_ode(
     """Integrate y' = field(t, y) forward across span.
 
     Local error per step is held to rel_tol*|y| + abs_tol by the embedded
-    4th/5th order pair. Integration ends early with a terminal event, or
-    with an escape event once |state| exceeds escape_magnitude or the
-    step size collapses below 1e-12 * span width.
+    4th/5th order pair. Integration ends early only with an escape event,
+    once |state| exceeds escape_magnitude or the step size collapses below
+    1e-12 * span width.
 
     A y0 of shape (dim, m) solves m members on one shared step grid. The
     field then gets states of shape (dim, m) and must broadcast over that
     trailing member axis; it also gets one member's (dim,) state where
-    that member's end is refined. A step is accepted only when each live
-    member's own RMS error is within tolerance. A member that hits a
-    terminal event or escapes retires at its refined time with its state
-    frozen there while the others run on; a step collapse ends every live
-    member. The result then has states of shape (n, dim, m), events tagged
-    with their member and each member's end time in `ends`;
-    `Trajectory.members()` splits it. A 1-D y0 is the single-member case.
+    that member's escape is refined. A step is accepted only when each
+    live member's own RMS error is within tolerance. A member that escapes
+    by magnitude retires at its refined time with its state frozen there
+    while the others run on; a step collapse ends every live member. The
+    result then has states of shape (n, dim, m), events tagged with their
+    member and each member's end time in `ends`; `Trajectory.members()`
+    splits it. A 1-D y0 is the single-member case.
 
-    Events are found by sign changes between 7 equally spaced samples of
-    each step's cubic, the first of which is the step before's last, and
-    bisected to root_tol on the cubic of the step they were found in. In
-    the numpy loop an event function gets lanes, an (L,) array of times
-    and a (dim, L) array of states, one column per time: once per step
-    for every member's samples, and once per bisection iteration for
-    every crossing being refined. Crossings of a terminal event are
-    refined within their step, since the member stops at the first; all
-    others are refined together after the last step. Either way each time
-    equals a bisection of that member's own cubic alone, bit for bit. A
-    member records no crossing past its end time.
+    Each EventSpec records every crossing, rising or falling, and the
+    solve runs on past it. Crossings are found by sign changes between 7
+    equally spaced samples of each step's cubic, the first of which is the
+    step before's last, and bisected to root_tol on the cubic of the step
+    they were found in. In the numpy loop an event function gets lanes, an
+    (L,) array of times and a (dim, L) array of states, one column per
+    time: once per step for every member's samples, and once per bisection
+    iteration for every crossing of that event, all refined together after
+    the last step. Each time equals a bisection of that member's own cubic
+    alone, bit for bit. A member records no crossing past its end time.
 
     The start state's shape picks the step loop. A scalar or a y0 of
     shape (1,) (the Riccati and angle equations) is stepped on Python
@@ -657,14 +643,12 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
                 f_end = _hermite_rate((te - t) / h, h, y, y_new, f_now, f_new)
             return te, y_end, f_end
 
-        end = None  # end_at(end time) when the solve ends in this step
         step_events: list[Event] = []
 
         # event scan on the dense output at the subsample times; the first
         # sample is the last one of the step before, whose values carry over
         if events:
             samples = _subsamples(t, t_new)
-            cut = math.inf
             scanned = []
             for i, spec in enumerate(events):
                 head = [carried[i]] if carried else []
@@ -675,37 +659,24 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
                     # a strict sign change, or a landing on zero from a nonzero value
                     if ga == 0.0 or not (ga < 0 < gb or gb < 0 < ga or gb == 0.0):
                         continue
-                    rising = gb > ga
-                    if spec.direction != 0 and rising != (spec.direction > 0):
-                        continue
                     te = float(_bisect_event(lambda tq: _scalar_event(spec, tq, dense(tq)),
                                              samples[sub], samples[sub + 1], tol.root_tol))
-                    step_events.append(Event(spec.kind, te, 1 if rising else -1,
-                                             spec.component))
-                    if spec.terminal:
-                        cut = min(cut, te)
+                    step_events.append(Event(spec.kind, te, 1 if gb > ga else -1))
             carried = scanned
             step_events.sort(key=lambda ev: ev.time)
-            if cut < math.inf:
-                end = end_at(cut)
 
-        # escape by magnitude, refined on the dense output
-        escaped = None
-        if end is None and abs(y_new) > escape:
+        # escape by magnitude, refined on the dense output; it ends the solve
+        if abs(y_new) > escape:
             g_esc = lambda tq: abs(dense(tq)) - escape
             te = float(_bisect_event(g_esc, t, t_new, tol.root_tol)) if g_esc(t) < 0 else t
-            escaped = Event("escape", te)
-            end = end_at(te)
-
-        if end is not None:
+            te, y_end, f_end = end_at(te)
             # nothing is recorded past the time the solve ends
-            recorded.extend(ev for ev in step_events if ev.time <= end[0])
-            if escaped is not None:
-                recorded.append(escaped)
-            if end[0] > t:
-                ts.append(end[0])
-                ys.append(end[1])
-                fs.append(end[2])
+            recorded.extend(ev for ev in step_events if ev.time <= te)
+            recorded.append(Event("escape", te))
+            if te > t:
+                ts.append(te)
+                ys.append(y_end)
+                fs.append(f_end)
             break
 
         recorded.extend(step_events)
@@ -765,11 +736,10 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
     ys = [y.copy()]
     fs = [f_now.copy()]
     # what the solve found, in order: escape Events, and for each step with
-    # crossings a list of (spec, members, directions, [their times]), the
-    # times filled in once refined
+    # crossings a list of (event index, members, directions)
     log: list = []
-    # per event: each step's crossings still to refine, as (t, h, step cubic
-    # columns, bracket starts, bracket ends, the slot for their times)
+    # per event, its crossings to refine after the loop, in the order found:
+    # each step's (t, h, step cubic columns, bracket starts, bracket ends)
     pending: list[list[tuple]] = [[] for _ in events]
     ends = np.full(m, t_a)
 
@@ -849,9 +819,6 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
                 f_end = _hermite_rate((te - t) / h, h, y0, y1, f0, f1)
             return te, y_end, f_end
 
-        # member -> (end time, state, derivative) for members retiring here
-        ending: dict[int, tuple] = {}
-
         # event scan on the dense output: one call per event over all the
         # members and subsamples; the first sample is the last one of the
         # step before, whose values carry over
@@ -866,7 +833,6 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
             lane_y = np.add.reduce(rows[1:].reshape(4, 1, -1, 1) * step_cubic[:, :, None],
                                    axis=0).reshape(dim, -1)
             lane_t = rows[0].repeat(m)
-            cut: dict[int, float] = {}
             found = []
             scanned = []
             for i, spec in enumerate(events):
@@ -882,36 +848,25 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
                 ga, gb = g[:-1], g[1:]
                 # a strict sign change, or a landing on zero from a nonzero value
                 hit = ((turn < 0) | (gb == 0.0)) & (ga != 0.0) & live
-                if spec.direction != 0:
-                    hit &= (gb > ga) == (spec.direction > 0)
                 subs, js = np.nonzero(hit)
                 if not js.size:
                     continue
                 at = np.array(samples)
-                lanes = (step_cubic[:, :, js], at[subs], at[subs + 1])
-                if spec.terminal:
-                    # the member stops at its first such crossing: refine now
-                    times = [_refine_on_cubics(spec, t, h, *lanes, tol.root_tol)]
-                    for j, te in zip(js.tolist(), times[0].tolist()):
-                        cut[j] = min(cut.get(j, math.inf), te)
-                else:
-                    times = []
-                    pending[i].append((t, h, *lanes, times))
-                found.append((spec, js, np.where(gb[subs, js] > ga[subs, js], 1, -1), times))
+                pending[i].append((np.full(js.size, t), np.full(js.size, h),
+                                   step_cubic[:, :, js], at[subs], at[subs + 1]))
+                found.append((i, js, np.where(gb[subs, js] > ga[subs, js], 1, -1)))
             carried = scanned
             if found:
                 log.append(found)
-            for j in sorted(cut):
-                ending[j] = end_at(j, cut[j])
 
-        # escape by magnitude, refined on the member's dense output
+        # escape by magnitude, refined on the member's dense output; member ->
+        # (end time, state, derivative) for members retiring here
+        ending: dict[int, tuple] = {}
         escaping = []
         if np.abs(y_new).max() > tol.escape_magnitude:
             escaping = np.flatnonzero(live & (np.abs(columns(y_new)).max(axis=0)
                                               > tol.escape_magnitude))
         for j in escaping:
-            if j in ending:
-                continue
             cubic_j = cubic(j)
             g_esc = lambda tq: (float(np.max(np.abs(_hermite((tq - t) / h, h, *cubic_j))))
                                 - tol.escape_magnitude)
@@ -948,27 +903,25 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
         raise IntegrationError("step budget exhausted", t)
 
     ends[live] = t
-    # refine every deferred crossing, one lane solve per event
+    # refine every crossing, one lane solve per event; each event's times
+    # come out in the order its crossings were found, as the log reads them
+    times = []
     for spec, chunks in zip(events, pending):
-        if not chunks:
-            continue
-        t_at, h_at, cubics, lo, hi, slots = zip(*chunks)
-        sizes = [len(a) for a in lo]
-        times = _refine_on_cubics(spec, np.repeat(t_at, sizes), np.repeat(h_at, sizes),
-                                  np.concatenate(cubics, axis=2), np.concatenate(lo),
-                                  np.concatenate(hi), tol.root_tol)
-        for slot, part in zip(slots, np.split(times, np.cumsum(sizes)[:-1])):
-            slot.append(part)
+        refined = []
+        if chunks:
+            lanes = [np.concatenate(parts, axis=-1) for parts in zip(*chunks)]
+            refined = _refine_on_cubics(spec, *lanes, tol.root_tol).tolist()
+        times.append(iter(refined))
     recorded: list[Event] = []
     for entry in log:
         if isinstance(entry, Event):
             recorded.append(entry)
             continue
         crossings = []
-        for spec, js, directions, (times,) in entry:
-            crossings.extend((te, j, Event(spec.kind, te, d, spec.component, tag(j)))
-                             for te, j, d in zip(times.tolist(), js.tolist(),
-                                                 directions.tolist()))
+        for i, js, directions in entry:
+            for j, d in zip(js.tolist(), directions.tolist()):
+                te = next(times[i])
+                crossings.append((te, j, Event(events[i].kind, te, d, tag(j))))
         crossings.sort(key=lambda item: item[0])
         # a member records nothing past the time it ends
         recorded.extend(ev for te, j, ev in crossings if te <= ends[j])

@@ -183,13 +183,13 @@ def comparison_certificate(inst: ComparisonInstance, squared_variant: bool = Fal
     h2 = _sample_callable(inst.problem2.hcoef, ts)
     eta_sum = _sample_callable(inst.eta1, ts) + _sample_callable(inst.eta2, ts)
 
-    weight = np.exp(cumulative_integral(f1 * eta_sum + g1, grid, method="simpson"))
+    weight = np.exp(cumulative_integral(f1 * eta_sum + g1, grid))
     gap = f2 - f1
     if squared_variant:
         gap = gap * gap
     bracket = gap * y2_vals ** 2 + (g2 - g1) * y2_vals + (h2 - h1)
     phi_trace = (inst.gamma - inst.y2_start
-                 + cumulative_integral(weight * bracket, grid, method="simpson"))
+                 + cumulative_integral(weight * bracket, grid))
     min_value = float(np.min(phi_trace))
     return CertificateReport(y2=y2, grid=grid, phi_trace=phi_trace, min_value=min_value,
                              holds=min_value >= -CERTIFICATE_SLACK,

@@ -246,10 +246,10 @@ def alpha_lambda(sys: SystemSpec, lam: float, grid: Grid) -> AlphaTrace:
     r_vals = sample(sys.r, ts)
     g_vals = sample(sys.g, ts)
 
-    growth = np.exp(cumulative_integral(p_vals, grid, method="simpson"))
+    growth = np.exp(cumulative_integral(p_vals, grid))
     if not np.all(np.isfinite(growth)):
         raise TransformError("growth factor overflows on the grid; shorten the horizon")
-    forced = cumulative_integral(f_vals / growth, grid, method="simpson")
+    forced = cumulative_integral(f_vals / growth, grid)
     alpha = growth * (lam + forced)
     g_lam = r_vals * alpha + g_vals
     # exact nodal slope: alpha' = p alpha + f
@@ -314,7 +314,7 @@ def lift_riccati_solution(y: Trajectory, phi1_at_start: float, sys: SystemSpec,
     q_vals = sample(sys.q, ts)
 
     integrand = p_vals + q_vals * y_vals
-    phi1 = phi1_at_start * np.exp(cumulative_integral(integrand, fine, method="simpson"))
+    phi1 = phi1_at_start * np.exp(cumulative_integral(integrand, fine))
     psi = y_vals * phi1
     phi1_rate = integrand * phi1
     psi_rate = y_rates * phi1 + y_vals * phi1_rate

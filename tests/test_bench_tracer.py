@@ -1,0 +1,34 @@
+"""The benchmark tracer (bench/tracer.py) against the library it wraps.
+
+A traced run must report exactly what an untraced one reports, the
+tracer must see the oracle's event solves, and uninstalling it must put
+every wrapped function back. A traced function that is renamed or whose
+signature changes fails here, not first in a benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+from oscillint import cli, numerics, oracle
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import tracer  # noqa: E402
+
+
+def test_traced_analyze_reports_as_untraced():
+    config = cli.load_config(ROOT / "configs" / "forced_harmonic.json")
+    untraced = cli.run("analyze", config).render_json()
+    original = numerics.integrate_ode
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        assert numerics.integrate_ode is not original
+        traced = cli.run("analyze", config).render_json()
+    finally:
+        spans.uninstall()
+    assert traced == untraced
+    assert spans.counts["numerics.ode_events.calls"] > 0
+    assert numerics.integrate_ode is original
+    assert oracle.integrate_ode is original

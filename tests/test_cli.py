@@ -158,6 +158,7 @@ class TestConfigLoading:
         ({"problem1": {"f": "-1", "g": "0", "h": "1/2"}},
          "compare: quadratic coefficient of problem 1 must be nonnegative"),
         ({"squared_variant": 1}, "compare.squared_variant: expected true or false"),
+        ({"span": [0.0, math.inf]}, "compare.span[1]: expected a finite number"),
     ])
     def test_compare_section_errors(self, change, message):
         doc = json.loads((CONFIG_DIR / "riccati_comparison.json").read_text(
@@ -170,6 +171,29 @@ class TestConfigLoading:
         with pytest.raises(ConfigError) as caught:
             config_from_dict(doc)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("path, literal", [
+        ("grid_nodes", "1e400"),
+        ("grid_nodes", "NaN"),
+        ("oracle.seed", "1e400"),
+        ("oracle.size", "-Infinity"),
+        ("lambda.points", "1e400"),
+        ("horizon", "1e400"),
+        ("horizon", "NaN"),
+        pytest.param("horizon", "1" + "0" * 400, id="horizon-integer_beyond_float_range"),
+        ("tolerances.rel_tol", "Infinity"),
+        ("riccati.y0", "NaN"),
+    ])
+    def test_non_finite_number_rejected(self, path, literal):
+        doc = {"system": {"q": "1", "r": "-1", "g": "sin(t)"}, "horizon": 10}
+        *sections, key = path.split(".")
+        target = doc
+        for name in sections:
+            target = target.setdefault(name, {})
+        target[key] = json.loads(literal)
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict(doc)
+        assert str(caught.value) == f"{path}: expected a finite number"
 
     def test_null_problem_block_rejected(self):
         with pytest.raises(ConfigError) as caught:
@@ -355,6 +379,15 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
         assert "system.q" in err
+
+    def test_non_finite_number_exits_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"system": {"q": "1", "r": "-1", "g": "sin(t)"}, '
+                        '"horizon": 10, "grid_nodes": 1e400}', encoding="utf-8")
+        code = main(["analyze", "--config", str(path)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "oscillint: error: grid_nodes: expected a finite number\n"
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["analyze", "--config", str(tmp_path / "nope.json")])

@@ -56,13 +56,6 @@ class TestCumulativeIntegral:
         assert out[0] == 0.0
         assert out[-1] == pytest.approx(1.0, abs=1e-6)
 
-    def test_simpson_variant_is_sharper(self):
-        g = Grid.uniform(0.0, math.pi / 2, 101)
-        vals = np.cos(g.nodes)
-        err_trap = abs(cumulative_integral(vals, g)[-1] - 1.0)
-        err_simp = abs(cumulative_integral(vals, g, method="simpson")[-1] - 1.0)
-        assert err_simp < err_trap * 1e-2
-
     def test_linearity(self):
         rng = np.random.default_rng(7)
         g = Grid.uniform(0.0, 3.0, 257)
@@ -151,12 +144,6 @@ class TestIntegrator:
         for a, b in zip(errs, errs[1:]):
             assert b <= a + 1e-15
 
-    def test_terminal_event_stops_integration(self):
-        field = lambda t, y: np.array([-y[1], y[0]])
-        spec = EventSpec(fn=lambda t, y: y[0], terminal=True, component=0)
-        traj = integrate_ode(field, [1.0, 0.0], (0.0, 10.0), events=[spec])
-        assert traj.grid.nodes[-1] == pytest.approx(math.pi / 2, abs=1e-6)
-
     def test_dense_output_accuracy(self):
         # cubic Hermite between nodes is one order below the nodal solution;
         # on a y-independent field steps grow to max_step, so expect ~h^4/384
@@ -195,26 +182,6 @@ class TestMemberAxis:
     """A (dim, m) start state solves m members on one step grid."""
 
     rotation = staticmethod(lambda t, y: np.array([-y[1], y[0]]))
-
-    def test_terminal_event_ends_only_its_member(self):
-        # (cos t, sin t) stops at pi/2; cos t - sin t runs on to 3 pi / 4
-        spec = EventSpec(fn=lambda t, y: y[0], terminal=True, component=0)
-        start = np.array([[1.0, 1.0], [0.0, -1.0]])
-        batch = integrate_ode(self.rotation, start, (0.0, 10.0), events=[spec])
-        first, second = batch.members()
-        assert batch.ends.tolist() == [first.span[1], second.span[1]]
-        assert first.span[1] == pytest.approx(math.pi / 2, abs=1e-8)
-        assert second.span[1] == pytest.approx(3 * math.pi / 4, abs=1e-8)
-        assert [ev.member for ev in first.events] == [0]
-        assert [ev.member for ev in second.events] == [1]
-        np.testing.assert_allclose(first.states[-1], [0.0, 1.0], atol=1e-7)
-        # the retired member's state stays frozen in every later batch row
-        later = batch.grid.nodes > first.span[1]
-        assert later.any()
-        assert np.all(batch.states[later, :, 0] == first.states[-1])
-        for j, member in enumerate((first, second)):
-            alone = integrate_ode(self.rotation, start[:, j], (0.0, 10.0), events=[spec])
-            assert alone.grid.nodes[-1] == pytest.approx(member.span[1], abs=1e-8)
 
     def test_quiet_members_do_not_dilute_error(self):
         # error is held per member, so zero members padding the batch must
@@ -269,8 +236,8 @@ def _bisected_crossings(member: Trajectory, spec: EventSpec, tol: float) -> list
 
 
 class TestEventLanes:
-    """Batch crossings are bisected as lanes: terminal ones within their
-    step, every other one after the last step."""
+    """Batch crossings are bisected as lanes, all of an event's crossings
+    in one lane solve after the last step."""
 
     rotation = staticmethod(lambda t, y: np.array([-y[1], y[0]]))
 
@@ -343,41 +310,23 @@ class TestEventLanes:
         assert all(ev.time <= end for ev in first.events)
         assert batch.ends[1] == 30.0 and second.escape_time() is None
 
-    def test_no_crossing_recorded_past_terminal_cut(self):
-        # (cos t, sin t) stops where sin t rises through 0.9999, in the step
-        # that also holds the zero of cos t at pi / 2; half of it runs on
-        stop = EventSpec(fn=lambda t, y: y[1] - 0.9999, direction=1, terminal=True, kind="stop")
-        start = np.array([[1.0, 0.5], [0.0, 0.0]])
-        batch = integrate_ode(self.rotation, start, (0.0, 10.0),
-                              events=[stop, zero_crossing(0)])
-        end = batch.ends[0]
-        k = int(np.searchsorted(batch.grid.nodes, end))
-        assert end < math.pi / 2 < batch.grid.nodes[k]
-        first, second = batch.members()
-        assert [(ev.kind, ev.time) for ev in first.events] == [("stop", end)]
-        assert len(second.events) == 3  # cos t crosses at pi/2, 3pi/2, 5pi/2
-
-    def test_mixed_specs_give_members_their_own_ends(self):
-        # each member stops where its first component falls through 0.5 and
-        # records the zeros of its second component on the way
-        falls = EventSpec(fn=lambda t, y: y[0] - 0.5, direction=-1, terminal=True, kind="stop")
-        specs = [falls, zero_crossing(1)]
+    def test_two_events_share_one_batch(self):
+        # each member records the zeros of both components, merged in time;
+        # at this rel_tol the plain and batch solutions differ far below
+        # root_tol, so their bisected times stay within root_tol of each other
+        specs = [zero_crossing(0), zero_crossing(1)]
         phase = np.array([0.2, 1.9, 3.0, 4.4])
         start = np.array([np.cos(phase), np.sin(phase)])
-        batch = integrate_ode(self.rotation, start, (0.0, 20.0), events=specs)
-        members = batch.members()
-        # cos(t + phase) falls through 0.5 where t + phase = pi / 3 mod 2 pi
-        np.testing.assert_allclose(batch.ends, (math.pi / 3 - phase) % (2 * math.pi),
-                                   atol=1e-6)
-        for j, member in enumerate(members):
-            alone = integrate_ode(self.rotation, start[:, j], (0.0, 20.0), events=specs)
-            assert batch.ends[j] == member.span[1]
-            assert member.span[1] == pytest.approx(alone.span[1], abs=1e-6)
-            assert member.events[-1].kind == "stop"
+        tol = Tolerances(rel_tol=1e-12, abs_tol=1e-14)
+        batch = integrate_ode(self.rotation, start, (0.0, 10.0), tol, events=specs)
+        for j, member in enumerate(batch.members()):
+            times = [ev.time for ev in member.events]
+            assert len(times) >= 6 and times == sorted(times), j
+            alone = integrate_ode(self.rotation, start[:, j], (0.0, 10.0), tol, events=specs)
             assert [(ev.kind, ev.direction) for ev in member.events] == \
                 [(ev.kind, ev.direction) for ev in alone.events]
-            np.testing.assert_allclose([ev.time for ev in member.events],
-                                       [ev.time for ev in alone.events], atol=1e-6)
+            np.testing.assert_allclose(times, [ev.time for ev in alone.events],
+                                       rtol=0, atol=tol.root_tol)
 
     @pytest.mark.parametrize("start", [[1.0], [[1.0, 2.0, 3.0]]], ids=["scalar", "batch"])
     def test_step_boundaries_evaluated_once(self, start):
@@ -396,43 +345,8 @@ class TestEventLanes:
 
 
 class TestFailedFieldAtEnd:
-    """A field that fails exactly where a terminal event cuts the step, or
-    where the solution escapes, leaves the cubic's own slope as the last
-    derivative."""
-
-    @staticmethod
-    def rotation_failing_at_quarter_turn(t, y):
-        if abs(t - math.pi / 2) < 1e-6:
-            raise ValueError("no field here")
-        return np.array([-y[1], y[0]])
-
-    @staticmethod
-    def decay_failing_at_half(t, y):
-        if abs(t - math.log(2.0)) < 1e-6:
-            raise ValueError("no field here")
-        return -y
-
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_rotation(self, batch):
-        spec = EventSpec(fn=lambda t, y: y[0], terminal=True, component=0)
-        start = np.array([[1.0, 1.0], [0.0, -1.0]]) if batch else [1.0, 0.0]
-        traj = integrate_ode(self.rotation_failing_at_quarter_turn, start, (0.0, 10.0),
-                             events=[spec])
-        if batch:
-            traj = traj.members()[0]
-        assert traj.span[1] == pytest.approx(math.pi / 2, abs=1e-8)
-        np.testing.assert_allclose(traj.derivs[-1], [-1.0, 0.0], atol=1e-5)
-
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_decay(self, batch):
-        # the scalar loop for [1.0], the numpy loop for [[1.0]]
-        spec = EventSpec(fn=lambda t, y: y[0] - 0.5, direction=-1, terminal=True)
-        traj = integrate_ode(self.decay_failing_at_half, [[1.0]] if batch else [1.0],
-                             (0.0, 3.0), events=[spec])
-        if batch:
-            traj = traj.members()[0]
-        assert traj.span[1] == pytest.approx(math.log(2.0), abs=1e-6)
-        assert traj.derivs[-1, 0] == pytest.approx(-0.5, abs=1e-4)
+    """A field that fails exactly where the solution escapes leaves the
+    cubic's own slope as the last derivative."""
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_escape(self, batch):
@@ -459,7 +373,6 @@ class TestScalarLoop:
     (1, 1) batch of the same equation runs on the numpy loop."""
 
     angle_line = EventSpec(fn=lambda t, y: np.cos(y[0]), kind="angle-line")
-    falls_to_half = EventSpec(fn=lambda t, y: y[0] - 0.5, direction=-1, terminal=True)
     CASES = {
         "smooth": (lambda t, y: np.sin(t) - y, 1.0, (0.0, 10.0), Tolerances(), ()),
         # angle of phi'' + 4 phi = 0: theta' = -(4 cos^2 + sin^2)
@@ -473,7 +386,6 @@ class TestScalarLoop:
                           Tolerances(escape_magnitude=1.5), ()),
         "nan_field": (lambda t, y: y * (math.nan if t > 0.5 else 1.0), 1.0, (0.0, 1.0),
                       Tolerances(), ()),
-        "terminal": (lambda t, y: -y, 1.0, (0.0, 3.0), Tolerances(), (falls_to_half,)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -515,9 +427,6 @@ class TestScalarLoop:
         assert ends["starts_escaped"][1] == 0.0
         assert ends["linear_escape"][1] == pytest.approx(1.5, abs=1e-9)
         assert ends["nan_field"][1] == pytest.approx(0.5, abs=1e-6)
-        # exp(-t) falls through 0.5 at ln 2
-        assert ends["terminal"][0] == pytest.approx(math.log(2.0), abs=1e-6)
-        assert ends["terminal"][1:] == (None, 1)
 
     def test_scalar_start_takes_the_scalar_loop(self):
         seen = []
@@ -611,7 +520,7 @@ class TestTrajectory:
     def test_event_outside_span_rejected(self):
         g = Grid.uniform(0.0, 1.0, 4)
         with pytest.raises(ValueError):
-            Trajectory(g, np.zeros((4, 1)), [Event("zero-crossing", 2.0, 1, 0)])
+            Trajectory(g, np.zeros((4, 1)), [Event("zero-crossing", 2.0, 1)])
 
     def test_hermite_curve_reproduces_cubic(self):
         ts = np.linspace(0.0, 2.0, 5)

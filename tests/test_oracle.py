@@ -147,7 +147,7 @@ class TestBatchedOracleAgainstReferences:
             return phi.fn(t, y)
         start = np.array(ens.initial_conditions).T
         batch = integrate_ode(sys_spec.field(), start, ens.span, config.tolerances,
-                              events=[EventSpec(fn=counted, component=0)])
+                              events=[EventSpec(fn=counted)])
         steps = len(batch.grid) - 1
         assert calls[0] <= steps + 129
         oracle = simulate_ensemble(sys_spec, ens, config.tolerances)
