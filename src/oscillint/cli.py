@@ -159,14 +159,26 @@ def _flag(value, path: str) -> bool:
     return value
 
 
-def _at_least(low: int):
-    return lambda value, read: None if value >= low else f"must be at least {low}"
+def _between(low: int, high: int):
+    def check(value, read):
+        if value < low:
+            return f"must be at least {low}"
+        return None if value <= high else f"must be at most {high}"
+    return check
+
+
+def _in_horizon(values, read):
+    """Each reference time must lie in [t0, horizon)."""
+    for i, t in enumerate(values):
+        if not read["t0"] <= t < read["horizon"]:
+            raise ConfigError(f"scan.values[{i}]: must lie in [t0, horizon)")
 
 
 _REQUIRED = object()
 
 # One row per setting: (path, reader, default, check).  A check takes the
-# value and the settings read before it and returns an error text or None.
+# value and the settings read before it and returns an error text or None;
+# a check of a list's elements raises the error itself, naming the element.
 # A default of None makes the setting optional; null then stays null.
 # A section that holds a required setting is itself required, except the
 # problem block that is not given and an absent or null `compare`, whose
@@ -178,15 +190,18 @@ _SETTINGS = (
     ("t0", _number, 0.0, None),
     ("horizon", _number, _REQUIRED,
      lambda value, read: None if value > read["t0"] else "must exceed t0"),
-    ("grid_nodes", _integer, DEFAULT_GRID_NODES, _at_least(64)),
+    # the upper bounds keep the witness search's (4 x lambda values, grid
+    # nodes) margins to about 256 MiB and the oracle's arrays small
+    ("grid_nodes", _integer, DEFAULT_GRID_NODES, _between(64, 16384)),
     *((f"tolerances.{f.name}", _number, f.default, None) for f in fields(Tolerances)),
-    ("lambda.values", _number_list, None, None),
-    ("lambda.points", _integer, DEFAULT_LAMBDA_POINTS, _at_least(2)),
-    ("scan.values", _number_list, None, None),
+    ("lambda.values", _number_list, None,
+     lambda value, read: None if len(value) <= 512 else "must hold at most 512 values"),
+    ("lambda.points", _integer, DEFAULT_LAMBDA_POINTS, _between(2, 512)),
+    ("scan.values", _number_list, None, _in_horizon),
     ("periodic", _number, None,
      lambda value, read: None if value > 0 else "must be positive"),
     ("oracle.seed", _integer, DEFAULT_SEED, None),
-    ("oracle.size", _integer, DEFAULT_ENSEMBLE_SIZE, _at_least(2)),
+    ("oracle.size", _integer, DEFAULT_ENSEMBLE_SIZE, _between(2, 1024)),
     ("oracle.final_window_fraction", _number, DEFAULT_FINAL_WINDOW_FRACTION,
      lambda value, read: None if 0.0 < value <= 1.0 else "must lie in (0, 1]"),
     ("riccati.y0", _number, 0.0, None),

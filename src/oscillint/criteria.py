@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -149,15 +150,24 @@ def prufer_angle_field(sys: SystemSpec) -> Callable[[float, np.ndarray], np.ndar
     return rhs
 
 
+def _probe_failure(coef: Expr, lo: float, hi: float,
+                   fails: Callable[[np.ndarray], np.ndarray]) -> float | None:
+    """The first of 513 evenly spaced points of [lo, hi] where fails holds
+    for the coefficient's value, or None when it holds at none of them."""
+    ts = np.linspace(lo, hi, 513)
+    bad = fails(sample(coef, ts))
+    if not np.any(bad):
+        return None
+    return float(ts[int(np.argmax(bad))])
+
+
 def _negative_q_verdict(sys: SystemSpec, lo: float, hi: float,
                         why: str = "") -> Verdict | None:
     """The inconclusive verdict for a q that dips below zero on [lo, hi]
     (probed at 513 points), or None when q >= 0 there."""
-    ts = np.linspace(lo, hi, 513)
-    bad = sample(sys.q, ts) < -SIGN_SLACK
-    if not np.any(bad):
+    bad_t = _probe_failure(sys.q, lo, hi, lambda q: q < -SIGN_SLACK)
+    if bad_t is None:
         return None
-    bad_t = float(ts[int(np.argmax(bad))])
     return Verdict(INCONCLUSIVE, (lo, hi),
                    notes=f"coupling coefficient q is negative at t = {bad_t:.6g}{why}")
 
@@ -523,43 +533,60 @@ def _shift_windows(sys: SystemSpec, grid: Grid, base: AlphaTrace,
     return _ShiftWindows(lams, first, second, margin_at)
 
 
-def _window_oscillates(sys_h: SystemSpec, window: tuple[float, float],
-                       cache: dict, tol: Tolerances) -> tuple[bool, float | None]:
-    key = (round(window[0], 12), round(window[1], 12))
-    if key not in cache:
-        descent = _angle_descent(sys_h, window[0], window[1], tol)
-        cache[key] = (descent is not None and descent >= math.pi - ANGLE_SLACK, descent)
-    return cache[key]
+def _window_memo(value: Callable[[float, float], object]) -> Callable[[tuple], object]:
+    """value(lo, hi) of a window, computed once; windows whose ends agree to
+    12 decimals share it."""
+    seen: dict = {}
+
+    def at(window: tuple[float, float]):
+        key = (round(window[0], 12), round(window[1], 12))
+        if key not in seen:
+            seen[key] = value(*window)
+        return seen[key]
+    return at
 
 
-def _first_witness(shift: _ShiftWindows, sys_h: SystemSpec, T: float,
-                   horizon: tuple[float, float], angle_cache: dict,
-                   tol: Tolerances) -> IntervalWitness | None:
+def _first_pair(window_sets, T: float, horizon: tuple[float, float],
+                value_at: Callable[[tuple[float, float]], object],
+                holds: Callable[[object], bool]) -> tuple | None:
+    """(set index, (s1, t1, s2, t2), (value1, value2)) of the first window
+    pair beyond T whose windows both pass holds(value_at(window)), or None.
+
+    window_sets holds (first, second) window lists, scanned in order; both
+    are clipped at T and paired earliest first by _window_pairs.
+    """
     lo, hi = horizon
     if not lo <= T < hi:
         raise ValueError("reference time must lie inside the horizon")
     min_width = 1e-9 * (hi - lo)
-    k = len(shift.lams)
-    for i, lam in enumerate(shift.lams):
-        candidates = _window_pairs(_clip_windows(shift.first[i], T, min_width),
-                                   _clip_windows(shift.second[i], T, min_width),
-                                   min_width)
-        for s1, t1, s2, t2 in candidates:
-            ok1, descent1 = _window_oscillates(sys_h, (s1, t1), angle_cache, tol)
-            if not ok1:
+    for index, (first, second) in enumerate(window_sets):
+        for pair in _window_pairs(_clip_windows(first, T, min_width),
+                                  _clip_windows(second, T, min_width), min_width):
+            value1 = value_at(pair[:2])
+            if not holds(value1):
                 continue
-            ok2, descent2 = _window_oscillates(sys_h, (s2, t2), angle_cache, tol)
-            if not ok2:
-                continue
-            sign_margins = tuple(
-                float(np.min(shift.margin_at(np.full(65, row), np.linspace(a, b, 65))))
-                for row, a, b in ((i, s1, t1), (k + i, s1, t1),
-                                  (2 * k + i, s2, t2), (3 * k + i, s2, t2)))
-            return IntervalWitness(s1=s1, t1=t1, s2=s2, t2=t2, lam=lam,
-                                   sign_margins=sign_margins,
-                                   osc_margins=(descent1 - math.pi,
-                                                descent2 - math.pi))
+            value2 = value_at(pair[2:])
+            if holds(value2):
+                return index, pair, (value1, value2)
     return None
+
+
+def _first_witness(shift: _ShiftWindows, T: float, horizon: tuple[float, float],
+                   descent_at: Callable[[tuple[float, float]], float | None]
+                   ) -> IntervalWitness | None:
+    found = _first_pair(zip(shift.first, shift.second), T, horizon, descent_at,
+                        lambda d: d is not None and d >= math.pi - ANGLE_SLACK)
+    if found is None:
+        return None
+    i, (s1, t1, s2, t2), (descent1, descent2) = found
+    k = len(shift.lams)
+    sign_margins = tuple(
+        float(np.min(shift.margin_at(np.full(65, row), np.linspace(a, b, 65))))
+        for row, a, b in ((i, s1, t1), (k + i, s1, t1),
+                          (2 * k + i, s2, t2), (3 * k + i, s2, t2)))
+    return IntervalWitness(s1=s1, t1=t1, s2=s2, t2=t2, lam=shift.lams[i],
+                           sign_margins=sign_margins,
+                           osc_margins=(descent1 - math.pi, descent2 - math.pi))
 
 
 def find_interval_witness(sys: SystemSpec, T: float,
@@ -577,11 +604,10 @@ def find_interval_witness(sys: SystemSpec, T: float,
     homogeneous companion oscillates.  Assumes q >= 0 on the horizon.
     """
     lo, hi = float(horizon[0]), float(horizon[1])
-    if not lo <= T < hi:
-        raise ValueError("reference time must lie inside the horizon")
     grid = Grid.uniform(lo, hi, grid_nodes)
     shift = _shift_windows(sys, grid, alpha_lambda(sys, 0.0, grid), lambda_grid)
-    return _first_witness(shift, sys.homogeneous(), T, (lo, hi), {}, tol)
+    descent_at = _window_memo(partial(_angle_descent, sys.homogeneous(), tol=tol))
+    return _first_witness(shift, T, (lo, hi), descent_at)
 
 
 def default_lambda_grid(sys: SystemSpec, grid: Grid,
@@ -636,11 +662,10 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
         lambda_grid = default_lambda_grid(sys, grid, base_trace, lambda_points)
 
     shift = _shift_windows(sys, grid, base_trace, lambda_grid)
-    sys_h = sys.homogeneous()
-    angle_cache: dict = {}
+    descent_at = _window_memo(partial(_angle_descent, sys.homogeneous(), tol=tol))
     witnesses = []
     for T in scan:
-        witness = _first_witness(shift, sys_h, float(T), (lo, hi), angle_cache, tol)
+        witness = _first_witness(shift, float(T), (lo, hi), descent_at)
         if witness is None:
             return Verdict(INCONCLUSIVE, (lo, hi),
                            evidence={"witnesses": witnesses,
@@ -684,10 +709,8 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
     identically 0).
     """
     lo, hi = float(horizon[0]), float(horizon[1])
-    probe = np.linspace(lo, hi, 513)
-    b_vals = sample(eq.b, probe)
-    if np.max(np.abs(b_vals)) > SIGN_SLACK:
-        bad = float(probe[int(np.argmax(np.abs(b_vals) > SIGN_SLACK))])
+    bad = _probe_failure(eq.b, lo, hi, lambda b: np.abs(b) > SIGN_SLACK)
+    if bad is not None:
         return Verdict(INCONCLUSIVE, (lo, hi),
                        notes=f"damping coefficient is nonzero at t = {bad:.6g}; "
                              "this test needs b identically 0")
@@ -695,42 +718,24 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
         scan = np.linspace(lo, lo + (hi - lo) / 2.0, DEFAULT_SCAN_POINTS,
                            endpoint=False)
     nodes = Grid.uniform(lo, hi, grid_nodes).nodes
-    min_width = 1e-9 * (hi - lo)
     d_vals = sample(eq.d, nodes)
     # row 0 holds -d, row 1 holds d
-    neg_windows, pos_windows = _refined_windows(
+    windows = _refined_windows(
         np.stack([-d_vals, d_vals]),
         lambda rows, ts: np.where(rows == 0, -1.0, 1.0) * sample(eq.d, ts), nodes)
-
-    functional_cache: dict = {}
-
-    def functional_on(window: tuple[float, float]) -> float:
-        key = (round(window[0], 12), round(window[1], 12))
-        if key not in functional_cache:
-            u = half_sine_bridge(window[0], window[1])
-            functional_cache[key] = variational_functional(eq.a, eq.c, u)
-        return functional_cache[key]
+    functional_at = _window_memo(
+        lambda a, b: variational_functional(eq.a, eq.c, half_sine_bridge(a, b)))
 
     records = []
     for T in scan:
-        found = None
-        candidates = _window_pairs(_clip_windows(neg_windows, float(T), min_width),
-                                   _clip_windows(pos_windows, float(T), min_width),
-                                   min_width)
-        for s1, t1, s2, t2 in candidates:
-            j1 = functional_on((s1, t1))
-            if j1 < -FUNCTIONAL_SLACK:
-                continue
-            j2 = functional_on((s2, t2))
-            if j2 < -FUNCTIONAL_SLACK:
-                continue
-            found = {"T": float(T), "windows": ((s1, t1), (s2, t2)),
-                     "functionals": (j1, j2)}
-            break
+        found = _first_pair([windows], float(T), (lo, hi), functional_at,
+                            lambda j: j >= -FUNCTIONAL_SLACK)
         if found is None:
             return Verdict(INCONCLUSIVE, (lo, hi),
                            evidence={"records": records, "failed_at": float(T)},
                            notes=f"no admissible window pair beyond T = {float(T):.6g} "
                                  "with nonnegative functionals")
-        records.append(found)
+        _, (s1, t1, s2, t2), functionals = found
+        records.append({"T": float(T), "windows": ((s1, t1), (s2, t2)),
+                         "functionals": functionals})
     return Verdict(OSCILLATORY, (lo, hi), evidence={"records": records})

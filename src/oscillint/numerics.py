@@ -8,8 +8,10 @@ bracketed root refinement.
 
 `integrate_ode` has two step loops behind one entry point, chosen by the
 shape of the start state: a one-component state (the scalar Riccati and
-Prufer angle equations) steps on Python floats, and every other state,
-batches included, steps on numpy arrays. Both keep the same contract.
+Prufer angle equations) steps on Python floats, and every other state
+steps on numpy arrays as a (dim, m) batch: a plain (dim,) start is a
+one-member batch whose field still sees the plain state. Both loops keep
+the same contract.
 
 Events are sign changes of a function of the solution, in either
 direction; none ends the solve. They are located on each step's cubic
@@ -30,7 +32,7 @@ the dense output), which off-the-shelf solvers do not pin down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,10 +96,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class Event:
+    """A crossing or an escape. A batch solve names the member it happened
+    to; a plain start, solved as a one-member batch, keeps member None."""
+
     kind: str  # "zero-crossing" | "escape"
     time: float
     direction: int = 0  # +1 rising, -1 falling (crossings)
-    member: int | None = None  # batch solves: the member it happened to
+    member: int | None = None
 
 
 @dataclass(frozen=True)
@@ -163,13 +168,16 @@ class CubicHermiteCurve:
         h = self.ts[idx + 1] - t0
         return idx, (t_arr - t0) / h, h
 
-    def __call__(self, t):
+    def _evaluate(self, basis, t):
         idx, s, h = self._locate(t)
         if self.values.ndim != 1:
             s, h = s[:, None], h[:, None]
-        out = _hermite(s, h, self.values[idx], self.values[idx + 1],
-                       self.derivs[idx], self.derivs[idx + 1])
+        out = basis(s, h, self.values[idx], self.values[idx + 1],
+                    self.derivs[idx], self.derivs[idx + 1])
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+
+    def __call__(self, t):
+        return self._evaluate(_hermite, t)
 
     def columns_at(self, t: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Column cols[i] of a curve with (n, k) values, at time t[i]."""
@@ -179,16 +187,14 @@ class CubicHermiteCurve:
 
     def rate(self, t):
         """Exact derivative of the piecewise cubic at t."""
-        idx, s, h = self._locate(t)
-        if self.values.ndim != 1:
-            s, h = s[:, None], h[:, None]
-        out = _hermite_rate(s, h, self.values[idx], self.values[idx + 1],
-                            self.derivs[idx], self.derivs[idx + 1])
-        return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+        return self._evaluate(_hermite_rate, t)
 
 
 @dataclass
 class Trajectory:
+    """A solve's nodes, states and derivatives; a plain start, solved as a
+    one-member batch, comes back with (n, dim) states and no `ends`."""
+
     grid: Grid
     states: np.ndarray  # shape (n, dim), or (n, dim, m) for a batch of m members
     events: list[Event] = field(default_factory=list)
@@ -213,14 +219,6 @@ class Trajectory:
     @property
     def span(self) -> tuple[float, float]:
         return self.grid.span
-
-    def interpolant(self) -> CubicHermiteCurve:
-        if self.derivs is None:
-            raise ValueError("trajectory has no stored derivatives for dense output")
-        return CubicHermiteCurve(self.grid.nodes, self.states, self.derivs)
-
-    def sample(self, t):
-        return self.interpolant()(t)
 
     def component(self, index: int) -> CubicHermiteCurve:
         if self.derivs is None:
@@ -521,7 +519,9 @@ def integrate_ode(
     while the others run on; a step collapse ends every live member. The
     result then has states of shape (n, dim, m), events tagged with their
     member and each member's end time in `ends`; `Trajectory.members()`
-    splits it. A 1-D y0 is the single-member case.
+    splits it. A plain (dim,) y0 runs as the one member of a (dim, 1) batch
+    whose field still gets (dim,) states, and comes back squeezed: states of
+    shape (n, dim), events with member None and `ends` None.
 
     Each EventSpec records every crossing, rising or falling, and the
     solve runs on past it. Crossings are found by sign changes between 7
@@ -554,7 +554,11 @@ def integrate_ode(
         max_step = (t_b - t_a) / 16.0
     if y.shape == (1,):
         return _scalar_loop(field_fn, float(y[0]), t_a, t_b, tolerances, events, max_step)
-    return _array_loop(field_fn, y, t_a, t_b, tolerances, events, max_step)
+    if y.ndim == 2:
+        return _array_loop(field_fn, y, t_a, t_b, tolerances, events, max_step, y.shape)
+    one = _array_loop(field_fn, y[:, None], t_a, t_b, tolerances, events, max_step, y.shape)
+    return Trajectory(one.grid, one.states[:, :, 0],
+                      [replace(ev, member=None) for ev in one.events], one.derivs[:, :, 0])
 
 
 def _scalar_field(field_fn, t: float, y: float) -> float | None:
@@ -635,14 +639,6 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
         def dense(tq):
             return _hermite((tq - t) / h, h, y, y_new, f_now, f_new)
 
-        def end_at(te):
-            """(time, state, derivative) where the solve ends in this step."""
-            y_end = dense(te)
-            f_end = _scalar_field(field_fn, te, y_end) if te > t else f_now
-            if f_end is None:  # the field fails there: the cubic's own slope
-                f_end = _hermite_rate((te - t) / h, h, y, y_new, f_now, f_new)
-            return te, y_end, f_end
-
         step_events: list[Event] = []
 
         # event scan on the dense output at the subsample times; the first
@@ -669,7 +665,10 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
         if abs(y_new) > escape:
             g_esc = lambda tq: abs(dense(tq)) - escape
             te = float(_bisect_event(g_esc, t, t_new, tol.root_tol)) if g_esc(t) < 0 else t
-            te, y_end, f_end = end_at(te)
+            y_end = dense(te)
+            f_end = _scalar_field(field_fn, te, y_end) if te > t else f_now
+            if f_end is None:  # the field fails there: the cubic's own slope
+                f_end = _hermite_rate((te - t) / h, h, y, y_new, f_now, f_new)
             # nothing is recorded past the time the solve ends
             recorded.extend(ev for ev in step_events if ev.time <= te)
             recorded.append(Event("escape", te))
@@ -708,46 +707,36 @@ def _call_field(field_fn, t, y, shape):
     return out.reshape(-1)
 
 
-def _member_cubic(j: int, dim: int, y0, y1, f0, f1) -> tuple:
-    """Member j's start and end states and derivatives, from flat batch arrays."""
-    return tuple(a.reshape(dim, -1)[:, j] for a in (y0, y1, f0, f1))
-
-
 def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances,
-                events: Sequence[EventSpec], max_step: float) -> Trajectory:
-    """integrate_ode for a (dim,) or (dim, m) state, stepped on numpy arrays."""
-    shape = y.shape
-    batch = y.ndim == 2
-    dim, m = shape[0], (shape[1] if batch else 1)
+                events: Sequence[EventSpec], max_step: float,
+                field_shape: tuple) -> Trajectory:
+    """integrate_ode for a (dim, m) state, stepped on numpy arrays; the
+    field sees states of field_shape, (dim, m) or the plain (dim,)."""
+    dim, m = y.shape
     y = y.reshape(-1)  # flat working state, member index fastest
 
     def columns(a):
         return a.reshape(dim, m)
 
-    def tag(j):
-        return int(j) if batch else None
-
     width = t_b - t_a
 
-    f_now = _call_field(field_fn, t_a, y, shape)
+    f_now = _call_field(field_fn, t_a, y, field_shape)
     if f_now is None:
         raise IntegrationError("field not evaluable at start", t_a)
     ts = [t_a]
     ys = [y.copy()]
     fs = [f_now.copy()]
-    # what the solve found, in order: escape Events, and for each step with
-    # crossings a list of (event index, members, directions)
-    log: list = []
+    escapes: list[Event] = []
     # per event, its crossings to refine after the loop, in the order found:
-    # each step's (t, h, step cubic columns, bracket starts, bracket ends)
+    # each step's (t, h, step cubic columns, bracket starts, bracket ends,
+    # members, directions)
     pending: list[list[tuple]] = [[] for _ in events]
     ends = np.full(m, t_a)
 
     live = np.abs(columns(y)).max(axis=0) <= tol.escape_magnitude
     n_live = int(live.sum())
     idle = np.flatnonzero(~live)  # retired members; their derivative is held at 0
-    for j in idle:
-        log.append(Event("escape", t_a, member=tag(j)))
+    escapes.extend(Event("escape", t_a, member=int(j)) for j in idle)
     columns(f_now)[:, idle] = 0.0
 
     # initial step heuristic, the smallest over live members
@@ -768,14 +757,14 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
             break
         h = min(h, t_b - t)
         if h < _STEP_COLLAPSE * width:
-            log.extend(Event("escape", t, member=tag(j)) for j in np.flatnonzero(live))
+            escapes.extend(Event("escape", t, member=int(j)) for j in np.flatnonzero(live))
             break
 
         k[0] = f_now
         failed_stage = False
         for i in range(1, 7):
             yi = y + h * (_DP_A[i] @ k[:i])
-            ki = _call_field(field_fn, t + _DP_C[i] * h, yi, shape)
+            ki = _call_field(field_fn, t + _DP_C[i] * h, yi, field_shape)
             if ki is None:
                 failed_stage = True
                 break
@@ -806,18 +795,7 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
             t_new = t_b
         # FSAL stage is field(t_new, y_new); copy, k is overwritten on retries
         f_new = k[6].copy()
-
-        def cubic(j):
-            return _member_cubic(j, dim, y, y_new, f_now, f_new)
-
-        def end_at(j, te):
-            """(time, state, derivative) where member j ends in this step."""
-            y0, y1, f0, f1 = cubic(j)
-            y_end = _hermite((te - t) / h, h, y0, y1, f0, f1)
-            f_end = _call_field(field_fn, te, y_end, (dim,)) if te > t else f0
-            if f_end is None:  # the field fails there: the cubic's own slope
-                f_end = _hermite_rate((te - t) / h, h, y0, y1, f0, f1)
-            return te, y_end, f_end
+        step_cubic = np.array((y, f_now, y_new, f_new)).reshape(4, dim, m)
 
         # event scan on the dense output: one call per event over all the
         # members and subsamples; the first sample is the last one of the
@@ -827,13 +805,11 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
             fresh = samples if carried is None else samples[1:]
             # per sample: its time, then the weights of y, f_now, y_new, f_new
             rows = np.array([(tq, *_hermite_weights((tq - t) / h, h)) for tq in fresh]).T
-            step_cubic = np.array((y, f_now, y_new, f_new)).reshape(4, dim, m)
             # lane i * m + j is member j at fresh[i]; summing the stacked terms
             # over the first axis adds them in _hermite's order
             lane_y = np.add.reduce(rows[1:].reshape(4, 1, -1, 1) * step_cubic[:, :, None],
                                    axis=0).reshape(dim, -1)
             lane_t = rows[0].repeat(m)
-            found = []
             scanned = []
             for i, spec in enumerate(events):
                 g = np.asarray(spec.fn(lane_t, lane_y), dtype=float).reshape(-1)
@@ -853,40 +829,37 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
                     continue
                 at = np.array(samples)
                 pending[i].append((np.full(js.size, t), np.full(js.size, h),
-                                   step_cubic[:, :, js], at[subs], at[subs + 1]))
-                found.append((i, js, np.where(gb[subs, js] > ga[subs, js], 1, -1)))
+                                   step_cubic[:, :, js], at[subs], at[subs + 1], js,
+                                   np.where(gb[subs, js] > ga[subs, js], 1, -1)))
             carried = scanned
-            if found:
-                log.append(found)
 
-        # escape by magnitude, refined on the member's dense output; member ->
-        # (end time, state, derivative) for members retiring here
-        ending: dict[int, tuple] = {}
+        # escape by magnitude, refined on the member's own cubic; the member
+        # retires at that time with its state frozen there
         escaping = []
         if np.abs(y_new).max() > tol.escape_magnitude:
             escaping = np.flatnonzero(live & (np.abs(columns(y_new)).max(axis=0)
                                               > tol.escape_magnitude))
+        f_row = f_new.copy() if len(escaping) else f_new
         for j in escaping:
-            cubic_j = cubic(j)
-            g_esc = lambda tq: (float(np.max(np.abs(_hermite((tq - t) / h, h, *cubic_j))))
+            y0, f0, y1, f1 = step_cubic[:, :, j]
+            g_esc = lambda tq: (float(np.max(np.abs(_hermite((tq - t) / h, h, y0, y1, f0, f1))))
                                 - tol.escape_magnitude)
             te = float(_bisect_event(g_esc, t, t_new, tol.root_tol)) if g_esc(t) < 0 else t
-            log.append(Event("escape", te, member=tag(j)))
-            ending[j] = end_at(j, te)
-
-        f_row = f_new
-        if ending:
-            f_row = f_new.copy()
-            for j, (te, y_end, f_end) in ending.items():
-                live[j] = False
-                n_live -= 1
-                ends[j] = te
-                columns(y_new)[:, j] = y_end
-                columns(f_row)[:, j] = f_end
+            y_end = _hermite((te - t) / h, h, y0, y1, f0, f1)
+            f_end = _call_field(field_fn, te, y_end, (dim,)) if te > t else f0
+            if f_end is None:  # the field fails there: the cubic's own slope
+                f_end = _hermite_rate((te - t) / h, h, y0, y1, f0, f1)
+            escapes.append(Event("escape", te, member=int(j)))
+            live[j] = False
+            n_live -= 1
+            ends[j] = te
+            columns(y_new)[:, j] = y_end
+            columns(f_row)[:, j] = f_end
+        if len(escaping):
             idle = np.flatnonzero(~live)
             columns(f_new)[:, idle] = 0.0
             if not n_live:
-                t_last = max(te for te, _, _ in ending.values())
+                t_last = float(ends[escaping].max())
                 if t_last > t:
                     ts.append(t_last)
                     ys.append(y_new)
@@ -903,36 +876,26 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
         raise IntegrationError("step budget exhausted", t)
 
     ends[live] = t
-    # refine every crossing, one lane solve per event; each event's times
-    # come out in the order its crossings were found, as the log reads them
-    times = []
-    for spec, chunks in zip(events, pending):
-        refined = []
-        if chunks:
-            lanes = [np.concatenate(parts, axis=-1) for parts in zip(*chunks)]
-            refined = _refine_on_cubics(spec, *lanes, tol.root_tol).tolist()
-        times.append(iter(refined))
+    # refine every crossing, one lane solve per event, and keep those at or
+    # before their member's end; one stable sort by time then merges them,
+    # with escapes last, so at equal times a crossing comes first
     recorded: list[Event] = []
-    for entry in log:
-        if isinstance(entry, Event):
-            recorded.append(entry)
+    for spec, chunks in zip(events, pending):
+        if not chunks:
             continue
-        crossings = []
-        for i, js, directions in entry:
-            for j, d in zip(js.tolist(), directions.tolist()):
-                te = next(times[i])
-                crossings.append((te, j, Event(events[i].kind, te, d, tag(j))))
-        crossings.sort(key=lambda item: item[0])
-        # a member records nothing past the time it ends
-        recorded.extend(ev for te, j, ev in crossings if te <= ends[j])
+        t_l, h_l, cubic, a, b, js, directions = (np.concatenate(parts, axis=-1)
+                                                 for parts in zip(*chunks))
+        times = _refine_on_cubics(spec, t_l, h_l, cubic, a, b, tol.root_tol)
+        recorded.extend(Event(spec.kind, te, d, j) for te, d, j
+                        in zip(times.tolist(), directions.tolist(), js.tolist())
+                        if te <= ends[j])
+    recorded.extend(escapes)
+    recorded.sort(key=lambda ev: ev.time)
 
     if len(ts) == 1:
         # every member ended at the very start; emit a degenerate short span
         ts.append(t_a + max(width * 1e-15, 1e-300))
         ys.append(ys[0].copy())
         fs.append(fs[0].copy())
-    grid = Grid(np.asarray(ts))
-    if not batch:
-        return Trajectory(grid, np.asarray(ys), recorded, np.asarray(fs))
-    return Trajectory(grid, np.asarray(ys).reshape(-1, dim, m), recorded,
+    return Trajectory(Grid(np.asarray(ts)), np.asarray(ys).reshape(-1, dim, m), recorded,
                       np.asarray(fs).reshape(-1, dim, m), ends)

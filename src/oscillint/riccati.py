@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import Grid, Tolerances, Trajectory, cumulative_integral, integrate_ode
-from .transform import RiccatiProblem
+from .transform import DEFAULT_GRID_NODES, RiccatiProblem
 
 CERTIFICATE_SLACK = 1e-9
 ORDERING_SLACK = 1e-6
@@ -157,7 +157,7 @@ def hypothesis_residuals(inst: ComparisonInstance) -> tuple[float, float]:
 
 
 def comparison_certificate(inst: ComparisonInstance, squared_variant: bool = False,
-                           grid_nodes: int = 2048, tol: Tolerances = Tolerances()
+                           grid_nodes: int = DEFAULT_GRID_NODES, tol: Tolerances = Tolerances()
                            ) -> CertificateReport:
     """Evaluate the running comparison integral along the solution of
     equation 2.

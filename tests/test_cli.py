@@ -195,6 +195,39 @@ class TestConfigLoading:
             config_from_dict(doc)
         assert str(caught.value) == f"{path}: expected a finite number"
 
+    @pytest.mark.parametrize("path, value, message", [
+        ("grid_nodes", 16385, "grid_nodes: must be at most 16384"),
+        ("grid_nodes", 1e15, "grid_nodes: must be at most 16384"),
+        ("lambda.points", 513, "lambda.points: must be at most 512"),
+        ("lambda.values", [0.0] * 513, "lambda.values: must hold at most 512 values"),
+        ("oracle.size", 1025, "oracle.size: must be at most 1024"),
+    ])
+    def test_oversized_setting_rejected(self, path, value, message):
+        doc = {"system": {"q": "1", "r": "-1", "g": "sin(t)"}, "horizon": 10}
+        *sections, key = path.split(".")
+        target = doc
+        for name in sections:
+            target = target.setdefault(name, {})
+        target[key] = value
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict(doc)
+        assert str(caught.value) == message
+
+    def test_largest_sizes_accepted(self):
+        config = config_from_dict(decaying_doc(
+            grid_nodes=16384, oracle={"size": 1024},
+            **{"lambda": {"points": 512, "values": [0.5] * 512}}))
+        assert (config.grid_nodes, config.oracle_size, config.lambda_points,
+                len(config.lambda_values)) == (16384, 1024, 512, 512)
+
+    @pytest.mark.parametrize("values, index", [
+        ([-5.0], 0), ([60.0], 0), ([1.0, 8.0 * math.pi], 1), ([0.0, -1e-9], 1),
+    ])
+    def test_scan_value_outside_horizon_rejected(self, values, index):
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict(forced_harmonic_doc(scan={"values": values}))
+        assert str(caught.value) == f"scan.values[{index}]: must lie in [t0, horizon)"
+
     def test_null_problem_block_rejected(self):
         with pytest.raises(ConfigError) as caught:
             config_from_dict({"system": None, "horizon": 1.0})
@@ -388,6 +421,26 @@ class TestMainEntry:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == \
             "oscillint: error: grid_nodes: expected a finite number\n"
+
+    def test_oversized_grid_exits_with_one_line(self, tmp_path, capsys):
+        path = write_doc(tmp_path, {"system": {"q": "1", "r": "-1", "g": "sin(t)"},
+                                    "horizon": 10, "grid_nodes": 1e15})
+        code = main(["analyze", "--config", str(path)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "oscillint: error: grid_nodes: must be at most 16384\n"
+
+    @pytest.mark.parametrize("subcommand", ["analyze", "wong"])
+    @pytest.mark.parametrize("value", [-5.0, 60.0])
+    def test_scan_value_outside_horizon_exits_with_one_line(self, tmp_path, capsys,
+                                                            subcommand, value):
+        path = write_doc(tmp_path, {"equation": {"c": "1", "d": "sin(t)"},
+                                    "horizon": 50.27, "scan": {"values": [value]}})
+        code = main([subcommand, "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err == \
+            "oscillint: error: scan.values[0]: must lie in [t0, horizon)\n"
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["analyze", "--config", str(tmp_path / "nope.json")])

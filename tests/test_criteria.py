@@ -446,6 +446,15 @@ class TestUndampedCheck:
         assert verdict.outcome == INCONCLUSIVE
         assert "damping" in verdict.notes
 
+    @pytest.mark.parametrize("T", [-5.0, 8.0 * math.pi, 60.0])
+    def test_reference_time_outside_horizon_raises(self, T):
+        # both checks share one window scan and with it its range check
+        horizon = (0.0, 8.0 * math.pi)
+        with pytest.raises(ValueError, match="reference time"):
+            check_undamped_equation(self.equation(), horizon, scan=[T])
+        with pytest.raises(ValueError, match="reference time"):
+            check_oscillation(reduce_equation(self.equation()), horizon, scan=[T])
+
     def test_generalization_on_forced_harmonic(self):
         # when the variational test certifies the equation, the system-level
         # witness search with lam = 0 must certify the reduction as well

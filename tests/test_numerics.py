@@ -149,7 +149,7 @@ class TestIntegrator:
         # on a y-independent field steps grow to max_step, so expect ~h^4/384
         traj = integrate_ode(lambda t, y: np.array([math.cos(t)]), [0.0], (0.0, 6.0))
         ts = np.linspace(0.3, 5.7, 40)
-        vals = traj.sample(ts)[:, 0]
+        vals = traj.component(0)(ts)
         assert np.max(np.abs(vals - np.sin(ts))) < 1e-4
         nodal = traj.states[:, 0]
         assert np.max(np.abs(nodal - np.sin(traj.grid.nodes))) < 1e-8
@@ -207,10 +207,22 @@ class TestMemberAxis:
         assert [ev.time for ev in member.events] == [ev.time for ev in plain.events]
 
     def test_plain_solve_is_not_a_batch(self):
-        traj = integrate_ode(lambda t, y: -y, [1.0], (0.0, 1.0))
-        assert traj.ends is None
-        with pytest.raises(ValueError, match="batch"):
-            traj.members()
+        # a (2,) start runs as a one-member batch, but its field still sees
+        # (2,) states and its result reads as a plain solve
+        shapes = set()
+
+        def rotation(t, y):
+            shapes.add(y.shape)
+            return np.array([-y[1], y[0]])
+        plain = integrate_ode(rotation, [1.0, 0.0], (0.0, 8.0), events=[zero_crossing(0)])
+        assert shapes == {(2,)}
+        assert plain.states.shape[1:] == (2,)
+        assert len(plain.events) == 3
+        assert all(ev.member is None for ev in plain.events)
+        for traj in (plain, integrate_ode(lambda t, y: -y, [1.0], (0.0, 1.0))):
+            assert traj.ends is None
+            with pytest.raises(ValueError, match="batch"):
+                traj.members()
 
     def test_start_state_of_rank_three_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -220,7 +232,7 @@ class TestMemberAxis:
 def _bisected_crossings(member: Trajectory, spec: EventSpec, tol: float) -> list:
     """(time, direction) of each crossing that scanning and bisecting the
     member's own cubic, one step and one crossing at a time, finds."""
-    curve = member.interpolant()
+    curve = CubicHermiteCurve(member.grid.nodes, member.states, member.derivs)
 
     def g(tq):
         return float(spec.fn(np.array([tq]), curve(tq)[:, None])[0])

@@ -61,7 +61,7 @@ class TestAlphaLambda:
         field = lambda t, y: np.array([np.cos(t) * y[0] + np.exp(-t / 2.0)])
         traj = integrate_ode(field, [0.3], (0.0, 5.0), Tolerances(rel_tol=1e-10))
         probe = grid.nodes[::64]
-        direct = np.array([float(traj.sample(t)[0]) for t in probe])
+        direct = np.array([float(traj.component(0)(t)) for t in probe])
         assert np.max(np.abs(trace.alpha_at(probe) - direct)) < 1e-6
 
     def test_affine_in_shift_parameter(self):
@@ -143,8 +143,8 @@ class TestReduceEquation:
         ref = integrate_ode(scalar_field, [1.0, 0.5], (0.0, 2.0),
                             Tolerances(rel_tol=1e-10))
         probe = np.linspace(0.0, 2.0, 21)
-        ours = np.array([float(traj.sample(t)[0]) for t in probe])
-        theirs = np.array([float(ref.sample(t)[0]) for t in probe])
+        ours = np.array([float(traj.component(0)(t)) for t in probe])
+        theirs = np.array([float(ref.component(0)(t)) for t in probe])
         assert np.max(np.abs(ours - theirs)) < 1e-6
 
     def test_rejects_nonpositive_leading_coefficient(self):
