@@ -44,8 +44,6 @@ from .transform import (
     SystemSpec,
     TransformError,
     alpha_lambda,
-    lift_riccati_solution,
-    project_to_riccati,
     reduce_equation,
     riccati_of_system,
     shift_system,

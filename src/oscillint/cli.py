@@ -41,7 +41,7 @@ from .criteria import (
     default_lambda_grid,
     lambda_feasibility,
 )
-from .expr import Expr, ExprError, compile_scalar, parse_text, print_expr, sample
+from .expr import DomainError, Expr, ExprError, compile_scalar, parse_text, print_expr, sample
 from .numerics import Grid, IntegrationError, Tolerances
 from .oracle import (
     DEFAULT_ENSEMBLE_SIZE,
@@ -65,6 +65,7 @@ from .riccati import (
 )
 from .transform import (
     DEFAULT_GRID_NODES,
+    PROBE_POINTS,
     RiccatiProblem,
     SecondOrderSpec,
     SystemSpec,
@@ -282,11 +283,20 @@ def _group(read: dict, section: str) -> dict:
 
 
 def _comparison(read: dict) -> ComparisonInstance:
-    """Remove the comparison instance's settings from `read` and build it."""
+    """Remove the comparison instance's settings from `read` and build it;
+    each coefficient must evaluate at the probe points of the span."""
     span = read.pop("compare.span")
-    problems = [RiccatiProblem(*(compile_scalar(read.pop(f"compare.{name}.{k}"))
-                                 for k in "fgh"), span)
-                for name in ("problem1", "problem2")]
+    probe = np.linspace(span[0], span[1], PROBE_POINTS)
+    problems = []
+    for name in ("problem1", "problem2"):
+        paths = [f"compare.{name}.{k}" for k in "fgh"]
+        for path in paths:
+            try:
+                sample(read[path], probe)
+            except DomainError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+        problems.append(RiccatiProblem(*(compile_scalar(read.pop(path)) for path in paths),
+                                       span))
     try:
         return ComparisonInstance(*problems, read.pop("compare.y2_start"), span,
                                   gamma=read.pop("compare.gamma"),
@@ -537,7 +547,7 @@ def _simulate(config: ProblemConfig, sys_spec: SystemSpec, dump_traces):
 
 
 def _validate_problem(config: ProblemConfig) -> None:
-    probe = Grid.uniform(config.t0, config.horizon, 513)
+    probe = Grid.uniform(config.t0, config.horizon, PROBE_POINTS)
     (config.system or config.equation).validate_on(probe)
 
 

@@ -48,6 +48,7 @@ from .numerics import (
 )
 from .transform import (
     DEFAULT_GRID_NODES,
+    PROBE_POINTS,
     AlphaTrace,
     SecondOrderSpec,
     SystemSpec,
@@ -152,9 +153,10 @@ def prufer_angle_field(sys: SystemSpec) -> Callable[[float, np.ndarray], np.ndar
 
 def _probe_failure(coef: Expr, lo: float, hi: float,
                    fails: Callable[[np.ndarray], np.ndarray]) -> float | None:
-    """The first of 513 evenly spaced points of [lo, hi] where fails holds
-    for the coefficient's value, or None when it holds at none of them."""
-    ts = np.linspace(lo, hi, 513)
+    """The first of PROBE_POINTS evenly spaced points of [lo, hi] where
+    fails holds for the coefficient's value, or None when it holds at none
+    of them."""
+    ts = np.linspace(lo, hi, PROBE_POINTS)
     bad = fails(sample(coef, ts))
     if not np.any(bad):
         return None
@@ -164,7 +166,7 @@ def _probe_failure(coef: Expr, lo: float, hi: float,
 def _negative_q_verdict(sys: SystemSpec, lo: float, hi: float,
                         why: str = "") -> Verdict | None:
     """The inconclusive verdict for a q that dips below zero on [lo, hi]
-    (probed at 513 points), or None when q >= 0 there."""
+    (probed at PROBE_POINTS points), or None when q >= 0 there."""
     bad_t = _probe_failure(sys.q, lo, hi, lambda q: q < -SIGN_SLACK)
     if bad_t is None:
         return None
@@ -185,7 +187,7 @@ def angle_line_crossings(sys: SystemSpec, span: tuple[float, float],
 def _angle_crossings(sys: SystemSpec, span: tuple[float, float], theta0: float,
                      tol: Tolerances) -> tuple[list[float], float]:
     """Confirmed angle-line crossings and the time the angle solve reached."""
-    spec = EventSpec(fn=lambda t, y: math.cos(y[0]), kind="angle-line")
+    spec = EventSpec(fn=lambda t, y: np.cos(y[0]), kind="angle-line")
     traj = integrate_ode(prufer_angle_field(sys), [theta0], span, tol, events=[spec])
     reached = traj.span[1]
     times = [ev.time for ev in traj.events if ev.kind == "angle-line"]

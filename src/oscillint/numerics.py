@@ -11,17 +11,16 @@ shape of the start state: a one-component state (the scalar Riccati and
 Prufer angle equations) steps on Python floats, and every other state
 steps on numpy arrays as a (dim, m) batch: a plain (dim,) start is a
 one-member batch whose field still sees the plain state. Both loops keep
-the same contract.
+one event contract and end through one finish, which builds a batch.
 
 Events are sign changes of a function of the solution, in either
 direction; none ends the solve. They are located on each step's cubic
 (Hairer, Norsett & Wanner, Solving ODEs I, II.6; Shampine & Thompson,
-Comput. Math. Appl. 39, 2000): a sign change between two of the step's
-subsamples is bisected to root_tol. The scalar loop bisects each
-crossing as it finds it. The numpy loop hands an event function lanes,
-one state column per time, and bisects all of an event's crossings as
-lanes of one solve after the step loop, each lane on the cubic of the
-step it was found in.
+Comput. Math. Appl. 39, 2000): an event function gets lanes, one state
+column per time, for the step's subsamples, and a sign change between
+two of them is bisected to root_tol after the step loop. The finish
+bisects all of an event's crossings as lanes of one solve, each lane on
+the cubic of the step it was found in.
 
 The integrator is deliberately self-contained: the rest of the library
 depends on its exact semantics (dense output shape, dual escape
@@ -111,8 +110,8 @@ class EventSpec:
     falling, as an Event of this kind; the solve runs on past each one.
 
     fn must broadcast over lanes: given times of shape (L,) and states of
-    shape (dim, L), one column per time, it returns the L values. The
-    scalar step loop calls it with one float time and a (1,) state.
+    shape (dim, L), one column per time, it returns the L values. Both
+    step loops call it so, a one-component state with (1, L) states.
     """
 
     fn: Callable[[float | np.ndarray, np.ndarray], float | np.ndarray]
@@ -192,8 +191,9 @@ class CubicHermiteCurve:
 
 @dataclass
 class Trajectory:
-    """A solve's nodes, states and derivatives; a plain start, solved as a
-    one-member batch, comes back with (n, dim) states and no `ends`."""
+    """A solve's nodes, states and derivatives. Both step loops return a
+    batch with `ends`; a plain start, solved as a one-member batch, comes
+    back squeezed to (n, dim) states, events with member None, no `ends`."""
 
     grid: Grid
     states: np.ndarray  # shape (n, dim), or (n, dim, m) for a batch of m members
@@ -527,20 +527,21 @@ def integrate_ode(
     solve runs on past it. Crossings are found by sign changes between 7
     equally spaced samples of each step's cubic, the first of which is the
     step before's last, and bisected to root_tol on the cubic of the step
-    they were found in. In the numpy loop an event function gets lanes, an
-    (L,) array of times and a (dim, L) array of states, one column per
-    time: once per step for every member's samples, and once per bisection
+    they were found in. An event function always gets lanes, an (L,) array
+    of times and a (dim, L) array of states, one column per time: once per
+    step for every member's fresh samples, and once per bisection
     iteration for every crossing of that event, all refined together after
     the last step. Each time equals a bisection of that member's own cubic
     alone, bit for bit. A member records no crossing past its end time.
 
     The start state's shape picks the step loop. A scalar or a y0 of
     shape (1,) (the Riccati and angle equations) is stepped on Python
-    floats, which saves the fixed cost of numpy calls on 1-element arrays,
-    and its event functions get a float time and a (1,) state; any other
-    shape, a (1, m) batch included, runs the numpy loop. Both loops share
-    the tableau, step-size rule, dense output and event bisection, and the
-    field is called with a 1-element array either way.
+    floats, which saves the fixed cost of numpy calls on 1-element arrays;
+    any other shape, a (1, m) batch included, runs the numpy loop. Both
+    loops share the tableau, step-size rule, dense output, event contract
+    and the finish that refines crossings and builds the result, and the
+    field is called with a 1-element array either way. Escapes are refined
+    inside their step, since they set the end state.
     """
     t_a, t_b = float(span[0]), float(span[1])
     if not t_b > t_a:
@@ -552,11 +553,12 @@ def integrate_ode(
         raise ValueError("y0 must have shape (dim,) or (dim, m)")
     if max_step is None:
         max_step = (t_b - t_a) / 16.0
-    if y.shape == (1,):
-        return _scalar_loop(field_fn, float(y[0]), t_a, t_b, tolerances, events, max_step)
     if y.ndim == 2:
         return _array_loop(field_fn, y, t_a, t_b, tolerances, events, max_step, y.shape)
-    one = _array_loop(field_fn, y[:, None], t_a, t_b, tolerances, events, max_step, y.shape)
+    if y.shape == (1,):
+        one = _scalar_loop(field_fn, float(y[0]), t_a, t_b, tolerances, events, max_step)
+    else:
+        one = _array_loop(field_fn, y[:, None], t_a, t_b, tolerances, events, max_step, y.shape)
     return Trajectory(one.grid, one.states[:, :, 0],
                       [replace(ev, member=None) for ev in one.events], one.derivs[:, :, 0])
 
@@ -573,12 +575,6 @@ def _scalar_field(field_fn, t: float, y: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _scalar_event(spec: EventSpec, t: float, y: float) -> float:
-    """Event function at the 1-component state y, as a float."""
-    value = spec.fn(t, np.array((y,)))
-    return value if isinstance(value, float) else float(np.reshape(value, ()))
-
-
 def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
                  events: Sequence[EventSpec], max_step: float) -> Trajectory:
     """integrate_ode for a one-component state, stepped on Python floats."""
@@ -587,11 +583,12 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
     if f_now is None:
         raise IntegrationError("field not evaluable at start", t_a)
     ts, ys, fs = [t_a], [y], [f_now]
-    recorded: list[Event] = []
+    escapes: list[Event] = []
+    pending: list[list[tuple]] = [[] for _ in events]  # as in _finish
     escape = tol.escape_magnitude
     live = abs(y) <= escape
     if not live:
-        recorded.append(Event("escape", t_a))
+        escapes.append(Event("escape", t_a, member=0))
 
     # initial step heuristic
     scale = tol.abs_tol + tol.rel_tol * abs(y)
@@ -607,7 +604,7 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
             break
         h = min(h, t_b - t)
         if h < _STEP_COLLAPSE * width:
-            recorded.append(Event("escape", t))
+            escapes.append(Event("escape", t, member=0))
             break
 
         k = [f_now]
@@ -639,27 +636,31 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
         def dense(tq):
             return _hermite((tq - t) / h, h, y, y_new, f_now, f_new)
 
-        step_events: list[Event] = []
-
-        # event scan on the dense output at the subsample times; the first
-        # sample is the last one of the step before, whose values carry over
+        # event scan: each event function gets the step's fresh subsamples
+        # as lanes, states taken on the cubic as floats; the first sample is
+        # the last one of the step before, whose values carry over
         if events:
             samples = _subsamples(t, t_new)
+            fresh = samples[1:] if carried else samples
+            lane_t, lane_y = np.array(fresh), np.array([[dense(tq) for tq in fresh]])
             scanned = []
             for i, spec in enumerate(events):
                 head = [carried[i]] if carried else []
-                g = head + [_scalar_event(spec, tq, dense(tq)) for tq in samples[len(head):]]
+                g = head + np.asarray(spec.fn(lane_t, lane_y), dtype=float).reshape(-1).tolist()
                 scanned.append(g[-1])
+                subs, directions = [], []
                 for sub in range(_EVENT_SUBSAMPLES):
                     ga, gb = g[sub], g[sub + 1]
                     # a strict sign change, or a landing on zero from a nonzero value
                     if ga == 0.0 or not (ga < 0 < gb or gb < 0 < ga or gb == 0.0):
                         continue
-                    te = float(_bisect_event(lambda tq: _scalar_event(spec, tq, dense(tq)),
-                                             samples[sub], samples[sub + 1], tol.root_tol))
-                    step_events.append(Event(spec.kind, te, 1 if gb > ga else -1))
+                    subs.append(sub)
+                    directions.append(1 if gb > ga else -1)
+                if subs:
+                    cubic = np.array((y, f_now, y_new, f_new)).reshape(4, 1, 1)
+                    pending[i].append((t, h, cubic, np.array(samples), np.array(subs),
+                                       [0] * len(subs), directions))
             carried = scanned
-            step_events.sort(key=lambda ev: ev.time)
 
         # escape by magnitude, refined on the dense output; it ends the solve
         if abs(y_new) > escape:
@@ -669,16 +670,13 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
             f_end = _scalar_field(field_fn, te, y_end) if te > t else f_now
             if f_end is None:  # the field fails there: the cubic's own slope
                 f_end = _hermite_rate((te - t) / h, h, y, y_new, f_now, f_new)
-            # nothing is recorded past the time the solve ends
-            recorded.extend(ev for ev in step_events if ev.time <= te)
-            recorded.append(Event("escape", te))
+            escapes.append(Event("escape", te, member=0))
             if te > t:
                 ts.append(te)
                 ys.append(y_end)
                 fs.append(f_end)
             break
 
-        recorded.extend(step_events)
         ts.append(t_new)
         ys.append(y_new)
         fs.append(f_new)
@@ -686,14 +684,8 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
         h = min(h * _step_factor(err), max_step)
     else:
         raise IntegrationError("step budget exhausted", t)
-
-    if len(ts) == 1:
-        # ended at the very start; emit a degenerate short span
-        ts.append(t_a + max(width * 1e-15, 1e-300))
-        ys.append(ys[0])
-        fs.append(fs[0])
-    return Trajectory(Grid(np.asarray(ts)), np.array(ys)[:, None], recorded,
-                      np.array(fs)[:, None])
+    # a one-member batch, whose member ends where its last node is
+    return _finish(ts, ys, fs, (1, 1), events, pending, escapes, np.array(ts[-1:]), tol, t_b)
 
 
 def _call_field(field_fn, t, y, shape):
@@ -727,10 +719,7 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
     ys = [y.copy()]
     fs = [f_now.copy()]
     escapes: list[Event] = []
-    # per event, its crossings to refine after the loop, in the order found:
-    # each step's (t, h, step cubic columns, bracket starts, bracket ends,
-    # members, directions)
-    pending: list[list[tuple]] = [[] for _ in events]
+    pending: list[list[tuple]] = [[] for _ in events]  # as in _finish
     ends = np.full(m, t_a)
 
     live = np.abs(columns(y)).max(axis=0) <= tol.escape_magnitude
@@ -827,9 +816,7 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
                 subs, js = np.nonzero(hit)
                 if not js.size:
                     continue
-                at = np.array(samples)
-                pending[i].append((np.full(js.size, t), np.full(js.size, h),
-                                   step_cubic[:, :, js], at[subs], at[subs + 1], js,
+                pending[i].append((t, h, step_cubic, np.array(samples), subs, js,
                                    np.where(gb[subs, js] > ga[subs, js], 1, -1)))
             carried = scanned
 
@@ -876,15 +863,28 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
         raise IntegrationError("step budget exhausted", t)
 
     ends[live] = t
-    # refine every crossing, one lane solve per event, and keep those at or
-    # before their member's end; one stable sort by time then merges them,
-    # with escapes last, so at equal times a crossing comes first
+    return _finish(ts, ys, fs, (dim, m), events, pending, escapes, ends, tol, t_b)
+
+
+def _finish(ts: list, ys: list, fs: list, shape: tuple, events: Sequence[EventSpec],
+            pending: list, escapes: list, ends: np.ndarray, tol: Tolerances,
+            t_b: float) -> Trajectory:
+    """The batch Trajectory of either step loop. pending holds, per event,
+    one record per step with crossings, in the order found: (t, h, the step
+    cubic's (4, dim, m) columns y0, f0, y1, f1, the subsample times, and
+    each crossing's subsample index, member and direction). Each event's
+    crossings are refined in one lane solve and those past their member's
+    end dropped; one stable sort by time merges them with the escapes,
+    which come last, so at equal times a crossing comes first."""
     recorded: list[Event] = []
-    for spec, chunks in zip(events, pending):
-        if not chunks:
+    for spec, steps in zip(events, pending):
+        if not steps:
             continue
+        lanes = [(np.full(len(js), t), np.full(len(js), h), cubic[:, :, js],
+                  at[subs], at[subs + 1], js, directions)
+                 for t, h, cubic, at, subs, js, directions in steps]
         t_l, h_l, cubic, a, b, js, directions = (np.concatenate(parts, axis=-1)
-                                                 for parts in zip(*chunks))
+                                                 for parts in zip(*lanes))
         times = _refine_on_cubics(spec, t_l, h_l, cubic, a, b, tol.root_tol)
         recorded.extend(Event(spec.kind, te, d, j) for te, d, j
                         in zip(times.tolist(), directions.tolist(), js.tolist())
@@ -894,8 +894,8 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
 
     if len(ts) == 1:
         # every member ended at the very start; emit a degenerate short span
-        ts.append(t_a + max(width * 1e-15, 1e-300))
-        ys.append(ys[0].copy())
-        fs.append(fs[0].copy())
-    return Trajectory(Grid(np.asarray(ts)), np.asarray(ys).reshape(-1, dim, m), recorded,
-                      np.asarray(fs).reshape(-1, dim, m), ends)
+        ts.append(ts[0] + max((t_b - ts[0]) * 1e-15, 1e-300))
+        ys.append(ys[0])
+        fs.append(fs[0])
+    return Trajectory(Grid(np.asarray(ts)), np.asarray(ys).reshape(-1, *shape), recorded,
+                      np.asarray(fs).reshape(-1, *shape), ends)

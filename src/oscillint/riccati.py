@@ -20,14 +20,19 @@ from typing import Callable
 import numpy as np
 
 from .numerics import Grid, Tolerances, Trajectory, cumulative_integral, integrate_ode
-from .transform import DEFAULT_GRID_NODES, RiccatiProblem
+from .transform import DEFAULT_GRID_NODES, PROBE_POINTS, RiccatiProblem
 
 CERTIFICATE_SLACK = 1e-9
 ORDERING_SLACK = 1e-6
 
 
 def _sample_callable(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
-    return np.array([float(fn(float(t))) for t in ts])
+    """fn at each time; a domain error, a division by zero or an overflow
+    there becomes a ValueError that names the time."""
+    try:
+        return np.array([float(fn(t := float(s))) for s in ts])
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{exc} at t={t!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +103,7 @@ class ComparisonInstance:
             raise ValueError("y2_start must not exceed eta1 and eta2 at the start")
         if not (self.y2_start - 1e-12 <= self.gamma <= eta1_start + 1e-12):
             raise ValueError("gamma must lie between y2_start and eta1 at the start")
-        probe = np.linspace(lo, hi, 513)
+        probe = np.linspace(lo, hi, PROBE_POINTS)
         f1_vals = _sample_callable(self.problem1.fcoef, probe)
         if np.min(f1_vals) < -1e-12:
             raise ValueError("quadratic coefficient of problem 1 must be nonnegative")
@@ -137,12 +142,13 @@ class ValidationReport:
 
 
 def hypothesis_residuals(inst: ComparisonInstance) -> tuple[float, float]:
-    """Minimal inequality residuals of eta1 and eta2 at 513 points of the span.
+    """Minimal inequality residuals of eta1 and eta2 at PROBE_POINTS points
+    of the span.
 
     Nonnegative minima mean the supplied eta functions genuinely solve the
     differential inequalities the certificate presumes.
     """
-    ts = np.linspace(inst.span[0], inst.span[1], 513)
+    ts = np.linspace(inst.span[0], inst.span[1], PROBE_POINTS)
     minima = []
     for prob, eta, rate in ((inst.problem1, inst.eta1, inst.eta1_rate),
                             (inst.problem2, inst.eta2, inst.eta2_rate)):

@@ -7,7 +7,7 @@ Three changes of variables connect the objects this package works with:
 * a forced system is shifted so that all forcing moves into the second
   equation, at the price of a free parameter ``lam`` (the shift trace),
 * a 2x2 linear system corresponds to a scalar quadratic (Riccati) equation
-  through y = psi / phi, in both directions.
+  through y = psi / phi.
 
 Shift traces are computed by cumulative quadrature on a fixed grid and wrapped
 in cubic Hermite interpolants whose nodal derivatives are exact (the integrand
@@ -22,9 +22,11 @@ from typing import Callable
 import numpy as np
 
 from .expr import Constant, Div, Expr, Negate, compile_scalar, contains_t, eval_expr, sample
-from .numerics import CubicHermiteCurve, Grid, Trajectory, cumulative_integral
+from .numerics import CubicHermiteCurve, Grid, cumulative_integral
 
 DEFAULT_GRID_NODES = 2048
+# evenly spaced points of a span at which coefficient conditions are probed
+PROBE_POINTS = 513
 
 
 class TransformError(ValueError):
@@ -294,48 +296,3 @@ def riccati_of_system(sys: SystemSpec, span: tuple[float, float]) -> RiccatiProb
         return -r_(t)
 
     return RiccatiProblem(q_, gcoef, hcoef, span)
-
-
-def lift_riccati_solution(y: Trajectory, phi1_at_start: float, sys: SystemSpec,
-                          nodes: int | None = None) -> Trajectory:
-    """Rebuild (phi1, psi) from a scalar solution y: phi1 grows like
-    exp of the cumulative integral of p + q y, and psi = y phi1."""
-    if phi1_at_start == 0.0:
-        raise ValueError("phi1 at the start of the span must be nonzero")
-    lo, hi = y.span
-    if nodes is None:
-        nodes = max(DEFAULT_GRID_NODES + 1, 4 * len(y.grid) + 1)
-    fine = Grid.uniform(lo, hi, nodes)
-    ts = fine.nodes
-    y_curve = y.component(0)
-    y_vals = np.atleast_1d(y_curve(ts))
-    y_rates = np.atleast_1d(y_curve.rate(ts))
-    p_vals = sample(sys.p, ts)
-    q_vals = sample(sys.q, ts)
-
-    integrand = p_vals + q_vals * y_vals
-    phi1 = phi1_at_start * np.exp(cumulative_integral(integrand, fine))
-    psi = y_vals * phi1
-    phi1_rate = integrand * phi1
-    psi_rate = y_rates * phi1 + y_vals * phi1_rate
-    states = np.column_stack([phi1, psi])
-    derivs = np.column_stack([phi1_rate, psi_rate])
-    return Trajectory(grid=fine, states=states, events=list(y.events), derivs=derivs)
-
-
-def project_to_riccati(traj: Trajectory) -> Trajectory:
-    """Pointwise quotient y = psi / phi; defined only while phi keeps its sign."""
-    if traj.dim != 2:
-        raise ValueError("projection expects a two-component trajectory")
-    phi = traj.states[:, 0]
-    psi = traj.states[:, 1]
-    if np.any(phi == 0.0) or np.any(phi[:-1] * phi[1:] < 0.0):
-        raise TransformError("phi has a zero in the span; quotient undefined")
-    y = psi / phi
-    derivs = None
-    if traj.derivs is not None:
-        phi_rate = traj.derivs[:, 0]
-        psi_rate = traj.derivs[:, 1]
-        derivs = ((psi_rate * phi - phi_rate * psi) / (phi * phi))[:, None]
-    return Trajectory(grid=traj.grid, states=y[:, None], events=list(traj.events),
-                      derivs=derivs)

@@ -1,9 +1,9 @@
 """The benchmark tracer (bench/tracer.py) against the library it wraps.
 
 A traced run must report exactly what an untraced one reports, the
-tracer must see the oracle's event solves, and uninstalling it must put
-every wrapped function back. A traced function that is renamed or whose
-signature changes fails here, not first in a benchmark run.
+tracer must see the event solves of both step loops, and uninstalling it
+must put every wrapped function back. A traced function that is renamed
+or whose signature changes fails here, not first in a benchmark run.
 """
 
 import sys
@@ -18,17 +18,21 @@ import tracer  # noqa: E402
 
 
 def test_traced_analyze_reports_as_untraced():
-    config = cli.load_config(ROOT / "configs" / "forced_harmonic.json")
-    untraced = cli.run("analyze", config).render_json()
+    # forced_harmonic's oracle is a batch event solve; decaying_forcing's
+    # horizon test adds an angle event solve on the float loop
     original = numerics.integrate_ode
-    spans = tracer.Tracer()
-    spans.install()
-    try:
-        assert numerics.integrate_ode is not original
-        traced = cli.run("analyze", config).render_json()
-    finally:
-        spans.uninstall()
-    assert traced == untraced
-    assert spans.counts["numerics.ode_events.calls"] > 0
-    assert numerics.integrate_ode is original
-    assert oracle.integrate_ode is original
+    for name in ("forced_harmonic", "decaying_forcing"):
+        config = cli.load_config(ROOT / "configs" / f"{name}.json")
+        untraced = cli.run("analyze", config).render_json()
+        spans = tracer.Tracer()
+        spans.install()
+        try:
+            assert numerics.integrate_ode is not original
+            traced = cli.run("analyze", config).render_json()
+        finally:
+            spans.uninstall()
+        assert traced == untraced, name
+        assert spans.counts["numerics.ode_events.calls"] > 0, name
+        assert spans.counts["criteria.angle_solves"] > 0, name
+        assert numerics.integrate_ode is original
+        assert oracle.integrate_ode is original

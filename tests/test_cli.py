@@ -442,6 +442,24 @@ class TestMainEntry:
         assert captured.err == \
             "oscillint: error: scan.values[0]: must lie in [t0, horizon)\n"
 
+    @pytest.mark.parametrize("problem, key, text, message", [
+        ("problem1", "h", "1/t", "division by zero at t=0.0 in '1 / t'"),
+        ("problem1", "f", "exp(1000*t)",
+         "exp outside real domain at t=0.7109375 in 'exp(1000 * t)'"),
+        ("problem2", "h", "log(t - 0.5)",
+         "log of non-positive argument at t=0.0 in 'log(t - 0.5)'"),
+    ])
+    def test_compare_coefficient_not_evaluable_exits_with_one_line(
+            self, tmp_path, capsys, problem, key, text, message):
+        doc = json.loads((CONFIG_DIR / "riccati_comparison.json").read_text(
+            encoding="utf-8"))
+        assert doc["compare"]["span"] == [0.0, 1.0]
+        doc["compare"][problem][key] = text
+        code = main(["compare", "--config", str(write_doc(tmp_path, doc))])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err == f"oscillint: error: compare.{problem}.{key}: {message}\n"
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["analyze", "--config", str(tmp_path / "nope.json")])
         assert code == EXIT_ERROR

@@ -248,8 +248,8 @@ def _bisected_crossings(member: Trajectory, spec: EventSpec, tol: float) -> list
 
 
 class TestEventLanes:
-    """Batch crossings are bisected as lanes, all of an event's crossings
-    in one lane solve after the last step."""
+    """Crossings of either step loop are bisected as lanes, all of an
+    event's crossings in one lane solve after the last step."""
 
     rotation = staticmethod(lambda t, y: np.array([-y[1], y[0]]))
 
@@ -299,6 +299,25 @@ class TestEventLanes:
             assert len(alone.events) == len(got)
             np.testing.assert_allclose([ev.time for ev in alone.events],
                                        [te for te, _ in got], rtol=0, atol=tol.root_tol)
+
+    def test_scalar_start_gets_lanes_and_equals_member_bisection(self):
+        # a (1,) start runs the float loop, whose event function also gets
+        # lanes; at rest at t = 0 every step is max_step, as above
+        shapes = set()
+
+        def angle_line(t, y):
+            shapes.add((np.shape(t), np.shape(y)))
+            return np.cos(y[0])
+        spec = EventSpec(fn=angle_line, kind="angle-line")
+        field = lambda t, y: -t * (4.0 * np.cos(y) ** 2 + np.sin(y) ** 2)
+        tol = Tolerances(rel_tol=1e-6, abs_tol=1e-8)
+        step = 2.0 ** -5
+        traj = integrate_ode(field, [1.0], (0.0, 4.0), tol, events=[spec], max_step=step)
+        np.testing.assert_array_equal(traj.grid.nodes, np.arange(129) * step)
+        assert all(len(t) == 1 and y == (1, *t) for t, y in shapes), shapes
+        got = [(ev.time, ev.direction) for ev in traj.events]
+        assert len(got) >= 2
+        assert got == _bisected_crossings(traj, spec, tol.root_tol)
 
     def test_no_crossing_recorded_past_escape(self):
         # member 0 spirals out past 1.5 inside a step that also holds one of
@@ -446,11 +465,16 @@ class TestScalarLoop:
         def field(t, y):
             seen.append(y.shape)
             return -y
-        bare = integrate_ode(field, 1.0, (0.0, 1.0))
-        listed = integrate_ode(field, [1.0], (0.0, 1.0))
+        half = EventSpec(fn=lambda t, y: y[0] - 0.5)
+        bare = integrate_ode(field, 1.0, (0.0, 1.0), events=[half])
+        listed = integrate_ode(field, [1.0], (0.0, 1.0), events=[half])
         assert set(seen) == {(1,)}
         np.testing.assert_array_equal(bare.states, listed.states)
         assert bare.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-7)
+        # the one-member batch is squeezed as a plain (dim,) start is
+        assert [ev.member for ev in bare.events] == [None]
+        assert bare.events[0].time == pytest.approx(math.log(2.0), abs=1e-8)
+        assert bare.ends is None
 
     @pytest.mark.parametrize("bad", [
         lambda t, y: np.array([1.0, 2.0]),

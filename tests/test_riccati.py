@@ -116,6 +116,18 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             ComparisonInstance(bad, good, y2_start=0.0, span=(0.0, 1.0))
 
+    @pytest.mark.parametrize("fcoef, message", [
+        (lambda t: 1.0 / t, "float division by zero at t=0.0"),
+        (lambda t: math.exp(1000.0 * t), "math range error at t=0.7109375"),
+        (lambda t: math.sqrt(t - 0.5), "math domain error at t=0.0"),
+    ])
+    def test_coefficient_failure_names_the_time(self, fcoef, message):
+        good = constant_problem(1.0, 0.0, 0.0, (0.0, 1.0))
+        bad = RiccatiProblem(fcoef, lambda t: 0.0, lambda t: 0.0, (0.0, 1.0))
+        with pytest.raises(ValueError) as caught:
+            ComparisonInstance(bad, good, y2_start=0.0, span=(0.0, 1.0))
+        assert str(caught.value) == message
+
     def test_defaults_are_filled(self):
         prob = constant_problem(1.0, 0.0, 0.0, (0.0, 1.0))
         inst = ComparisonInstance(prob, prob, y2_start=-0.25, span=(0.0, 1.0))

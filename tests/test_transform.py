@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from oscillint.expr import Constant, parse_text, print_expr, sample
-from oscillint.numerics import Grid, Tolerances, Trajectory, integrate_ode
+from oscillint.numerics import Grid, Tolerances, integrate_ode
 from oscillint.transform import (
     AlphaTrace,
     SecondOrderSpec,
     SystemSpec,
     TransformError,
     alpha_lambda,
-    lift_riccati_solution,
-    project_to_riccati,
     reduce_equation,
     riccati_of_system,
     shift_system,
@@ -22,13 +20,6 @@ from oscillint.transform import (
 def make_system(p="0", q="0", r="0", s="0", f="0", g="0", t0=0.0):
     return SystemSpec(parse_text(p), parse_text(q), parse_text(r), parse_text(s),
                       parse_text(f), parse_text(g), t0)
-
-
-def make_trajectory(ts, columns, rate_columns):
-    ts = np.asarray(ts, dtype=float)
-    states = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    derivs = np.column_stack([np.asarray(c, dtype=float) for c in rate_columns])
-    return Trajectory(grid=Grid(ts), states=states, derivs=derivs)
 
 
 class TestAlphaLambda:
@@ -208,92 +199,6 @@ class TestRiccatiCorrespondence:
     def test_span_required_without_trace(self):
         with pytest.raises(TypeError, match="span"):
             riccati_of_system(make_system(q="1"))
-
-
-class TestLiftAndProject:
-    def test_zero_solution_lifts_to_constant(self):
-        ts = np.linspace(0.0, 5.0, 51)
-        y = make_trajectory(ts, [np.zeros_like(ts)], [np.zeros_like(ts)])
-        sys = make_system(q="1")
-        lifted = lift_riccati_solution(y, 2.0, sys)
-        assert np.allclose(lifted.states[:, 0], 2.0, atol=1e-15)
-        assert np.allclose(lifted.states[:, 1], 0.0, atol=1e-15)
-
-    def test_tangent_lifts_to_cosine(self):
-        ts = np.linspace(0.0, 1.0, 201)
-        y = make_trajectory(ts, [-np.tan(ts)], [-1.0 / np.cos(ts) ** 2])
-        sys = make_system(q="1", r="-1")
-        lifted = lift_riccati_solution(y, 1.0, sys)
-        nodes = lifted.grid.nodes
-        assert np.max(np.abs(lifted.states[:, 0] - np.cos(nodes))) < 1e-6
-        assert np.max(np.abs(lifted.states[:, 1] + np.sin(nodes))) < 1e-6
-
-    def test_lift_preserves_sign(self):
-        ts = np.linspace(0.0, 6.0, 301)
-        y = make_trajectory(ts, [np.sin(ts)], [np.cos(ts)])
-        sys = make_system(p="cos(t)/4", q="1 + t/10")
-        lifted = lift_riccati_solution(y, 0.5, sys)
-        assert np.min(lifted.states[:, 0]) > 0.0
-
-    def test_lift_requires_nonzero_start(self):
-        ts = np.linspace(0.0, 1.0, 11)
-        y = make_trajectory(ts, [np.zeros_like(ts)], [np.zeros_like(ts)])
-        with pytest.raises(ValueError, match="nonzero"):
-            lift_riccati_solution(y, 0.0, make_system(q="1"))
-
-    def test_projection_of_harmonic_pair(self):
-        ts = np.linspace(0.0, 1.0, 101)
-        traj = make_trajectory(ts, [np.cos(ts), -np.sin(ts)],
-                               [-np.sin(ts), -np.cos(ts)])
-        y = project_to_riccati(traj)
-        assert np.allclose(y.states[:, 0], -np.tan(ts), atol=1e-12)
-        # quotient solves y' + y^2 + 1 = 0; check with the stored rates
-        residual = y.derivs[:, 0] + y.states[:, 0] ** 2 + 1.0
-        assert np.max(np.abs(residual)) < 1e-12
-
-    def test_projection_of_constant_pair(self):
-        ts = np.linspace(0.0, 2.0, 21)
-        traj = make_trajectory(ts, [np.ones_like(ts), np.zeros_like(ts)],
-                               [np.zeros_like(ts), np.zeros_like(ts)])
-        y = project_to_riccati(traj)
-        assert np.allclose(y.states[:, 0], 0.0, atol=0.0)
-
-    def test_projection_rejects_zero_crossing(self):
-        ts = np.linspace(0.0, 3.0, 301)
-        traj = make_trajectory(ts, [np.cos(ts), np.zeros_like(ts)],
-                               [-np.sin(ts), np.zeros_like(ts)])
-        with pytest.raises(TransformError, match="zero"):
-            project_to_riccati(traj)
-
-    def test_projection_needs_two_components(self):
-        ts = np.linspace(0.0, 1.0, 11)
-        traj = make_trajectory(ts, [np.ones_like(ts)], [np.zeros_like(ts)])
-        with pytest.raises(ValueError, match="two-component"):
-            project_to_riccati(traj)
-
-    def test_round_trip_reproduces_solution(self):
-        ts = np.linspace(0.0, 4.0, 201)
-        y = make_trajectory(ts, [np.sin(ts)], [np.cos(ts)])
-        sys = make_system(p="cos(t)/3", q="1 + t/10")
-        lifted = lift_riccati_solution(y, 1.0, sys)
-        back = project_to_riccati(lifted)
-        assert np.max(np.abs(back.states[:, 0] - np.sin(back.grid.nodes))) < 1e-8
-
-    def test_lift_residual_against_system(self):
-        # lifted pair satisfies phi1' = p phi1 + q psi and, through the
-        # quadratic equation, psi' = r phi1 + s psi for the homogeneous case
-        ts = np.linspace(0.0, 1.0, 201)
-        y = make_trajectory(ts, [-np.tan(ts)], [-1.0 / np.cos(ts) ** 2])
-        sys = make_system(q="1", r="-1")
-        lifted = lift_riccati_solution(y, 1.0, sys)
-        nodes = lifted.grid.nodes
-        phi1 = lifted.states[:, 0]
-        psi = lifted.states[:, 1]
-        first = lifted.derivs[:, 0] - psi
-        second = lifted.derivs[:, 1] + phi1
-        assert np.max(np.abs(first)) < 1e-12
-        assert np.max(np.abs(second)) < 1e-5
-        assert len(nodes) >= 2049
 
 
 class TestValidation:
