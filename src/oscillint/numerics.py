@@ -1,17 +1,15 @@
 """Shared numerical kernels.
 
 Cumulative quadrature on grids, an adaptive embedded Runge-Kutta 4(5)
-integrator (Dormand-Prince pair) with cubic-Hermite dense output that
-also advances a batch of members on one step grid, zero-crossing event
-detection with bisection refinement, escape (blow-up) detection, and
-bracketed root refinement.
+integrator (Dormand-Prince pair) with cubic-Hermite dense output,
+zero-crossing event detection with bisection refinement, escape (blow-up)
+detection, and bracketed root refinement.
 
 `integrate_ode` has two step loops behind one entry point, chosen by the
 shape of the start state: a one-component state (the scalar Riccati and
-Prufer angle equations) steps on Python floats, and every other state
-steps on numpy arrays as a (dim, m) batch: a plain (dim,) start is a
-one-member batch whose field still sees the plain state. Both loops keep
-one event contract and end through one finish, which builds a batch.
+Prufer angle equations) steps on Python floats, and every other (dim,)
+state steps on numpy arrays. Both loops keep one event contract and end
+through one finish.
 
 Events are sign changes of a function of the solution, in either
 direction; none ends the solve. They are located on each step's cubic
@@ -31,12 +29,10 @@ the dense output), which off-the-shelf solvers do not pin down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.optimize import brentq
 
 
 class IntegrationError(RuntimeError):
@@ -95,13 +91,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class Event:
-    """A crossing or an escape. A batch solve names the member it happened
-    to; a plain start, solved as a one-member batch, keeps member None."""
+    """A crossing or an escape."""
 
     kind: str  # "zero-crossing" | "escape"
     time: float
     direction: int = 0  # +1 rising, -1 falling (crossings)
-    member: int | None = None
 
 
 @dataclass(frozen=True)
@@ -131,15 +125,6 @@ def _hermite(s: np.ndarray, h: float, y0, y1, f0, f1):
     h01 = -2 * s3 + 3 * s2
     h11 = s3 - s2
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-
-
-def _hermite_weights(s: float, h: float) -> tuple:
-    """The weights _hermite gives y0, f0, y1 and f1, in the order it adds
-    them, with the same arithmetic; it stays inline there, where the
-    scalar loop calls it most."""
-    s2 = s * s
-    s3 = s2 * s
-    return 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h, -2 * s3 + 3 * s2, (s3 - s2) * h
 
 
 def _hermite_rate(s: np.ndarray, h: float, y0, y1, f0, f1):
@@ -191,20 +176,16 @@ class CubicHermiteCurve:
 
 @dataclass
 class Trajectory:
-    """A solve's nodes, states and derivatives. Both step loops return a
-    batch with `ends`; a plain start, solved as a one-member batch, comes
-    back squeezed to (n, dim) states, events with member None, no `ends`."""
+    """A solution's nodes, its states and derivatives there, and its events
+    in time order; it ends where its last node is."""
 
     grid: Grid
-    states: np.ndarray  # shape (n, dim), or (n, dim, m) for a batch of m members
+    states: np.ndarray  # shape (n, dim)
     events: list[Event] = field(default_factory=list)
     derivs: np.ndarray | None = None  # shape of states, for dense output
-    ends: np.ndarray | None = None  # batch only: each member's end time
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=float)
-        if self.states.ndim == 1:
-            self.states = self.states[:, None]
         if len(self.states) != len(self.grid):
             raise ValueError("states length must equal grid length")
         lo, hi = self.grid.span
@@ -225,32 +206,6 @@ class Trajectory:
             raise ValueError("trajectory has no stored derivatives for dense output")
         return CubicHermiteCurve(self.grid.nodes, self.states[:, index], self.derivs[:, index])
 
-    def members(self) -> list["Trajectory"]:
-        """Split a batch solve into one trajectory per member.
-
-        Each member keeps the shared grid up to its own end time. A member
-        that retired inside a step gets a last node at its refined end time,
-        taken from the next row, which holds its frozen state.
-        """
-        if self.ends is None:
-            raise ValueError("not a batch trajectory")
-        nodes = self.grid.nodes
-        events: list[list[Event]] = [[] for _ in self.ends]
-        for ev in self.events:
-            events[ev.member].append(ev)
-        out = []
-        for j, end in enumerate(self.ends):
-            k = int(np.searchsorted(nodes, end, side="right"))
-            if nodes[k - 1] < end:
-                ts, rows = np.append(nodes[:k], end), np.arange(k + 1)
-            else:
-                # a member that ended at the start keeps the first step, frozen
-                rows = np.arange(max(k, 2))
-                ts = nodes[rows]
-            out.append(Trajectory(Grid(ts), self.states[rows, :, j], events[j],
-                                  self.derivs[rows, :, j]))
-        return out
-
     def escape_time(self) -> float | None:
         for ev in self.events:
             if ev.kind == "escape":
@@ -263,14 +218,41 @@ class Trajectory:
 
 
 def cumulative_integral(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Cumulative Simpson integral of sampled values along the grid; starts at 0."""
+    """Cumulative Simpson integral of sampled values along the grid; starts at 0.
+
+    Interval i takes the parabola through its nodes and the next one for
+    even i, the one before for odd i and the last (Cartwright, J. Math. Sci.
+    Math. Educ. 12, 2017); two nodes take the trapezoid rule. This is
+    scipy.integrate.cumulative_simpson's rule in its operation order, so
+    the two agree bit for bit.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
         raise ValueError("values must be sampled on the grid")
     if not np.all(np.isfinite(values)):
         bad = int(np.argmax(~np.isfinite(values)))
         raise IntegrationError("non-finite integrand sample", float(grid.nodes[bad]))
-    return cumulative_simpson(values, x=grid.nodes, initial=0.0)
+    dx = np.diff(grid.nodes)
+    if len(dx) == 1:
+        return np.array([0.0, dx[0] * (values[1] + values[0]) / 2.0])
+    ahead = _simpson_first_intervals(values, dx)
+    behind = _simpson_first_intervals(values[::-1], dx[::-1])[::-1]
+    parts = np.where(np.arange(len(dx)) % 2, np.append(0.0, behind), np.append(ahead, behind[-1]))
+    return np.concatenate(([0.0], np.cumsum(parts)))
+
+
+def _simpson_first_intervals(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Simpson's integral over [x_i, x_i+1] of the parabola through the
+    nodes i, i + 1 and i + 2, for each i."""
+    x21, x32 = dx[:-1], dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
 
 
 def definite_simpson(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
@@ -289,18 +271,9 @@ def definite_simpson(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: floa
 
 
 def refine_root(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Bracketed root with |bracket| <= tol (Brent's method)."""
-    if hi <= lo:
-        raise RootBracketError("empty bracket")
-    f_lo = fn(lo)
-    f_hi = fn(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise RootBracketError(f"no sign change on [{lo}, {hi}]")
-    return float(brentq(fn, lo, hi, xtol=tol))
+    """Bracketed root with |bracket| <= tol (Brent's method): one lane of
+    refine_roots, with fn called on floats."""
+    return float(refine_roots(lambda x: np.array([fn(float(x[0]))]), [lo], [hi], tol)[0])
 
 
 _BRENT_RTOL = 4 * np.finfo(float).eps
@@ -309,12 +282,13 @@ _BRENT_MAXITER = 100
 
 def refine_roots(fn: Callable[[np.ndarray], np.ndarray], lo, hi,
                  tol: float = 1e-9) -> np.ndarray:
-    """Many bracketed roots at once, each equal to refine_root's bit for bit.
+    """Many bracketed roots at once, each equal to scipy's brentq bit for bit.
 
     fn maps an array of points, one per bracket, to the values there. Each
-    lane runs scipy's brentq (same xtol, rtol = 4 eps, step rules and
+    lane runs brentq's iteration (same xtol, rtol = 4 eps, step rules and
     stopping test); an iteration makes one call of fn over all brackets, and
-    a lane that has converged stays at its root.
+    a lane that has converged stays at its root. A bracket with a zero at
+    an end returns that end, the lower one first.
     """
     xpre = np.array(lo, dtype=float)
     xcur = np.array(hi, dtype=float)
@@ -403,7 +377,7 @@ def _bisect_event(g: Callable[[float], float], a: float, b: float, tol: float) -
     return 0.5 * (a + b)
 
 
-def _bisect_lanes(g: Callable[[np.ndarray], np.ndarray], a, b, tol: float) -> np.ndarray:
+def bisect_lanes(g: Callable[[np.ndarray], np.ndarray], a, b, tol: float) -> np.ndarray:
     """_bisect_event on many brackets at once, each lane equal to it bit for bit.
 
     g maps an array of times, one per bracket, to the event values there;
@@ -432,19 +406,11 @@ def _bisect_lanes(g: Callable[[np.ndarray], np.ndarray], a, b, tol: float) -> np
     return np.where(done, root, 0.5 * (a + b))
 
 
-def _refine_on_cubics(spec: EventSpec, t, h, cubic: np.ndarray, a, b,
-                      tol: float) -> np.ndarray:
-    """Times where spec's function changes sign inside the brackets [a, b].
-
-    Lane i follows the step cubic over [t[i], t[i] + h[i]] whose start and
-    end states and derivatives are cubic[:, :, i], stacked as (y0, f0, y1,
-    f1).
-    """
-    y0, f0, y1, f1 = cubic
-
-    def g(tq):
-        return np.asarray(spec.fn(tq, _hermite((tq - t) / h, h, y0, y1, f0, f1)), dtype=float)
-    return _bisect_lanes(g, a, b, tol)
+def crossings(g: np.ndarray) -> np.ndarray:
+    """Indices i where g changes sign from g[i] to g[i + 1]: strictly, or by
+    landing on zero from a nonzero value."""
+    ga, gb = g[:-1], g[1:]
+    return np.flatnonzero((ga != 0.0) & (((ga < 0.0) != (gb < 0.0)) | (gb == 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +437,7 @@ _DP_E = np.array(_E)
 
 _EVENT_SUBSAMPLES = 6
 _MAX_STEPS = 1_000_000
-_STEP_COLLAPSE = 1e-12
+STEP_COLLAPSE = 1e-12
 _FIELD_ERRORS = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
 
 
@@ -503,25 +469,13 @@ def integrate_ode(
     events: Sequence[EventSpec] = (),
     max_step: float | None = None,
 ) -> Trajectory:
-    """Integrate y' = field(t, y) forward across span.
+    """Integrate y' = field(t, y) forward across span from a (dim,) y0.
 
     Local error per step is held to rel_tol*|y| + abs_tol by the embedded
-    4th/5th order pair. Integration ends early only with an escape event,
-    once |state| exceeds escape_magnitude or the step size collapses below
-    1e-12 * span width.
-
-    A y0 of shape (dim, m) solves m members on one shared step grid. The
-    field then gets states of shape (dim, m) and must broadcast over that
-    trailing member axis; it also gets one member's (dim,) state where
-    that member's escape is refined. A step is accepted only when each
-    live member's own RMS error is within tolerance. A member that escapes
-    by magnitude retires at its refined time with its state frozen there
-    while the others run on; a step collapse ends every live member. The
-    result then has states of shape (n, dim, m), events tagged with their
-    member and each member's end time in `ends`; `Trajectory.members()`
-    splits it. A plain (dim,) y0 runs as the one member of a (dim, 1) batch
-    whose field still gets (dim,) states, and comes back squeezed: states of
-    shape (n, dim), events with member None and `ends` None.
+    4th/5th order pair, as an RMS over the components. Integration ends
+    early only with an escape event, once |state| exceeds escape_magnitude
+    or the step size collapses below 1e-12 * span width. The result has
+    states of shape (n, dim) and the field at the nodes as derivs.
 
     Each EventSpec records every crossing, rising or falling, and the
     solve runs on past it. Crossings are found by sign changes between 7
@@ -529,19 +483,19 @@ def integrate_ode(
     step before's last, and bisected to root_tol on the cubic of the step
     they were found in. An event function always gets lanes, an (L,) array
     of times and a (dim, L) array of states, one column per time: once per
-    step for every member's fresh samples, and once per bisection
-    iteration for every crossing of that event, all refined together after
-    the last step. Each time equals a bisection of that member's own cubic
-    alone, bit for bit. A member records no crossing past its end time.
+    step for its fresh samples, and once per bisection iteration for every
+    crossing of that event, all refined together after the last step. Each
+    time equals a bisection of that step's cubic alone, bit for bit. No
+    crossing is recorded past an escape.
 
     The start state's shape picks the step loop. A scalar or a y0 of
     shape (1,) (the Riccati and angle equations) is stepped on Python
     floats, which saves the fixed cost of numpy calls on 1-element arrays;
-    any other shape, a (1, m) batch included, runs the numpy loop. Both
-    loops share the tableau, step-size rule, dense output, event contract
-    and the finish that refines crossings and builds the result, and the
-    field is called with a 1-element array either way. Escapes are refined
-    inside their step, since they set the end state.
+    any other (dim,) runs the numpy loop. Both loops share the tableau,
+    step-size rule, dense output, event contract and the finish that
+    refines crossings and builds the result, and the field is called with
+    a (dim,) array either way. Escapes are refined inside their step, since
+    they set the end state.
     """
     t_a, t_b = float(span[0]), float(span[1])
     if not t_b > t_a:
@@ -549,18 +503,13 @@ def integrate_ode(
     y = np.array(y0, dtype=float)
     if y.ndim == 0:
         y = y[None]
-    if y.ndim > 2:
-        raise ValueError("y0 must have shape (dim,) or (dim, m)")
+    if y.ndim != 1:
+        raise ValueError("y0 must have shape (dim,)")
     if max_step is None:
         max_step = (t_b - t_a) / 16.0
-    if y.ndim == 2:
-        return _array_loop(field_fn, y, t_a, t_b, tolerances, events, max_step, y.shape)
     if y.shape == (1,):
-        one = _scalar_loop(field_fn, float(y[0]), t_a, t_b, tolerances, events, max_step)
-    else:
-        one = _array_loop(field_fn, y[:, None], t_a, t_b, tolerances, events, max_step, y.shape)
-    return Trajectory(one.grid, one.states[:, :, 0],
-                      [replace(ev, member=None) for ev in one.events], one.derivs[:, :, 0])
+        return _scalar_loop(field_fn, float(y[0]), t_a, t_b, tolerances, events, max_step)
+    return _array_loop(field_fn, y, t_a, t_b, tolerances, events, max_step)
 
 
 def _scalar_field(field_fn, t: float, y: float) -> float | None:
@@ -588,7 +537,7 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
     escape = tol.escape_magnitude
     live = abs(y) <= escape
     if not live:
-        escapes.append(Event("escape", t_a, member=0))
+        escapes.append(Event("escape", t_a))
 
     # initial step heuristic
     scale = tol.abs_tol + tol.rel_tol * abs(y)
@@ -603,8 +552,8 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
         if not live or t >= t_b - 1e-13 * width:
             break
         h = min(h, t_b - t)
-        if h < _STEP_COLLAPSE * width:
-            escapes.append(Event("escape", t, member=0))
+        if h < STEP_COLLAPSE * width:
+            escapes.append(Event("escape", t))
             break
 
         k = [f_now]
@@ -657,9 +606,9 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
                     subs.append(sub)
                     directions.append(1 if gb > ga else -1)
                 if subs:
-                    cubic = np.array((y, f_now, y_new, f_new)).reshape(4, 1, 1)
+                    cubic = np.array((y, f_now, y_new, f_new)).reshape(4, 1)
                     pending[i].append((t, h, cubic, np.array(samples), np.array(subs),
-                                       [0] * len(subs), directions))
+                                       directions))
             carried = scanned
 
         # escape by magnitude, refined on the dense output; it ends the solve
@@ -670,7 +619,7 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
             f_end = _scalar_field(field_fn, te, y_end) if te > t else f_now
             if f_end is None:  # the field fails there: the cubic's own slope
                 f_end = _hermite_rate((te - t) / h, h, y, y_new, f_now, f_new)
-            escapes.append(Event("escape", te, member=0))
+            escapes.append(Event("escape", te))
             if te > t:
                 ts.append(te)
                 ys.append(y_end)
@@ -684,35 +633,27 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
         h = min(h * _step_factor(err), max_step)
     else:
         raise IntegrationError("step budget exhausted", t)
-    # a one-member batch, whose member ends where its last node is
-    return _finish(ts, ys, fs, (1, 1), events, pending, escapes, np.array(ts[-1:]), tol, t_b)
+    return _finish(ts, ys, fs, events, pending, escapes, ts[-1], tol, t_b)
 
 
-def _call_field(field_fn, t, y, shape):
-    """Field at (t, y reshaped to shape), flattened; None if it fails."""
+def _call_field(field_fn, t, y):
+    """Field at (t, y) as an array of y's shape; None if it fails."""
     try:
-        out = np.asarray(field_fn(t, y.reshape(shape)), dtype=float)
+        out = np.asarray(field_fn(t, y), dtype=float)
     except _FIELD_ERRORS:
         return None
-    if out.shape != shape or not np.isfinite(out).all():
+    if out.shape != y.shape or not np.isfinite(out).all():
         return None
-    return out.reshape(-1)
+    return out
 
 
 def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances,
-                events: Sequence[EventSpec], max_step: float,
-                field_shape: tuple) -> Trajectory:
-    """integrate_ode for a (dim, m) state, stepped on numpy arrays; the
-    field sees states of field_shape, (dim, m) or the plain (dim,)."""
-    dim, m = y.shape
-    y = y.reshape(-1)  # flat working state, member index fastest
-
-    def columns(a):
-        return a.reshape(dim, m)
-
+                events: Sequence[EventSpec], max_step: float) -> Trajectory:
+    """integrate_ode for a (dim,) state, stepped on numpy arrays."""
+    dim = y.size
     width = t_b - t_a
 
-    f_now = _call_field(field_fn, t_a, y, field_shape)
+    f_now = _call_field(field_fn, t_a, y)
     if f_now is None:
         raise IntegrationError("field not evaluable at start", t_a)
     ts = [t_a]
@@ -720,46 +661,41 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
     fs = [f_now.copy()]
     escapes: list[Event] = []
     pending: list[list[tuple]] = [[] for _ in events]  # as in _finish
-    ends = np.full(m, t_a)
 
-    live = np.abs(columns(y)).max(axis=0) <= tol.escape_magnitude
-    n_live = int(live.sum())
-    idle = np.flatnonzero(~live)  # retired members; their derivative is held at 0
-    escapes.extend(Event("escape", t_a, member=int(j)) for j in idle)
-    columns(f_now)[:, idle] = 0.0
+    live = np.abs(y).max() <= tol.escape_magnitude
+    if not live:  # its derivative is held at 0
+        escapes.append(Event("escape", t_a))
+        f_now[:] = 0.0
 
-    # initial step heuristic, the smallest over live members
+    # initial step heuristic
     scale = tol.abs_tol + tol.rel_tol * np.abs(y)
-    d0 = np.sqrt(np.mean(columns(y / scale) ** 2, axis=0))
-    d1 = np.sqrt(np.mean(columns(f_now / scale) ** 2, axis=0))
-    usable = (d0 > 1e-5) & (d1 > 1e-5)
-    h_member = np.where(usable, 0.01 * d0 / np.where(usable, d1, 1.0), width / 100.0)
-    h = min(float(np.min(h_member[live], initial=width)), max_step, width)
+    d0 = np.sqrt(np.mean((y / scale) ** 2))
+    d1 = np.sqrt(np.mean((f_now / scale) ** 2))
+    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else width / 100.0
+    h = min(h, max_step, width)
 
     t = t_a
-    k = np.empty((7, y.size))
-    carried = None  # each event's values at t, once a step has ended there
+    k = np.empty((7, dim))
+    carried = None  # each event's value at t, once a step has ended there
 
     for _ in range(_MAX_STEPS):
         # the sliver guard keeps a 1-ulp remainder from looking like collapse
-        if not n_live or t >= t_b - 1e-13 * width:
+        if not live or t >= t_b - 1e-13 * width:
             break
         h = min(h, t_b - t)
-        if h < _STEP_COLLAPSE * width:
-            escapes.extend(Event("escape", t, member=int(j)) for j in np.flatnonzero(live))
+        if h < STEP_COLLAPSE * width:
+            escapes.append(Event("escape", t))
             break
 
         k[0] = f_now
         failed_stage = False
         for i in range(1, 7):
             yi = y + h * (_DP_A[i] @ k[:i])
-            ki = _call_field(field_fn, t + _DP_C[i] * h, yi, field_shape)
+            ki = _call_field(field_fn, t + _DP_C[i] * h, yi)
             if ki is None:
                 failed_stage = True
                 break
             k[i] = ki
-            if idle.size:
-                columns(k[i])[:, idle] = 0.0
         if failed_stage:
             h *= 0.25
             continue
@@ -767,9 +703,8 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
         y_new = y + h * (_DP_B5 @ k)  # same as stage-6 state (FSAL), kept explicit
         err_vec = h * (_DP_E @ k)
         scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        # worst member RMS; retired members have zero error
         ratio = err_vec / scale
-        err = float(np.sqrt(np.add.reduce(columns(ratio * ratio), axis=0) / dim).max())
+        err = float(np.sqrt(np.add.reduce(ratio * ratio) / dim))
 
         if not np.isfinite(err):
             h *= 0.25
@@ -784,118 +719,88 @@ def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances
             t_new = t_b
         # FSAL stage is field(t_new, y_new); copy, k is overwritten on retries
         f_new = k[6].copy()
-        step_cubic = np.array((y, f_now, y_new, f_new)).reshape(4, dim, m)
+        step_cubic = np.array((y, f_now, y_new, f_new))
 
-        # event scan on the dense output: one call per event over all the
-        # members and subsamples; the first sample is the last one of the
-        # step before, whose values carry over
+        # event scan on the dense output: one call per event over the
+        # subsamples; the first sample is the last one of the step before,
+        # whose values carry over
         if events:
-            samples = _subsamples(t, t_new)
+            samples = np.array(_subsamples(t, t_new))
             fresh = samples if carried is None else samples[1:]
-            # per sample: its time, then the weights of y, f_now, y_new, f_new
-            rows = np.array([(tq, *_hermite_weights((tq - t) / h, h)) for tq in fresh]).T
-            # lane i * m + j is member j at fresh[i]; summing the stacked terms
-            # over the first axis adds them in _hermite's order
-            lane_y = np.add.reduce(rows[1:].reshape(4, 1, -1, 1) * step_cubic[:, :, None],
-                                   axis=0).reshape(dim, -1)
-            lane_t = rows[0].repeat(m)
+            lane_y = _hermite((fresh - t) / h, h, *step_cubic[[0, 2, 1, 3], :, None])
             scanned = []
             for i, spec in enumerate(events):
-                g = np.asarray(spec.fn(lane_t, lane_y), dtype=float).reshape(-1)
+                g = np.asarray(spec.fn(fresh, lane_y), dtype=float).reshape(-1)
                 if carried is not None:
                     g = np.concatenate((carried[i], g))
-                g = g.reshape(-1, m)
-                scanned.append(g[-1])
-                sign = np.sign(g)
-                turn = sign[:-1] * sign[1:]  # < 0 at a strict sign change, 0 next to a zero
-                if turn.min() > 0:
-                    continue
-                ga, gb = g[:-1], g[1:]
-                # a strict sign change, or a landing on zero from a nonzero value
-                hit = ((turn < 0) | (gb == 0.0)) & (ga != 0.0) & live
-                subs, js = np.nonzero(hit)
-                if not js.size:
-                    continue
-                pending[i].append((t, h, step_cubic, np.array(samples), subs, js,
-                                   np.where(gb[subs, js] > ga[subs, js], 1, -1)))
+                scanned.append(g[-1:])
+                subs = crossings(g)
+                if subs.size:
+                    pending[i].append((t, h, step_cubic, samples, subs,
+                                       np.where(g[subs + 1] > g[subs], 1, -1)))
             carried = scanned
 
-        # escape by magnitude, refined on the member's own cubic; the member
-        # retires at that time with its state frozen there
-        escaping = []
+        # escape by magnitude, refined on the step's cubic; it ends the solve
         if np.abs(y_new).max() > tol.escape_magnitude:
-            escaping = np.flatnonzero(live & (np.abs(columns(y_new)).max(axis=0)
-                                              > tol.escape_magnitude))
-        f_row = f_new.copy() if len(escaping) else f_new
-        for j in escaping:
-            y0, f0, y1, f1 = step_cubic[:, :, j]
+            y0, f0, y1, f1 = step_cubic
             g_esc = lambda tq: (float(np.max(np.abs(_hermite((tq - t) / h, h, y0, y1, f0, f1))))
                                 - tol.escape_magnitude)
             te = float(_bisect_event(g_esc, t, t_new, tol.root_tol)) if g_esc(t) < 0 else t
             y_end = _hermite((te - t) / h, h, y0, y1, f0, f1)
-            f_end = _call_field(field_fn, te, y_end, (dim,)) if te > t else f0
+            f_end = _call_field(field_fn, te, y_end) if te > t else f0
             if f_end is None:  # the field fails there: the cubic's own slope
                 f_end = _hermite_rate((te - t) / h, h, y0, y1, f0, f1)
-            escapes.append(Event("escape", te, member=int(j)))
-            live[j] = False
-            n_live -= 1
-            ends[j] = te
-            columns(y_new)[:, j] = y_end
-            columns(f_row)[:, j] = f_end
-        if len(escaping):
-            idle = np.flatnonzero(~live)
-            columns(f_new)[:, idle] = 0.0
-            if not n_live:
-                t_last = float(ends[escaping].max())
-                if t_last > t:
-                    ts.append(t_last)
-                    ys.append(y_new)
-                    fs.append(f_row)
-                break
+            escapes.append(Event("escape", te))
+            if te > t:
+                ts.append(te)
+                ys.append(y_end)
+                fs.append(f_end)
+            break
 
         ts.append(t_new)
         ys.append(y_new)
-        fs.append(f_row)
+        fs.append(f_new)
         t, y, f_now = t_new, y_new, f_new
 
         h = min(h * _step_factor(err), max_step)
     else:
         raise IntegrationError("step budget exhausted", t)
 
-    ends[live] = t
-    return _finish(ts, ys, fs, (dim, m), events, pending, escapes, ends, tol, t_b)
+    return _finish(ts, ys, fs, events, pending, escapes, ts[-1], tol, t_b)
 
 
-def _finish(ts: list, ys: list, fs: list, shape: tuple, events: Sequence[EventSpec],
-            pending: list, escapes: list, ends: np.ndarray, tol: Tolerances,
-            t_b: float) -> Trajectory:
-    """The batch Trajectory of either step loop. pending holds, per event,
-    one record per step with crossings, in the order found: (t, h, the step
-    cubic's (4, dim, m) columns y0, f0, y1, f1, the subsample times, and
-    each crossing's subsample index, member and direction). Each event's
-    crossings are refined in one lane solve and those past their member's
-    end dropped; one stable sort by time merges them with the escapes,
-    which come last, so at equal times a crossing comes first."""
+def _finish(ts: list, ys: list, fs: list, events: Sequence[EventSpec], pending: list,
+            escapes: list, end: float, tol: Tolerances, t_b: float) -> Trajectory:
+    """The Trajectory of either step loop. pending holds, per event, one
+    record per step with crossings, in the order found: (t, h, the step
+    cubic's (4, dim) rows y0, f0, y1, f1, the subsample times, and each
+    crossing's subsample index and direction). Each event's crossings are
+    refined in one lane solve and those past the end dropped; one stable
+    sort by time merges them with the escapes, which come last, so at equal
+    times a crossing comes first."""
     recorded: list[Event] = []
     for spec, steps in zip(events, pending):
         if not steps:
             continue
-        lanes = [(np.full(len(js), t), np.full(len(js), h), cubic[:, :, js],
-                  at[subs], at[subs + 1], js, directions)
-                 for t, h, cubic, at, subs, js, directions in steps]
-        t_l, h_l, cubic, a, b, js, directions = (np.concatenate(parts, axis=-1)
-                                                 for parts in zip(*lanes))
-        times = _refine_on_cubics(spec, t_l, h_l, cubic, a, b, tol.root_tol)
-        recorded.extend(Event(spec.kind, te, d, j) for te, d, j
-                        in zip(times.tolist(), directions.tolist(), js.tolist())
-                        if te <= ends[j])
+        lanes = [(np.full(len(subs), t), np.full(len(subs), h),
+                  np.repeat(cubic[:, :, None], len(subs), axis=2), at[subs], at[subs + 1],
+                  directions)
+                 for t, h, cubic, at, subs, directions in steps]
+        # lane i follows the cubic of the step [t[i], t[i] + h[i]]
+        t, h, (y0, f0, y1, f1), a, b, directions = (np.concatenate(parts, axis=-1)
+                                                    for parts in zip(*lanes))
+        times = bisect_lanes(lambda tq: np.asarray(spec.fn(tq, _hermite(
+            (tq - t) / h, h, y0, y1, f0, f1)), dtype=float), a, b, tol.root_tol)
+        recorded.extend(Event(spec.kind, te, d) for te, d
+                        in zip(times.tolist(), directions.tolist()) if te <= end)
     recorded.extend(escapes)
     recorded.sort(key=lambda ev: ev.time)
 
     if len(ts) == 1:
-        # every member ended at the very start; emit a degenerate short span
+        # the solve ended at the very start; emit a degenerate short span
         ts.append(ts[0] + max((t_b - ts[0]) * 1e-15, 1e-300))
         ys.append(ys[0])
         fs.append(fs[0])
-    return Trajectory(Grid(np.asarray(ts)), np.asarray(ys).reshape(-1, *shape), recorded,
-                      np.asarray(fs).reshape(-1, *shape), ends)
+    n = len(ts)
+    return Trajectory(Grid(np.asarray(ts)), np.asarray(ys).reshape(n, -1), recorded,
+                      np.asarray(fs).reshape(n, -1))

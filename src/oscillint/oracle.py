@@ -1,7 +1,7 @@
 """Ground truth by simulation.
 
 The analytic checks in `criteria` decide oscillation from coefficient data
-alone. This module takes the opposite route: integrate a finite ensemble of
+alone. This module takes the opposite route: solve a finite ensemble of
 initial conditions, record where each first component actually vanishes, and
 summarize what was observed. Ensemble verdicts never override analytic ones;
 they exist to catch bugs in the analytic path (and vice versa).
@@ -13,8 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebvander
 
-from .numerics import Tolerances, Trajectory, integrate_ode, zero_crossing
+from .expr import DomainError, sample
+from .numerics import (STEP_COLLAPSE, Event, Grid, Tolerances, Trajectory, bisect_lanes,
+                       crossings)
 from .transform import SystemSpec
 
 OSCILLATORY_OBSERVED = "oscillatory_observed"
@@ -92,17 +95,184 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
                       tol: Tolerances = Tolerances()) -> list[Trajectory]:
     """One trajectory per member, with sign changes of phi recorded.
 
-    All members are integrated in one solve of the stacked (2, m) state, so
-    coefficients are evaluated once per stage for the whole ensemble and
-    every member shares one step grid. Error is still held per member: a
-    step is accepted only when each member's own error is within
-    tolerance, and each member's zeros are refined on its own dense
-    output. A member that escapes ends there on its own while the others
-    run on. Order of the result matches the ensemble.
+    The system is linear, so on a chunk [t, t + h] every member is
+    a u + b v + w: (a, b) is its state at t, u and v solve the unforced
+    system from (1, 0) and (0, 1), and w the forced one from (0, 0). Each
+    chunk solves the three at once as Chebyshev series by collocation
+    (Trefethen, Spectral Methods in MATLAB, ch. 6-7), from one `sample`
+    call per coefficient. A chunk is at most 1/16 of the span, as a
+    default integrate_ode step is; it is halved until each series' last
+    coefficients are below rel_tol of its largest and u and v stay below
+    _GROWTH. A member's state at a chunk's end starts it on the next.
+
+    A member's nodes are _NODES evenly spaced points per chunk, its states
+    the series there and its derivs the series' derivative. Its zeros are
+    the sign changes of phi between nodes, a start at phi = 0 excluded,
+    each bisected on the series to root_tol. A member whose state passes
+    escape_magnitude ends there, found on the series, with an escape
+    event; a chunk that cannot be sampled or resolved down to 1e-12 of the
+    span ends every running member at its start, with an escape.
     """
-    start = np.array(ens.initial_conditions).T
-    batch = integrate_ode(sys.field(), start, ens.span, tol, events=[zero_crossing(0)])
-    return batch.members()
+    lo, hi = ens.span
+    start = np.array(ens.initial_conditions).T  # (2, m)
+    state, m = start, start.shape[1]  # each member's state at t
+    live = np.abs(start).max(axis=0) <= tol.escape_magnitude
+    escaped = ~live  # the members that end with an escape event
+    last = np.zeros(m, dtype=int)  # each member's last node, once it has ended
+    blowup = np.full(m, -1)  # the node after which a member passes escape_magnitude
+    chunks = []  # (start, end, member series, member states, member rates)
+    t, h = lo, hi - lo
+    while live.any() and t < hi:
+        h = min(h, hi - t, (hi - lo) / 16.0)
+        if hi - t - h < 0.5 * h:  # no sliver chunk before the end
+            h = hi - t
+        if h < STEP_COLLAPSE * (hi - lo):
+            last[live] = len(chunks) * _NODES
+            escaped |= live
+            break
+        coef = _chunk_series(sys, t, h, tol.rel_tol)
+        if coef is None:
+            h *= 0.5
+            continue
+        # an ended member's series, that of w, is never read
+        series = coef @ np.vstack((np.where(live, state, 0.0), np.ones(m)))
+        states, rates = _AT_NODES @ series, _RATE_AT_NODES @ series * (2.0 / h)
+        end = series.sum(axis=1)  # every T_k is 1 at x = 1
+        states[:, 0], states[:, -1] = state, end
+        over = (np.abs(states[:, 1:]).max(axis=0) > tol.escape_magnitude) & live
+        blown = over.any(axis=0)
+        blowup[blown] = len(chunks) * _NODES + over.argmax(axis=0)[blown]
+        last[blown] = blowup[blown] + 1
+        escaped |= blown
+        live &= ~blown
+        t_end = hi if h == hi - t else t + h
+        chunks.append((t, t_end, series, states, rates))
+        state, t, h = end, t_end, 2.0 * h
+    else:
+        last[live] = len(chunks) * _NODES
+    return _members(chunks, start, ens.span, last, escaped, blowup, tol)
+
+
+_DEGREE = 32  # of each chunk's series
+_TAIL = 4  # trailing coefficients of each series that the chunk test reads
+# the largest coefficient u and v may reach on a chunk. A chunk's error is
+# relative to its largest values, so a member that is small next to the
+# chunk's dominant mode loses that much accuracy: one chunk over the span
+# 30 of phi'' = phi moved zeros by 1e-3
+_GROWTH = 1e4
+# a member's nodes per chunk: with chunks of at most 1/16 of the span, the
+# zero scan compares phi at points 1/1024 of the span apart
+_NODES = 64
+_N = _DEGREE + 1
+_X = np.cos(np.pi * np.arange(_N) / _DEGREE)  # Lobatto points, from 1 down to -1
+_TO_COEF = np.linalg.inv(chebvander(_X, _DEGREE))  # values at _X to coefficients
+_RATE = chebder(np.eye(_N))  # coefficients to those of the x-derivative
+_EVEN = np.linspace(-1.0, 1.0, _NODES + 1)  # a chunk's nodes in x
+_AT_NODES, _RATE_AT_NODES = chebvander(_EVEN, _DEGREE), chebvander(_EVEN, _DEGREE - 1) @ _RATE
+# the collocation matrix: on each component's block the derivative at _X,
+# less (h / 2) A on the diagonals of the four blocks; start rows at x = -1
+_BLOCKS = np.kron(np.eye(2), chebvander(_X, _DEGREE - 1) @ _RATE @ _TO_COEF)
+_I = np.arange(_N)
+_DIAGONALS = (np.r_[_I, _I, _I + _N, _I + _N], np.r_[_I, _I + _N, _I, _I + _N])
+_STARTS = [_N - 1, 2 * _N - 1]
+_START_ROWS = np.eye(2 * _N)[_STARTS]
+
+
+def _chunk_series(sys: SystemSpec, t: float, h: float, rel_tol: float) -> np.ndarray | None:
+    """Coefficients of u, v and w on [t, t + h], shape (2, _DEGREE + 1, 3)
+    for component, degree and solution; None when a coefficient cannot be
+    sampled there or the chunk is not accepted."""
+    ts = t + (_X + 1.0) * (0.5 * h)
+    try:
+        coeffs = 0.5 * h * np.array([sample(e, ts) for e in
+                                     (sys.p, sys.q, sys.r, sys.s, sys.f, sys.g)])
+    except DomainError:
+        return None
+    matrix = _BLOCKS.copy()
+    matrix[_DIAGONALS] -= coeffs[:4].ravel()
+    matrix[_STARTS] = _START_ROWS
+    rhs = np.zeros((2 * _N, 3))
+    rhs[:, 2] = coeffs[4:].ravel()
+    rhs[_STARTS] = np.eye(2, 3)
+    try:
+        values = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    coef = _TO_COEF @ values.reshape(2, _N, 3)
+    size = np.abs(coef)
+    scale = size.max(axis=(0, 1))
+    resolved = size[:, -_TAIL:].max(axis=(0, 1)) <= rel_tol * scale
+    return coef if np.isfinite(scale).all() and resolved.all() and scale[:2].max() <= _GROWTH \
+        else None
+
+
+def _series_at(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Lane i's series, coefficients coef[i, ..., :], at x[i] in [-1, 1]:
+    the sum of c_k cos(k theta) with x = cos(theta)."""
+    waves = np.cos(np.arccos(np.clip(x, -1.0, 1.0))[:, None] * np.arange(coef.shape[-1]))
+    return np.sum(coef * waves.reshape(len(x), *[1] * (coef.ndim - 2), -1), axis=-1)
+
+
+def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
+             escaped: np.ndarray, blowup: np.ndarray, tol: Tolerances) -> list[Trajectory]:
+    """Each member's Trajectory: its nodes up to node last[j] or, for a
+    blow-up, up to node blowup[j] and then the time where its series
+    passes escape_magnitude. The crossings of phi before last[j] and the
+    blow-ups are bisected on the series in one lane solve."""
+    if chunks:
+        begin, finish = (np.array(ends) for ends in zip(*(c[:2] for c in chunks)))
+        series = np.stack([c[2] for c in chunks])  # (chunk, component, degree, member)
+        nodes = np.append(np.linspace(begin, finish, _NODES + 1, axis=1)[:, :-1], finish[-1])
+        states, rates = (np.concatenate([c[k][:, :_NODES] for c in chunks]
+                                        + [chunks[-1][k][:, _NODES:]], axis=1) for k in (3, 4))
+    else:
+        nodes, states, rates = np.array(span[:1]), start[:, None], np.zeros_like(start)[:, None]
+    # lanes: the node a bracket starts at, the member, and the direction of
+    # a crossing of phi, or 0 for a blow-up
+    blown = np.flatnonzero(blowup >= 0)
+    lanes = [(blowup[blown], blown, np.zeros(blown.size, dtype=int))]
+    for j, k in enumerate(last):
+        phi = states[0, :k + 1, j]
+        pair = crossings(phi)
+        lanes.append((pair, np.full(pair.size, j), np.where(phi[pair + 1] > phi[pair], 1, -1)))
+    node, member, direction = (np.concatenate(parts) for parts in zip(*lanes))
+    times = nodes[node]
+    if node.size:
+        chunk = node // _NODES
+        coef = series[chunk, :, :, member]  # (lane, component, degree)
+        width = (finish - begin)[chunk]
+
+        def at(c, tq):  # lane i's series c[i] at time tq[i]
+            return _series_at(c, 2.0 * (tq - begin[chunk]) / width - 1.0)
+
+        def g(tq):
+            y = at(coef, tq)
+            return np.where(direction == 0, np.abs(y).max(axis=1) - tol.escape_magnitude, y[:, 0])
+        times = bisect_lanes(g, nodes[node], nodes[node + 1], tol.root_tol)
+        end_states, end_rates = at(coef, times), at(chebder(coef, axis=2), times) / width[:, None] * 2.0
+
+    out = []
+    for j, k in enumerate(last):
+        mine = member == j
+        events = [Event("zero-crossing", te, d) for te, d
+                  in zip(times[mine].tolist(), direction[mine].tolist()) if d]
+        ts, ys, fs = nodes[:k + 1], states[:, :k + 1, j].T, rates[:, :k + 1, j].T
+        end = ts[-1]
+        if blowup[j] >= 0:  # the blow-up lane comes first
+            i = np.flatnonzero(mine)[0]
+            end, k = times[i], blowup[j] + 1
+            ts, ys, fs = ts[:k], ys[:k], fs[:k]
+            if end > ts[-1]:
+                ts = np.append(ts, end)
+                ys, fs = np.vstack((ys, end_states[i])), np.vstack((fs, end_rates[i]))
+            events = [ev for ev in events if ev.time <= end]
+        if escaped[j]:
+            events.append(Event("escape", float(end)))
+        if len(ts) == 1:  # ended at the very start: a degenerate short span
+            ts = np.append(ts, ts[0] + max((span[1] - ts[0]) * 1e-15, 1e-300))
+            ys, fs = np.vstack((ys, ys)), np.vstack((fs, fs))
+        out.append(Trajectory(Grid(ts), ys, events, fs))
+    return out
 
 
 def member_zero_times(traj: Trajectory) -> list[float]:
@@ -110,7 +280,7 @@ def member_zero_times(traj: Trajectory) -> list[float]:
 
 
 def _is_trivial(traj: Trajectory) -> bool:
-    # the zero solution stays exactly zero under the stepper
+    # the zero solution of an unforced system is exactly zero on the series
     return not np.any(traj.states)
 
 

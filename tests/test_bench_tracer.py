@@ -1,9 +1,10 @@
 """The benchmark tracer (bench/tracer.py) against the library it wraps.
 
 A traced run must report exactly what an untraced one reports, the
-tracer must see the event solves of both step loops, and uninstalling it
-must put every wrapped function back. A traced function that is renamed
-or whose signature changes fails here, not first in a benchmark run.
+tracer must see the oracle and the solves of both step loops, and
+uninstalling it must put every wrapped function back. A traced function
+that is renamed or whose signature changes fails here, not first in a
+benchmark run.
 """
 
 import sys
@@ -18,9 +19,11 @@ import tracer  # noqa: E402
 
 
 def test_traced_analyze_reports_as_untraced():
-    # forced_harmonic's oracle is a batch event solve; decaying_forcing's
-    # horizon test adds an angle event solve on the float loop
+    # the oracle solves no ODE by steps: forced_harmonic's solves are plain
+    # angle solves, and decaying_forcing's horizon test adds an angle event
+    # solve on the float loop
     original = numerics.integrate_ode
+    original_oracle = oracle.simulate_ensemble
     for name in ("forced_harmonic", "decaying_forcing"):
         config = cli.load_config(ROOT / "configs" / f"{name}.json")
         untraced = cli.run("analyze", config).render_json()
@@ -32,7 +35,11 @@ def test_traced_analyze_reports_as_untraced():
         finally:
             spans.uninstall()
         assert traced == untraced, name
-        assert spans.counts["numerics.ode_events.calls"] > 0, name
+        assert spans.counts["oracle.simulate_ensemble.calls"] > 0, name
         assert spans.counts["criteria.angle_solves"] > 0, name
+        if name == "forced_harmonic":
+            assert spans.counts["numerics.ode_plain.calls"] > 0, name
+        else:
+            assert spans.counts["numerics.ode_events.calls"] > 0, name
         assert numerics.integrate_ode is original
-        assert oracle.integrate_ode is original
+        assert oracle.simulate_ensemble is original_oracle

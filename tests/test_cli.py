@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -590,3 +593,20 @@ def test_shipped_config_exit_codes(name, subcommand, expected, capsys):
     code = main([subcommand, "--config", str(CONFIG_DIR / f"{name}.json")])
     capsys.readouterr()
     assert code == expected
+
+
+def test_library_runs_without_scipy(tmp_path):
+    # in a fresh interpreter: import the CLI, run analyze on a shipped
+    # config, and find no scipy module loaded
+    code = ("import sys\n"
+            "import oscillint.cli as cli\n"
+            f"code = cli.main(['analyze', '--config', {str(CONFIG_DIR / 'forced_harmonic.json')!r}])\n"
+            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+            "print(code, loaded, file=sys.stderr)\n"
+            "sys.exit(0 if code == 10 and not loaded else 1)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
+from scipy.optimize import brentq
 
 from oscillint.numerics import (
     CubicHermiteCurve,
@@ -25,7 +27,13 @@ from oscillint.numerics import (
     refine_roots,
     zero_crossing,
 )
-from oscillint.numerics import _bisect_event, _bisect_lanes, _subsamples
+from oscillint.numerics import _bisect_event, _subsamples, bisect_lanes
+from oscillint.oracle import Ensemble, simulate_ensemble
+from oscillint.expr import parse_text
+from oscillint.transform import SystemSpec
+
+# phi' = -psi, psi' = phi: the oracle's form of the rotation field below
+ROTATION = SystemSpec(*(parse_text(c) for c in ("0", "-1", "1", "0", "0", "0")))
 
 
 class TestGrid:
@@ -65,6 +73,15 @@ class TestCumulativeIntegral:
         lhs = cumulative_integral(a * u + b * v, g)
         rhs = a * cumulative_integral(u, g) + b * cumulative_integral(v, g)
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 513, 2048])
+    def test_equals_scipy_cumulative_simpson(self, n):
+        # random uneven grids: the numpy rule keeps scipy's operation order
+        rng = np.random.default_rng(n)
+        g = Grid(np.cumsum(rng.uniform(1e-3, 1.0, n)))
+        vals = rng.normal(size=n)
+        np.testing.assert_array_equal(cumulative_integral(vals, g),
+                                      cumulative_simpson(vals, x=g.nodes, initial=0.0))
 
     def test_nonfinite_sample_rejected(self):
         g = Grid.uniform(0.0, 1.0, 5)
@@ -179,36 +196,38 @@ class TestIntegrator:
 
 
 class TestMemberAxis:
-    """A (dim, m) start state solves m members on one step grid."""
+    """integrate_ode solves one (dim,) start. The members of an ensemble are
+    the oracle's: they share each chunk's series solve, and nothing else."""
 
     rotation = staticmethod(lambda t, y: np.array([-y[1], y[0]]))
 
+    @staticmethod
+    def ensemble(*starts):
+        return Ensemble(tuple(starts), 0, (0.0, 30.0))
+
     def test_quiet_members_do_not_dilute_error(self):
-        # error is held per member, so zero members padding the batch must
-        # leave the moving member's step count and zeros where they are
-        alone = integrate_ode(self.rotation, [1.0, 0.0], (0.0, 30.0),
-                              events=[zero_crossing(0)])
-        start = np.zeros((2, 16))
-        start[0, 0] = 1.0
-        member = integrate_ode(self.rotation, start, (0.0, 30.0),
-                               events=[zero_crossing(0)]).members()[0]
-        assert abs(len(member.grid) - len(alone.grid)) <= 2
-        np.testing.assert_allclose([ev.time for ev in member.events],
-                                   [ev.time for ev in alone.events], atol=1e-9)
+        # chunks are accepted on the system alone, so zero members padding
+        # the ensemble leave the moving member bit for bit where it is
+        alone = simulate_ensemble(ROTATION, self.ensemble((1.0, 0.0), (0.0, 1.0)))[0]
+        padded = simulate_ensemble(ROTATION, self.ensemble((1.0, 0.0), *[(0.0, 0.0)] * 15))[0]
+        np.testing.assert_array_equal(padded.grid.nodes, alone.grid.nodes)
+        np.testing.assert_array_equal(padded.states, alone.states)
+        assert padded.events == alone.events
 
     def test_single_member_batch_matches_plain_solve(self):
-        plain = integrate_ode(self.rotation, [1.0, 0.0], (0.0, 8.0),
+        member = simulate_ensemble(ROTATION, self.ensemble((1.0, 0.0), (0.0, 1.0)))[0]
+        plain = integrate_ode(self.rotation, [1.0, 0.0], (0.0, 30.0),
                               events=[zero_crossing(0)])
-        batch = integrate_ode(self.rotation, [[1.0], [0.0]], (0.0, 8.0),
-                              events=[zero_crossing(0)])
-        (member,) = batch.members()
-        np.testing.assert_array_equal(member.grid.nodes, plain.grid.nodes)
-        np.testing.assert_array_equal(member.states, plain.states)
-        assert [ev.time for ev in member.events] == [ev.time for ev in plain.events]
+        np.testing.assert_allclose([ev.time for ev in member.events],
+                                   [ev.time for ev in plain.events], rtol=0, atol=1e-7)
+        assert [ev.direction for ev in member.events] == [ev.direction for ev in plain.events]
+        ts = member.grid.nodes
+        np.testing.assert_allclose(member.states, np.array([np.cos(ts), np.sin(ts)]).T,
+                                   rtol=0, atol=1e-8)
 
     def test_plain_solve_is_not_a_batch(self):
-        # a (2,) start runs as a one-member batch, but its field still sees
-        # (2,) states and its result reads as a plain solve
+        # the field sees the plain (2,) state and the result reads as one
+        # solution: (n, 2) states, no member tags, no member split
         shapes = set()
 
         def rotation(t, y):
@@ -218,15 +237,14 @@ class TestMemberAxis:
         assert shapes == {(2,)}
         assert plain.states.shape[1:] == (2,)
         assert len(plain.events) == 3
-        assert all(ev.member is None for ev in plain.events)
         for traj in (plain, integrate_ode(lambda t, y: -y, [1.0], (0.0, 1.0))):
-            assert traj.ends is None
-            with pytest.raises(ValueError, match="batch"):
-                traj.members()
+            assert not hasattr(traj, "ends") and not hasattr(traj, "members")
+            assert not any(hasattr(ev, "member") for ev in traj.events)
 
     def test_start_state_of_rank_three_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            integrate_ode(self.rotation, np.ones((2, 2, 2)), (0.0, 1.0))
+        for start in (np.ones((2, 2, 2)), np.ones((2, 3))):
+            with pytest.raises(ValueError, match="shape"):
+                integrate_ode(self.rotation, start, (0.0, 1.0))
 
 
 def _bisected_crossings(member: Trajectory, spec: EventSpec, tol: float) -> list:
@@ -267,7 +285,7 @@ class TestEventLanes:
         def g(x):
             return a * (x - c) ** 3 + (x - c)
         for tol in (1e-9, 0.0):
-            got = _bisect_lanes(g, lo, hi, tol)
+            got = bisect_lanes(g, lo, hi, tol)
             for i in range(n):
                 fn = lambda x, i=i: float(a[i] * (x - c[i]) ** 3 + (x - c[i]))
                 assert got[i] == _bisect_event(fn, float(lo[i]), float(hi[i]), tol), i
@@ -278,27 +296,21 @@ class TestEventLanes:
         EventSpec(fn=lambda t, y: np.cos(y[0]), kind="angle-line"),
     ], ids=["zero_crossing", "angle_line"])
     def test_batch_times_equal_member_bisection(self, spec):
-        # at rest at t = 0 the first step falls back to width / 100, and the
-        # error stays so small that every step is max_step = 2**-5: each node
-        # is exact and each step's width is its nodes' difference
+        # a solve's crossings, bisected as one batch of lanes, equal a
+        # bisection of each step's cubic alone. At rest at t = 0 the first
+        # step falls back to width / 100, and the error stays so small that
+        # every step is max_step = 2**-5: each node is exact and each step's
+        # width is its nodes' difference
         field = lambda t, y: t * np.array([-y[1], y[0]])
-        phase = np.linspace(0.3, 5.9, 6)
-        start = 2.0 * np.array([np.cos(phase), np.sin(phase)])
         tol = Tolerances(rel_tol=1e-6, abs_tol=1e-8)
         step = 2.0 ** -5
-        batch = integrate_ode(field, start, (0.0, 4.0), tol, events=[spec], max_step=step)
-        np.testing.assert_array_equal(batch.grid.nodes, np.arange(129) * step)
-        for j, member in enumerate(batch.members()):
-            got = [(ev.time, ev.direction) for ev in member.events]
+        for j, phase in enumerate(np.linspace(0.3, 5.9, 6)):
+            start = 2.0 * np.array([np.cos(phase), np.sin(phase)])
+            traj = integrate_ode(field, start, (0.0, 4.0), tol, events=[spec], max_step=step)
+            np.testing.assert_array_equal(traj.grid.nodes, np.arange(129) * step)
+            got = [(ev.time, ev.direction) for ev in traj.events]
             assert len(got) >= 2
-            assert got == _bisected_crossings(member, spec, tol.root_tol), j
-            # a plain solve takes the same steps; its states may differ from
-            # the batch's in the last bit, so its times are held to root_tol
-            alone = integrate_ode(field, start[:, j], (0.0, 4.0), tol, events=[spec],
-                                  max_step=step)
-            assert len(alone.events) == len(got)
-            np.testing.assert_allclose([ev.time for ev in alone.events],
-                                       [te for te, _ in got], rtol=0, atol=tol.root_tol)
+            assert got == _bisected_crossings(traj, spec, tol.root_tol), j
 
     def test_scalar_start_gets_lanes_and_equals_member_bisection(self):
         # a (1,) start runs the float loop, whose event function also gets
@@ -320,46 +332,39 @@ class TestEventLanes:
         assert got == _bisected_crossings(traj, spec, tol.root_tol)
 
     def test_no_crossing_recorded_past_escape(self):
-        # member 0 spirals out past 1.5 inside a step that also holds one of
-        # its zeros; member 1 runs to the end
+        # the solution spirals out past 1.5 inside a step that also holds
+        # one of its zeros
         field = lambda t, y: np.array([0.1 * y[0] - y[1], y[0] + 0.1 * y[1]])
-        start = np.array([[0.8, 0.01], [0.0, 0.0]])
-        batch = integrate_ode(field, start, (0.0, 30.0),
-                              Tolerances(rel_tol=1e-4, escape_magnitude=1.5),
-                              events=[zero_crossing(0)])
-        unbounded = integrate_ode(field, start, (0.0, 30.0), Tolerances(rel_tol=1e-4),
+        escaping = integrate_ode(field, [0.8, 0.0], (0.0, 30.0),
+                                 Tolerances(rel_tol=1e-4, escape_magnitude=1.5),
+                                 events=[zero_crossing(0)])
+        unbounded = integrate_ode(field, [0.8, 0.0], (0.0, 30.0), Tolerances(rel_tol=1e-4),
                                   events=[zero_crossing(0)])
-        end = batch.ends[0]
-        k = int(np.searchsorted(batch.grid.nodes, end))
+        end = escaping.escape_time()
+        assert escaping.span[1] == end
         # the two solves share every step up to the escape's
-        np.testing.assert_array_equal(unbounded.grid.nodes[:k + 1], batch.grid.nodes[:k + 1])
-        later = [ev.time for ev in unbounded.events
-                 if ev.member == 0 and end < ev.time <= batch.grid.nodes[k]]
+        k = len(escaping.grid) - 1
+        np.testing.assert_array_equal(unbounded.grid.nodes[:k], escaping.grid.nodes[:k])
+        later = [ev.time for ev in unbounded.events if end < ev.time <= unbounded.grid.nodes[k]]
         assert later, "the escape step holds no later zero"
-        first, second = batch.members()
-        assert first.escape_time() == end
-        assert all(ev.time <= end for ev in first.events)
-        assert batch.ends[1] == 30.0 and second.escape_time() is None
+        assert all(ev.time <= end for ev in escaping.events if ev.kind == "zero-crossing")
 
     def test_two_events_share_one_batch(self):
-        # each member records the zeros of both components, merged in time;
-        # at this rel_tol the plain and batch solutions differ far below
-        # root_tol, so their bisected times stay within root_tol of each other
+        # one solve records the zeros of both components, merged in time;
+        # events do not steer the steps, so they equal, bit for bit, what
+        # two solves with one event each record
         specs = [zero_crossing(0), zero_crossing(1)]
-        phase = np.array([0.2, 1.9, 3.0, 4.4])
-        start = np.array([np.cos(phase), np.sin(phase)])
         tol = Tolerances(rel_tol=1e-12, abs_tol=1e-14)
-        batch = integrate_ode(self.rotation, start, (0.0, 10.0), tol, events=specs)
-        for j, member in enumerate(batch.members()):
-            times = [ev.time for ev in member.events]
-            assert len(times) >= 6 and times == sorted(times), j
-            alone = integrate_ode(self.rotation, start[:, j], (0.0, 10.0), tol, events=specs)
-            assert [(ev.kind, ev.direction) for ev in member.events] == \
-                [(ev.kind, ev.direction) for ev in alone.events]
-            np.testing.assert_allclose(times, [ev.time for ev in alone.events],
-                                       rtol=0, atol=tol.root_tol)
+        for phase in (0.2, 1.9, 3.0, 4.4):
+            start = [math.cos(phase), math.sin(phase)]
+            both = integrate_ode(self.rotation, start, (0.0, 10.0), tol, events=specs)
+            times = [ev.time for ev in both.events]
+            assert len(times) >= 6 and times == sorted(times), phase
+            apart = [ev for spec in specs for ev in
+                     integrate_ode(self.rotation, start, (0.0, 10.0), tol, events=[spec]).events]
+            assert both.events == sorted(apart, key=lambda ev: ev.time), phase
 
-    @pytest.mark.parametrize("start", [[1.0], [[1.0, 2.0, 3.0]]], ids=["scalar", "batch"])
+    @pytest.mark.parametrize("start", [[1.0], [1.0, 2.0, 3.0]], ids=["scalar", "array"])
     def test_step_boundaries_evaluated_once(self, start):
         # y never reaches -1, so every event call is a scan, none a bisection:
         # the start, then the 6 samples past each step's first
@@ -370,26 +375,24 @@ class TestEventLanes:
             return y[0] + 1.0
         traj = integrate_ode(lambda t, y: y, start, (0.0, 2.0), events=[EventSpec(fn=fn)])
         steps = len(traj.grid) - 1
-        members = np.shape(start)[-1] if np.ndim(start) == 2 else 1
         assert traj.events == []
-        assert sum(lanes) == (6 * steps + 1) * members
+        assert sum(lanes) == 6 * steps + 1
 
 
 class TestFailedFieldAtEnd:
     """A field that fails exactly where the solution escapes leaves the
     cubic's own slope as the last derivative."""
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_escape(self, batch):
-        # tan t passes 1.5 at atan 1.5, where its slope is 1 + 1.5^2
+    @pytest.mark.parametrize("array_loop", [False, True])
+    def test_escape(self, array_loop):
+        # tan t passes 1.5 at atan 1.5, where its slope is 1 + 1.5^2; the
+        # numpy loop solves it twice over, as a (2,) state
         def tangent(t, y):
             if abs(t - math.atan(1.5)) < 1e-6:
                 raise ValueError("no field here")
             return 1.0 + y * y
-        traj = integrate_ode(tangent, [[0.0]] if batch else [0.0], (0.0, 3.0),
+        traj = integrate_ode(tangent, [0.0, 0.0] if array_loop else [0.0], (0.0, 3.0),
                              Tolerances(escape_magnitude=1.5))
-        if batch:
-            traj = traj.members()[0]
         assert traj.escape_time() == pytest.approx(math.atan(1.5), abs=1e-5)
         assert traj.derivs[-1, 0] == pytest.approx(3.25, abs=1e-3)
 
@@ -400,8 +403,9 @@ def _log_to_ceiling(t, y):
 
 
 class TestScalarLoop:
-    """A one-component start state runs on the Python-float step loop; a
-    (1, 1) batch of the same equation runs on the numpy loop."""
+    """A one-component start state runs on the Python-float step loop; the
+    same equation twice over, as a (2,) state of equal components, runs on
+    the numpy loop with the same RMS error, steps and escapes."""
 
     angle_line = EventSpec(fn=lambda t, y: np.cos(y[0]), kind="angle-line")
     CASES = {
@@ -430,8 +434,7 @@ class TestScalarLoop:
                 return field(t, y)
             return fn
         plain = integrate_ode(counted("plain"), [y0], span, tol, events=events)
-        (member,) = integrate_ode(counted("batch"), [[y0]], span, tol,
-                                  events=events).members()
+        member = integrate_ode(counted("batch"), [y0, y0], span, tol, events=events)
         # the same steps, retries and refinements cost the same evaluations
         assert calls["plain"] == calls["batch"]
         assert len(plain.grid) == len(member.grid)
@@ -442,6 +445,7 @@ class TestScalarLoop:
         assert [ev.direction for ev in plain.events] == [ev.direction for ev in member.events]
         np.testing.assert_allclose([ev.time for ev in plain.events],
                                    [ev.time for ev in member.events], rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(member.states[:, 0], member.states[:, 1])
         if plain.escape_time() is None:
             assert plain.states[-1, 0] == pytest.approx(member.states[-1, 0], rel=1e-9)
 
@@ -471,10 +475,8 @@ class TestScalarLoop:
         assert set(seen) == {(1,)}
         np.testing.assert_array_equal(bare.states, listed.states)
         assert bare.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-7)
-        # the one-member batch is squeezed as a plain (dim,) start is
-        assert [ev.member for ev in bare.events] == [None]
+        assert len(bare.events) == 1
         assert bare.events[0].time == pytest.approx(math.log(2.0), abs=1e-8)
-        assert bare.ends is None
 
     @pytest.mark.parametrize("bad", [
         lambda t, y: np.array([1.0, 2.0]),
@@ -499,7 +501,7 @@ class TestRefineRoot:
 
 
 class TestRefineRoots:
-    """The vectorised Brent solve against the scalar one, lane by lane."""
+    """The vectorised Brent solve against scipy's brentq, lane by lane."""
 
     @staticmethod
     def cubic(a, b, c):
@@ -524,8 +526,14 @@ class TestRefineRoots:
         got = refine_roots(self.cubic(a, b, c), lo, hi, tol=tol)
         for i in range(n):
             fn = self.cubic(float(a[i]), float(b[i]), float(c[i]))
-            expected = refine_root(fn, float(lo[i]), float(hi[i]), tol=tol)
+            x_lo, x_hi = float(lo[i]), float(hi[i])
+            if fn(x_lo) == 0.0 or fn(x_hi) == 0.0:
+                expected = x_lo if fn(x_lo) == 0.0 else x_hi
+            else:
+                expected = brentq(fn, x_lo, x_hi, xtol=tol)
             assert got[i] == expected, i
+            # refine_root is one lane of the same solve
+            assert refine_root(fn, x_lo, x_hi, tol=tol) == expected, i
         assert np.all(got[:5] == lo[:5]) and np.all(got[5:10] == hi[5:10])
 
     def test_one_call_per_iteration(self):

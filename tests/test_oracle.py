@@ -1,5 +1,7 @@
 """Oracle tests against closed-form solutions and seeded ensembles."""
 
+import contextlib
+import io
 import math
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oscillint.cli import load_config
+from oscillint.cli import config_from_dict, load_config, run
 from oscillint.numerics import EventSpec, Tolerances, integrate_ode, zero_crossing
 from oscillint.oracle import (
     MIXED_OBSERVED,
@@ -100,8 +102,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestBatchedOracleAgainstReferences:
-    """Each member of the one-solve ensemble against a solve of its own and
-    against scipy's RK45 event roots."""
+    """Each member of the series ensemble against a step-loop solve of its
+    own and against scipy's RK45 event roots."""
 
     @pytest.mark.parametrize("name", ["forced_harmonic", "bursty_coupling",
                                       "decaying_forcing"])
@@ -133,27 +135,63 @@ class TestBatchedOracleAgainstReferences:
             assert np.all(np.abs(zeros - roots) <= 2e-6), j
 
     def test_event_calls_per_solve(self):
-        # one scan call per accepted step and one lane bisection (its start
-        # and at most 128 halvings) for every crossing of the solve
+        # a member's own solve makes one scan call per accepted step and one
+        # lane bisection (its start and at most 128 halvings) for all of its
+        # crossings, and records as many as the oracle's member
         config = load_config(CONFIG_DIR / "forced_harmonic.json")
         sys_spec = config.working_system()
         ens = default_ensemble(config.span(), seed=config.oracle_seed,
                                size=config.oracle_size)
-        calls = [0]
-        phi = zero_crossing(0)
-
-        def counted(t, y):
-            calls[0] += 1
-            return phi.fn(t, y)
-        start = np.array(ens.initial_conditions).T
-        batch = integrate_ode(sys_spec.field(), start, ens.span, config.tolerances,
-                              events=[EventSpec(fn=counted)])
-        steps = len(batch.grid) - 1
-        assert calls[0] <= steps + 129
         oracle = simulate_ensemble(sys_spec, ens, config.tolerances)
         assert sum(len(member_zero_times(m)) for m in oracle) > 100
-        assert [member_zero_times(m) for m in batch.members()] == \
-            [member_zero_times(m) for m in oracle]
+        phi = zero_crossing(0)
+        for start, member in zip(ens.initial_conditions, oracle):
+            calls = [0]
+
+            def counted(t, y):
+                calls[0] += 1
+                return phi.fn(t, y)
+            alone = integrate_ode(sys_spec.field(), start, ens.span, config.tolerances,
+                                  events=[EventSpec(fn=counted)])
+            assert calls[0] <= len(alone.grid) - 1 + 129
+            assert len(member_zero_times(alone)) == len(member_zero_times(member))
+
+
+class TestSeriesOracle:
+    """Endings and zeros read off the Chebyshev series of each chunk."""
+
+    def test_escape_found_on_the_series(self):
+        # phi'' = phi: from (1, 0) the state is (cosh t, sinh t) and from
+        # (0, 1) it is (sinh t, cosh t); both pass 1e3 at acosh(1e3)
+        ens = Ensemble(((1.0, 0.0), (0.0, 1.0)), 0, (0.0, 30.0))
+        for traj in simulate_ensemble(make_system(q="1", r="1"), ens,
+                                      Tolerances(escape_magnitude=1e3)):
+            assert traj.escape_time() == pytest.approx(math.acosh(1e3), abs=1e-8)
+            assert traj.span[1] == traj.escape_time()
+            assert np.abs(traj.states[-1]).max() == pytest.approx(1e3, rel=1e-8)
+            assert member_zero_times(traj) == []
+
+    def test_zero_start_records_no_zero_at_start(self):
+        # the (0, 1) member of phi'' + phi = 0 is sin t, which starts at 0
+        ens = Ensemble(((0.0, 1.0), (1.0, 0.0)), 0, (0.0, 10.0))
+        zeros = member_zero_times(simulate_ensemble(harmonic(), ens)[0])
+        np.testing.assert_allclose(zeros, [math.pi, 2 * math.pi, 3 * math.pi],
+                                   rtol=0, atol=1e-8)
+
+    def test_singular_coefficient_ends_every_member(self):
+        # r = -1/(t - 3.3)^2 cannot be resolved up to t = 3.3: every member
+        # ends there with an escape; its zeros accumulate at 3.3, so their
+        # counts are artefacts of where the solve stops
+        config = config_from_dict({"system": {"q": "1", "r": "-1/(t-3.3)^2"},
+                                   "horizon": 6})
+        ens = default_ensemble(config.span(), seed=config.oracle_seed,
+                               size=config.oracle_size)
+        for traj in simulate_ensemble(config.working_system(), ens, config.tolerances):
+            assert traj.escape_time() == pytest.approx(3.3, abs=1e-6)
+            assert traj.span[1] == traj.escape_time()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("analyze", config).exit_code() == 30
+            assert run("oracle", config).exit_code() == 10
 
 
 class TestClassification:
