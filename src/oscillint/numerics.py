@@ -5,11 +5,11 @@ integrator (Dormand-Prince pair) with cubic-Hermite dense output,
 zero-crossing event detection with bisection refinement, escape (blow-up)
 detection, and bracketed root refinement.
 
-`integrate_ode` has two step loops behind one entry point, chosen by the
-shape of the start state: a one-component state (the scalar Riccati and
-Prufer angle equations) steps on Python floats, and every other (dim,)
-state steps on numpy arrays. Both loops keep one event contract and end
-through one finish.
+`integrate_ode` has one step loop for every state shape: a one-component
+state (the scalar Riccati and Prufer angle equations) is a Python float
+in it, and every other (dim,) state a numpy array. The arithmetic is
+written once; the start state's shape picks only the field call, the
+norms and the magnitude.
 
 Events are sign changes of a function of the solution, in either
 direction; none ends the solve. They are located on each step's cubic
@@ -104,8 +104,9 @@ class EventSpec:
     falling, as an Event of this kind; the solve runs on past each one.
 
     fn must broadcast over lanes: given times of shape (L,) and states of
-    shape (dim, L), one column per time, it returns the L values. Both
-    step loops call it so, a one-component state with (1, L) states.
+    shape (dim, L), one column per time, it returns the L values. The
+    step loop calls it so for every state, a one-component state with
+    (1, L) states.
     """
 
     fn: Callable[[float | np.ndarray, np.ndarray], float | np.ndarray]
@@ -416,7 +417,7 @@ def crossings(g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Adaptive Dormand-Prince 4(5) with FSAL
 
-# The tableau as floats for the scalar loop; the array loop uses numpy copies
+# The tableau as floats; stage sums run over it left to right for either state
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
@@ -430,10 +431,6 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
-_DP_C = np.array(_C)
-_DP_A = [np.array(row) for row in _A]
-_DP_B5 = np.array(_B5)
-_DP_E = np.array(_E)
 
 _EVENT_SUBSAMPLES = 6
 _MAX_STEPS = 1_000_000
@@ -453,8 +450,9 @@ def _step_factor(err: float) -> float:
     return 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
 
 
-def _dot(coeffs, k) -> float:
-    """Sum of coefficient times stage value, left to right."""
+def _dot(coeffs, k):
+    """Sum of coefficient times stage value, left to right; a float or an
+    array, as the stage values are."""
     acc = 0.0
     for a, kj in zip(coeffs, k):
         acc += a * kj
@@ -488,14 +486,13 @@ def integrate_ode(
     time equals a bisection of that step's cubic alone, bit for bit. No
     crossing is recorded past an escape.
 
-    The start state's shape picks the step loop. A scalar or a y0 of
-    shape (1,) (the Riccati and angle equations) is stepped on Python
-    floats, which saves the fixed cost of numpy calls on 1-element arrays;
-    any other (dim,) runs the numpy loop. Both loops share the tableau,
-    step-size rule, dense output, event contract and the finish that
-    refines crossings and builds the result, and the field is called with
-    a (dim,) array either way. Escapes are refined inside their step, since
-    they set the end state.
+    The start state's shape picks how the one step loop holds it. A
+    scalar or a y0 of shape (1,) (the Riccati and angle equations) is a
+    Python float, which saves the fixed cost of numpy calls on 1-element
+    arrays; any other (dim,) is a numpy array. Either way the field is
+    called with a (dim,) array, and its result is copied before it is
+    kept, so a field may fill and return one buffer on every call.
+    Escapes are refined inside their step, since they set the end state.
     """
     t_a, t_b = float(span[0]), float(span[1])
     if not t_b > t_a:
@@ -507,9 +504,8 @@ def integrate_ode(
         raise ValueError("y0 must have shape (dim,)")
     if max_step is None:
         max_step = (t_b - t_a) / 16.0
-    if y.shape == (1,):
-        return _scalar_loop(field_fn, float(y[0]), t_a, t_b, tolerances, events, max_step)
-    return _array_loop(field_fn, y, t_a, t_b, tolerances, events, max_step)
+    return _step_loop(field_fn, float(y[0]) if y.shape == (1,) else y, t_a, t_b,
+                      tolerances, events, max_step)
 
 
 def _scalar_field(field_fn, t: float, y: float) -> float | None:
@@ -524,24 +520,47 @@ def _scalar_field(field_fn, t: float, y: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
-                 events: Sequence[EventSpec], max_step: float) -> Trajectory:
-    """integrate_ode for a one-component state, stepped on Python floats."""
+def _array_field(field_fn, t: float, y: np.ndarray) -> np.ndarray | None:
+    """Field at the (dim,) state y, as a copy that shares no buffer with
+    the field's result; None if it fails."""
+    try:
+        out = np.array(field_fn(t, y), dtype=float)
+    except _FIELD_ERRORS:
+        return None
+    if out.shape != y.shape or not np.isfinite(out).all():
+        return None
+    return out
+
+
+def _step_loop(field_fn, y: float | np.ndarray, t_a: float, t_b: float, tol: Tolerances,
+               events: Sequence[EventSpec], max_step: float) -> Trajectory:
+    """integrate_ode's step loop, on a Python float or a (dim,) array y.
+
+    The arithmetic is the same for both kinds of state; y's kind picks
+    only the field call, the RMS norm, the magnitude and the elementwise
+    larger of two magnitudes."""
+    if isinstance(y, float):
+        call, larger, size = _scalar_field, max, abs
+        rms = lambda v: math.sqrt(v * v)  # overflows to inf as an array's does
+    else:
+        call, larger = _array_field, np.maximum
+        size = lambda v: float(np.abs(v).max())
+        rms = lambda v: float(np.sqrt(np.add.reduce(v * v) / v.size))
     width = t_b - t_a
-    f_now = _scalar_field(field_fn, t_a, y)
+    f_now = call(field_fn, t_a, y)
     if f_now is None:
         raise IntegrationError("field not evaluable at start", t_a)
     ts, ys, fs = [t_a], [y], [f_now]
     escapes: list[Event] = []
     pending: list[list[tuple]] = [[] for _ in events]  # as in _finish
     escape = tol.escape_magnitude
-    live = abs(y) <= escape
+    live = size(y) <= escape
     if not live:
         escapes.append(Event("escape", t_a))
 
     # initial step heuristic
     scale = tol.abs_tol + tol.rel_tol * abs(y)
-    d0, d1 = abs(y / scale), abs(f_now / scale)
+    d0, d1 = rms(y / scale), rms(f_now / scale)
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else width / 100.0
     h = min(h, max_step, width)
 
@@ -558,7 +577,7 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
 
         k = [f_now]
         for c, row in zip(_C[1:], _A[1:]):
-            ki = _scalar_field(field_fn, t + c * h, y + h * _dot(row, k))
+            ki = call(field_fn, t + c * h, y + h * _dot(row, k))
             if ki is None:
                 break
             k.append(ki)
@@ -567,8 +586,7 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
             continue
 
         y_new = y + h * _dot(_B5, k)
-        ratio = h * _dot(_E, k) / (tol.abs_tol + tol.rel_tol * max(abs(y), abs(y_new)))
-        err = math.sqrt(ratio * ratio)  # the RMS as the numpy loop takes it, overflow included
+        err = rms(h * _dot(_E, k) / (tol.abs_tol + tol.rel_tol * larger(abs(y), abs(y_new))))
         if not math.isfinite(err):
             h *= 0.25
             continue
@@ -586,12 +604,13 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
             return _hermite((tq - t) / h, h, y, y_new, f_now, f_new)
 
         # event scan: each event function gets the step's fresh subsamples
-        # as lanes, states taken on the cubic as floats; the first sample is
-        # the last one of the step before, whose values carry over
+        # as lanes, states taken on the cubic one time at a time; the first
+        # sample is the last one of the step before, whose values carry over
         if events:
             samples = _subsamples(t, t_new)
             fresh = samples[1:] if carried else samples
-            lane_t, lane_y = np.array(fresh), np.array([[dense(tq) for tq in fresh]])
+            lane_t = np.array(fresh)
+            lane_y = np.array([dense(tq) for tq in fresh]).reshape(len(fresh), -1).T
             scanned = []
             for i, spec in enumerate(events):
                 head = [carried[i]] if carried else []
@@ -606,17 +625,17 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
                     subs.append(sub)
                     directions.append(1 if gb > ga else -1)
                 if subs:
-                    cubic = np.array((y, f_now, y_new, f_new)).reshape(4, 1)
+                    cubic = np.array((y, f_now, y_new, f_new)).reshape(4, -1)
                     pending[i].append((t, h, cubic, np.array(samples), np.array(subs),
                                        directions))
             carried = scanned
 
         # escape by magnitude, refined on the dense output; it ends the solve
-        if abs(y_new) > escape:
-            g_esc = lambda tq: abs(dense(tq)) - escape
+        if size(y_new) > escape:
+            g_esc = lambda tq: size(dense(tq)) - escape
             te = float(_bisect_event(g_esc, t, t_new, tol.root_tol)) if g_esc(t) < 0 else t
             y_end = dense(te)
-            f_end = _scalar_field(field_fn, te, y_end) if te > t else f_now
+            f_end = call(field_fn, te, y_end) if te > t else f_now
             if f_end is None:  # the field fails there: the cubic's own slope
                 f_end = _hermite_rate((te - t) / h, h, y, y_new, f_now, f_new)
             escapes.append(Event("escape", te))
@@ -636,142 +655,9 @@ def _scalar_loop(field_fn, y: float, t_a: float, t_b: float, tol: Tolerances,
     return _finish(ts, ys, fs, events, pending, escapes, ts[-1], tol, t_b)
 
 
-def _call_field(field_fn, t, y):
-    """Field at (t, y) as an array of y's shape; None if it fails."""
-    try:
-        out = np.asarray(field_fn(t, y), dtype=float)
-    except _FIELD_ERRORS:
-        return None
-    if out.shape != y.shape or not np.isfinite(out).all():
-        return None
-    return out
-
-
-def _array_loop(field_fn, y: np.ndarray, t_a: float, t_b: float, tol: Tolerances,
-                events: Sequence[EventSpec], max_step: float) -> Trajectory:
-    """integrate_ode for a (dim,) state, stepped on numpy arrays."""
-    dim = y.size
-    width = t_b - t_a
-
-    f_now = _call_field(field_fn, t_a, y)
-    if f_now is None:
-        raise IntegrationError("field not evaluable at start", t_a)
-    ts = [t_a]
-    ys = [y.copy()]
-    fs = [f_now.copy()]
-    escapes: list[Event] = []
-    pending: list[list[tuple]] = [[] for _ in events]  # as in _finish
-
-    live = np.abs(y).max() <= tol.escape_magnitude
-    if not live:  # its derivative is held at 0
-        escapes.append(Event("escape", t_a))
-        f_now[:] = 0.0
-
-    # initial step heuristic
-    scale = tol.abs_tol + tol.rel_tol * np.abs(y)
-    d0 = np.sqrt(np.mean((y / scale) ** 2))
-    d1 = np.sqrt(np.mean((f_now / scale) ** 2))
-    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else width / 100.0
-    h = min(h, max_step, width)
-
-    t = t_a
-    k = np.empty((7, dim))
-    carried = None  # each event's value at t, once a step has ended there
-
-    for _ in range(_MAX_STEPS):
-        # the sliver guard keeps a 1-ulp remainder from looking like collapse
-        if not live or t >= t_b - 1e-13 * width:
-            break
-        h = min(h, t_b - t)
-        if h < STEP_COLLAPSE * width:
-            escapes.append(Event("escape", t))
-            break
-
-        k[0] = f_now
-        failed_stage = False
-        for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ k[:i])
-            ki = _call_field(field_fn, t + _DP_C[i] * h, yi)
-            if ki is None:
-                failed_stage = True
-                break
-            k[i] = ki
-        if failed_stage:
-            h *= 0.25
-            continue
-
-        y_new = y + h * (_DP_B5 @ k)  # same as stage-6 state (FSAL), kept explicit
-        err_vec = h * (_DP_E @ k)
-        scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        ratio = err_vec / scale
-        err = float(np.sqrt(np.add.reduce(ratio * ratio) / dim))
-
-        if not np.isfinite(err):
-            h *= 0.25
-            continue
-        if err > 1.0:
-            h *= _step_factor(err)
-            continue
-
-        # accepted
-        t_new = t + h
-        if t_b - t_new < 1e-12 * width:
-            t_new = t_b
-        # FSAL stage is field(t_new, y_new); copy, k is overwritten on retries
-        f_new = k[6].copy()
-        step_cubic = np.array((y, f_now, y_new, f_new))
-
-        # event scan on the dense output: one call per event over the
-        # subsamples; the first sample is the last one of the step before,
-        # whose values carry over
-        if events:
-            samples = np.array(_subsamples(t, t_new))
-            fresh = samples if carried is None else samples[1:]
-            lane_y = _hermite((fresh - t) / h, h, *step_cubic[[0, 2, 1, 3], :, None])
-            scanned = []
-            for i, spec in enumerate(events):
-                g = np.asarray(spec.fn(fresh, lane_y), dtype=float).reshape(-1)
-                if carried is not None:
-                    g = np.concatenate((carried[i], g))
-                scanned.append(g[-1:])
-                subs = crossings(g)
-                if subs.size:
-                    pending[i].append((t, h, step_cubic, samples, subs,
-                                       np.where(g[subs + 1] > g[subs], 1, -1)))
-            carried = scanned
-
-        # escape by magnitude, refined on the step's cubic; it ends the solve
-        if np.abs(y_new).max() > tol.escape_magnitude:
-            y0, f0, y1, f1 = step_cubic
-            g_esc = lambda tq: (float(np.max(np.abs(_hermite((tq - t) / h, h, y0, y1, f0, f1))))
-                                - tol.escape_magnitude)
-            te = float(_bisect_event(g_esc, t, t_new, tol.root_tol)) if g_esc(t) < 0 else t
-            y_end = _hermite((te - t) / h, h, y0, y1, f0, f1)
-            f_end = _call_field(field_fn, te, y_end) if te > t else f0
-            if f_end is None:  # the field fails there: the cubic's own slope
-                f_end = _hermite_rate((te - t) / h, h, y0, y1, f0, f1)
-            escapes.append(Event("escape", te))
-            if te > t:
-                ts.append(te)
-                ys.append(y_end)
-                fs.append(f_end)
-            break
-
-        ts.append(t_new)
-        ys.append(y_new)
-        fs.append(f_new)
-        t, y, f_now = t_new, y_new, f_new
-
-        h = min(h * _step_factor(err), max_step)
-    else:
-        raise IntegrationError("step budget exhausted", t)
-
-    return _finish(ts, ys, fs, events, pending, escapes, ts[-1], tol, t_b)
-
-
 def _finish(ts: list, ys: list, fs: list, events: Sequence[EventSpec], pending: list,
             escapes: list, end: float, tol: Tolerances, t_b: float) -> Trajectory:
-    """The Trajectory of either step loop. pending holds, per event, one
+    """The Trajectory of the step loop. pending holds, per event, one
     record per step with crossings, in the order found: (t, h, the step
     cubic's (4, dim) rows y0, f0, y1, f1, the subsample times, and each
     crossing's subsample index and direction). Each event's crossings are

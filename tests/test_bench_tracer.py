@@ -1,10 +1,10 @@
 """The benchmark tracer (bench/tracer.py) against the library it wraps.
 
 A traced run must report exactly what an untraced one reports, the
-tracer must see the oracle and the solves of both step loops, and
-uninstalling it must put every wrapped function back. A traced function
-that is renamed or whose signature changes fails here, not first in a
-benchmark run.
+tracer must see the oracle and the step loop's solves, of float and
+array states alike, and uninstalling it must put every wrapped function
+back. A traced function that is renamed or whose signature changes fails
+here, not first in a benchmark run.
 """
 
 import sys

@@ -266,8 +266,8 @@ def _bisected_crossings(member: Trajectory, spec: EventSpec, tol: float) -> list
 
 
 class TestEventLanes:
-    """Crossings of either step loop are bisected as lanes, all of an
-    event's crossings in one lane solve after the last step."""
+    """Crossings of a float or an array state are bisected as lanes, all of
+    an event's crossings in one lane solve after the last step."""
 
     rotation = staticmethod(lambda t, y: np.array([-y[1], y[0]]))
 
@@ -313,8 +313,8 @@ class TestEventLanes:
             assert got == _bisected_crossings(traj, spec, tol.root_tol), j
 
     def test_scalar_start_gets_lanes_and_equals_member_bisection(self):
-        # a (1,) start runs the float loop, whose event function also gets
-        # lanes; at rest at t = 0 every step is max_step, as above
+        # a (1,) start is a float in the step loop, and its event function
+        # also gets lanes; at rest at t = 0 every step is max_step, as above
         shapes = set()
 
         def angle_line(t, y):
@@ -383,15 +383,15 @@ class TestFailedFieldAtEnd:
     """A field that fails exactly where the solution escapes leaves the
     cubic's own slope as the last derivative."""
 
-    @pytest.mark.parametrize("array_loop", [False, True])
-    def test_escape(self, array_loop):
+    @pytest.mark.parametrize("array_state", [False, True])
+    def test_escape(self, array_state):
         # tan t passes 1.5 at atan 1.5, where its slope is 1 + 1.5^2; the
-        # numpy loop solves it twice over, as a (2,) state
+        # array case solves it twice over, as a (2,) state
         def tangent(t, y):
             if abs(t - math.atan(1.5)) < 1e-6:
                 raise ValueError("no field here")
             return 1.0 + y * y
-        traj = integrate_ode(tangent, [0.0, 0.0] if array_loop else [0.0], (0.0, 3.0),
+        traj = integrate_ode(tangent, [0.0, 0.0] if array_state else [0.0], (0.0, 3.0),
                              Tolerances(escape_magnitude=1.5))
         assert traj.escape_time() == pytest.approx(math.atan(1.5), abs=1e-5)
         assert traj.derivs[-1, 0] == pytest.approx(3.25, abs=1e-3)
@@ -403,9 +403,11 @@ def _log_to_ceiling(t, y):
 
 
 class TestScalarLoop:
-    """A one-component start state runs on the Python-float step loop; the
-    same equation twice over, as a (2,) state of equal components, runs on
-    the numpy loop with the same RMS error, steps and escapes."""
+    """A one-component start state is a Python float in the step loop; the
+    same equation twice over, as a (2,) state of equal components, is a
+    numpy array in the same loop and gives the same solve bit for bit:
+    stage sums run left to right for both, and the RMS of equal components
+    is their magnitude."""
 
     angle_line = EventSpec(fn=lambda t, y: np.cos(y[0]), kind="angle-line")
     CASES = {
@@ -437,17 +439,13 @@ class TestScalarLoop:
         member = integrate_ode(counted("batch"), [y0, y0], span, tol, events=events)
         # the same steps, retries and refinements cost the same evaluations
         assert calls["plain"] == calls["batch"]
-        assert len(plain.grid) == len(member.grid)
         assert plain.states.shape == (len(plain.grid), 1)
         assert plain.derivs.shape == plain.states.shape
-        assert plain.span[1] == pytest.approx(member.span[1], abs=1e-9)
-        assert [ev.kind for ev in plain.events] == [ev.kind for ev in member.events]
-        assert [ev.direction for ev in plain.events] == [ev.direction for ev in member.events]
-        np.testing.assert_allclose([ev.time for ev in plain.events],
-                                   [ev.time for ev in member.events], rtol=0, atol=1e-9)
-        np.testing.assert_array_equal(member.states[:, 0], member.states[:, 1])
-        if plain.escape_time() is None:
-            assert plain.states[-1, 0] == pytest.approx(member.states[-1, 0], rel=1e-9)
+        np.testing.assert_array_equal(plain.grid.nodes, member.grid.nodes)
+        for column in (0, 1):
+            np.testing.assert_array_equal(plain.states[:, 0], member.states[:, column])
+            np.testing.assert_array_equal(plain.derivs[:, 0], member.derivs[:, column])
+        assert plain.events == member.events
 
     def test_cases_end_as_intended(self):
         ends = {}
@@ -478,13 +476,37 @@ class TestScalarLoop:
         assert len(bare.events) == 1
         assert bare.events[0].time == pytest.approx(math.log(2.0), abs=1e-8)
 
-    @pytest.mark.parametrize("bad", [
-        lambda t, y: np.array([1.0, 2.0]),
-        lambda t, y: np.array(1.0),  # a 0-d result is not a (1,) state
-    ])
-    def test_field_of_wrong_shape_rejected(self, bad):
+    @pytest.mark.parametrize("start, bad", [
+        ([1.0], lambda t, y: np.array([1.0, 2.0])),
+        ([1.0], lambda t, y: np.array(1.0)),  # a 0-d result is not a (1,) state
+        ([1.0, 2.0], lambda t, y: np.array([1.0, 2.0, 3.0])),
+        ([1.0, 2.0], lambda t, y: np.array(1.0)),
+        ([1.0, 2.0], lambda t, y: np.array([1.0, math.nan])),
+    ], ids=["1_gets_2", "1_gets_0d", "2_gets_3", "2_gets_0d", "2_gets_nan"])
+    def test_field_of_wrong_shape_rejected(self, start, bad):
         with pytest.raises(IntegrationError):
-            integrate_ode(bad, [1.0], (0.0, 1.0))
+            integrate_ode(bad, start, (0.0, 1.0))
+
+    def test_field_buffer_reused_for_every_call(self):
+        # a field that fills and returns one buffer solves as one that
+        # returns fresh arrays: no stored state or derivative aliases it
+        buffer = np.empty(2)
+
+        def in_place(t, y):
+            buffer[0], buffer[1] = -y[1], y[0] - 0.1 * y[1]
+            return buffer
+
+        def fresh(t, y):
+            return np.array([-y[1], y[0] - 0.1 * y[1]])
+        start, span = [1.0, 0.5], (0.0, 10.0)
+        events = [zero_crossing(0)]
+        shared = integrate_ode(in_place, start, span, events=events)
+        own = integrate_ode(fresh, start, span, events=events)
+        assert len(shared.grid) > 10 and len(shared.events) >= 2
+        np.testing.assert_array_equal(shared.grid.nodes, own.grid.nodes)
+        np.testing.assert_array_equal(shared.states, own.states)
+        np.testing.assert_array_equal(shared.derivs, own.derivs)
+        assert shared.events == own.events
 
 
 class TestRefineRoot:
