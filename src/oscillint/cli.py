@@ -608,6 +608,7 @@ def _run_riccati(config: ProblemConfig) -> Report:
         "end_time": sol.end_time,
         "escape_time": sol.escape_time,
         "blew_up": sol.escaped(),
+        "end_reason": sol.trajectory.end_reason,
         "final_value": float(sol.trajectory.states[-1, 0]),
         "steps": len(sol.trajectory.grid),
     }

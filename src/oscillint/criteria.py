@@ -134,19 +134,21 @@ def half_sine_bridge(lo: float, hi: float) -> TestFunction:
 # Polar angle machinery
 
 
-def prufer_angle_field(sys: SystemSpec) -> Callable[[float, np.ndarray], np.ndarray]:
+def prufer_angle_field(sys: SystemSpec) -> Callable[[float, float], float]:
     """Angle equation of the homogeneous companion: phi = rho cos(theta),
-    psi = rho sin(theta) gives theta' = r cos^2 + (s - p) sin cos - q sin^2."""
+    psi = rho sin(theta) gives theta' = r cos^2 + (s - p) sin cos - q sin^2.
+
+    A scalar field for integrate_ode: it takes the time and the angle as
+    floats and returns theta' as a float."""
     p_ = compile_scalar(sys.p)
     q_ = compile_scalar(sys.q)
     r_ = compile_scalar(sys.r)
     s_ = compile_scalar(sys.s)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        c = math.cos(y[0])
-        s_val = math.sin(y[0])
-        return np.array([r_(t) * c * c + (s_(t) - p_(t)) * s_val * c
-                         - q_(t) * s_val * s_val])
+    def rhs(t: float, theta: float) -> float:
+        c = math.cos(theta)
+        s_val = math.sin(theta)
+        return r_(t) * c * c + (s_(t) - p_(t)) * s_val * c - q_(t) * s_val * s_val
 
     return rhs
 
@@ -188,7 +190,7 @@ def _angle_crossings(sys: SystemSpec, span: tuple[float, float], theta0: float,
                      tol: Tolerances) -> tuple[list[float], float]:
     """Confirmed angle-line crossings and the time the angle solve reached."""
     spec = EventSpec(fn=lambda t, y: np.cos(y[0]), kind="angle-line")
-    traj = integrate_ode(prufer_angle_field(sys), [theta0], span, tol, events=[spec])
+    traj = integrate_ode(prufer_angle_field(sys), theta0, span, tol, events=[spec])
     reached = traj.span[1]
     times = [ev.time for ev in traj.events if ev.kind == "angle-line"]
     # collapse numerically duplicated detections of one crossing
@@ -217,7 +219,7 @@ def _angle_descent(sys: SystemSpec, lo: float, hi: float,
                    tol: Tolerances) -> float | None:
     """Descent of the angle started at pi/2 over [lo, hi]; None when the
     solve stops before hi, since the descent there is unknown."""
-    traj = integrate_ode(prufer_angle_field(sys), [math.pi / 2], (lo, hi), tol)
+    traj = integrate_ode(prufer_angle_field(sys), math.pi / 2, (lo, hi), tol)
     if traj.span[1] < hi:
         return None
     return math.pi / 2 - float(traj.states[-1, 0])

@@ -19,6 +19,14 @@ Evaluation raises :class:`DomainError` instead of returning NaN or inf
 for log/sqrt of a negative argument, division by zero, and overflow.
 Differentiation is symbolic; the only unsupported shape is a power with
 ``t`` in both base and exponent.
+
+Every walker of a tree here recurses once per level, so the parser
+refuses, with a :class:`ParseError`, a tree deeper than MAX_DEPTH levels
+and text that would take it deeper than MAX_DEPTH levels of its own
+recursion (five per parenthesis or function call, one per unary minus,
+two per caret). Every tree it accepts is then walked well inside Python's
+default limit of 1000 frames. The == and repr that dataclasses generate
+for the nodes are not such walkers: they take about three frames a level.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from typing import Callable
 import numpy as np
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "sinh", "cosh")
+MAX_DEPTH = 400
 
 
 class ExprError(ValueError):
@@ -193,10 +202,15 @@ def tokenize(source: str) -> list[Token]:
 
 
 class _Parser:
+    """Each parse_* method takes depth, the number of parser frames open
+    with it; levels holds the depth of each tree node built, by id (a
+    leaf is 1 level)."""
+
     def __init__(self, tokens: list[Token], source_len: int):
         self.tokens = tokens
         self.pos = 0
         self.source_len = source_len
+        self.levels: dict[int, int] = {}
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -216,39 +230,56 @@ class _Parser:
             raise ParseError(f"expected {kind}, got '{tok.lexeme}'", tok.position)
         return self.take()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def grown(self, node: Expr, tok: Token, *children: Expr) -> Expr:
+        """node, built on children at tok; refused when it makes the tree
+        deeper than MAX_DEPTH levels."""
+        level = 1 + max(self.levels.get(id(child), 1) for child in children)
+        if level > MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels", tok.position)
+        self.levels[id(node)] = level
+        return node
+
+    def parse_expr(self, depth: int) -> Expr:
+        node = self.parse_term(depth + 1)
         while (tok := self.peek()) is not None and tok.kind in ("plus", "minus"):
             self.take()
-            rhs = self.parse_term()
-            node = Add(node, rhs) if tok.kind == "plus" else Sub(node, rhs)
+            rhs = self.parse_term(depth + 1)
+            node = self.grown(Add(node, rhs) if tok.kind == "plus" else Sub(node, rhs),
+                              tok, node, rhs)
         return node
 
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
+    def parse_term(self, depth: int) -> Expr:
+        node = self.parse_unary(depth + 1)
         while (tok := self.peek()) is not None and tok.kind in ("star", "slash"):
             self.take()
-            rhs = self.parse_unary()
-            node = Mul(node, rhs) if tok.kind == "star" else Div(node, rhs)
+            rhs = self.parse_unary(depth + 1)
+            node = self.grown(Mul(node, rhs) if tok.kind == "star" else Div(node, rhs),
+                              tok, node, rhs)
         return node
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self, depth: int) -> Expr:
+        # every cycle of the grammar's recursion passes through here
         tok = self.peek()
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} parser levels",
+                             self.source_len if tok is None else tok.position)
         if tok is not None and tok.kind == "minus":
             self.take()
-            return Negate(self.parse_unary())
-        return self.parse_power()
+            arg = self.parse_unary(depth + 1)
+            return self.grown(Negate(arg), tok, arg)
+        return self.parse_power(depth + 1)
 
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
+    def parse_power(self, depth: int) -> Expr:
+        base = self.parse_atom(depth + 1)
         tok = self.peek()
         if tok is not None and tok.kind == "caret":
             self.take()
             # right-associative; exponent may carry its own sign
-            return Pow(base, self.parse_unary())
+            exponent = self.parse_unary(depth + 1)
+            return self.grown(Pow(base, exponent), tok, base, exponent)
         return base
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self, depth: int) -> Expr:
         tok = self.take()
         if tok.kind == "number":
             return Constant(float(tok.lexeme))
@@ -256,22 +287,23 @@ class _Parser:
             return TimeVar()
         if tok.kind == "identifier":
             self.expect("lparen")
-            arg = self.parse_expr()
+            arg = self.parse_expr(depth + 1)
             self.expect("rparen")
-            return Call(tok.lexeme, arg)
+            return self.grown(Call(tok.lexeme, arg), tok, arg)
         if tok.kind == "lparen":
-            inner = self.parse_expr()
+            inner = self.parse_expr(depth + 1)
             self.expect("rparen")
             return inner
         raise ParseError(f"unexpected token '{tok.lexeme}'", tok.position)
 
 
 def parse(tokens: list[Token], source_len: int | None = None) -> Expr:
-    """Build an AST from a token list."""
+    """Build an AST from a token list; ParseError for a tree, or a nesting
+    of the text, deeper than MAX_DEPTH levels."""
     if source_len is None:
         source_len = tokens[-1].position + len(tokens[-1].lexeme) if tokens else 0
     p = _Parser(tokens, source_len)
-    node = p.parse_expr()
+    node = p.parse_expr(1)
     trailing = p.peek()
     if trailing is not None:
         raise ParseError(f"unexpected token '{trailing.lexeme}'", trailing.position)
@@ -557,13 +589,18 @@ def _fmt_number(v: float) -> str:
     return repr(v)
 
 
+_INFIX = {Add: ("+", _PREC_ADD), Sub: ("-", _PREC_ADD),
+          Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
+
+
+def _wrap(text: str, child: Expr, need: int) -> str:
+    """child's text, in parentheses when it binds looser than need."""
+    return f"({text})" if _prec(child) < need else text
+
+
 def print_expr(e: Expr) -> str:
-    """Render to text that re-parses to a structurally identical tree."""
-
-    def wrap(child: Expr, need: int) -> str:
-        s = print_expr(child)
-        return f"({s})" if _prec(child) < need else s
-
+    """Render to text that re-parses to a structurally identical tree.
+    Children are printed in this frame, so each level costs one frame."""
     if isinstance(e, Constant):
         # negative literals cannot be tokenized; they re-parse as unary minus.
         # The parser never constructs them, so round-trip stays structural for
@@ -574,20 +611,16 @@ def print_expr(e: Expr) -> str:
     if isinstance(e, TimeVar):
         return "t"
     if isinstance(e, Negate):
-        return "-" + wrap(e.arg, _PREC_UNARY)
-    if isinstance(e, Add):
-        return f"{wrap(e.left, _PREC_ADD)} + {wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{wrap(e.left, _PREC_ADD)} - {wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{wrap(e.left, _PREC_MUL)} * {wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{wrap(e.left, _PREC_MUL)} / {wrap(e.right, _PREC_MUL + 1)}"
+        return "-" + _wrap(print_expr(e.arg), e.arg, _PREC_UNARY)
+    if type(e) in _INFIX:
+        op, prec = _INFIX[type(e)]
+        left = _wrap(print_expr(e.left), e.left, prec)
+        return f"{left} {op} {_wrap(print_expr(e.right), e.right, prec + 1)}"
     if isinstance(e, Pow):
         base = print_expr(e.left)
         if _prec(e.left) <= _PREC_POW:  # power base must be an atom
             base = f"({base})"
-        return f"{base} ^ {wrap(e.right, _PREC_UNARY)}"
+        return f"{base} ^ {_wrap(print_expr(e.right), e.right, _PREC_UNARY)}"
     if isinstance(e, Call):
         return f"{e.name}({print_expr(e.arg)})"
     raise TypeError(f"not an Expr node: {e!r}")

@@ -5,11 +5,11 @@ integrator (Dormand-Prince pair) with cubic-Hermite dense output,
 zero-crossing event detection with bisection refinement, escape (blow-up)
 detection, and bracketed root refinement.
 
-`integrate_ode` has one step loop for every state shape: a one-component
-state (the scalar Riccati and Prufer angle equations) is a Python float
-in it, and every other (dim,) state a numpy array. The arithmetic is
-written once; the start state's shape picks only the field call, the
-norms and the magnitude.
+`integrate_ode` has one step loop for every state shape: a scalar start
+(the Riccati and Prufer angle equations) is a Python float in it, and its
+field is called on floats; a (dim,) start is a numpy array, and its field
+on arrays. The arithmetic is written once; the start state's shape picks
+only the field call, the norms and the magnitude.
 
 Events are sign changes of a function of the solution, in either
 direction; none ends the solve. They are located on each step's cubic
@@ -29,6 +29,7 @@ the dense output), which off-the-shelf solvers do not pin down.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -178,12 +179,21 @@ class CubicHermiteCurve:
 @dataclass
 class Trajectory:
     """A solution's nodes, its states and derivatives there, and its events
-    in time order; it ends where its last node is."""
+    in time order; it ends where its last node is.
+
+    end_reason says why integrate_ode's step loop ended the solve:
+    "horizon" (it reached the end of the span), "escape_magnitude" (the
+    state passed it), "step_collapse" (the step size collapsed) or
+    "field_failure" (it collapsed because the field failed at the stages
+    it tried). Trajectories made elsewhere (the oracle's members) leave it
+    None.
+    """
 
     grid: Grid
     states: np.ndarray  # shape (n, dim)
     events: list[Event] = field(default_factory=list)
     derivs: np.ndarray | None = None  # shape of states, for dense output
+    end_reason: str | None = None
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=float)
@@ -460,63 +470,78 @@ def _dot(coeffs, k):
 
 
 def integrate_ode(
-    field_fn: Callable[[float, np.ndarray], np.ndarray],
-    y0: Sequence[float],
+    field_fn: Callable,
+    y0: float | Sequence[float],
     span: tuple[float, float],
     tolerances: Tolerances = Tolerances(),
     events: Sequence[EventSpec] = (),
     max_step: float | None = None,
 ) -> Trajectory:
-    """Integrate y' = field(t, y) forward across span from a (dim,) y0.
+    """Integrate y' = field(t, y) forward across span from a scalar or a
+    (dim,) y0.
 
     Local error per step is held to rel_tol*|y| + abs_tol by the embedded
     4th/5th order pair, as an RMS over the components. Integration ends
     early only with an escape event, once |state| exceeds escape_magnitude
-    or the step size collapses below 1e-12 * span width. The result has
-    states of shape (n, dim) and the field at the nodes as derivs.
+    or the step size collapses below 1e-12 * span width; the result's
+    end_reason tells these apart. The result has states of
+    shape (n, dim), (n, 1) for a scalar equation, and the field at the
+    nodes as derivs.
 
     Each EventSpec records every crossing, rising or falling, and the
     solve runs on past it. Crossings are found by sign changes between 7
     equally spaced samples of each step's cubic, the first of which is the
     step before's last, and bisected to root_tol on the cubic of the step
     they were found in. An event function always gets lanes, an (L,) array
-    of times and a (dim, L) array of states, one column per time: once per
-    step for its fresh samples, and once per bisection iteration for every
-    crossing of that event, all refined together after the last step. Each
-    time equals a bisection of that step's cubic alone, bit for bit. No
-    crossing is recorded past an escape.
+    of times and a (dim, L) array of states, one column per time, (1, L)
+    for a scalar equation: once per step for its fresh samples, and once
+    per bisection iteration for every crossing of that event, all refined
+    together after the last step. Each time equals a bisection of that
+    step's cubic alone, bit for bit. No crossing is recorded past an
+    escape.
 
-    The start state's shape picks how the one step loop holds it. A
-    scalar or a y0 of shape (1,) (the Riccati and angle equations) is a
-    Python float, which saves the fixed cost of numpy calls on 1-element
-    arrays; any other (dim,) is a numpy array. Either way the field is
-    called with a (dim,) array, and its result is copied before it is
-    kept, so a field may fill and return one buffer on every call.
-    Escapes are refined inside their step, since they set the end state.
+    The start state's shape picks the kind of equation:
+    - A scalar y0 (0-d) is a scalar equation, held as a Python float. Its
+      field is called as field(t, y) with a float y and returns a real
+      number: a float, or a numpy scalar or 0-d array, which is converted.
+      This saves the fixed cost of numpy calls on 1-element arrays.
+    - A (dim,) y0, (1,) included, is stepped as a numpy array. Its field
+      is called with a (dim,) array and returns one of the same shape,
+      which is copied before it is kept, so a field may fill and return
+      one buffer on every call.
+    Either way a field that raises ValueError, ZeroDivisionError,
+    OverflowError or FloatingPointError, or returns a non-finite value or
+    a result of the wrong kind, has failed there; the step is retried
+    shorter. Escapes are refined inside their step, since they set the
+    end state.
     """
     t_a, t_b = float(span[0]), float(span[1])
     if not t_b > t_a:
         raise ValueError("span must satisfy t_a < t_b")
     y = np.array(y0, dtype=float)
-    if y.ndim == 0:
-        y = y[None]
-    if y.ndim != 1:
-        raise ValueError("y0 must have shape (dim,)")
+    if y.ndim > 1:
+        raise ValueError("y0 must be a scalar or have shape (dim,)")
     if max_step is None:
         max_step = (t_b - t_a) / 16.0
-    return _step_loop(field_fn, float(y[0]) if y.shape == (1,) else y, t_a, t_b,
+    return _step_loop(field_fn, float(y) if y.ndim == 0 else y, t_a, t_b,
                       tolerances, events, max_step)
 
 
 def _scalar_field(field_fn, t: float, y: float) -> float | None:
-    """Field at the 1-component state y, as a float; None if it fails."""
+    """Field at the scalar state y, as a float; None if it fails. A float
+    result returns at once; a numpy scalar or a 0-d array is converted;
+    anything else, such as a (1,) array or a string, is a failure, as is
+    a non-finite value."""
     try:
-        out = np.asarray(field_fn(t, np.array((y,))), dtype=float)
+        value = field_fn(t, y)
+        if type(value) is not float:
+            if isinstance(value, np.ndarray) and value.ndim == 0:
+                value = value[()]
+            if not isinstance(value, numbers.Real):
+                return None
+            value = float(value)
     except _FIELD_ERRORS:
         return None
-    if out.shape != (1,):
-        return None
-    value = out.item()
     return value if math.isfinite(value) else None
 
 
@@ -555,6 +580,7 @@ def _step_loop(field_fn, y: float | np.ndarray, t_a: float, t_b: float, tol: Tol
     pending: list[list[tuple]] = [[] for _ in events]  # as in _finish
     escape = tol.escape_magnitude
     live = size(y) <= escape
+    reason = "horizon" if live else "escape_magnitude"
     if not live:
         escapes.append(Event("escape", t_a))
 
@@ -566,12 +592,14 @@ def _step_loop(field_fn, y: float | np.ndarray, t_a: float, t_b: float, tol: Tol
 
     t = t_a
     carried: list[float] = []  # each event's value at t, once a step has ended there
+    failed = False  # the last retry came from a stage whose field failed
     for _ in range(_MAX_STEPS):
         # the sliver guard keeps a 1-ulp remainder from looking like collapse
         if not live or t >= t_b - 1e-13 * width:
             break
         h = min(h, t_b - t)
         if h < STEP_COLLAPSE * width:
+            reason = "field_failure" if failed else "step_collapse"
             escapes.append(Event("escape", t))
             break
 
@@ -581,7 +609,8 @@ def _step_loop(field_fn, y: float | np.ndarray, t_a: float, t_b: float, tol: Tol
             if ki is None:
                 break
             k.append(ki)
-        if len(k) < 7:  # a stage failed
+        failed = len(k) < 7
+        if failed:
             h *= 0.25
             continue
 
@@ -638,6 +667,7 @@ def _step_loop(field_fn, y: float | np.ndarray, t_a: float, t_b: float, tol: Tol
             f_end = call(field_fn, te, y_end) if te > t else f_now
             if f_end is None:  # the field fails there: the cubic's own slope
                 f_end = _hermite_rate((te - t) / h, h, y, y_new, f_now, f_new)
+            reason = "escape_magnitude"
             escapes.append(Event("escape", te))
             if te > t:
                 ts.append(te)
@@ -652,18 +682,19 @@ def _step_loop(field_fn, y: float | np.ndarray, t_a: float, t_b: float, tol: Tol
         h = min(h * _step_factor(err), max_step)
     else:
         raise IntegrationError("step budget exhausted", t)
-    return _finish(ts, ys, fs, events, pending, escapes, ts[-1], tol, t_b)
+    return _finish(ts, ys, fs, events, pending, escapes, ts[-1], tol, t_b, reason)
 
 
 def _finish(ts: list, ys: list, fs: list, events: Sequence[EventSpec], pending: list,
-            escapes: list, end: float, tol: Tolerances, t_b: float) -> Trajectory:
+            escapes: list, end: float, tol: Tolerances, t_b: float,
+            reason: str) -> Trajectory:
     """The Trajectory of the step loop. pending holds, per event, one
     record per step with crossings, in the order found: (t, h, the step
     cubic's (4, dim) rows y0, f0, y1, f1, the subsample times, and each
     crossing's subsample index and direction). Each event's crossings are
     refined in one lane solve and those past the end dropped; one stable
     sort by time merges them with the escapes, which come last, so at equal
-    times a crossing comes first."""
+    times a crossing comes first. reason is the solve's end_reason."""
     recorded: list[Event] = []
     for spec, steps in zip(events, pending):
         if not steps:
@@ -689,4 +720,4 @@ def _finish(ts: list, ys: list, fs: list, events: Sequence[EventSpec], pending: 
         fs.append(fs[0])
     n = len(ts)
     return Trajectory(Grid(np.asarray(ts)), np.asarray(ys).reshape(n, -1), recorded,
-                      np.asarray(fs).reshape(n, -1))
+                      np.asarray(fs).reshape(n, -1), reason)

@@ -55,9 +55,14 @@ class RiccatiSolution:
 
 def solve_riccati(prob: RiccatiProblem, y0: float,
                   tol: Tolerances = Tolerances()) -> RiccatiSolution:
-    """Integrate the quadratic equation forward, stopping at blow-up."""
-    traj = integrate_ode(prob.field(), [float(y0)], prob.span, tol)
-    return RiccatiSolution(trajectory=traj, escape_time=traj.escape_time())
+    """Integrate the quadratic equation forward, stopping at blow-up. Only
+    a solve that ends by passing escape_magnitude has blown up; one whose
+    step collapsed, or whose field failed, has an end_reason that says so
+    and no escape time."""
+    traj = integrate_ode(prob.field(), float(y0), prob.span, tol)
+    blew_up = traj.end_reason == "escape_magnitude"
+    return RiccatiSolution(trajectory=traj,
+                           escape_time=traj.escape_time() if blew_up else None)
 
 
 @dataclass(frozen=True, eq=False)

@@ -220,12 +220,13 @@ class RiccatiProblem:
             raise ValueError("span must be a finite increasing pair")
         object.__setattr__(self, "span", (float(lo), float(hi)))
 
-    def field(self) -> Callable[[float, np.ndarray], np.ndarray]:
+    def field(self) -> Callable[[float, float], float]:
+        """y' = -(fcoef y^2 + gcoef y + hcoef), a scalar field for
+        integrate_ode: it takes the time and y as floats and returns y'."""
         fc, gc, hc = self.fcoef, self.gcoef, self.hcoef
 
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            v = y[0]
-            return np.array([-(fc(t) * v * v + gc(t) * v + hc(t))])
+        def rhs(t: float, y: float) -> float:
+            return -(fc(t) * y * y + gc(t) * y + hc(t))
 
         return rhs
 

@@ -307,6 +307,7 @@ class TestSubcommands:
                                    "horizon": 1.2})
         report = run("riccati", config)
         assert report.details["blew_up"] is False
+        assert report.details["end_reason"] == "horizon"
         # y = psi/phi for cos/-sin start (1, 0): y = -tan t
         assert report.details["final_value"] == pytest.approx(
             -math.tan(1.2), abs=1e-7)
@@ -316,8 +317,21 @@ class TestSubcommands:
                                    "horizon": 3.0})
         report = run("riccati", config)
         assert report.details["blew_up"] is True
+        assert report.details["end_reason"] == "escape_magnitude"
         assert report.details["escape_time"] == pytest.approx(
             math.pi / 2, abs=1e-3)
+
+    def test_riccati_field_failure_is_no_blowup(self):
+        # the square root's argument is negative on a band about 0.004 wide
+        # that falls between probe nodes; the stages fail there and the step
+        # collapses, which is no blow-up
+        config = config_from_dict({"system": {
+            "q": "1", "r": "-sqrt(1 - 2*exp(-(((t-0.8818359375)/0.002)^8)))"},
+            "horizon": 3})
+        details = run("riccati", config).details
+        assert details["blew_up"] is False and details["escape_time"] is None
+        assert details["end_reason"] == "field_failure"
+        assert details["end_time"] == pytest.approx(0.880, abs=1e-3)
 
     def test_riccati_rejects_forced(self):
         config = config_from_dict(forced_harmonic_doc())
@@ -462,6 +476,23 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert code == EXIT_ERROR and captured.out == ""
         assert captured.err == f"oscillint: error: compare.{problem}.{key}: {message}\n"
+
+    @pytest.mark.parametrize("q, message", [
+        ("sin(" * 200 + "t" + ")" * 200,
+         "expression nests deeper than 400 parser levels at offset 320"),
+        (" + ".join(["1"] + ["0"] * 1199), "expression deeper than 400 levels at offset 1598"),
+    ], ids=["nested_calls", "long_sum"])
+    def test_deep_expression_exits_with_one_line(self, tmp_path, capsys, q, message):
+        path = write_doc(tmp_path, {"system": {"q": q, "r": "-1"}, "horizon": 10})
+        code = main(["analyze", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err == f"oscillint: error: system.q: {message}\n"
+
+    def test_long_sum_within_the_bound_runs(self, tmp_path, capsys):
+        q = " + ".join(["1"] + ["0"] * 299)
+        path = write_doc(tmp_path, {"system": {"q": q, "r": "-1"}, "horizon": 10})
+        assert main(["analyze", "--config", str(path)]) == EXIT_INCONCLUSIVE
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["analyze", "--config", str(tmp_path / "nope.json")])

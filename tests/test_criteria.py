@@ -57,18 +57,18 @@ class TestAngleField:
     def test_harmonic_angle_speed_is_constant(self):
         field = prufer_angle_field(harmonic())
         for theta in (0.0, 0.7, -2.0, math.pi / 2):
-            assert field(1.3, np.array([theta]))[0] == pytest.approx(-1.0, abs=1e-15)
+            assert field(1.3, theta) == pytest.approx(-1.0, abs=1e-15)
 
     def test_decoupled_system_has_frozen_angle(self):
         field = prufer_angle_field(make_system(p="sin(t)", s="sin(t)"))
         for theta in (0.0, 0.5, 1.2):
-            assert field(2.0, np.array([theta]))[0] == pytest.approx(0.0, abs=1e-15)
+            assert field(2.0, theta) == pytest.approx(0.0, abs=1e-15)
 
     def test_one_way_coupling(self):
         field = prufer_angle_field(make_system(q="1"))
         theta = 0.9
         expected = -math.sin(theta) ** 2
-        assert field(0.0, np.array([theta]))[0] == pytest.approx(expected, abs=1e-15)
+        assert field(0.0, theta) == pytest.approx(expected, abs=1e-15)
 
 
 class TestIntervalOscillation:
@@ -138,8 +138,10 @@ class TestAngleCrossingsAgainstScipy:
         span = config.span()
         crossings = angle_line_crossings(sys_h, span, tol=tol)
         # scipy looks for sign changes only between its step ends, and on the
-        # harmonic's linear angle its steps would span several crossings
-        reference = solve_ivp(prufer_angle_field(sys_h), span, [math.pi / 2],
+        # harmonic's linear angle its steps would span several crossings;
+        # the angle field takes and returns floats, scipy passes (1,) arrays
+        field = prufer_angle_field(sys_h)
+        reference = solve_ivp(lambda t, y: [field(t, y[0])], span, [math.pi / 2],
                               method="RK45", rtol=1e-11, atol=1e-13, max_step=0.1,
                               events=lambda t, y: math.cos(y[0]))
         assert reference.status == 0

@@ -5,7 +5,9 @@ derivatives checked against a central finite-difference oracle computed
 here from eval() alone.
 """
 
+import contextlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillint.expr import (
+    MAX_DEPTH,
     Add,
     Call,
     Constant,
@@ -27,6 +30,7 @@ from oscillint.expr import (
     Sub,
     TimeVar,
     compile_scalar,
+    contains_t,
     differentiate,
     eval_expr,
     parse_text,
@@ -101,6 +105,61 @@ class TestParse:
 
     def test_no_constant_folding(self):
         assert parse_text("1 + 1") == Add(Constant(1.0), Constant(1.0))
+
+
+@contextlib.contextmanager
+def frames_above_here(extra: int):
+    """Lower the recursion limit to this stack's depth plus extra frames."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + extra)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+class TestDepthBound:
+    """A tree deeper than MAX_DEPTH levels, or text that nests the parser
+    deeper, is refused at parse time; every walker takes one frame per
+    level of what is accepted."""
+
+    @staticmethod
+    def sum_of(terms: int) -> str:
+        return " + ".join(["1"] + ["t"] * (terms - 1))
+
+    def test_deepest_tree_goes_through_every_walker(self):
+        text = self.sum_of(MAX_DEPTH)  # MAX_DEPTH - 1 additions above a leaf
+        with frames_above_here(MAX_DEPTH + 25):
+            e = parse_text(text)
+            assert print_expr(e) == text
+            assert eval_expr(e, 0.5) == 1.0 + 0.5 * (MAX_DEPTH - 1)
+            assert compile_scalar(e)(0.5) == eval_expr(e, 0.5)
+            np.testing.assert_array_equal(sample(e, np.array([0.5, 2.0])),
+                                          [eval_expr(e, 0.5), eval_expr(e, 2.0)])
+            assert contains_t(e)
+            assert eval_expr(differentiate(e), 0.3) == MAX_DEPTH - 1
+
+    def test_one_level_more_is_refused(self):
+        text = self.sum_of(MAX_DEPTH + 1)
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels") as info:
+            parse_text(text)
+        assert info.value.position == text.rindex("+")
+
+    def test_nesting_is_bounded_by_the_parser_frames(self):
+        # a function call opens five parser frames
+        calls = (MAX_DEPTH - 10) // 5
+        with frames_above_here(MAX_DEPTH + 25):
+            e = parse_text("sin(" * calls + "t" + ")" * calls)
+            assert eval_expr(e, 0.0) == 0.0
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_text("sin(" * (calls + 5) + "t" + ")" * (calls + 5))
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_text("(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH)
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_text("-" * MAX_DEPTH + "t")
 
 
 class TestEval:

@@ -313,7 +313,7 @@ class TestEventLanes:
             assert got == _bisected_crossings(traj, spec, tol.root_tol), j
 
     def test_scalar_start_gets_lanes_and_equals_member_bisection(self):
-        # a (1,) start is a float in the step loop, and its event function
+        # a scalar start is a float in the step loop, and its event function
         # also gets lanes; at rest at t = 0 every step is max_step, as above
         shapes = set()
 
@@ -324,7 +324,7 @@ class TestEventLanes:
         field = lambda t, y: -t * (4.0 * np.cos(y) ** 2 + np.sin(y) ** 2)
         tol = Tolerances(rel_tol=1e-6, abs_tol=1e-8)
         step = 2.0 ** -5
-        traj = integrate_ode(field, [1.0], (0.0, 4.0), tol, events=[spec], max_step=step)
+        traj = integrate_ode(field, 1.0, (0.0, 4.0), tol, events=[spec], max_step=step)
         np.testing.assert_array_equal(traj.grid.nodes, np.arange(129) * step)
         assert all(len(t) == 1 and y == (1, *t) for t, y in shapes), shapes
         got = [(ev.time, ev.direction) for ev in traj.events]
@@ -364,7 +364,7 @@ class TestEventLanes:
                      integrate_ode(self.rotation, start, (0.0, 10.0), tol, events=[spec]).events]
             assert both.events == sorted(apart, key=lambda ev: ev.time), phase
 
-    @pytest.mark.parametrize("start", [[1.0], [1.0, 2.0, 3.0]], ids=["scalar", "array"])
+    @pytest.mark.parametrize("start", [1.0, [1.0, 2.0, 3.0]], ids=["scalar", "array"])
     def test_step_boundaries_evaluated_once(self, start):
         # y never reaches -1, so every event call is a scan, none a bisection:
         # the start, then the 6 samples past each step's first
@@ -391,7 +391,7 @@ class TestFailedFieldAtEnd:
             if abs(t - math.atan(1.5)) < 1e-6:
                 raise ValueError("no field here")
             return 1.0 + y * y
-        traj = integrate_ode(tangent, [0.0, 0.0] if array_state else [0.0], (0.0, 3.0),
+        traj = integrate_ode(tangent, [0.0, 0.0] if array_state else 0.0, (0.0, 3.0),
                              Tolerances(escape_magnitude=1.5))
         assert traj.escape_time() == pytest.approx(math.atan(1.5), abs=1e-5)
         assert traj.derivs[-1, 0] == pytest.approx(3.25, abs=1e-3)
@@ -403,11 +403,11 @@ def _log_to_ceiling(t, y):
 
 
 class TestScalarLoop:
-    """A one-component start state is a Python float in the step loop; the
-    same equation twice over, as a (2,) state of equal components, is a
-    numpy array in the same loop and gives the same solve bit for bit:
-    stage sums run left to right for both, and the RMS of equal components
-    is their magnitude."""
+    """A scalar start state is a Python float in the step loop, and its
+    field is called on floats; the same equation as a (1,) start, or twice
+    over as a (2,) state of equal components, is a numpy array in the same
+    loop and gives the same solve bit for bit: stage sums run left to right
+    for all three, and the RMS of equal components is their magnitude."""
 
     angle_line = EventSpec(fn=lambda t, y: np.cos(y[0]), kind="angle-line")
     CASES = {
@@ -423,58 +423,87 @@ class TestScalarLoop:
                           Tolerances(escape_magnitude=1.5), ()),
         "nan_field": (lambda t, y: y * (math.nan if t > 0.5 else 1.0), 1.0, (0.0, 1.0),
                       Tolerances(), ()),
+        # a finite jump no step can resolve: every step across t = 0.5 is
+        # rejected until the step size collapses
+        "jump": (lambda t, y: 0.0 * y + (1e200 if t > 0.5 else 0.0), 0.0, (0.0, 1.0),
+                 Tolerances(), ()),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_agrees_with_numpy_loop(self, case):
         field, y0, span, tol, events = self.CASES[case]
-        calls = {"plain": 0, "batch": 0}
+        starts = {"scalar": y0, "single": [y0], "pair": [y0, y0]}
+        calls = dict.fromkeys(starts, 0)
 
         def counted(kind):
             def fn(t, y):
                 calls[kind] += 1
                 return field(t, y)
             return fn
-        plain = integrate_ode(counted("plain"), [y0], span, tol, events=events)
-        member = integrate_ode(counted("batch"), [y0, y0], span, tol, events=events)
+        scalar, single, pair = (integrate_ode(counted(kind), start, span, tol, events=events)
+                                for kind, start in starts.items())
         # the same steps, retries and refinements cost the same evaluations
-        assert calls["plain"] == calls["batch"]
-        assert plain.states.shape == (len(plain.grid), 1)
-        assert plain.derivs.shape == plain.states.shape
-        np.testing.assert_array_equal(plain.grid.nodes, member.grid.nodes)
-        for column in (0, 1):
-            np.testing.assert_array_equal(plain.states[:, 0], member.states[:, column])
-            np.testing.assert_array_equal(plain.derivs[:, 0], member.derivs[:, column])
-        assert plain.events == member.events
+        assert calls["scalar"] == calls["single"] == calls["pair"]
+        assert scalar.states.shape == (len(scalar.grid), 1)
+        assert scalar.derivs.shape == scalar.states.shape
+        for other, columns in ((single, (0,)), (pair, (0, 1))):
+            np.testing.assert_array_equal(scalar.grid.nodes, other.grid.nodes)
+            for column in columns:
+                np.testing.assert_array_equal(scalar.states[:, 0], other.states[:, column])
+                np.testing.assert_array_equal(scalar.derivs[:, 0], other.derivs[:, column])
+            assert scalar.events == other.events
+            assert scalar.end_reason == other.end_reason
 
     def test_cases_end_as_intended(self):
         ends = {}
         for case, (field, y0, span, tol, events) in self.CASES.items():
-            traj = integrate_ode(field, [y0], span, tol, events=events)
-            ends[case] = (traj.span[1], traj.escape_time(), len(traj.events))
-        assert ends["smooth"] == (10.0, None, 0)
+            traj = integrate_ode(field, y0, span, tol, events=events)
+            ends[case] = (traj.span[1], traj.escape_time(), len(traj.events), traj.end_reason)
+        assert ends["smooth"] == (10.0, None, 0, "horizon")
         assert ends["angle"][:2] == (12.0, None)
-        assert ends["angle"][2] == 7  # theta passes a line every pi/2
+        assert ends["angle"][2:] == (7, "horizon")  # theta passes a line every pi/2
         assert ends["tangent"][1] == pytest.approx(math.pi / 2, abs=1e-4)
+        assert ends["tangent"][3] == "escape_magnitude"
         assert ends["field_raises"][1] == pytest.approx(1.3, abs=1e-6)
+        assert ends["field_raises"][3] == "field_failure"
         assert ends["starts_escaped"][1] == 0.0
+        assert ends["starts_escaped"][3] == "escape_magnitude"
         assert ends["linear_escape"][1] == pytest.approx(1.5, abs=1e-9)
+        assert ends["linear_escape"][3] == "escape_magnitude"
         assert ends["nan_field"][1] == pytest.approx(0.5, abs=1e-6)
+        assert ends["nan_field"][3] == "field_failure"
+        assert ends["jump"][1] == pytest.approx(0.5, abs=1e-6)
+        assert ends["jump"][3] == "step_collapse"
 
     def test_scalar_start_takes_the_scalar_loop(self):
-        seen = []
+        # the field of a scalar start sees Python floats, never arrays, and
+        # its event functions still get (L,) times and (1, L) states
+        seen, lanes = set(), set()
 
         def field(t, y):
-            seen.append(y.shape)
+            seen.add((type(t), type(y)))
             return -y
-        half = EventSpec(fn=lambda t, y: y[0] - 0.5)
-        bare = integrate_ode(field, 1.0, (0.0, 1.0), events=[half])
-        listed = integrate_ode(field, [1.0], (0.0, 1.0), events=[half])
-        assert set(seen) == {(1,)}
+
+        def half(t, y):
+            lanes.add((np.shape(t), np.shape(y)))
+            return y[0] - 0.5
+        bare = integrate_ode(field, 1.0, (0.0, 1.0), events=[EventSpec(fn=half)])
+        assert seen == {(float, float)}
+        assert all(y == (1, *t) for t, y in lanes) and lanes
+        listed = integrate_ode(lambda t, y: -y, [1.0], (0.0, 1.0), events=[EventSpec(fn=half)])
         np.testing.assert_array_equal(bare.states, listed.states)
+        assert bare.states.shape == (len(bare.grid), 1)
         assert bare.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-7)
         assert len(bare.events) == 1
         assert bare.events[0].time == pytest.approx(math.log(2.0), abs=1e-8)
+
+    def test_scalar_field_may_return_numpy_scalars(self):
+        # a numpy scalar or a 0-d array is converted to the float it holds
+        solves = [integrate_ode(field, 1.0, (0.0, 2.0)) for field in
+                  (lambda t, y: -y, lambda t, y: np.float64(-y), lambda t, y: np.array(-y))]
+        for other in solves[1:]:
+            np.testing.assert_array_equal(solves[0].grid.nodes, other.grid.nodes)
+            np.testing.assert_array_equal(solves[0].states, other.states)
 
     @pytest.mark.parametrize("start, bad", [
         ([1.0], lambda t, y: np.array([1.0, 2.0])),
@@ -482,7 +511,13 @@ class TestScalarLoop:
         ([1.0, 2.0], lambda t, y: np.array([1.0, 2.0, 3.0])),
         ([1.0, 2.0], lambda t, y: np.array(1.0)),
         ([1.0, 2.0], lambda t, y: np.array([1.0, math.nan])),
-    ], ids=["1_gets_2", "1_gets_0d", "2_gets_3", "2_gets_0d", "2_gets_nan"])
+        # a scalar equation's field returns a real number, nothing else
+        (1.0, lambda t, y: np.array([1.0])),
+        (1.0, lambda t, y: np.array([1.0, 2.0])),
+        (1.0, lambda t, y: math.nan),
+        (1.0, lambda t, y: "1.0"),
+    ], ids=["1_gets_2", "1_gets_0d", "2_gets_3", "2_gets_0d", "2_gets_nan",
+            "scalar_gets_1", "scalar_gets_2", "scalar_gets_nan", "scalar_gets_str"])
     def test_field_of_wrong_shape_rejected(self, start, bad):
         with pytest.raises(IntegrationError):
             integrate_ode(bad, start, (0.0, 1.0))
