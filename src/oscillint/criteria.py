@@ -46,6 +46,7 @@ from .numerics import (
     integrate_ode,
     refine_roots,
 )
+from .oracle import angle_turn
 from .transform import (
     DEFAULT_GRID_NODES,
     PROBE_POINTS,
@@ -217,12 +218,14 @@ def _angle_crossings(sys: SystemSpec, span: tuple[float, float], theta0: float,
 
 def _angle_descent(sys: SystemSpec, lo: float, hi: float,
                    tol: Tolerances) -> float | None:
-    """Descent of the angle started at pi/2 over [lo, hi]; None when the
-    solve stops before hi, since the descent there is unknown."""
-    traj = integrate_ode(prufer_angle_field(sys), math.pi / 2, (lo, hi), tol)
-    if traj.span[1] < hi:
-        return None
-    return math.pi / 2 - float(traj.states[-1, 0])
+    """Descent over [lo, hi] of the angle started at pi/2, read off the
+    solution of the unforced system sys from (phi, psi) = (0, 1): pi/2 less
+    its final continuous angle. The solution is solved as Chebyshev series
+    on chunks (oracle.angle_turn); None when a chunk cannot be sampled or
+    resolved down to STEP_COLLAPSE of the window, since the descent past
+    there is unknown."""
+    turn = angle_turn(sys, lo, hi, tol.rel_tol)
+    return None if turn is None else -turn
 
 
 def interval_oscillation_test(sys: SystemSpec, interval: tuple[float, float],
@@ -233,7 +236,9 @@ def interval_oscillation_test(sys: SystemSpec, interval: tuple[float, float],
     The solution vanishing at the left endpoint starts on a vertical line;
     with q >= 0 the angle can only cross those lines downward, and the scalar
     angle flow preserves order, so it is enough to check that this extremal
-    angle descends at least pi by the right endpoint.
+    angle descends at least pi by the right endpoint. The descent is read
+    off the companion's solution from (0, 1), solved as Chebyshev series
+    (_angle_descent); forcing terms of sys play no part.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -241,7 +246,7 @@ def interval_oscillation_test(sys: SystemSpec, interval: tuple[float, float],
     negative_q = _negative_q_verdict(sys, lo, hi, _ANGLE_NEEDS_Q)
     if negative_q is not None:
         return negative_q
-    descent = _angle_descent(sys, lo, hi, tol)
+    descent = _angle_descent(sys.homogeneous(), lo, hi, tol)
     if descent is None:
         return Verdict(INCONCLUSIVE, (lo, hi),
                        notes="the angle solve stopped before the end of the interval")
@@ -422,7 +427,7 @@ def _refined_windows(margins: np.ndarray,
     right = np.flatnonzero(last < len(nodes) - 1)
     lanes = np.concatenate([row[left], row[right]])
     if lanes.size:
-        roots = refine_roots(lambda t: margin_at(lanes, t) + SIGN_SLACK,
+        roots = refine_roots(lambda t, i: margin_at(lanes[i], t) + SIGN_SLACK,
                              np.concatenate([nodes[first[left] - 1], nodes[last[right]]]),
                              np.concatenate([lo[left], nodes[last[right] + 1]]),
                              tol=1e-13)

@@ -25,8 +25,8 @@ refuses, with a :class:`ParseError`, a tree deeper than MAX_DEPTH levels
 and text that would take it deeper than MAX_DEPTH levels of its own
 recursion (five per parenthesis or function call, one per unary minus,
 two per caret). Every tree it accepts is then walked well inside Python's
-default limit of 1000 frames. The == and repr that dataclasses generate
-for the nodes are not such walkers: they take about three frames a level.
+default limit of 1000 frames. The nodes' ==, hash and repr walk the tree
+in a loop, in one frame.
 """
 
 from __future__ import annotations
@@ -76,60 +76,97 @@ class DifferentiationError(ExprError):
 
 
 class Expr:
-    """Base node. Nodes are frozen dataclasses; == is structural equality."""
+    """Base node. Nodes are frozen dataclasses; == is structural equality,
+    and hash and repr follow the structure too."""
 
     __slots__ = ()
 
     def __call__(self, t: float) -> float:
         return eval_expr(self, t)
 
+    def _preorder(self) -> list[tuple]:
+        """One entry per node in preorder: its type and its fields that are
+        not nodes. Each type has a fixed number of children, so two trees
+        are equal exactly when these lists are."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            values = [getattr(node, name) for name in node.__dataclass_fields__]
+            out.append((type(node), *(v for v in values if not isinstance(v, Expr))))
+            stack.extend(v for v in reversed(values) if isinstance(v, Expr))
+        return out
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self) -> str:
+        """The dataclass form, e.g. Add(left=TimeVar(), right=Constant(value=1.0))."""
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts = [f"{type(item).__name__}("]
+            for i, name in enumerate(item.__dataclass_fields__):
+                value = getattr(item, name)
+                parts += [", " if i else "", f"{name}=",
+                          value if isinstance(value, Expr) else repr(value)]
+            stack.extend(reversed(parts + [")"]))
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Constant(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TimeVar(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Negate(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Pow(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
     name: str
     arg: Expr

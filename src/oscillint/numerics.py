@@ -284,55 +284,52 @@ def definite_simpson(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: floa
 def refine_root(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-9) -> float:
     """Bracketed root with |bracket| <= tol (Brent's method): one lane of
     refine_roots, with fn called on floats."""
-    return float(refine_roots(lambda x: np.array([fn(float(x[0]))]), [lo], [hi], tol)[0])
+    return float(refine_roots(lambda x, lanes: np.array([fn(float(x[0]))]), [lo], [hi], tol)[0])
 
 
 _BRENT_RTOL = 4 * np.finfo(float).eps
 _BRENT_MAXITER = 100
 
 
-def refine_roots(fn: Callable[[np.ndarray], np.ndarray], lo, hi,
+def refine_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
                  tol: float = 1e-9) -> np.ndarray:
     """Many bracketed roots at once, each equal to scipy's brentq bit for bit.
 
-    fn maps an array of points, one per bracket, to the values there. Each
-    lane runs brentq's iteration (same xtol, rtol = 4 eps, step rules and
-    stopping test); an iteration makes one call of fn over all brackets, and
-    a lane that has converged stays at its root. A bracket with a zero at
-    an end returns that end, the lower one first.
+    fn(points, lanes) gives the value of bracket lanes[i] (an index into lo
+    and hi) at points[i]. Each lane runs brentq's iteration (same xtol,
+    rtol = 4 eps, step rules and stopping test); an iteration makes one
+    call of fn over the brackets still open, and a converged bracket is
+    never passed again. A bracket with a zero at an end returns that end,
+    the lower one first.
     """
     xpre = np.array(lo, dtype=float)
     xcur = np.array(hi, dtype=float)
     if np.any(xcur <= xpre):
         raise RootBracketError("empty bracket")
 
-    def values(x):
-        out = np.asarray(fn(x), dtype=float)
+    def values(x, lanes):
+        out = np.asarray(fn(x, lanes), dtype=float)
         if np.isnan(out).any():
             raise ValueError("root function returned NaN")
         return out
 
-    fpre, fcur = values(xpre), values(xcur)
-    done = (fpre == 0.0) | (fcur == 0.0)
-    if np.any(~done & (np.signbit(fpre) == np.signbit(fcur))):
+    lanes = np.arange(xcur.size)
+    fpre, fcur = values(xpre, lanes), values(xcur, lanes)
+    open_ = (fpre != 0.0) & (fcur != 0.0)
+    if np.any(open_ & (np.signbit(fpre) == np.signbit(fcur))):
         raise RootBracketError("no sign change on some bracket")
     root = np.where(fpre == 0.0, xpre, xcur)
-    xblk = np.zeros_like(xcur)
-    fblk = np.zeros_like(xcur)
-    spre = np.zeros_like(xcur)
-    scur = np.zeros_like(xcur)
+    # the iteration state holds the open brackets only, in the order of lanes
+    lanes, xpre, xcur, fpre, fcur = (a[open_] for a in (lanes, xpre, xcur, fpre, fcur))
+    xblk, fblk, spre, scur = (np.zeros_like(xcur) for _ in range(4))
     for _ in range(_BRENT_MAXITER):
-        if done.all():
-            return root
-        # lanes that have converged keep their state; their steps are discarded
-        live = ~done
-        flip = live & (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
         xblk = np.where(flip, xpre, xblk)
         fblk = np.where(flip, fpre, fblk)
         spre = np.where(flip, xcur - xpre, spre)
         scur = np.where(flip, xcur - xpre, scur)
         # keep the better estimate in xcur
-        swap = live & (np.abs(fblk) < np.abs(fcur))
+        swap = np.abs(fblk) < np.abs(fcur)
         xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
                             np.where(swap, xcur, xblk))
         fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
@@ -340,10 +337,15 @@ def refine_roots(fn: Callable[[np.ndarray], np.ndarray], lo, hi,
 
         delta = (tol + _BRENT_RTOL * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        converged = live & ((fcur == 0.0) | (np.abs(sbis) < delta))
-        root = np.where(converged, xcur, root)
-        done = done | converged
-        live = ~done
+        converged = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if converged.any():
+            root[lanes[converged]] = xcur[converged]
+            keep = ~converged
+            lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                a[keep] for a in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                                  delta, sbis))
+        if not lanes.size:
+            return root
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # secant when the contrapoint is the previous iterate, else
@@ -356,17 +358,13 @@ def refine_roots(fn: Callable[[np.ndarray], np.ndarray], lo, hi,
         stry = np.where(xpre == xblk, interpolated, extrapolated)
         short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
                  & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-        spre = np.where(live, np.where(short, scur, sbis), spre)
-        scur = np.where(live, np.where(short, stry, sbis), scur)
+        spre = np.where(short, scur, sbis)
+        scur = np.where(short, stry, sbis)
 
-        xpre = np.where(live, xcur, xpre)
-        fpre = np.where(live, fcur, fpre)
-        step = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        xcur = np.where(live, xcur + step, xcur)
-        fcur = np.where(live, values(xcur), fcur)
-    if not done.all():
-        raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations")
-    return root
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = values(xcur, lanes)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations")
 
 
 def _bisect_event(g: Callable[[float], float], a: float, b: float, tol: float) -> float:

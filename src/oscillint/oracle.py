@@ -5,12 +5,16 @@ alone. This module takes the opposite route: solve a finite ensemble of
 initial conditions, record where each first component actually vanishes, and
 summarize what was observed. Ensemble verdicts never override analytic ones;
 they exist to catch bugs in the analytic path (and vice versa).
+
+The chunked series solve that serves the ensemble also gives `criteria` the
+angle descent over a window (`angle_turn`), without a step-loop solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
@@ -100,10 +104,11 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
     system from (1, 0) and (0, 1), and w the forced one from (0, 0). Each
     chunk solves the three at once as Chebyshev series by collocation
     (Trefethen, Spectral Methods in MATLAB, ch. 6-7), from one `sample`
-    call per coefficient. A chunk is at most 1/16 of the span, as a
-    default integrate_ode step is; it is halved until each series' last
-    coefficients are below rel_tol of its largest and u and v stay below
-    _GROWTH. A member's state at a chunk's end starts it on the next.
+    call per coefficient. _chunk_walk makes a chunk at most 1/16 of the
+    span, as a default integrate_ode step is, and halves it until each
+    series' last coefficients are below rel_tol of its largest and u and v
+    stay below _GROWTH. A member's state at a chunk's end starts it on the
+    next.
 
     A member's nodes are _NODES evenly spaced points per chunk, its states
     the series there and its derivs the series' derivative. Its zeros are
@@ -121,19 +126,9 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
     last = np.zeros(m, dtype=int)  # each member's last node, once it has ended
     blowup = np.full(m, -1)  # the node after which a member passes escape_magnitude
     chunks = []  # (start, end, member series, member states, member rates)
-    t, h = lo, hi - lo
-    while live.any() and t < hi:
-        h = min(h, hi - t, (hi - lo) / 16.0)
-        if hi - t - h < 0.5 * h:  # no sliver chunk before the end
-            h = hi - t
-        if h < STEP_COLLAPSE * (hi - lo):
-            last[live] = len(chunks) * _NODES
-            escaped |= live
-            break
-        coef = _chunk_series(sys, t, h, tol.rel_tol)
-        if coef is None:
-            h *= 0.5
-            continue
+    walk, reached = _chunk_walk(sys, lo, hi, tol.rel_tol, (hi - lo) / 16.0), lo
+    while live.any() and (chunk := next(walk, None)) is not None:
+        t, reached, h, coef = chunk
         # an ended member's series, that of w, is never read
         series = coef @ np.vstack((np.where(live, state, 0.0), np.ones(m)))
         states, rates = _AT_NODES @ series, _RATE_AT_NODES @ series * (2.0 / h)
@@ -145,12 +140,82 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
         last[blown] = blowup[blown] + 1
         escaped |= blown
         live &= ~blown
-        t_end = hi if h == hi - t else t + h
-        chunks.append((t, t_end, series, states, rates))
-        state, t, h = end, t_end, 2.0 * h
-    else:
-        last[live] = len(chunks) * _NODES
+        chunks.append((t, reached, series, states, rates))
+        state = end
+    last[live] = len(chunks) * _NODES
+    if reached < hi:  # the walk stopped early: every running member escapes there
+        escaped |= live
     return _members(chunks, start, ens.span, last, escaped, blowup, tol)
+
+
+def _chunk_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float, widest: float,
+                take: Callable[[np.ndarray], object] = lambda coef: coef):
+    """The chunks that cover [lo, hi] from lo, each solved as series: yield
+    (t, t_end, h, take(coef)) for each chunk [t, t_end], h wide, with coef
+    its _chunk_series coefficients; t_end is t + h, or exactly hi for the
+    last chunk. The oracle and the angle descent both walk through here.
+
+    A chunk is at most widest wide and takes the rest of the span when
+    less than half a chunk would be left after it. It is halved while
+    _chunk_series rejects it or take returns None, and the next chunk
+    tries twice its width. The walk stops early where a chunk would be
+    narrower than STEP_COLLAPSE of the span: a coefficient that cannot be
+    sampled or resolved there.
+    """
+    t, h = lo, hi - lo
+    while t < hi:
+        h = min(h, hi - t, widest)
+        if hi - t - h < 0.5 * h:  # no sliver chunk before the end
+            h = hi - t
+        if h < STEP_COLLAPSE * (hi - lo):
+            return
+        coef = _chunk_series(sys, t, h, rel_tol)
+        piece = None if coef is None else take(coef)
+        if piece is None:
+            h *= 0.5
+            continue
+        t_end = hi if h == hi - t else t + h
+        yield t, t_end, h, piece
+        t, h = t_end, 2.0 * h
+
+
+def angle_turn(sys: SystemSpec, lo: float, hi: float, rel_tol: float) -> float | None:
+    """How far the angle of (phi, psi) turns, counterclockwise, over [lo, hi]
+    on the solution of the unforced system from (0, 1); None where the
+    chunk walk stops before hi.
+
+    The walk's widest chunk is the whole span. On each chunk the turn is
+    the sum of the angles between the solution's vectors at adjacent
+    nodes, each found by atan2 in (-pi, pi]. A chunk is halved when one of
+    them exceeds pi/2, so that no half turn hides between two nodes, and
+    when the solution ends it too small for the chunk's error. The
+    solution is carried to the next chunk scaled to unit length.
+    """
+    state, turned, reached = np.array([0.0, 1.0]), 0.0, lo
+    # the take reads the state that the loop body last set
+    for _, reached, _, (end, turn) in _chunk_walk(
+            sys, lo, hi, rel_tol, hi - lo, lambda coef: _chunk_turn(coef, state, rel_tol)):
+        state, turned = end / math.hypot(*end), turned + turn
+    return turned if reached == hi else None
+
+
+def _chunk_turn(coef: np.ndarray, state: np.ndarray,
+                rel_tol: float) -> tuple[np.ndarray, float] | None:
+    """The unforced solution's state at the chunk's end and its turn on the
+    chunk, from state at its start; None when two adjacent nodes are more
+    than pi/2 apart in angle, or when the solution's share of the chunk's
+    error exceeds rel_tol of its size at the end."""
+    series = coef[:, :, :2] @ state
+    x, end = series @ _AT_NODES.T, series.sum(axis=1)
+    x[:, 0], x[:, -1] = state, end
+    steps = np.arctan2(x[0, :-1] * x[1, 1:] - x[1, :-1] * x[0, 1:],
+                       x[0, :-1] * x[0, 1:] + x[1, :-1] * x[1, 1:])
+    # the chunk's error is relative to the largest values of u and v: a
+    # solution that decays far below them on the chunk keeps less accuracy
+    tail = np.abs(coef[:, -_TAIL:, :2]).max(axis=(0, 1)) @ np.abs(state)
+    if np.abs(steps).max() > 0.5 * math.pi or tail > rel_tol * math.hypot(*end):
+        return None
+    return end, float(steps.sum())
 
 
 _DEGREE = 32  # of each chunk's series

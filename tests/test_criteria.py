@@ -26,12 +26,14 @@ from oscillint.criteria import (
     interval_oscillation_test,
     lambda_feasibility,
     prufer_angle_field,
+    _angle_descent,
     _runs,
     sign_windows,
     variational_functional,
 )
 from oscillint.expr import Mul, Constant, parse_text
 from oscillint.numerics import Grid, Tolerances, integrate_ode, zero_crossing
+from oscillint.oracle import _AT_NODES, _chunk_series, _chunk_turn
 from oscillint.transform import SecondOrderSpec, SystemSpec, reduce_equation
 
 
@@ -148,6 +150,67 @@ class TestAngleCrossingsAgainstScipy:
         roots = reference.t_events[0]
         assert len(crossings) == len(roots) >= 8
         assert np.max(np.abs(np.array(crossings) - roots)) <= bound
+
+
+class TestSeriesDescent:
+    """The window descent, read off the linear system's Chebyshev series,
+    against DOP853 on the angle equation."""
+
+    @staticmethod
+    def reference(sys_h, lo, hi):
+        field = prufer_angle_field(sys_h)
+        sol = solve_ivp(lambda t, y: [field(t, y[0])], (lo, hi), [math.pi / 2],
+                        method="DOP853", rtol=1e-13, atol=1e-14)
+        assert sol.status == 0
+        return math.pi / 2 - float(sol.y[0, -1])
+
+    @staticmethod
+    def node_steps(coef, state):
+        # the solution's angle steps between a chunk's adjacent nodes
+        x = (coef[:, :, :2] @ state) @ _AT_NODES.T
+        return np.diff(np.unwrap(np.arctan2(x[1], x[0])))
+
+    @pytest.mark.parametrize("name, sys_h, window", [
+        ("harmonic", harmonic(), (0.3, 3.4)),
+        ("bursty", make_system(q="0.05 + 150 * ((1 - cos(2 * t)) / 2)^20", r="-1"),
+         (0.5, 9.0)),
+        ("growing", make_system(q="1", r="25"), (0.0, 4.0)),
+        ("decaying", make_system(p="-20", s="-20", q="1", r="-4"), (0.0, 6.0)),
+        ("four_turns", make_system(q="9", r="-9"), (1.0, 6.0)),
+    ])
+    def test_against_dop853(self, name, sys_h, window):
+        descent = _angle_descent(sys_h, *window, Tolerances())
+        expected = self.reference(sys_h, *window)
+        if name == "four_turns":
+            assert expected > 4 * math.pi
+        assert abs(descent - expected) <= 1e-8
+
+    def test_node_guard_splits_a_chunk(self):
+        # q = 900 swings the angle through a vertical line within 1/450 of
+        # time, less than one of the 64 node gaps of the whole window
+        sys_h, lo, hi = make_system(q="900", r="-1"), 0.0, 0.4
+        start = np.array([0.0, 1.0])
+        coef = _chunk_series(sys_h, lo, hi - lo, 1e-8)
+        assert coef is not None  # the series resolves the whole window
+        assert np.abs(self.node_steps(coef, start)).max() > math.pi / 2
+        assert _chunk_turn(coef, start, 1e-8) is None
+        descent = _angle_descent(sys_h, lo, hi, Tolerances())
+        assert abs(descent - self.reference(sys_h, lo, hi)) <= 1e-8
+
+    def test_shrink_guard_splits_a_chunk(self):
+        # p = s = -20: the solution ends the window at e^-20 of its start,
+        # too small for the chunk's error, which is relative to its largest
+        # values, though the series passes the tail test
+        sys_h, lo, hi = make_system(p="-20", s="-20", q="1", r="-4"), 0.0, 1.0
+        start = np.array([0.0, 1.0])
+        coef = _chunk_series(sys_h, lo, hi - lo, 1e-8)
+        assert coef is not None
+        steps = self.node_steps(coef, start)
+        assert np.abs(steps).max() < math.pi / 2
+        assert _chunk_turn(coef, start, 1e-8) is None
+        expected = self.reference(sys_h, lo, hi)
+        assert abs(-steps.sum() - expected) > 1e-8  # read off the one chunk
+        assert abs(_angle_descent(sys_h, lo, hi, Tolerances()) - expected) <= 1e-8
 
 
 class TestAngleSolveStopsEarly:

@@ -161,6 +161,28 @@ class TestDepthBound:
         with pytest.raises(ParseError, match="nests deeper"):
             parse_text("-" * MAX_DEPTH + "t")
 
+    @pytest.mark.parametrize("shape", ["long_sum", "nested_calls"])
+    def test_equality_hash_and_repr_take_no_frame_per_level(self, shape):
+        if shape == "long_sum":
+            def make(first):
+                return parse_text(" + ".join([first] + ["t"] * (MAX_DEPTH - 1)))
+            expected = ("Add(left=" * (MAX_DEPTH - 1) + "Constant(value=1.0)"
+                        + ", right=TimeVar())" * (MAX_DEPTH - 1))
+        else:
+            def make(first):
+                e = Constant(float(first))
+                for _ in range(80):
+                    e = Call("sin", e)
+                return e
+            expected = "Call(name='sin', arg=" * 80 + "Constant(value=1.0)" + ")" * 80
+        a, b, other = make("1"), make("1"), make("2")  # other differs in its deepest leaf
+        with frames_above_here(25):
+            assert a == b and a is not b
+            assert a != other
+            assert hash(a) == hash(b)
+            assert len({a, b, other}) == 2
+            assert repr(a) == expected
+
 
 class TestEval:
     def test_poly(self):

@@ -569,6 +569,11 @@ class TestRefineRoots:
             return a * d * d * d + b * d
         return fn
 
+    @staticmethod
+    def lanes_of(a, b, c):
+        # the cubic of each bracket, called on the brackets still open
+        return lambda x, lanes: TestRefineRoots.cubic(a[lanes], b[lanes], c[lanes])(x)
+
     @pytest.mark.parametrize("tol", [1e-13, 1e-9])
     def test_bit_identical_to_refine_root(self, tol):
         rng = np.random.default_rng(3)
@@ -580,7 +585,7 @@ class TestRefineRoots:
         hi = c + rng.uniform(1e-6, 4.0, n)
         lo[:5] = c[:5]  # zero exactly at the left end
         hi[5:10] = c[5:10]  # and at the right end
-        got = refine_roots(self.cubic(a, b, c), lo, hi, tol=tol)
+        got = refine_roots(self.lanes_of(a, b, c), lo, hi, tol=tol)
         for i in range(n):
             fn = self.cubic(float(a[i]), float(b[i]), float(c[i]))
             x_lo, x_hi = float(lo[i]), float(hi[i])
@@ -594,22 +599,46 @@ class TestRefineRoots:
         assert np.all(got[:5] == lo[:5]) and np.all(got[5:10] == hi[5:10])
 
     def test_one_call_per_iteration(self):
+        # slow and fast lanes: each iteration calls fn once, on the brackets
+        # still open, and a bracket that has converged is never passed again
+        rng = np.random.default_rng(5)
+        n = 60
+        c = rng.uniform(-1.0, 1.0, n)
+        a = np.ones(n)
+        b = 10.0 ** rng.uniform(-4.0, 2.0, n)
+        lo, hi = c - rng.uniform(0.1, 2.0, n), c + rng.uniform(0.1, 2.0, n)
+        hi[:3] = c[:3]  # converged before the first iteration
         calls = []
+        cubic = self.lanes_of(a, b, c)
 
-        def fn(x):
-            calls.append(len(x))
-            return np.cos(x)
-        roots = refine_roots(fn, [1.0, 4.0], [2.0, 5.0], tol=1e-12)
-        assert roots == pytest.approx([math.pi / 2, 3 * math.pi / 2], abs=1e-10)
-        assert set(calls) == {2}
+        def fn(x, lanes):
+            assert len(x) == len(lanes) and np.all(np.diff(lanes) > 0)
+            calls.append(lanes.copy())
+            return cubic(x, lanes)
+        roots = refine_roots(fn, lo, hi, tol=1e-12)
+        assert roots == pytest.approx(c, abs=1e-10)
+        np.testing.assert_array_equal(calls[0], np.arange(n))
+        np.testing.assert_array_equal(calls[1], np.arange(n))
+        assert not np.isin(np.arange(3), calls[2]).any()
+        # every later call passes a subset of the one before it
+        for before, after in zip(calls[2:], calls[3:]):
+            assert np.isin(after, before).all() and len(after) <= len(before)
+        assert len(calls[2]) > len(calls[-1]) >= 1
+        # a lane stays until its root is final: it is in as many calls as
+        # its own one-lane solve makes
+        for i in range(n):
+            own = []
+            refine_roots(lambda x, lanes: own.append(1) or cubic(x, lanes + i),
+                         lo[i:i + 1], hi[i:i + 1], tol=1e-12)
+            assert sum(i in lanes for lanes in calls) == len(own), i
 
     def test_empty_bracket_rejected(self):
         with pytest.raises(RootBracketError, match="empty"):
-            refine_roots(lambda x: x, [0.0, 1.0], [1.0, 1.0])
+            refine_roots(lambda x, lanes: x, [0.0, 1.0], [1.0, 1.0])
 
     def test_no_sign_change_rejected(self):
         with pytest.raises(RootBracketError, match="sign change"):
-            refine_roots(lambda x: x - 0.5, [0.0, 0.6], [1.0, 0.9])
+            refine_roots(lambda x, lanes: x - 0.5, [0.0, 0.6], [1.0, 0.9])
 
 
 class TestTrajectory:

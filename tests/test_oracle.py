@@ -10,8 +10,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from oscillint.cli import config_from_dict, load_config, run
-from oscillint.numerics import EventSpec, Tolerances, integrate_ode, zero_crossing
+from oscillint.numerics import (STEP_COLLAPSE, EventSpec, Tolerances, integrate_ode,
+                                zero_crossing)
 from oscillint.oracle import (
+    _AT_NODES,
+    _NODES,
+    _RATE_AT_NODES,
     MIXED_OBSERVED,
     NONOSCILLATORY_OBSERVED,
     OSCILLATORY_OBSERVED,
@@ -21,6 +25,8 @@ from oscillint.oracle import (
     export_trace,
     member_zero_times,
     simulate_ensemble,
+    _chunk_series,
+    _members,
 )
 from oscillint.expr import parse_text
 from oscillint.transform import SystemSpec
@@ -192,6 +198,78 @@ class TestSeriesOracle:
         with contextlib.redirect_stdout(io.StringIO()):
             assert run("analyze", config).exit_code() == 30
             assert run("oracle", config).exit_code() == 10
+
+
+def unshared_chunk_loop(sys_spec, ens, tol):
+    """simulate_ensemble as it was written before its chunk loop was shared
+    with the angle descent, kept as the bit-for-bit reference."""
+    lo, hi = ens.span
+    start = np.array(ens.initial_conditions).T
+    state, m = start, start.shape[1]
+    live = np.abs(start).max(axis=0) <= tol.escape_magnitude
+    escaped = ~live
+    last = np.zeros(m, dtype=int)
+    blowup = np.full(m, -1)
+    chunks = []
+    t, h = lo, hi - lo
+    while live.any() and t < hi:
+        h = min(h, hi - t, (hi - lo) / 16.0)
+        if hi - t - h < 0.5 * h:
+            h = hi - t
+        if h < STEP_COLLAPSE * (hi - lo):
+            last[live] = len(chunks) * _NODES
+            escaped |= live
+            break
+        coef = _chunk_series(sys_spec, t, h, tol.rel_tol)
+        if coef is None:
+            h *= 0.5
+            continue
+        series = coef @ np.vstack((np.where(live, state, 0.0), np.ones(m)))
+        states = _AT_NODES @ series
+        rates = _RATE_AT_NODES @ series * (2.0 / h)
+        end = series.sum(axis=1)
+        states[:, 0], states[:, -1] = state, end
+        over = (np.abs(states[:, 1:]).max(axis=0) > tol.escape_magnitude) & live
+        blown = over.any(axis=0)
+        blowup[blown] = len(chunks) * _NODES + over.argmax(axis=0)[blown]
+        last[blown] = blowup[blown] + 1
+        escaped |= blown
+        live &= ~blown
+        t_end = hi if h == hi - t else t + h
+        chunks.append((t, t_end, series, states, rates))
+        state, t, h = end, t_end, 2.0 * h
+    else:
+        last[live] = len(chunks) * _NODES
+    return _members(chunks, start, ens.span, last, escaped, blowup, tol)
+
+
+class TestSharedChunkWalk:
+    """The oracle walks its chunks through chunk_walk, which it shares with
+    the angle descent; its members stay those of its own former loop."""
+
+    @pytest.mark.parametrize("name", ["forced_harmonic", "bursty_coupling",
+                                      "decaying_forcing", "harmonic_riccati",
+                                      "riccati_comparison", "escapes", "singular"])
+    def test_members_bit_identical_to_the_unshared_loop(self, name):
+        if name == "escapes":  # every member blows up before the end
+            config = config_from_dict({"system": {"q": "1", "r": "1"}, "horizon": 30,
+                                       "tolerances": {"escape_magnitude": 1e3}})
+        elif name == "singular":  # the walk stops early
+            config = config_from_dict({"system": {"q": "1", "r": "-1/(t-3.3)^2"},
+                                       "horizon": 6})
+        else:
+            config = load_config(CONFIG_DIR / f"{name}.json")
+        ens = default_ensemble(config.span(), seed=config.oracle_seed,
+                               size=config.oracle_size)
+        sys_spec = config.working_system()
+        shared = simulate_ensemble(sys_spec, ens, config.tolerances)
+        own = unshared_chunk_loop(sys_spec, ens, config.tolerances)
+        assert len(shared) == len(own) == len(ens)
+        for a, b in zip(shared, own):
+            np.testing.assert_array_equal(a.grid.nodes, b.grid.nodes)
+            np.testing.assert_array_equal(a.states, b.states)
+            np.testing.assert_array_equal(a.derivs, b.derivs)
+            assert a.events == b.events
 
 
 class TestClassification:
