@@ -2,10 +2,13 @@
 Counting zeros through the phase angle
 ======================================
 
-Write (phi, psi) in polar form.  The angle theta then obeys a scalar
-equation, and phi vanishes exactly when theta crosses pi/2 - m pi.  Counting
-those crossings is cheaper and steadier than hunting sign changes of a
-solution that may grow by orders of magnitude.
+Write (phi, psi) in polar form.  phi vanishes exactly when the angle theta
+crosses a vertical line pi/2 - m pi.  angle_line_crossings reads those
+crossings off the solution from (cos theta0, sin theta0), solved as
+Chebyshev series chunk by chunk and scaled back to unit length at the end
+of each chunk, so a solution that grows by orders of magnitude stays in
+range.  The direct count below steps the same system with integrate_ode
+and records the sign changes of phi as events.
 """
 
 import numpy as np
@@ -43,6 +46,6 @@ for _ in range(8):
     print(f"  {len(crossings):4d}  {len(direct):6d}   "
           f"{'yes' if len(crossings) == len(direct) else 'NO'}")
 
-# The two counters agree system by system.  The angle version never leaves
-# the unit circle, which is why the escape ceiling above only matters for
-# the direct integration.
+# The two counters agree system by system.  The angle version restarts each
+# chunk on the unit circle, which is why the escape ceiling above only
+# matters for the direct integration.

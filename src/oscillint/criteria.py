@@ -4,7 +4,7 @@ Four families of checks live here:
 
 * a polar-angle test for homogeneous systems: zeros of phi are crossings of
   the phase angle through the vertical lines, so interval oscillation reduces
-  to how far the angle descends,
+  to how far the angle descends (both read off Chebyshev series, `oracle`),
 * a feasibility scan for the shift parameter lam that certifies
   non-oscillation of a forced system from its homogeneous companion,
 * a witness search that certifies oscillation from paired sign windows of
@@ -32,21 +32,18 @@ from .expr import (
     Mul,
     Sub,
     TimeVar,
-    compile_scalar,
     differentiate,
     eval_expr,
     sample,
 )
 from .numerics import (
     CubicHermiteCurve,
-    EventSpec,
     Grid,
     Tolerances,
     definite_simpson,
-    integrate_ode,
     refine_roots,
 )
-from .oracle import angle_turn
+from .oracle import angle_turn, unforced_zeros
 from .transform import (
     DEFAULT_GRID_NODES,
     PROBE_POINTS,
@@ -135,25 +132,6 @@ def half_sine_bridge(lo: float, hi: float) -> TestFunction:
 # Polar angle machinery
 
 
-def prufer_angle_field(sys: SystemSpec) -> Callable[[float, float], float]:
-    """Angle equation of the homogeneous companion: phi = rho cos(theta),
-    psi = rho sin(theta) gives theta' = r cos^2 + (s - p) sin cos - q sin^2.
-
-    A scalar field for integrate_ode: it takes the time and the angle as
-    floats and returns theta' as a float."""
-    p_ = compile_scalar(sys.p)
-    q_ = compile_scalar(sys.q)
-    r_ = compile_scalar(sys.r)
-    s_ = compile_scalar(sys.s)
-
-    def rhs(t: float, theta: float) -> float:
-        c = math.cos(theta)
-        s_val = math.sin(theta)
-        return r_(t) * c * c + (s_(t) - p_(t)) * s_val * c - q_(t) * s_val * s_val
-
-    return rhs
-
-
 def _probe_failure(coef: Expr, lo: float, hi: float,
                    fails: Callable[[np.ndarray], np.ndarray]) -> float | None:
     """The first of PROBE_POINTS evenly spaced points of [lo, hi] where
@@ -182,38 +160,21 @@ def angle_line_crossings(sys: SystemSpec, span: tuple[float, float],
                          tol: Tolerances = Tolerances()) -> list[float]:
     """Times where the phase angle crosses a vertical line theta = pi/2 - m pi,
     i.e. where the first component of the matching solution vanishes with a
-    sign change.  Only crossings up to where the angle solve stopped are
+    sign change.  Only crossings up to where the chunk walk stopped are
     found; `horizon_nonoscillation_test` checks that it reached the end."""
-    return _angle_crossings(sys, span, theta0, tol)[0]
+    lo, hi = float(span[0]), float(span[1])
+    if not lo < hi:
+        raise ValueError("span must be increasing")
+    return _angle_crossings(sys, lo, hi, theta0, tol)[0]
 
 
-def _angle_crossings(sys: SystemSpec, span: tuple[float, float], theta0: float,
+def _angle_crossings(sys: SystemSpec, lo: float, hi: float, theta0: float,
                      tol: Tolerances) -> tuple[list[float], float]:
-    """Confirmed angle-line crossings and the time the angle solve reached."""
-    spec = EventSpec(fn=lambda t, y: np.cos(y[0]), kind="angle-line")
-    traj = integrate_ode(prufer_angle_field(sys), theta0, span, tol, events=[spec])
-    reached = traj.span[1]
-    times = [ev.time for ev in traj.events if ev.kind == "angle-line"]
-    # collapse numerically duplicated detections of one crossing
-    width = span[1] - span[0]
-    merged: list[float] = []
-    for t in times:
-        if merged and t - merged[-1] < 1e-7 * width:
-            continue
-        merged.append(t)
-    if not merged:
-        return merged, reached
-    # an angle grazing the line produces detections out of 1e-16 noise; keep
-    # only crossings where cos(theta) flips sign with genuine magnitude
-    curve = traj.component(0)
-    delta = 1e-7 * width
-    confirmed: list[float] = []
-    for t in merged:
-        left = math.cos(float(curve(max(t - delta, span[0]))))
-        right = math.cos(float(curve(min(t + delta, span[1]))))
-        if left * right < 0.0 and min(abs(left), abs(right)) > 1e-12:
-            confirmed.append(t)
-    return confirmed, reached
+    """Crossings of the angle started at theta0, the zeros of phi from
+    (cos theta0, sin theta0) (oracle.unforced_zeros), and the time the chunk
+    walk reached; forcing terms of sys play no part."""
+    start = np.array([math.cos(theta0), math.sin(theta0)])
+    return unforced_zeros(sys.homogeneous(), lo, hi, start, tol.rel_tol, tol.root_tol)
 
 
 def _angle_descent(sys: SystemSpec, lo: float, hi: float,
@@ -264,15 +225,17 @@ def horizon_nonoscillation_test(sys: SystemSpec, horizon: tuple[float, float],
     non_oscillatory when no angle-line crossing happens in the trailing half
     of the horizon; oscillatory when crossings recur in every window of a
     quarter of the horizon (the persistence width); inconclusive between the
-    two.
+    two, or when the chunk walk stops before the end of the horizon.
     """
     lo, hi = float(horizon[0]), float(horizon[1])
+    if not lo < hi:
+        raise ValueError("horizon must be increasing")
     negative_q = _negative_q_verdict(sys, lo, hi, _ANGLE_NEEDS_Q)
     if negative_q is not None:
         return negative_q
     width = hi - lo
     persistence_window = 0.25 * width
-    crossings, reached = _angle_crossings(sys, (lo, hi), math.pi / 2, tol)
+    crossings, reached = _angle_crossings(sys, lo, hi, math.pi / 2, tol)
     if reached < hi:
         return Verdict(INCONCLUSIVE, (lo, hi),
                        evidence={"crossings": crossings, "stopped_at": reached},

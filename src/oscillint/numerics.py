@@ -6,10 +6,10 @@ zero-crossing event detection with bisection refinement, escape (blow-up)
 detection, and bracketed root refinement.
 
 `integrate_ode` has one step loop for every state shape: a scalar start
-(the Riccati and Prufer angle equations) is a Python float in it, and its
-field is called on floats; a (dim,) start is a numpy array, and its field
-on arrays. The arithmetic is written once; the start state's shape picks
-only the field call, the norms and the magnitude.
+(the Riccati equation) is a Python float in it, and its field is called on
+floats; a (dim,) start is a numpy array, and its field on arrays. The
+arithmetic is written once; the start state's shape picks only the field
+call, the norms and the magnitude.
 
 Events are sign changes of a function of the solution, in either
 direction; none ends the solve. They are located on each step's cubic
@@ -499,7 +499,8 @@ def integrate_ode(
     escape.
 
     The start state's shape picks the kind of equation:
-    - A scalar y0 (0-d) is a scalar equation, held as a Python float. Its
+    - A scalar y0 (0-d) is a scalar equation, held as a Python float; in
+      the library that is the Riccati equation of `riccati`. Its
       field is called as field(t, y) with a float y and returns a real
       number: a float, or a numpy scalar or 0-d array, which is converted.
       This saves the fixed cost of numpy calls on 1-element arrays.

@@ -6,8 +6,9 @@ initial conditions, record where each first component actually vanishes, and
 summarize what was observed. Ensemble verdicts never override analytic ones;
 they exist to catch bugs in the analytic path (and vice versa).
 
-The chunked series solve that serves the ensemble also gives `criteria` the
-angle descent over a window (`angle_turn`), without a step-loop solve.
+The chunked series solve that serves the ensemble also gives `criteria`,
+without a step-loop solve, the companion's angle descent over a window
+(`angle_turn`) and its zeros over a horizon (`unforced_zeros`).
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def _chunk_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float, widest: f
     """The chunks that cover [lo, hi] from lo, each solved as series: yield
     (t, t_end, h, take(coef)) for each chunk [t, t_end], h wide, with coef
     its _chunk_series coefficients; t_end is t + h, or exactly hi for the
-    last chunk. The oracle and the angle descent both walk through here.
+    last chunk. The oracle and _unit_walk both walk through here.
 
     A chunk is at most widest wide and takes the rest of the span when
     less than half a chunk would be left after it. It is halved while
@@ -179,32 +180,53 @@ def _chunk_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float, widest: f
         t, h = t_end, 2.0 * h
 
 
+def _unit_walk(sys: SystemSpec, lo: float, hi: float, state: np.ndarray, rel_tol: float):
+    """The unforced solution from state over [lo, hi], on a _chunk_walk whose
+    widest chunk is the whole span: yield (t, t_end, series, x, steps) for
+    each chunk (_chunk_turn), carried to the next at unit length."""
+    # the take reads the state that the loop body last set
+    for t, t_end, _, (series, x, steps) in _chunk_walk(
+            sys, lo, hi, rel_tol, hi - lo, lambda coef: _chunk_turn(coef, state, rel_tol)):
+        yield t, t_end, series, x, steps
+        state = x[:, -1] / math.hypot(*x[:, -1])
+
+
 def angle_turn(sys: SystemSpec, lo: float, hi: float, rel_tol: float) -> float | None:
     """How far the angle of (phi, psi) turns, counterclockwise, over [lo, hi]
-    on the solution of the unforced system from (0, 1); None where the
-    chunk walk stops before hi.
-
-    The walk's widest chunk is the whole span. On each chunk the turn is
-    the sum of the angles between the solution's vectors at adjacent
-    nodes, each found by atan2 in (-pi, pi]. A chunk is halved when one of
-    them exceeds pi/2, so that no half turn hides between two nodes, and
-    when the solution ends it too small for the chunk's error. The
-    solution is carried to the next chunk scaled to unit length.
-    """
-    state, turned, reached = np.array([0.0, 1.0]), 0.0, lo
-    # the take reads the state that the loop body last set
-    for _, reached, _, (end, turn) in _chunk_walk(
-            sys, lo, hi, rel_tol, hi - lo, lambda coef: _chunk_turn(coef, state, rel_tol)):
-        state, turned = end / math.hypot(*end), turned + turn
+    on the solution of the unforced system from (0, 1), summed over the
+    node steps of _unit_walk; None where the walk stops before hi."""
+    turned, reached = 0.0, lo
+    for _, reached, _, _, steps in _unit_walk(sys, lo, hi, np.array([0.0, 1.0]), rel_tol):
+        turned += float(steps.sum())
     return turned if reached == hi else None
 
 
+def unforced_zeros(sys: SystemSpec, lo: float, hi: float, state: np.ndarray,
+                   rel_tol: float, root_tol: float) -> tuple[list[float], float]:
+    """The sign changes of phi on the unforced solution from state, a start
+    at phi = 0 excluded, and the time the chunk walk reached. Each is found
+    between adjacent nodes of _unit_walk and bisected on the chunk's series
+    to root_tol; no two nodes are pi/2 apart in angle, so with q >= 0 a node
+    gap holds at most one."""
+    chunks = list(_unit_walk(sys, lo, hi, state, rel_tol))
+    if not chunks:
+        return [], lo
+    begin, finish, series, x, _ = (np.array(part) for part in zip(*chunks))
+    nodes = _walk_nodes(begin, finish)
+    node = crossings(np.append(x[:, 0, :_NODES], x[-1, 0, _NODES]))  # phi at the nodes
+    chunk, _, at = _lanes(begin, finish, node)
+    lane_phi = series[chunk, 0]  # (lane, degree)
+    times = bisect_lanes(lambda tq: at(lane_phi, tq), nodes[node], nodes[node + 1], root_tol)
+    return times.tolist(), float(finish[-1])
+
+
 def _chunk_turn(coef: np.ndarray, state: np.ndarray,
-                rel_tol: float) -> tuple[np.ndarray, float] | None:
-    """The unforced solution's state at the chunk's end and its turn on the
-    chunk, from state at its start; None when two adjacent nodes are more
-    than pi/2 apart in angle, or when the solution's share of the chunk's
-    error exceeds rel_tol of its size at the end."""
+                rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The unforced solution from state on the chunk: its series, its values
+    x at the nodes, ends pinned to state and the series' sum, and the angle
+    steps between nodes, by atan2 in (-pi, pi]. None when a step exceeds
+    pi/2, so that no half turn hides between two nodes, or when the
+    solution's share of the chunk's error exceeds rel_tol of its end size."""
     series = coef[:, :, :2] @ state
     x, end = series @ _AT_NODES.T, series.sum(axis=1)
     x[:, 0], x[:, -1] = state, end
@@ -215,7 +237,7 @@ def _chunk_turn(coef: np.ndarray, state: np.ndarray,
     tail = np.abs(coef[:, -_TAIL:, :2]).max(axis=(0, 1)) @ np.abs(state)
     if np.abs(steps).max() > 0.5 * math.pi or tail > rel_tol * math.hypot(*end):
         return None
-    return end, float(steps.sum())
+    return series, x, steps
 
 
 _DEGREE = 32  # of each chunk's series
@@ -275,7 +297,20 @@ def _series_at(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Lane i's series, coefficients coef[i, ..., :], at x[i] in [-1, 1]:
     the sum of c_k cos(k theta) with x = cos(theta)."""
     waves = np.cos(np.arccos(np.clip(x, -1.0, 1.0))[:, None] * np.arange(coef.shape[-1]))
-    return np.sum(coef * waves.reshape(len(x), *[1] * (coef.ndim - 2), -1), axis=-1)
+    return np.sum(coef * np.expand_dims(waves, tuple(range(1, coef.ndim - 1))), axis=-1)
+
+
+def _walk_nodes(begin: np.ndarray, finish: np.ndarray) -> np.ndarray:
+    """The walk's nodes: _NODES evenly spaced per chunk, then the last end."""
+    return np.append(np.linspace(begin, finish, _NODES + 1, axis=1)[:, :-1], finish[-1])
+
+
+def _lanes(begin: np.ndarray, finish: np.ndarray, node: np.ndarray):
+    """For node gaps that start at the walk's nodes node: each one's chunk
+    and its width, and at(c, tq), lane i's series c[i] at time tq[i]."""
+    chunk = node // _NODES
+    width = (finish - begin)[chunk]
+    return chunk, width, lambda c, tq: _series_at(c, 2.0 * (tq - begin[chunk]) / width - 1.0)
 
 
 def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
@@ -287,7 +322,7 @@ def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
     if chunks:
         begin, finish = (np.array(ends) for ends in zip(*(c[:2] for c in chunks)))
         series = np.stack([c[2] for c in chunks])  # (chunk, component, degree, member)
-        nodes = np.append(np.linspace(begin, finish, _NODES + 1, axis=1)[:, :-1], finish[-1])
+        nodes = _walk_nodes(begin, finish)
         states, rates = (np.concatenate([c[k][:, :_NODES] for c in chunks]
                                         + [chunks[-1][k][:, _NODES:]], axis=1) for k in (3, 4))
     else:
@@ -303,12 +338,8 @@ def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
     node, member, direction = (np.concatenate(parts) for parts in zip(*lanes))
     times = nodes[node]
     if node.size:
-        chunk = node // _NODES
+        chunk, width, at = _lanes(begin, finish, node)
         coef = series[chunk, :, :, member]  # (lane, component, degree)
-        width = (finish - begin)[chunk]
-
-        def at(c, tq):  # lane i's series c[i] at time tq[i]
-            return _series_at(c, 2.0 * (tq - begin[chunk]) / width - 1.0)
 
         def g(tq):
             y = at(coef, tq)

@@ -25,13 +25,13 @@ from oscillint.criteria import (
     horizon_nonoscillation_test,
     interval_oscillation_test,
     lambda_feasibility,
-    prufer_angle_field,
+    _angle_crossings,
     _angle_descent,
     _runs,
     sign_windows,
     variational_functional,
 )
-from oscillint.expr import Mul, Constant, parse_text
+from oscillint.expr import Mul, Constant, eval_expr, parse_text
 from oscillint.numerics import Grid, Tolerances, integrate_ode, zero_crossing
 from oscillint.oracle import _AT_NODES, _chunk_series, _chunk_turn
 from oscillint.transform import SecondOrderSpec, SystemSpec, reduce_equation
@@ -55,22 +55,15 @@ def decaying_forced():
     return make_system(q="1", r="1", g="-exp(-t)")
 
 
-class TestAngleField:
-    def test_harmonic_angle_speed_is_constant(self):
-        field = prufer_angle_field(harmonic())
-        for theta in (0.0, 0.7, -2.0, math.pi / 2):
-            assert field(1.3, theta) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_decoupled_system_has_frozen_angle(self):
-        field = prufer_angle_field(make_system(p="sin(t)", s="sin(t)"))
-        for theta in (0.0, 0.5, 1.2):
-            assert field(2.0, theta) == pytest.approx(0.0, abs=1e-15)
-
-    def test_one_way_coupling(self):
-        field = prufer_angle_field(make_system(q="1"))
-        theta = 0.9
-        expected = -math.sin(theta) ** 2
-        assert field(0.0, theta) == pytest.approx(expected, abs=1e-15)
+def angle_field(sys):
+    """The angle equation of the unforced system, a reference for scipy:
+    phi = rho cos(theta), psi = rho sin(theta) gives
+    theta' = r cos^2 + (s - p) sin cos - q sin^2."""
+    def rhs(t, y):
+        p, q, r, s = (eval_expr(e, t) for e in (sys.p, sys.q, sys.r, sys.s))
+        c, n = math.cos(y[0]), math.sin(y[0])
+        return [r * c * c + (s - p) * n * c - q * n * n]
+    return rhs
 
 
 class TestIntervalOscillation:
@@ -126,8 +119,8 @@ class TestHorizonClassification:
 
 
 class TestAngleCrossingsAgainstScipy:
-    """Angle-line crossings of the homogeneous companion against the event
-    roots of scipy's RK45 (the same Dormand-Prince pair) on the angle field."""
+    """Angle-line crossings of the homogeneous companion against the zeros of
+    phi that scipy's DOP853 finds as events on the linear system."""
 
     @pytest.mark.parametrize("name", ["forced_harmonic", "bursty_coupling"])
     @pytest.mark.parametrize("rel_tol, bound", [(None, 2e-6), (1e-10, 2e-7)])
@@ -139,13 +132,11 @@ class TestAngleCrossingsAgainstScipy:
         sys_h = config.working_system().homogeneous()
         span = config.span()
         crossings = angle_line_crossings(sys_h, span, tol=tol)
-        # scipy looks for sign changes only between its step ends, and on the
-        # harmonic's linear angle its steps would span several crossings;
-        # the angle field takes and returns floats, scipy passes (1,) arrays
-        field = prufer_angle_field(sys_h)
-        reference = solve_ivp(lambda t, y: [field(t, y[0])], span, [math.pi / 2],
-                              method="RK45", rtol=1e-11, atol=1e-13, max_step=0.1,
-                              events=lambda t, y: math.cos(y[0]))
+        # (cos, sin) of the default start angle pi/2; scipy looks for sign
+        # changes only between its step ends, so no step may span two zeros
+        reference = solve_ivp(sys_h.field(), span, [math.cos(math.pi / 2), 1.0],
+                              method="DOP853", rtol=1e-13, atol=1e-14, max_step=0.1,
+                              events=lambda t, y: y[0])
         assert reference.status == 0
         roots = reference.t_events[0]
         assert len(crossings) == len(roots) >= 8
@@ -158,8 +149,7 @@ class TestSeriesDescent:
 
     @staticmethod
     def reference(sys_h, lo, hi):
-        field = prufer_angle_field(sys_h)
-        sol = solve_ivp(lambda t, y: [field(t, y[0])], (lo, hi), [math.pi / 2],
+        sol = solve_ivp(angle_field(sys_h), (lo, hi), [math.pi / 2],
                         method="DOP853", rtol=1e-13, atol=1e-14)
         assert sol.status == 0
         return math.pi / 2 - float(sol.y[0, -1])
@@ -211,6 +201,51 @@ class TestSeriesDescent:
         expected = self.reference(sys_h, lo, hi)
         assert abs(-steps.sum() - expected) > 1e-8  # read off the one chunk
         assert abs(_angle_descent(sys_h, lo, hi, Tolerances()) - expected) <= 1e-8
+
+
+class TestSeriesCrossings:
+    """Angle-line crossings read off the linear system's Chebyshev series,
+    against closed forms."""
+
+    @staticmethod
+    def assert_zeros(crossings, expected):
+        assert len(crossings) == len(expected)
+        assert np.max(np.abs(np.array(crossings) - expected)) <= 1e-8
+
+    def test_harmonic_from_an_offset_angle(self):
+        # theta = 0.3 - t crosses -pi/2 - k pi at t = 0.3 + pi/2 + k pi
+        crossings = angle_line_crossings(harmonic(), (0.0, 20.0), theta0=0.3)
+        self.assert_zeros(crossings, 0.3 + math.pi / 2 + math.pi * np.arange(6))
+
+    def test_fast_swings_split_chunks_at_the_node_guard(self):
+        # phi'' = -900 phi: phi = 30 sin(30 t). The angle passes each
+        # vertical line at speed 900, through more than pi/2 in one node gap
+        # of a chunk the series resolves, so only the node guard keeps a
+        # second crossing out of the gap
+        crossings = angle_line_crossings(make_system(q="900", r="-1"), (0.0, 5.0))
+        self.assert_zeros(crossings, math.pi / 30 * np.arange(1, 48))
+
+    def test_decaying_solution(self):
+        # phi = exp(-20 t) sin(2 t) / 2: down to e^-600 by the end
+        sys = make_system(p="-20", s="-20", q="1", r="-4")
+        crossings = angle_line_crossings(sys, (0.0, 30.0))
+        self.assert_zeros(crossings, math.pi / 2 * np.arange(1, 20))
+
+    def test_growing_solution_is_carried_at_unit_length(self):
+        # phi'' = 25 phi grows like e^150 over the span; scaled to unit
+        # length on each chunk it stays in range and never vanishes
+        sys = make_system(q="1", r="25")
+        assert _angle_crossings(sys, 0.0, 30.0, math.pi / 2, Tolerances()) == ([], 30.0)
+        verdict = horizon_nonoscillation_test(sys, (0.0, 30.0))
+        assert verdict.outcome == NON_OSCILLATORY
+        assert verdict.evidence["crossings"] == []
+
+    @pytest.mark.parametrize("span", [(5.0, 1.0), (2.0, 2.0), (0.0, math.nan)])
+    def test_span_must_increase(self, span):
+        with pytest.raises(ValueError, match="increasing"):
+            angle_line_crossings(harmonic(), span)
+        with pytest.raises(ValueError, match="increasing"):
+            horizon_nonoscillation_test(harmonic(), span)
 
 
 class TestAngleSolveStopsEarly:
