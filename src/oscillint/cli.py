@@ -514,12 +514,18 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_report(report: Report, out_path) -> tuple:
-    """Write the text report and its JSON sibling atomically."""
+def _report_paths(out_path) -> tuple:
+    """The text report's path and its JSON sibling's."""
     out_path = Path(out_path)
     json_path = out_path.with_suffix(".json")
     if json_path == out_path:
         json_path = out_path.with_name(out_path.name + ".json")
+    return out_path, json_path
+
+
+def write_report(report: Report, out_path) -> tuple:
+    """Write the text report and its JSON sibling atomically."""
+    out_path, json_path = _report_paths(out_path)
     _atomic_write(out_path, report.render_text())
     _atomic_write(json_path, report.render_json())
     return out_path, json_path
@@ -718,6 +724,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.out is not None and Path(args.config).resolve() in \
+            [path.resolve() for path in _report_paths(args.out)]:
+        print(f"oscillint: error: --out {args.out} would write a report over "
+              f"the config {args.config}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         raw = _read_config(args.config)
         if args.horizon is not None:

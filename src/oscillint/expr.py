@@ -15,8 +15,16 @@ The caret binds tighter than unary minus, so ``-t^2`` is ``-(t^2)``.
 There is no constant folding anywhere: what you parse is what you get,
 and ``parse(tokenize(print_expr(e)))`` reproduces ``e`` node for node.
 
-Evaluation raises :class:`DomainError` instead of returning NaN or inf
-for log/sqrt of a negative argument, division by zero, and overflow.
+Evaluation has one walker, _compile, and three tables of closure
+builders with one entry per node type. eval_expr's table checks floats:
+it raises DomainError instead of returning NaN or inf for log of a
+non-positive argument, sqrt of a negative one, division by zero and
+overflow, and it evaluates a divisor before its dividend and a base
+before its exponent. sample's table applies numpy to arrays, constants
+included; compile_scalar's applies math.* without checks. Each node keeps
+its closure per table, outside the dataclass fields that ==, hash, repr
+and print_expr read. An interval table, from a span of t to an enclosure
+of the values, would be a fourth table for the same walker.
 Differentiation is symbolic; the only unsupported shape is a power with
 ``t`` in both base and exponent.
 
@@ -24,9 +32,9 @@ Every walker of a tree here recurses once per level, so the parser
 refuses, with a :class:`ParseError`, a tree deeper than MAX_DEPTH levels
 and text that would take it deeper than MAX_DEPTH levels of its own
 recursion (five per parenthesis or function call, one per unary minus,
-two per caret). Every tree it accepts is then walked well inside Python's
-default limit of 1000 frames. The nodes' ==, hash and repr walk the tree
-in a loop, in one frame.
+two per caret). Every tree it accepts is then walked, and its compiled
+closures called, well inside Python's default limit of 1000 frames. The
+nodes' ==, hash and repr walk the tree in a loop, in one frame.
 """
 
 from __future__ import annotations
@@ -83,6 +91,10 @@ class Expr:
 
     def __call__(self, t: float) -> float:
         return eval_expr(self, t)
+
+    def __getstate__(self) -> dict:
+        """The fields alone: compiled closures are not pickled or copied."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     def _preorder(self) -> list[tuple]:
         """One entry per node in preorder: its type and its fields that are
@@ -352,62 +364,97 @@ def parse_text(source: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: one walker, three tables
 
-_UNARY_MATH = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "abs": math.fabs,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
+_SCALAR_FUNCTIONS = {name: getattr(math, "fabs" if name == "abs" else name)
+                     for name in FUNCTIONS}
+
+
+def _compile(e: Expr, table: dict) -> Callable:
+    """e's closure under table: the table's entry for e's type, called with
+    e and its children's closures. It is kept on e, outside the dataclass
+    fields, under the table's "cache" name. One frame per tree level."""
+    build = table.get(type(e))
+    if build is None:
+        raise TypeError(f"not an Expr node: {e!r}")
+    kept = e.__dict__
+    closure = kept.get(table["cache"])
+    if closure is None:
+        if isinstance(e, (Constant, TimeVar)):
+            closure = build(e)
+        elif isinstance(e, (Negate, Call)):
+            closure = build(e, _compile(e.arg, table))
+        else:
+            closure = build(e, _compile(e.left, table), _compile(e.right, table))
+        kept[table["cache"]] = closure
+    return closure
+
+
+def _checked_div(e: Div, num: Callable, den: Callable) -> Callable:
+    def div(t):
+        d = den(t)
+        if d == 0.0:
+            raise DomainError("division by zero", t, e)
+        return num(t) / d
+    return div
+
+
+def _checked_pow(e: Pow, base: Callable, expo: Callable) -> Callable:
+    def power(t):
+        b, x = base(t), expo(t)
+        try:
+            out = math.pow(b, x)
+            if math.isfinite(out):
+                return out
+        except (ValueError, OverflowError):
+            pass
+        raise DomainError("power outside real domain", t, e)
+    return power
+
+
+def _checked_call(e: Call, arg: Callable) -> Callable:
+    name, fn = e.name, _SCALAR_FUNCTIONS[e.name]
+
+    def call(t):
+        a = arg(t)
+        if name == "log" and a <= 0.0:
+            raise DomainError("log of non-positive argument", t, e)
+        if name == "sqrt" and a < 0.0:
+            raise DomainError("sqrt of negative argument", t, e)
+        try:
+            return fn(a)
+        except (ValueError, OverflowError):
+            raise DomainError(f"{name} outside real domain", t, e) from None
+    return call
+
+
+# The same operators on floats and on arrays; default arguments bind a
+# node's own value or function when its closure is built.
+_ARITHMETIC = {
+    Constant: lambda e: lambda t, v=e.value: v,
+    TimeVar: lambda e: lambda t: t,
+    Negate: lambda e, a: lambda t: -a(t),
+    Add: lambda e, l, r: lambda t: l(t) + r(t),
+    Sub: lambda e, l, r: lambda t: l(t) - r(t),
+    Mul: lambda e, l, r: lambda t: l(t) * r(t),
+    Div: lambda e, l, r: lambda t: l(t) / r(t),
 }
+_CHECKED = {**_ARITHMETIC, "cache": "_checked",
+            Div: _checked_div, Pow: _checked_pow, Call: _checked_call}
+_SCALAR = {**_ARITHMETIC, "cache": "_scalar",
+           Pow: lambda e, l, r: lambda t: math.pow(l(t), r(t)),
+           Call: lambda e, a: lambda t, fn=_SCALAR_FUNCTIONS[e.name]: fn(a(t))}
+# Constants are arrays, not Python scalars: np.power rounds differently
+# when its exponent is a scalar.
+_SAMPLED = {**_ARITHMETIC, "cache": "_sampled",
+            Constant: lambda e: lambda ts, v=e.value: np.full_like(ts, v),
+            Pow: lambda e, l, r: lambda ts: np.power(l(ts), r(ts)),
+            Call: lambda e, a: lambda ts, fn=getattr(np, e.name): fn(a(ts))}
 
 
 def eval_expr(e: Expr, t: float) -> float:
     """Evaluate at a single time, raising DomainError outside the real domain."""
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, TimeVar):
-        return t
-    if isinstance(e, Negate):
-        return -eval_expr(e.arg, t)
-    if isinstance(e, Add):
-        return eval_expr(e.left, t) + eval_expr(e.right, t)
-    if isinstance(e, Sub):
-        return eval_expr(e.left, t) - eval_expr(e.right, t)
-    if isinstance(e, Mul):
-        return eval_expr(e.left, t) * eval_expr(e.right, t)
-    if isinstance(e, Div):
-        den = eval_expr(e.right, t)
-        if den == 0.0:
-            raise DomainError("division by zero", t, e)
-        return eval_expr(e.left, t) / den
-    if isinstance(e, Pow):
-        base = eval_expr(e.left, t)
-        expo = eval_expr(e.right, t)
-        try:
-            out = math.pow(base, expo)
-        except (ValueError, OverflowError):
-            raise DomainError("power outside real domain", t, e) from None
-        if math.isinf(out) or math.isnan(out):
-            raise DomainError("power outside real domain", t, e)
-        return out
-    if isinstance(e, Call):
-        arg = eval_expr(e.arg, t)
-        if e.name == "log":
-            if arg <= 0.0:
-                raise DomainError("log of non-positive argument", t, e)
-            return math.log(arg)
-        if e.name == "sqrt" and arg < 0.0:
-            raise DomainError("sqrt of negative argument", t, e)
-        try:
-            return _UNARY_MATH[e.name](arg)
-        except (ValueError, OverflowError):
-            raise DomainError(f"{e.name} outside real domain", t, e) from None
-    raise TypeError(f"not an Expr node: {e!r}")
+    return _compile(e, _CHECKED)(t)
 
 
 def sample(e: Expr, ts: np.ndarray) -> np.ndarray:
@@ -418,33 +465,8 @@ def sample(e: Expr, ts: np.ndarray) -> np.ndarray:
     so the error message names the exact subexpression.
     """
     ts = np.asarray(ts, dtype=float)
-
-    def rec(node: Expr) -> np.ndarray:
-        if isinstance(node, Constant):
-            return np.full_like(ts, node.value)
-        if isinstance(node, TimeVar):
-            return ts
-        if isinstance(node, Negate):
-            return -rec(node.arg)
-        if isinstance(node, Add):
-            return rec(node.left) + rec(node.right)
-        if isinstance(node, Sub):
-            return rec(node.left) - rec(node.right)
-        if isinstance(node, Mul):
-            return rec(node.left) * rec(node.right)
-        if isinstance(node, Div):
-            return rec(node.left) / rec(node.right)
-        if isinstance(node, Pow):
-            return np.power(rec(node.left), rec(node.right))
-        if isinstance(node, Call):
-            arg = rec(node.arg)
-            if node.name == "abs":
-                return np.abs(arg)
-            return getattr(np, node.name)(arg)
-        raise TypeError(f"not an Expr node: {node!r}")
-
     with np.errstate(all="ignore"):
-        out = rec(e)
+        out = _compile(e, _SAMPLED)(ts)
     bad = ~np.isfinite(out)
     if np.any(bad):
         t_bad = float(ts[np.argmax(bad)])
@@ -454,36 +476,12 @@ def sample(e: Expr, ts: np.ndarray) -> np.ndarray:
 
 
 def compile_scalar(e: Expr) -> Callable[[float], float]:
-    """Compile to a bare closure over math.* for hot loops.
+    """A bare closure over math.* for hot loops.
 
     No domain checking: math's own ValueError/ZeroDivisionError/OverflowError
     propagate. Integrators catch those and report the time themselves.
     """
-    if isinstance(e, Constant):
-        v = e.value
-        return lambda t: v
-    if isinstance(e, TimeVar):
-        return lambda t: t
-    if isinstance(e, Negate):
-        f = compile_scalar(e.arg)
-        return lambda t: -f(t)
-    if isinstance(e, (Add, Sub, Mul, Div, Pow)):
-        lf = compile_scalar(e.left)
-        rf = compile_scalar(e.right)
-        if isinstance(e, Add):
-            return lambda t: lf(t) + rf(t)
-        if isinstance(e, Sub):
-            return lambda t: lf(t) - rf(t)
-        if isinstance(e, Mul):
-            return lambda t: lf(t) * rf(t)
-        if isinstance(e, Div):
-            return lambda t: lf(t) / rf(t)
-        return lambda t: math.pow(lf(t), rf(t))
-    if isinstance(e, Call):
-        fn = math.log if e.name == "log" else _UNARY_MATH[e.name]
-        af = compile_scalar(e.arg)
-        return lambda t: fn(af(t))
-    raise TypeError(f"not an Expr node: {e!r}")
+    return _compile(e, _SCALAR)
 
 
 # ---------------------------------------------------------------------------

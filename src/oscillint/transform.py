@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import Constant, Div, Expr, Negate, compile_scalar, contains_t, eval_expr, sample
+from .expr import Constant, Div, Expr, Negate, Sub, compile_scalar, contains_t, eval_expr, sample
 from .numerics import CubicHermiteCurve, Grid, cumulative_integral
 
 DEFAULT_GRID_NODES = 2048
@@ -285,15 +285,5 @@ def shift_system(sys: SystemSpec, lam: float, grid: Grid) -> ShiftedSystem:
 def riccati_of_system(sys: SystemSpec, span: tuple[float, float]) -> RiccatiProblem:
     """Scalar quadratic problem matched to the homogeneous part of the system
     through y = psi / phi: fcoef = q, gcoef = p - s, hcoef = -r."""
-    q_ = compile_scalar(sys.q)
-    p_ = compile_scalar(sys.p)
-    s_ = compile_scalar(sys.s)
-    r_ = compile_scalar(sys.r)
-
-    def gcoef(t: float) -> float:
-        return p_(t) - s_(t)
-
-    def hcoef(t: float) -> float:
-        return -r_(t)
-
-    return RiccatiProblem(q_, gcoef, hcoef, span)
+    return RiccatiProblem(compile_scalar(sys.q), compile_scalar(Sub(sys.p, sys.s)),
+                          compile_scalar(Negate(sys.r)), span)

@@ -548,6 +548,21 @@ class TestMainEntry:
         header = (traces / "member_00.csv").read_text().splitlines()[0]
         assert header == "t,phi,psi"
 
+    @pytest.mark.parametrize("out", ["run.txt", "run.json", "./sub/../run.json"])
+    def test_out_over_the_config_is_refused(self, tmp_path, capsys, monkeypatch, out):
+        # run.txt would put its JSON sibling on run.json, run.json the text report
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        path = write_doc(tmp_path, forced_harmonic_doc(), name="run.json")
+        before = path.read_bytes()
+        code = main(["analyze", "--config", "run.json", "--out", out])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"--out {out} " in captured.err
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "sub"]
+
 
 class TestReports:
     def test_sibling_files_written_atomically(self, tmp_path):

@@ -7,6 +7,8 @@ here from eval() alone.
 
 import contextlib
 import math
+import pickle
+import struct
 import sys
 
 import numpy as np
@@ -38,6 +40,7 @@ from oscillint.expr import (
     sample,
     tokenize,
 )
+from oscillint.numerics import _FIELD_ERRORS
 
 
 def fd_derivative(e, t, h=1e-5):
@@ -369,3 +372,61 @@ def test_derivative_matches_finite_difference(ast, t):
 @given(smooth_strategy, st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
 def test_eval_deterministic(ast, t):
     assert eval_expr(ast, t) == eval_expr(ast, t)
+
+
+# The three evaluators are one walker over three tables: they must agree.
+@settings(max_examples=300, deadline=None)
+@given(ast_strategy, st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
+def test_evaluators_agree(ast, t):
+    try:
+        want = eval_expr(ast, t)
+    except DomainError as err:
+        failed = err
+    else:
+        failed = None
+        assert struct.pack("<d", compile_scalar(ast)(t)) == struct.pack("<d", want)
+    if failed is not None:
+        # At eval_expr's failing node the unchecked closure raises a field
+        # error or gives a non-finite value. Only a raise must reach the
+        # root: an inf can be divided away above it (the test below).
+        try:
+            value = compile_scalar(failed.expr)(failed.t)
+        except _FIELD_ERRORS:
+            with pytest.raises(_FIELD_ERRORS):
+                compile_scalar(ast)(t)
+        else:
+            assert not math.isfinite(value)
+    try:
+        sample(ast, np.array([t]))
+    except DomainError as err:
+        named = failed if failed is not None else DomainError("non-finite value", t, ast)
+        assert (err.t, err.expr, str(err)) == (named.t, named.expr, str(named))
+
+
+def test_unchecked_closure_can_divide_an_overflow_away():
+    e = parse_text("1 / (100^100 * 100^100)^t")
+    with pytest.raises(DomainError, match="power outside real domain"):
+        eval_expr(e, 1.0)
+    assert compile_scalar(e)(1.0) == 0.0
+
+
+@pytest.mark.parametrize("text, base, exponent", [
+    ("t^2", lambda ts: ts, 2.0),
+    ("(t+1)^0.5", lambda ts: ts + 1.0, 0.5),
+    ("t^-1", lambda ts: ts, -1.0),
+])
+def test_sampled_constants_are_arrays(text, base, exponent):
+    # np.power rounds some of these differently when the exponent is a
+    # Python scalar; sample must keep the array path
+    ts = np.random.default_rng(3).uniform(0.01, 50.0, 10_000)
+    want = np.power(base(ts), np.full_like(ts, exponent))
+    assert sample(parse_text(text), ts).tobytes() == want.tobytes()
+
+
+def test_compiled_closures_are_not_pickled():
+    e = parse_text("sin(t) / (1 + t^2)")
+    assert eval_expr(e, 0.5) == compile_scalar(e)(0.5)
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and repr(copy) == repr(e) and hash(copy) == hash(e)
+    assert sorted(vars(copy)) == ["left", "right"]
+    assert copy(0.5) == e(0.5)
