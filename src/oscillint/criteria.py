@@ -456,34 +456,54 @@ def _window_pairs(first: list[tuple[float, float]],
 
 @dataclass(frozen=True, eq=False)
 class _ShiftWindows:
-    """Sign windows of alpha_lam and the shifted forcing on a lam grid, and
-    their margins as a function of (row, t).  With k = len(lams), rows
-    [0, k) hold -alpha, [k, 2k) -forcing, [2k, 3k) alpha, [3k, 4k) forcing,
-    one row per lam in each block."""
+    """Sign windows of alpha_lam and the shifted forcing for the lams of a
+    grid that can pair windows, and their margins as a function of (row, t).
+    With k = len(lams), rows [0, k) hold -alpha, [k, 2k) -forcing,
+    [2k, 3k) alpha, [3k, 4k) forcing, one row per kept lam in each block."""
 
     lams: list[float]
     first: list[list[tuple[float, float]]]  # per lam: both curves <= 0
     second: list[list[tuple[float, float]]]  # per lam: both curves >= 0
     margin_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    least: dict = dataclass_field(default_factory=dict)
+
+    def least_margin(self, row: int, lo: float, hi: float) -> float:
+        """Least margin of row at 65 evenly spaced points of [lo, hi], kept
+        per exact (row, lo, hi): consecutive scan times mostly find the
+        same pair."""
+        key = (row, lo, hi)
+        if key not in self.least:
+            self.least[key] = float(np.min(self.margin_at(np.full(65, row),
+                                                          np.linspace(lo, hi, 65))))
+        return self.least[key]
 
 
 def _shift_windows(sys: SystemSpec, grid: Grid, base: AlphaTrace,
                    lambda_grid: Sequence[float]) -> _ShiftWindows:
-    """Windows of every lam at once, ordered by |lam|.
+    """Windows of every lam that can pair them, ordered by |lam|.
 
     alpha_lam = alpha_0 + (lam - lam_0) growth is affine in lam, so the
-    traces of all lams are rows of one (lam, node) matrix; the margins at
-    the nodes come straight from it, and one root solve sharpens the window
-    boundaries of every row.
+    traces of all lams are rows of one (lam, node) matrix. A lam whose
+    alpha_lam is >= -SIGN_SLACK at no node, or <= SIGN_SLACK at none, is
+    dropped before anything else is built: refinement only widens windows
+    that already hold at the nodes, so such a lam has no window of one kind
+    and pairs none. Dropping it changes no window of another lam, since each
+    root lane is solved on its own. For the survivors the margins at the
+    nodes come straight from the matrix, and one root solve sharpens the
+    window boundaries of every row.
     """
     lams = sorted(dict.fromkeys(float(v) for v in lambda_grid), key=abs)
     ts = grid.nodes
+    traces = np.multiply(np.array(lams)[:, None] - base.lam, base.growth)
+    traces += base.alpha
+    live = (traces.max(axis=1) >= -SIGN_SLACK) & (traces.min(axis=1) <= SIGN_SLACK)
+    lams = [lam for lam, keep in zip(lams, live) if keep]
     k = len(lams)
-    # filled in place: these matrices dominate the memory of a check
+    # traces is the one array over every lam; the margins hold four rows per
+    # surviving lam, filled in place
     margins = np.empty((4 * k, len(ts)))
     alpha, forcing = margins[2 * k:3 * k], margins[3 * k:]
-    np.multiply(np.array(lams)[:, None] - base.lam, base.growth, out=alpha)
-    alpha += base.alpha
+    alpha[:] = traces[live]
     np.multiply(sample(sys.r, ts), alpha, out=forcing)
     forcing += sample(sys.g, ts)
     np.negative(margins[2 * k:], out=margins[:2 * k])
@@ -492,9 +512,11 @@ def _shift_windows(sys: SystemSpec, grid: Grid, base: AlphaTrace,
     alpha_curve = CubicHermiteCurve(ts, alpha.T, rate.T)
 
     def margin_at(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        a = alpha_curve.columns_at(t, rows % k)
-        is_forcing = (rows // k) % 2 == 1
-        v = np.where(is_forcing, sample(sys.r, t) * a + sample(sys.g, t), a)
+        v = alpha_curve.columns_at(t, rows % k)
+        on_forcing = (rows // k) % 2 == 1
+        if on_forcing.any():
+            tf = t[on_forcing]
+            v[on_forcing] = sample(sys.r, tf) * v[on_forcing] + sample(sys.g, tf)
         return np.where(rows < 2 * k, -v, v)
 
     windows = _refined_windows(margins, margin_at, ts)
@@ -553,7 +575,7 @@ def _first_witness(shift: _ShiftWindows, T: float, horizon: tuple[float, float],
     i, (s1, t1, s2, t2), (descent1, descent2) = found
     k = len(shift.lams)
     sign_margins = tuple(
-        float(np.min(shift.margin_at(np.full(65, row), np.linspace(a, b, 65))))
+        shift.least_margin(row, a, b)
         for row, a, b in ((i, s1, t1), (k + i, s1, t1),
                           (2 * k + i, s2, t2), (3 * k + i, s2, t2)))
     return IntervalWitness(s1=s1, t1=t1, s2=s2, t2=t2, lam=shift.lams[i],
@@ -616,7 +638,10 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
     The scan defaults to 8 reference times over the first half of the
     horizon, or over one period when periodic is given (periodicity then
     extends the evidence to all later reference times).  Without a
-    lambda_grid, the default grid has lambda_points values.  Failure of this
+    lambda_grid, the default grid has lambda_points values. A lam whose
+    alpha_lam keeps one strict sign at every grid node is skipped before
+    any window is refined (_shift_windows): it has no window of one kind,
+    so the witnesses are those of the full grid. Failure of this
     sufficient condition proves nothing, so the negative outcome is always
     inconclusive.
     """

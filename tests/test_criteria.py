@@ -12,6 +12,7 @@ from oscillint.criteria import (
     INCONCLUSIVE,
     NON_OSCILLATORY,
     OSCILLATORY,
+    SIGN_SLACK,
     IntervalWitness,
     TestFunction,
     Verdict,
@@ -28,13 +29,20 @@ from oscillint.criteria import (
     _angle_crossings,
     _angle_descent,
     _runs,
+    _shift_windows,
     sign_windows,
     variational_functional,
 )
 from oscillint.expr import Mul, Constant, eval_expr, parse_text
 from oscillint.numerics import Grid, Tolerances, integrate_ode, zero_crossing
 from oscillint.oracle import _AT_NODES, _chunk_series, _chunk_turn
-from oscillint.transform import SecondOrderSpec, SystemSpec, reduce_equation
+from oscillint.transform import (
+    DEFAULT_GRID_NODES,
+    SecondOrderSpec,
+    SystemSpec,
+    alpha_lambda,
+    reduce_equation,
+)
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -490,6 +498,65 @@ class TestWindowSharing:
                                           grid_nodes=config.grid_nodes,
                                           tol=config.tolerances)
             assert fresh == witness, T
+
+
+class TestShiftPruning:
+    """_shift_windows drops every lam whose alpha_lam misses a sign at the
+    nodes: such a lam has no window of one kind and can pair none."""
+
+    @pytest.mark.parametrize("k, w, amp, ph, outcome", [
+        (1.5, 1.0, 1.0, 0.3, OSCILLATORY),
+        (0.7, 1.1, 0.8, 2.0, INCONCLUSIVE),
+    ])
+    def test_forced_equation_keeps_only_zero(self, k, w, amp, ph, outcome):
+        # alpha_lam is lam itself, so only lam = 0 takes both signs
+        eq = SecondOrderSpec(parse_text("1"), parse_text("0"), parse_text(repr(k * k)),
+                             parse_text(f"{amp!r} * sin({w!r} * t + {ph!r})"))
+        sys_spec = reduce_equation(eq)
+        horizon = (0.0, 5.0 * math.pi / w)
+        grid = Grid.uniform(*horizon, DEFAULT_GRID_NODES)
+        base = alpha_lambda(sys_spec, 0.0, grid)
+        lams = default_lambda_grid(sys_spec, grid, base)
+        assert len(lams) == 41
+        assert _shift_windows(sys_spec, grid, base, lams).lams == [0.0]
+        full = check_oscillation(sys_spec, horizon)
+        alone = check_oscillation(sys_spec, horizon, lambda_grid=[0.0])
+        assert full.outcome == alone.outcome == outcome
+        assert full.notes == alone.notes
+        for key in ("witnesses", "failed_at"):
+            assert full.evidence.get(key) == alone.evidence.get(key)
+
+    def test_grid_without_a_survivor_is_inconclusive(self):
+        eq = SecondOrderSpec(parse_text("1"), parse_text("0"), parse_text("2.25"),
+                             parse_text("sin(t)"))
+        sys_spec = reduce_equation(eq)
+        horizon = (0.0, 10.0 * math.pi)
+        grid = Grid.uniform(*horizon, DEFAULT_GRID_NODES)
+        base = alpha_lambda(sys_spec, 0.0, grid)
+        assert _shift_windows(sys_spec, grid, base, [1.0, -2.0]).lams == []
+        verdict = check_oscillation(sys_spec, horizon, lambda_grid=[1.0, -2.0])
+        assert verdict.outcome == INCONCLUSIVE
+        assert verdict.evidence == {"witnesses": [], "failed_at": 0.0}
+
+    def test_dropped_lams_miss_a_sign_on_bursty_systems(self):
+        rng = np.random.default_rng(17)
+        dropped = kept = 0
+        for _ in range(6):
+            height, power = rng.uniform(40.0, 160.0), int(rng.integers(8, 17))
+            a, b = rng.uniform(0.3, 0.7), rng.uniform(0.4, 0.8)
+            sys_spec = make_system(q=f"0.05 + {height!r} * ((1 - cos(2 * t)) / 2)^{power}",
+                                   r="-1", f=f"{a!r} * cos(t) + {b!r} * exp(-t)",
+                                   g="sin(t)")
+            grid = Grid.uniform(0.0, 3.0 * math.pi, DEFAULT_GRID_NODES)
+            base = alpha_lambda(sys_spec, 0.0, grid)
+            lams = default_lambda_grid(sys_spec, grid, base) + [-1.5, -0.5, 0.5, 1.5]
+            survivors = _shift_windows(sys_spec, grid, base, lams).lams
+            kept += len(survivors)
+            for lam in set(lams) - set(survivors):
+                dropped += 1
+                alpha = alpha_lambda(sys_spec, lam, grid).alpha
+                assert not np.any(alpha >= -SIGN_SLACK) or not np.any(-alpha >= -SIGN_SLACK)
+        assert dropped and kept
 
 
 class TestVariationalFunctional:
