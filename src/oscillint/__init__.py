@@ -72,7 +72,6 @@ from .criteria import (
     find_interval_witness,
     half_sine_bridge,
     horizon_nonoscillation_test,
-    interval_oscillation_test,
     lambda_feasibility,
     variational_functional,
 )

@@ -1,0 +1,6 @@
+"""`python -m oscillint`: the command line, as the `oscillint` script."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

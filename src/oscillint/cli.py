@@ -656,16 +656,14 @@ def _run_sweep(config: ProblemConfig) -> Report:
     grid = Grid.uniform(config.t0, config.horizon, config.grid_nodes)
     base = alpha_lambda(sys_spec, 0.0, grid)
     interval = lambda_feasibility(sys_spec, grid, base)
-    r_vals = sample(sys_spec.r, grid.nodes)
-    g_vals = sample(sys_spec.g, grid.nodes)
     lams = (list(config.lambda_values) if config.lambda_values is not None
             else default_lambda_grid(sys_spec, grid, base,
                                      config.lambda_points))
+    alphas = base.alpha_rows(lams)
     rows = []
-    for lam in lams:
-        alpha = base.growth * lam + base.alpha
+    for lam, alpha, coupling in zip(lams, alphas, base.r * alphas + base.g):
         margin_alpha = float(np.min(alpha))
-        margin_coupling = float(np.min(r_vals * alpha + g_vals))
+        margin_coupling = float(np.min(coupling))
         rows.append({"lam": lam, "alpha_margin": margin_alpha,
                      "coupling_margin": margin_coupling,
                      "feasible": bool(min(margin_alpha, margin_coupling)

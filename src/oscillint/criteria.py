@@ -3,8 +3,10 @@
 Four families of checks live here:
 
 * a polar-angle test for homogeneous systems: zeros of phi are crossings of
-  the phase angle through the vertical lines, so interval oscillation reduces
-  to how far the angle descends (both read off Chebyshev series, `oracle`),
+  the phase angle through the vertical lines. The horizon test counts them;
+  interval oscillation, how far the angle descends over a window, has no
+  public test of its own and is checked inside the witness search (both
+  read off Chebyshev series, `oracle`),
 * a feasibility scan for the shift parameter lam that certifies
   non-oscillation of a forced system from its homogeneous companion,
 * a witness search that certifies oscillation from paired sign windows of
@@ -177,47 +179,6 @@ def _angle_crossings(sys: SystemSpec, lo: float, hi: float, theta0: float,
     return unforced_zeros(sys.homogeneous(), lo, hi, start, tol.rel_tol, tol.root_tol)
 
 
-def _angle_descent(sys: SystemSpec, lo: float, hi: float,
-                   tol: Tolerances) -> float | None:
-    """Descent over [lo, hi] of the angle started at pi/2, read off the
-    solution of the unforced system sys from (phi, psi) = (0, 1): pi/2 less
-    its final continuous angle. The solution is solved as Chebyshev series
-    on chunks (oracle.angle_turn); None when a chunk cannot be sampled or
-    resolved down to STEP_COLLAPSE of the window, since the descent past
-    there is unknown."""
-    turn = angle_turn(sys, lo, hi, tol.rel_tol)
-    return None if turn is None else -turn
-
-
-def interval_oscillation_test(sys: SystemSpec, interval: tuple[float, float],
-                              tol: Tolerances = Tolerances()) -> Verdict:
-    """Does every solution of the homogeneous companion vanish on the
-    closed interval?
-
-    The solution vanishing at the left endpoint starts on a vertical line;
-    with q >= 0 the angle can only cross those lines downward, and the scalar
-    angle flow preserves order, so it is enough to check that this extremal
-    angle descends at least pi by the right endpoint. The descent is read
-    off the companion's solution from (0, 1), solved as Chebyshev series
-    (_angle_descent); forcing terms of sys play no part.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError("interval must be increasing")
-    negative_q = _negative_q_verdict(sys, lo, hi, _ANGLE_NEEDS_Q)
-    if negative_q is not None:
-        return negative_q
-    descent = _angle_descent(sys.homogeneous(), lo, hi, tol)
-    if descent is None:
-        return Verdict(INCONCLUSIVE, (lo, hi),
-                       notes="the angle solve stopped before the end of the interval")
-    margin = descent - math.pi
-    evidence = {"descent": descent, "margin": margin, "interval": (lo, hi)}
-    if descent >= math.pi - ANGLE_SLACK:
-        return Verdict(OSCILLATORY, (lo, hi), evidence)
-    return Verdict(NON_OSCILLATORY, (lo, hi), evidence)
-
-
 def horizon_nonoscillation_test(sys: SystemSpec, horizon: tuple[float, float],
                                 tol: Tolerances = Tolerances()) -> Verdict:
     """Classify the homogeneous companion over the whole horizon.
@@ -271,23 +232,15 @@ def lambda_feasibility(sys: SystemSpec, grid: Grid,
     single-signed bound from the second depending on sign(r).  One pass
     suffices; returns None when the interval is empty.
     """
-    if base_trace is None:
-        base_trace = alpha_lambda(sys, 0.0, grid)
-    ts = grid.nodes
-    growth = base_trace.growth
-    alpha0 = base_trace.alpha
-    r_vals = sample(sys.r, ts)
-    g_vals = sample(sys.g, ts)
-
-    lam_lo = 0.0
+    trace = alpha_lambda(sys, 0.0, grid) if base_trace is None else base_trace
+    growth, alpha0 = trace.growth, trace.alpha
+    # first constraint: growth * lam + alpha0 >= 0, growth > 0
+    lam_lo = max(0.0, float(np.max(-(alpha0 + SIGN_SLACK) / growth)))
     lam_hi = math.inf
 
-    # first constraint: growth * lam + alpha0 >= 0, growth > 0
-    lam_lo = max(lam_lo, float(np.max(-(alpha0 + SIGN_SLACK) / growth)))
-
     # second constraint: (r growth) lam + (r alpha0 + g) >= 0
-    coef = r_vals * growth
-    offset = r_vals * alpha0 + g_vals + SIGN_SLACK
+    coef = trace.r * growth
+    offset = trace.r * alpha0 + trace.g + SIGN_SLACK
     pos = coef > SIGN_SLACK
     neg = coef < -SIGN_SLACK
     flat = ~pos & ~neg
@@ -317,7 +270,8 @@ def check_nonoscillation(sys: SystemSpec, horizon: tuple[float, float],
     negative_q = _negative_q_verdict(sys, lo, hi)
     if negative_q is not None:
         return negative_q
-    feasible = lambda_feasibility(sys, grid)
+    base = alpha_lambda(sys, 0.0, grid)
+    feasible = lambda_feasibility(sys, grid, base)
     if feasible is None:
         return Verdict(INCONCLUSIVE, (lo, hi),
                        notes="no nonnegative shift parameter satisfies both "
@@ -332,7 +286,7 @@ def check_nonoscillation(sys: SystemSpec, horizon: tuple[float, float],
                                  "homogeneous": homogeneous.outcome},
                        notes=notes)
     lam_lo, lam_hi = feasible
-    trace = alpha_lambda(sys, lam_lo, grid)
+    trace = base.at(lam_lo)
     margins = {
         "alpha_min": float(np.min(trace.alpha)),
         "forcing_min": float(np.min(trace.g_lambda)),
@@ -344,22 +298,6 @@ def check_nonoscillation(sys: SystemSpec, horizon: tuple[float, float],
 
 # ---------------------------------------------------------------------------
 # Sign windows
-
-
-def sign_windows(values: np.ndarray, grid: Grid,
-                 required_sign: int) -> list[tuple[float, float]]:
-    """Maximal closed grid intervals where sign * values >= -SIGN_SLACK.
-
-    Single-node runs are dropped; they cannot carry an interval condition.
-    """
-    if required_sign not in (-1, 1):
-        raise ValueError("required_sign must be +1 or -1")
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.nodes.shape:
-        raise ValueError("values must be sampled on the grid")
-    _, first, last = _runs(required_sign * values[None, :] >= -SIGN_SLACK)
-    nodes = grid.nodes
-    return [(float(nodes[i]), float(nodes[j])) for i, j in zip(first, last) if j > i]
 
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -478,24 +416,22 @@ class _ShiftWindows:
         return self.least[key]
 
 
-def _shift_windows(sys: SystemSpec, grid: Grid, base: AlphaTrace,
-                   lambda_grid: Sequence[float]) -> _ShiftWindows:
+def _shift_windows(base: AlphaTrace, lambda_grid: Sequence[float]) -> _ShiftWindows:
     """Windows of every lam that can pair them, ordered by |lam|.
 
     alpha_lam = alpha_0 + (lam - lam_0) growth is affine in lam, so the
-    traces of all lams are rows of one (lam, node) matrix. A lam whose
-    alpha_lam is >= -SIGN_SLACK at no node, or <= SIGN_SLACK at none, is
-    dropped before anything else is built: refinement only widens windows
+    traces of all lams are rows of one (lam, node) matrix (alpha_rows of the
+    base trace, whose nodal samples every row reads). A lam whose alpha_lam
+    is >= -SIGN_SLACK at no node, or <= SIGN_SLACK at none, is dropped before anything else is built: refinement only widens windows
     that already hold at the nodes, so such a lam has no window of one kind
     and pairs none. Dropping it changes no window of another lam, since each
     root lane is solved on its own. For the survivors the margins at the
     nodes come straight from the matrix, and one root solve sharpens the
     window boundaries of every row.
     """
+    sys, ts = base.system, base.grid.nodes
     lams = sorted(dict.fromkeys(float(v) for v in lambda_grid), key=abs)
-    ts = grid.nodes
-    traces = np.multiply(np.array(lams)[:, None] - base.lam, base.growth)
-    traces += base.alpha
+    traces = base.alpha_rows(lams)
     live = (traces.max(axis=1) >= -SIGN_SLACK) & (traces.min(axis=1) <= SIGN_SLACK)
     lams = [lam for lam, keep in zip(lams, live) if keep]
     k = len(lams)
@@ -504,11 +440,11 @@ def _shift_windows(sys: SystemSpec, grid: Grid, base: AlphaTrace,
     margins = np.empty((4 * k, len(ts)))
     alpha, forcing = margins[2 * k:3 * k], margins[3 * k:]
     alpha[:] = traces[live]
-    np.multiply(sample(sys.r, ts), alpha, out=forcing)
-    forcing += sample(sys.g, ts)
+    np.multiply(base.r, alpha, out=forcing)
+    forcing += base.g
     np.negative(margins[2 * k:], out=margins[:2 * k])
-    rate = sample(sys.p, ts) * alpha
-    rate += sample(sys.f, ts)
+    rate = base.p * alpha
+    rate += base.f
     alpha_curve = CubicHermiteCurve(ts, alpha.T, rate.T)
 
     def margin_at(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -540,6 +476,20 @@ def _window_memo(value: Callable[[float, float], object]) -> Callable[[tuple], o
     return at
 
 
+def _scan_times(scan: Sequence[float] | None, lo: float, hi: float,
+                reach: float) -> Sequence[float]:
+    """The reference times a check scans: scan itself, or by default
+    DEFAULT_SCAN_POINTS evenly spaced over [lo, lo + reach), reach capped at
+    the horizon's width. An empty scan raises ValueError: a check over no
+    reference time would be decisive with no evidence."""
+    if scan is None:
+        return np.linspace(lo, lo + min(reach, hi - lo), DEFAULT_SCAN_POINTS,
+                           endpoint=False)
+    if len(scan) == 0:
+        raise ValueError("scan must hold at least one reference time")
+    return scan
+
+
 def _first_pair(window_sets, T: float, horizon: tuple[float, float],
                 value_at: Callable[[tuple[float, float]], object],
                 holds: Callable[[object], bool]) -> tuple | None:
@@ -566,13 +516,18 @@ def _first_pair(window_sets, T: float, horizon: tuple[float, float],
 
 
 def _first_witness(shift: _ShiftWindows, T: float, horizon: tuple[float, float],
-                   descent_at: Callable[[tuple[float, float]], float | None]
+                   turn_at: Callable[[tuple[float, float]], float | None]
                    ) -> IntervalWitness | None:
-    found = _first_pair(zip(shift.first, shift.second), T, horizon, descent_at,
-                        lambda d: d is not None and d >= math.pi - ANGLE_SLACK)
+    """The first witness beyond T: a window pair of one lam on both windows
+    of which every solution of the companion vanishes. With q >= 0 that
+    holds when the angle of the solution vanishing at a window's start
+    descends by pi; turn_at gives its turn (oracle.angle_turn, the descent
+    negated), None where the chunk walk stopped."""
+    found = _first_pair(zip(shift.first, shift.second), T, horizon, turn_at,
+                        lambda turn: turn is not None and -turn >= math.pi - ANGLE_SLACK)
     if found is None:
         return None
-    i, (s1, t1, s2, t2), (descent1, descent2) = found
+    i, (s1, t1, s2, t2), (turn1, turn2) = found
     k = len(shift.lams)
     sign_margins = tuple(
         shift.least_margin(row, a, b)
@@ -580,7 +535,7 @@ def _first_witness(shift: _ShiftWindows, T: float, horizon: tuple[float, float],
                           (2 * k + i, s2, t2), (3 * k + i, s2, t2)))
     return IntervalWitness(s1=s1, t1=t1, s2=s2, t2=t2, lam=shift.lams[i],
                            sign_margins=sign_margins,
-                           osc_margins=(descent1 - math.pi, descent2 - math.pi))
+                           osc_margins=(-turn1 - math.pi, -turn2 - math.pi))
 
 
 def find_interval_witness(sys: SystemSpec, T: float,
@@ -590,18 +545,11 @@ def find_interval_witness(sys: SystemSpec, T: float,
                           tol: Tolerances = Tolerances()
                           ) -> IntervalWitness | None:
     """First witness of paired sign windows beyond T, scanning the shift
-    parameter grid.
-
-    For each lam, collect windows where alpha_lam and the shifted forcing are
-    both nonpositive (first interval) and both nonnegative (second), order
-    candidate pairs earliest-first, and keep the first pair on which the
-    homogeneous companion oscillates.  Assumes q >= 0 on the horizon.
-    """
-    lo, hi = float(horizon[0]), float(horizon[1])
-    grid = Grid.uniform(lo, hi, grid_nodes)
-    shift = _shift_windows(sys, grid, alpha_lambda(sys, 0.0, grid), lambda_grid)
-    descent_at = _window_memo(partial(_angle_descent, sys.homogeneous(), tol=tol))
-    return _first_witness(shift, T, (lo, hi), descent_at)
+    parameter grid: check_oscillation with T the one reference time, so
+    None also when q dips below zero on the horizon."""
+    verdict = check_oscillation(sys, horizon, scan=[T], lambda_grid=lambda_grid,
+                                grid_nodes=grid_nodes, tol=tol)
+    return verdict.evidence["witnesses"][0][1] if verdict.decisive() else None
 
 
 def default_lambda_grid(sys: SystemSpec, grid: Grid,
@@ -609,13 +557,9 @@ def default_lambda_grid(sys: SystemSpec, grid: Grid,
                         points: int = DEFAULT_LAMBDA_POINTS) -> list[float]:
     """Symmetric lam grid whose span makes the affine constraints attainable,
     always containing 0."""
-    if base_trace is None:
-        base_trace = alpha_lambda(sys, 0.0, grid)
-    ts = grid.nodes
-    r_vals = sample(sys.r, ts)
-    g_vals = sample(sys.g, ts)
-    denom = float(np.max(np.abs(r_vals * base_trace.growth)))
-    numer = float(np.max(np.abs(g_vals)))
+    trace = alpha_lambda(sys, 0.0, grid) if base_trace is None else base_trace
+    denom = float(np.max(np.abs(trace.r * trace.growth)))
+    numer = float(np.max(np.abs(trace.g)))
     span = 1.0
     if denom > 1e-12:
         span = max(1.0, min(1e6, numer / denom))
@@ -637,8 +581,9 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
 
     The scan defaults to 8 reference times over the first half of the
     horizon, or over one period when periodic is given (periodicity then
-    extends the evidence to all later reference times).  Without a
-    lambda_grid, the default grid has lambda_points values. A lam whose
+    extends the evidence to all later reference times); an empty scan
+    raises ValueError. Without a lambda_grid, the default grid has
+    lambda_points values. A lam whose
     alpha_lam keeps one strict sign at every grid node is skipped before
     any window is refined (_shift_windows): it has no window of one kind,
     so the witnesses are those of the full grid. Failure of this
@@ -646,23 +591,20 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
     inconclusive.
     """
     lo, hi = float(horizon[0]), float(horizon[1])
+    scan = _scan_times(scan, lo, hi, periodic if periodic is not None else (hi - lo) / 2.0)
     negative_q = _negative_q_verdict(sys, lo, hi)
     if negative_q is not None:
         return negative_q
-    if scan is None:
-        reach = periodic if periodic is not None else (hi - lo) / 2.0
-        reach = min(reach, hi - lo)
-        scan = np.linspace(lo, lo + reach, DEFAULT_SCAN_POINTS, endpoint=False)
     grid = Grid.uniform(lo, hi, grid_nodes)
     base_trace = alpha_lambda(sys, 0.0, grid)
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(sys, grid, base_trace, lambda_points)
 
-    shift = _shift_windows(sys, grid, base_trace, lambda_grid)
-    descent_at = _window_memo(partial(_angle_descent, sys.homogeneous(), tol=tol))
+    shift = _shift_windows(base_trace, lambda_grid)
+    turn_at = _window_memo(partial(angle_turn, sys.homogeneous(), rel_tol=tol.rel_tol))
     witnesses = []
     for T in scan:
-        witness = _first_witness(shift, float(T), (lo, hi), descent_at)
+        witness = _first_witness(shift, float(T), (lo, hi), turn_at)
         if witness is None:
             return Verdict(INCONCLUSIVE, (lo, hi),
                            evidence={"witnesses": witnesses,
@@ -706,14 +648,12 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
     identically 0).
     """
     lo, hi = float(horizon[0]), float(horizon[1])
+    scan = _scan_times(scan, lo, hi, (hi - lo) / 2.0)
     bad = _probe_failure(eq.b, lo, hi, lambda b: np.abs(b) > SIGN_SLACK)
     if bad is not None:
         return Verdict(INCONCLUSIVE, (lo, hi),
                        notes=f"damping coefficient is nonzero at t = {bad:.6g}; "
                              "this test needs b identically 0")
-    if scan is None:
-        scan = np.linspace(lo, lo + (hi - lo) / 2.0, DEFAULT_SCAN_POINTS,
-                           endpoint=False)
     nodes = Grid.uniform(lo, hi, grid_nodes).nodes
     d_vals = sample(eq.d, nodes)
     # row 0 holds -d, row 1 holds d

@@ -154,26 +154,19 @@ class CubicHermiteCurve:
         h = self.ts[idx + 1] - t0
         return idx, (t_arr - t0) / h, h
 
-    def _evaluate(self, basis, t):
+    def __call__(self, t):
         idx, s, h = self._locate(t)
         if self.values.ndim != 1:
             s, h = s[:, None], h[:, None]
-        out = basis(s, h, self.values[idx], self.values[idx + 1],
-                    self.derivs[idx], self.derivs[idx + 1])
+        out = _hermite(s, h, self.values[idx], self.values[idx + 1],
+                       self.derivs[idx], self.derivs[idx + 1])
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
-
-    def __call__(self, t):
-        return self._evaluate(_hermite, t)
 
     def columns_at(self, t: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Column cols[i] of a curve with (n, k) values, at time t[i]."""
         idx, s, h = self._locate(t)
         v, d = self.values, self.derivs
         return _hermite(s, h, v[idx, cols], v[idx + 1, cols], d[idx, cols], d[idx + 1, cols])
-
-    def rate(self, t):
-        """Exact derivative of the piecewise cubic at t."""
-        return self._evaluate(_hermite_rate, t)
 
 
 @dataclass

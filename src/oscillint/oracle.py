@@ -7,8 +7,9 @@ summarize what was observed. Ensemble verdicts never override analytic ones;
 they exist to catch bugs in the analytic path (and vice versa).
 
 The chunked series solve that serves the ensemble also gives `criteria`,
-without a step-loop solve, the companion's angle descent over a window
-(`angle_turn`) and its zeros over a horizon (`unforced_zeros`).
+without a step-loop solve, the companion's angle turn over a window
+(`angle_turn`, whose negation is the descent that interval oscillation
+reads) and its zeros over a horizon (`unforced_zeros`).
 """
 
 from __future__ import annotations

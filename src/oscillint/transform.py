@@ -11,13 +11,16 @@ Three changes of variables connect the objects this package works with:
 
 Shift traces are computed by cumulative quadrature on a fixed grid and wrapped
 in cubic Hermite interpolants whose nodal derivatives are exact (the integrand
-itself), so evaluation between nodes stays at quadrature accuracy.
+itself), so evaluation between nodes stays at quadrature accuracy. A trace
+holds the nodal samples of p, f, r and g, growth = exp of the integral of p
+and the integral of f / growth; alpha is affine in lam, so the trace of any
+other lam is read off these without sampling or integrating again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field as dataclass_field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -137,25 +140,47 @@ class SecondOrderSpec:
 
 @dataclass(frozen=True, eq=False)
 class AlphaTrace:
-    """Shift trace for one value of lam.
+    """Shift trace for one value of lam on a grid.
 
-    growth holds exp of the cumulative integral of p; alpha the shifted-forcing
-    primitive growth * (lam + integral of f / growth); g_lambda the resulting
-    second-equation forcing r * alpha + g.  alpha is affine in lam with slope
-    growth, which feasibility scans exploit.
+    p, f, r and g are the system's coefficients at the grid nodes, growth
+    the exp of the cumulative integral of p and forced that of f / growth.
+    Then alpha = growth * (lam + forced), its exact nodal slope alpha_rate =
+    p alpha + f, and the shifted forcing g_lambda = r alpha + g. Every lam
+    shares the samples and integrals: `at` gives another lam's trace and
+    `alpha_rows` the alpha of many lams.
     """
 
     lam: float
     grid: Grid
-    growth: np.ndarray
-    alpha: np.ndarray
-    g_lambda: np.ndarray
-    alpha_rate: np.ndarray
     system: SystemSpec
+    p: np.ndarray
+    f: np.ndarray
+    r: np.ndarray
+    g: np.ndarray
+    growth: np.ndarray
+    forced: np.ndarray
+    alpha: np.ndarray = dataclass_field(init=False)
+    g_lambda: np.ndarray = dataclass_field(init=False)
+    alpha_rate: np.ndarray = dataclass_field(init=False)
 
     def __post_init__(self):
+        alpha = self.growth * (self.lam + self.forced)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "g_lambda", self.r * alpha + self.g)
+        object.__setattr__(self, "alpha_rate", self.p * alpha + self.f)
         object.__setattr__(self, "_alpha_curve", CubicHermiteCurve(
-            self.grid.nodes, self.alpha, self.alpha_rate))
+            self.grid.nodes, alpha, self.alpha_rate))
+
+    def at(self, lam: float) -> "AlphaTrace":
+        """The trace of another lam, from the same samples and integrals."""
+        return replace(self, lam=float(lam))
+
+    def alpha_rows(self, lams: Sequence[float]) -> np.ndarray:
+        """alpha of each lam as the rows of one (lam, node) matrix, each
+        (lam - self.lam) growth + alpha."""
+        rows = np.multiply(np.asarray(lams, dtype=float)[:, None] - self.lam, self.growth)
+        rows += self.alpha
+        return rows
 
     def alpha_at(self, t):
         return self._alpha_curve(t)
@@ -182,13 +207,6 @@ class ShiftedSystem:
     s: Expr
     t0: float
     trace: AlphaTrace
-
-    def companion(self) -> SystemSpec:
-        return SystemSpec(self.p, self.q, self.r, self.s,
-                          Constant(0.0), Constant(0.0), self.t0)
-
-    def forcing_at(self, t):
-        return self.trace.g_lambda_at(t)
 
     def field(self) -> Callable[[float, np.ndarray], np.ndarray]:
         p_ = compile_scalar(self.p)
@@ -230,9 +248,6 @@ class RiccatiProblem:
 
         return rhs
 
-    def residual(self, t: float, y: float, y_rate: float) -> float:
-        return y_rate + self.fcoef(t) * y * y + self.gcoef(t) * y + self.hcoef(t)
-
 
 def _require_grid_start(sys: SystemSpec, grid: Grid) -> None:
     start = float(grid.nodes[0])
@@ -241,24 +256,16 @@ def _require_grid_start(sys: SystemSpec, grid: Grid) -> None:
 
 
 def alpha_lambda(sys: SystemSpec, lam: float, grid: Grid) -> AlphaTrace:
-    """Shift trace on the grid: growth, alpha, and the shifted forcing."""
+    """Shift trace on the grid: the one place that samples p, f, r and g on a
+    check's grid and integrates them; other lams derive from it."""
     _require_grid_start(sys, grid)
     ts = grid.nodes
-    p_vals = sample(sys.p, ts)
-    f_vals = sample(sys.f, ts)
-    r_vals = sample(sys.r, ts)
-    g_vals = sample(sys.g, ts)
-
-    growth = np.exp(cumulative_integral(p_vals, grid))
+    p, f, r, g = (sample(e, ts) for e in (sys.p, sys.f, sys.r, sys.g))
+    growth = np.exp(cumulative_integral(p, grid))
     if not np.all(np.isfinite(growth)):
         raise TransformError("growth factor overflows on the grid; shorten the horizon")
-    forced = cumulative_integral(f_vals / growth, grid)
-    alpha = growth * (lam + forced)
-    g_lam = r_vals * alpha + g_vals
-    # exact nodal slope: alpha' = p alpha + f
-    return AlphaTrace(lam=float(lam), grid=grid, growth=growth, alpha=alpha,
-                      g_lambda=g_lam, alpha_rate=p_vals * alpha + f_vals,
-                      system=sys)
+    return AlphaTrace(lam=float(lam), grid=grid, system=sys, p=p, f=f, r=r, g=g,
+                      growth=growth, forced=cumulative_integral(f / growth, grid))
 
 
 def reduce_equation(eq: SecondOrderSpec, grid: Grid | None = None) -> SystemSpec:

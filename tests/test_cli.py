@@ -641,6 +641,25 @@ def test_shipped_config_exit_codes(name, subcommand, expected, capsys):
     assert code == expected
 
 
+def run_python(args, cwd):
+    """Run a fresh interpreter that imports oscillint from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point(tmp_path):
+    # python -m oscillint runs the command line without runpy's warning
+    # that `python -m oscillint.cli` prints (the package imports cli)
+    done = run_python(["-m", "oscillint", "analyze", "--config",
+                       str(CONFIG_DIR / "forced_harmonic.json")], tmp_path)
+    assert done.returncode == 10
+    assert done.stderr == ""
+    assert "oscillatory" in done.stdout
+
+
 def test_library_runs_without_scipy(tmp_path):
     # in a fresh interpreter: import the CLI, run analyze on a shipped
     # config, and find no scipy module loaded
@@ -650,9 +669,5 @@ def test_library_runs_without_scipy(tmp_path):
             "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
             "print(code, loaded, file=sys.stderr)\n"
             "sys.exit(0 if code == 10 and not loaded else 1)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = run_python(["-c", code], tmp_path)
     assert done.returncode == 0, done.stderr

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from oscillint import criteria, transform
 from oscillint.cli import load_config
 from oscillint.criteria import (
+    ANGLE_SLACK,
     INCONCLUSIVE,
     NON_OSCILLATORY,
     OSCILLATORY,
@@ -24,18 +26,16 @@ from oscillint.criteria import (
     find_interval_witness,
     half_sine_bridge,
     horizon_nonoscillation_test,
-    interval_oscillation_test,
     lambda_feasibility,
     _angle_crossings,
-    _angle_descent,
+    _refined_windows,
     _runs,
     _shift_windows,
-    sign_windows,
     variational_functional,
 )
 from oscillint.expr import Mul, Constant, eval_expr, parse_text
 from oscillint.numerics import Grid, Tolerances, integrate_ode, zero_crossing
-from oscillint.oracle import _AT_NODES, _chunk_series, _chunk_turn
+from oscillint.oracle import _AT_NODES, _chunk_series, _chunk_turn, angle_turn
 from oscillint.transform import (
     DEFAULT_GRID_NODES,
     SecondOrderSpec,
@@ -63,6 +63,13 @@ def decaying_forced():
     return make_system(q="1", r="1", g="-exp(-t)")
 
 
+def descent(sys_h, lo, hi):
+    """How far the angle of the unforced solution from (0, 1) descends over
+    [lo, hi]; None where the chunk walk stops."""
+    turn = angle_turn(sys_h, lo, hi, Tolerances().rel_tol)
+    return None if turn is None else -turn
+
+
 def angle_field(sys):
     """The angle equation of the unforced system, a reference for scipy:
     phi = rho cos(theta), psi = rho sin(theta) gives
@@ -75,24 +82,23 @@ def angle_field(sys):
 
 
 class TestIntervalOscillation:
+    """Every solution vanishes on a window when the angle descends by pi
+    there (angle_turn), the test the witness search applies to each window."""
+
     def test_harmonic_on_half_period(self):
-        verdict = interval_oscillation_test(harmonic(), (0.0, math.pi))
-        assert verdict.outcome == OSCILLATORY
-        assert verdict.evidence["descent"] == pytest.approx(math.pi, abs=1e-8)
+        half_period = descent(harmonic(), 0.0, math.pi)
+        assert half_period == pytest.approx(math.pi, abs=1e-8)
+        assert half_period >= math.pi - ANGLE_SLACK
 
     def test_harmonic_on_short_interval(self):
-        verdict = interval_oscillation_test(harmonic(), (0.0, 3.0))
-        assert verdict.outcome == NON_OSCILLATORY
-        assert verdict.evidence["descent"] == pytest.approx(3.0, abs=1e-8)
+        assert descent(harmonic(), 0.0, 3.0) == pytest.approx(3.0, abs=1e-8)
 
     def test_exponential_equation_never_oscillates(self):
         # phi'' - phi = 0: the angle settles at the pi/4 equilibrium
-        verdict = interval_oscillation_test(make_system(q="1", r="1"), (0.0, 10.0))
-        assert verdict.outcome == NON_OSCILLATORY
-        assert verdict.evidence["descent"] < math.pi / 2
+        assert descent(make_system(q="1", r="1"), 0.0, 10.0) < math.pi / 2
 
     def test_negative_coupling_is_inconclusive(self):
-        verdict = interval_oscillation_test(make_system(q="-1", r="-1"), (0.0, 5.0))
+        verdict = check_oscillation(make_system(q="-1", r="-1"), (0.0, 5.0))
         assert verdict.outcome == INCONCLUSIVE
         assert "q" in verdict.notes
 
@@ -177,11 +183,10 @@ class TestSeriesDescent:
         ("four_turns", make_system(q="9", r="-9"), (1.0, 6.0)),
     ])
     def test_against_dop853(self, name, sys_h, window):
-        descent = _angle_descent(sys_h, *window, Tolerances())
         expected = self.reference(sys_h, *window)
         if name == "four_turns":
             assert expected > 4 * math.pi
-        assert abs(descent - expected) <= 1e-8
+        assert abs(descent(sys_h, *window) - expected) <= 1e-8
 
     def test_node_guard_splits_a_chunk(self):
         # q = 900 swings the angle through a vertical line within 1/450 of
@@ -192,8 +197,7 @@ class TestSeriesDescent:
         assert coef is not None  # the series resolves the whole window
         assert np.abs(self.node_steps(coef, start)).max() > math.pi / 2
         assert _chunk_turn(coef, start, 1e-8) is None
-        descent = _angle_descent(sys_h, lo, hi, Tolerances())
-        assert abs(descent - self.reference(sys_h, lo, hi)) <= 1e-8
+        assert abs(descent(sys_h, lo, hi) - self.reference(sys_h, lo, hi)) <= 1e-8
 
     def test_shrink_guard_splits_a_chunk(self):
         # p = s = -20: the solution ends the window at e^-20 of its start,
@@ -208,7 +212,7 @@ class TestSeriesDescent:
         assert _chunk_turn(coef, start, 1e-8) is None
         expected = self.reference(sys_h, lo, hi)
         assert abs(-steps.sum() - expected) > 1e-8  # read off the one chunk
-        assert abs(_angle_descent(sys_h, lo, hi, Tolerances()) - expected) <= 1e-8
+        assert abs(descent(sys_h, lo, hi) - expected) <= 1e-8
 
 
 class TestSeriesCrossings:
@@ -272,9 +276,13 @@ class TestAngleSolveStopsEarly:
         assert "stopped" in verdict.notes
 
     def test_interval_test_is_inconclusive(self):
-        verdict = interval_oscillation_test(self.singular(), (0.0, 10.0))
+        # the descent over the first half, where the one window pair of the
+        # unforced system begins, is unknown past t = 3.3: no witness
+        assert descent(self.singular(), 0.0, 5.0) is None
+        verdict = check_oscillation(self.singular(), (0.0, 10.0), scan=[0.0],
+                                    lambda_grid=[0.0])
         assert verdict.outcome == INCONCLUSIVE
-        assert "stopped" in verdict.notes
+        assert verdict.evidence == {"witnesses": [], "failed_at": 0.0}
 
     def test_crossings_stay_a_list(self):
         crossings = angle_line_crossings(self.singular(), (0.0, 10.0))
@@ -348,41 +356,56 @@ class TestNonoscillationCheck:
 
 
 class TestSignWindows:
+    """_refined_windows: the runs of the nodes where the margin is at least
+    -SIGN_SLACK, each end next to a failing node sharpened to the margin's
+    root between the two nodes."""
+
+    @staticmethod
+    def windows(margin, nodes):
+        return _refined_windows(margin(nodes)[None, :], lambda rows, t: margin(t), nodes)[0]
+
+    @staticmethod
+    def held_at(points):
+        # a margin of +1 at the given times and -1 everywhere else: its sign
+        # runs have no width around a node
+        return lambda t: np.where(np.isin(t, points), 1.0, -1.0)
+
     def test_sine_positive_window(self):
-        grid = Grid.uniform(0.0, 2.0 * math.pi, 257)
-        windows = sign_windows(np.sin(grid.nodes), grid, required_sign=1)
+        nodes = Grid.uniform(0.0, 2.0 * math.pi, 257).nodes
+        windows = self.windows(np.sin, nodes)
         assert len(windows) == 1
         assert windows[0][0] == 0.0
-        assert windows[0][1] == pytest.approx(math.pi, abs=1e-12)
+        assert windows[0][1] == pytest.approx(math.pi, abs=1e-11)
 
     def test_zero_values_cover_whole_span(self):
-        grid = Grid.uniform(0.0, 1.0, 65)
-        for sign in (-1, 1):
-            windows = sign_windows(np.zeros(65), grid, required_sign=sign)
-            assert windows == [(0.0, 1.0)]
+        nodes = Grid.uniform(0.0, 1.0, 65).nodes
+        assert self.windows(np.zeros_like, nodes) == [(0.0, 1.0)]
 
     def test_linear_negative_window(self):
-        grid = Grid.uniform(0.0, 2.0, 201)
-        windows = sign_windows(grid.nodes - 1.0, grid, required_sign=-1)
+        nodes = Grid.uniform(0.0, 2.0, 201).nodes
+        windows = self.windows(lambda t: 1.0 - t, nodes)
         assert len(windows) == 1
-        assert windows[0] == (0.0, pytest.approx(1.0, abs=1e-12))
+        # the end is the root of the margin plus SIGN_SLACK
+        assert windows[0] == (0.0, pytest.approx(1.0 + SIGN_SLACK, abs=1e-13))
 
     def test_singletons_dropped(self):
-        grid = Grid.uniform(0.0, 4.0, 5)
-        values = np.array([-1.0, 1.0, -1.0, -1.0, -1.0])
-        assert sign_windows(values, grid, required_sign=1) == []
+        nodes = Grid.uniform(0.0, 4.0, 5).nodes
+        assert self.windows(self.held_at([1.0]), nodes) == []
 
     def test_no_node_inside(self):
-        grid = Grid.uniform(0.0, 4.0, 5)
-        assert sign_windows(np.ones(5), grid, required_sign=-1) == []
+        nodes = Grid.uniform(0.0, 4.0, 5).nodes
+        assert self.windows(lambda t: -np.ones_like(t), nodes) == []
 
     def test_single_node_runs_at_both_ends_dropped(self):
-        grid = Grid.uniform(0.0, 4.0, 5)
-        values = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
-        assert sign_windows(values, grid, required_sign=1) == [(2.0, 3.0)]
-        alternating = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
-        assert sign_windows(alternating, grid, required_sign=1) == []
-        assert sign_windows(alternating, grid, required_sign=-1) == []
+        nodes = Grid.uniform(0.0, 4.0, 5).nodes
+        # held at the first node and on [2, 3]: only [2, 3] has width
+        first = self.held_at([0.0])
+        windows = self.windows(lambda t: np.where((t >= 2.0) & (t <= 3.0), 1.0,
+                                                  first(t)), nodes)
+        assert len(windows) == 1
+        assert np.allclose(windows[0], (2.0, 3.0), rtol=0.0, atol=1e-12)
+        assert self.windows(self.held_at([0.0, 2.0, 4.0]), nodes) == []
+        assert self.windows(self.held_at([1.0, 3.0]), nodes) == []
 
 
 class TestRuns:
@@ -465,6 +488,12 @@ class TestOscillationCheck:
         assert verdict.outcome == OSCILLATORY
         assert "period" in verdict.notes
 
+    def test_empty_scan_raises(self):
+        # phi'' - phi = -exp(-t) is non-oscillatory: a scan over no reference
+        # time must not read as oscillatory
+        with pytest.raises(ValueError, match="scan"):
+            check_oscillation(decaying_forced(), (0.0, 30.0), scan=[])
+
     def test_monotone_in_horizon(self):
         sys = harmonic(g="sin(t)")
         scan = [0.0, math.pi / 2, math.pi]
@@ -500,6 +529,41 @@ class TestWindowSharing:
             assert fresh == witness, T
 
 
+class TestTraceSampledOnce:
+    """A check samples p, f, r and g on its grid once, in alpha_lambda;
+    every other lam and every later stage reads that trace."""
+
+    @staticmethod
+    def grid_samples(monkeypatch, sys_spec, horizon):
+        nodes = Grid.uniform(*horizon, DEFAULT_GRID_NODES).nodes
+        names = {id(getattr(sys_spec, c)): c for c in "pfrg"}
+        counts = dict.fromkeys("pfrg", 0)
+        for module in (transform, criteria):
+            def counted(e, ts, sample=module.sample):
+                if id(e) in names and np.array_equal(ts, nodes):
+                    counts[names[id(e)]] += 1
+                return sample(e, ts)
+            monkeypatch.setattr(module, "sample", counted)
+        return counts
+
+    def test_nonoscillation_check(self, monkeypatch):
+        sys_spec = make_system(p="-0.1", q="1", r="1", f="0.1 * exp(-t)", g="-exp(-t)")
+        counts = self.grid_samples(monkeypatch, sys_spec, (0.0, 30.0))
+        verdict = check_nonoscillation(sys_spec, (0.0, 30.0))
+        # the lam witness trace is derived, not sampled again
+        assert verdict.outcome == NON_OSCILLATORY
+        assert counts == dict.fromkeys("pfrg", 1)
+
+    def test_oscillation_check(self, monkeypatch):
+        sys_spec = make_system(p="0.05 * sin(t)", q="1", r="-2.25", f="0.2 * cos(t)",
+                               g="sin(t)")
+        counts = self.grid_samples(monkeypatch, sys_spec, (0.0, 30.0))
+        # the default lam grid, the shift windows and their margins all
+        # read the one trace
+        assert check_oscillation(sys_spec, (0.0, 30.0)).outcome == OSCILLATORY
+        assert counts == dict.fromkeys("pfrg", 1)
+
+
 class TestShiftPruning:
     """_shift_windows drops every lam whose alpha_lam misses a sign at the
     nodes: such a lam has no window of one kind and can pair none."""
@@ -518,7 +582,7 @@ class TestShiftPruning:
         base = alpha_lambda(sys_spec, 0.0, grid)
         lams = default_lambda_grid(sys_spec, grid, base)
         assert len(lams) == 41
-        assert _shift_windows(sys_spec, grid, base, lams).lams == [0.0]
+        assert _shift_windows(base, lams).lams == [0.0]
         full = check_oscillation(sys_spec, horizon)
         alone = check_oscillation(sys_spec, horizon, lambda_grid=[0.0])
         assert full.outcome == alone.outcome == outcome
@@ -533,7 +597,7 @@ class TestShiftPruning:
         horizon = (0.0, 10.0 * math.pi)
         grid = Grid.uniform(*horizon, DEFAULT_GRID_NODES)
         base = alpha_lambda(sys_spec, 0.0, grid)
-        assert _shift_windows(sys_spec, grid, base, [1.0, -2.0]).lams == []
+        assert _shift_windows(base, [1.0, -2.0]).lams == []
         verdict = check_oscillation(sys_spec, horizon, lambda_grid=[1.0, -2.0])
         assert verdict.outcome == INCONCLUSIVE
         assert verdict.evidence == {"witnesses": [], "failed_at": 0.0}
@@ -550,7 +614,7 @@ class TestShiftPruning:
             grid = Grid.uniform(0.0, 3.0 * math.pi, DEFAULT_GRID_NODES)
             base = alpha_lambda(sys_spec, 0.0, grid)
             lams = default_lambda_grid(sys_spec, grid, base) + [-1.5, -0.5, 0.5, 1.5]
-            survivors = _shift_windows(sys_spec, grid, base, lams).lams
+            survivors = _shift_windows(base, lams).lams
             kept += len(survivors)
             for lam in set(lams) - set(survivors):
                 dropped += 1
@@ -607,6 +671,11 @@ class TestUndampedCheck:
     def test_zero_restoring_coefficient_inconclusive(self):
         verdict = check_undamped_equation(self.equation(c="0"), (0.0, 8.0 * math.pi))
         assert verdict.outcome == INCONCLUSIVE
+
+    def test_empty_scan_raises(self):
+        eq = self.equation(c="-1", d="-exp(-t)")
+        with pytest.raises(ValueError, match="scan"):
+            check_undamped_equation(eq, (0.0, 30.0), scan=[])
 
     def test_damped_equation_inconclusive(self):
         verdict = check_undamped_equation(self.equation(b="1"), (0.0, 10.0))

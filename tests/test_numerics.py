@@ -27,7 +27,7 @@ from oscillint.numerics import (
     refine_roots,
     zero_crossing,
 )
-from oscillint.numerics import _bisect_event, _subsamples, bisect_lanes
+from oscillint.numerics import _bisect_event, _hermite_rate, _subsamples, bisect_lanes
 from oscillint.oracle import Ensemble, simulate_ensemble
 from oscillint.expr import parse_text
 from oscillint.transform import SystemSpec
@@ -661,17 +661,19 @@ class TestTrajectory:
         assert np.allclose(curve(tq), tq**3 - tq, atol=1e-12)
 
     def test_hermite_rate_is_exact_for_cubic(self):
-        ts = np.linspace(0.0, 2.0, 5)
-        curve = CubicHermiteCurve(ts, ts**3 - ts, 3 * ts**2 - 1)
+        # t^3 - t on one step [0, 2]: values 0 and 6, slopes -1 and 11
         tq = np.linspace(0.0, 2.0, 33)
-        assert np.allclose(curve.rate(tq), 3 * tq**2 - 1, atol=1e-12)
-        assert curve.rate(0.5) == pytest.approx(3 * 0.25 - 1, abs=1e-12)
+        assert np.allclose(_hermite_rate(tq / 2.0, 2.0, 0.0, 6.0, -1.0, 11.0),
+                           3 * tq**2 - 1, atol=1e-12)
+        assert _hermite_rate(0.25, 2.0, 0.0, 6.0, -1.0, 11.0) == pytest.approx(
+            3 * 0.25 - 1, abs=1e-12)
 
     def test_hermite_rate_converges_for_sine(self):
         ts = np.linspace(0.0, np.pi, 201)
-        curve = CubicHermiteCurve(ts, np.sin(ts), np.cos(ts))
         mids = 0.5 * (ts[:-1] + ts[1:])
-        assert np.max(np.abs(curve.rate(mids) - np.cos(mids))) < 1e-6
+        rate = _hermite_rate(0.5, ts[1] - ts[0], np.sin(ts[:-1]), np.sin(ts[1:]),
+                             np.cos(ts[:-1]), np.cos(ts[1:]))
+        assert np.max(np.abs(rate - np.cos(mids))) < 1e-6
 
 
 class TestTolerances:
