@@ -175,6 +175,14 @@ def _in_horizon(values, read):
             raise ConfigError(f"scan.values[{i}]: must lie in [t0, horizon)")
 
 
+def _span_error(lo: float, hi: float, unordered: str, width: str) -> str | None:
+    """hi must exceed lo by a finite width, so that grids on [lo, hi] hold
+    finite times."""
+    if not hi > lo:
+        return unordered
+    return None if math.isfinite(hi - lo) else f"{width} must be finite"
+
+
 _REQUIRED = object()
 
 # One row per setting: (path, reader, default, check).  A check takes the
@@ -190,7 +198,7 @@ _SETTINGS = (
     *((f"equation.{k}", _expression, "0", None) for k in "bcd"),
     ("t0", _number, 0.0, None),
     ("horizon", _number, _REQUIRED,
-     lambda value, read: None if value > read["t0"] else "must exceed t0"),
+     lambda value, read: _span_error(read["t0"], value, "must exceed t0", "horizon - t0")),
     # the upper bounds keep the witness search's (4 x lambda values, grid
     # nodes) margins to about 256 MiB and the oracle's arrays small
     ("grid_nodes", _integer, DEFAULT_GRID_NODES, _between(64, 16384)),
@@ -209,7 +217,7 @@ _SETTINGS = (
     *((f"compare.{p}.{k}", _expression, _REQUIRED, None)
       for p in ("problem1", "problem2") for k in "fgh"),
     ("compare.span", _number_pair, _REQUIRED,
-     lambda value, read: None if value[0] < value[1] else "must be a finite increasing pair"),
+     lambda value, read: _span_error(*value, "must be a finite increasing pair", "hi - lo")),
     ("compare.y2_start", _number, _REQUIRED, None),
     ("compare.gamma", _number, None, None),
     ("compare.eta_offset", _number, 1.0, None),

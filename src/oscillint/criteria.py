@@ -310,6 +310,12 @@ def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return row, first, last
 
 
+def _min_width(lo: float, hi: float) -> float:
+    """Width a window on the horizon [lo, hi] must exceed; narrower ones
+    are slivers and dropped."""
+    return 1e-9 * (hi - lo)
+
+
 def _refined_windows(margins: np.ndarray,
                      margin_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      nodes: np.ndarray) -> list[list[tuple[float, float]]]:
@@ -333,7 +339,7 @@ def _refined_windows(margins: np.ndarray,
                              np.concatenate([lo[left], nodes[last[right] + 1]]),
                              tol=1e-13)
         lo[left], hi[right] = roots[:left.size], roots[left.size:]
-    min_width = 1e-9 * (nodes[-1] - nodes[0])
+    min_width = _min_width(nodes[0], nodes[-1])
     windows: list[list[tuple[float, float]]] = [[] for _ in margins]
     for r, a, b in zip(row, lo, hi):
         if b - a > min_width:
@@ -456,7 +462,7 @@ def _shift_windows(base: AlphaTrace, lambda_grid: Sequence[float]) -> _ShiftWind
         return np.where(rows < 2 * k, -v, v)
 
     windows = _refined_windows(margins, margin_at, ts)
-    min_width = 1e-9 * (ts[-1] - ts[0])
+    min_width = _min_width(ts[0], ts[-1])
     first = [_intersect_windows(windows[i], windows[k + i], min_width) for i in range(k)]
     second = [_intersect_windows(windows[2 * k + i], windows[3 * k + i], min_width)
               for i in range(k)]
@@ -502,7 +508,7 @@ def _first_pair(window_sets, T: float, horizon: tuple[float, float],
     lo, hi = horizon
     if not lo <= T < hi:
         raise ValueError("reference time must lie inside the horizon")
-    min_width = 1e-9 * (hi - lo)
+    min_width = _min_width(lo, hi)
     for index, (first, second) in enumerate(window_sets):
         for pair in _window_pairs(_clip_windows(first, T, min_width),
                                   _clip_windows(second, T, min_width), min_width):

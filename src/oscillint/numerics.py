@@ -11,14 +11,13 @@ floats; a (dim,) start is a numpy array, and its field on arrays. The
 arithmetic is written once; the start state's shape picks only the field
 call, the norms and the magnitude.
 
-Events are sign changes of a function of the solution, in either
+Events are the zero crossings of one state component, in either
 direction; none ends the solve. They are located on each step's cubic
 (Hairer, Norsett & Wanner, Solving ODEs I, II.6; Shampine & Thompson,
-Comput. Math. Appl. 39, 2000): an event function gets lanes, one state
-column per time, for the step's subsamples, and a sign change between
-two of them is bisected to root_tol after the step loop. The finish
-bisects all of an event's crossings as lanes of one solve, each lane on
-the cubic of the step it was found in.
+Comput. Math. Appl. 39, 2000): the component is taken at the step's two
+end states and on the cubic between them, and a sign change between two
+of these samples is bisected to root_tol on that cubic in the step that
+finds it.
 
 The integrator is deliberately self-contained: the rest of the library
 depends on its exact semantics (dense output shape, dual escape
@@ -101,21 +100,15 @@ class Event:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Record every sign change of g(t, y) along the solution, rising or
-    falling, as an Event of this kind; the solve runs on past each one.
+    """Record every zero crossing of the state's component, rising or
+    falling, as a "zero-crossing" Event; the solve runs on past each one.
+    A scalar start has the one component 0."""
 
-    fn must broadcast over lanes: given times of shape (L,) and states of
-    shape (dim, L), one column per time, it returns the L values. The
-    step loop calls it so for every state, a one-component state with
-    (1, L) states.
-    """
-
-    fn: Callable[[float | np.ndarray, np.ndarray], float | np.ndarray]
-    kind: str = "zero-crossing"
+    component: int
 
 
 def zero_crossing(component: int) -> EventSpec:
-    return EventSpec(fn=lambda t, y: y[component])
+    return EventSpec(component)
 
 
 def _hermite(s: np.ndarray, h: float, y0, y1, f0, f1):
@@ -196,6 +189,20 @@ class Trajectory:
         for ev in self.events:
             if not (lo <= ev.time <= hi) or not np.isfinite(ev.time):
                 raise ValueError("event time outside trajectory span")
+
+    @classmethod
+    def from_nodes(cls, ts, ys, fs, events: list, toward: float,
+                   end_reason: str | None = None) -> "Trajectory":
+        """The solution through the nodes ts, with states ys and derivatives
+        fs there, of a solve that ran toward the time `toward`. One that
+        ended at its first node gets a degenerate short span past it, its
+        one state held."""
+        ts = np.asarray(ts, dtype=float)
+        ys, fs = (np.asarray(v, dtype=float).reshape(len(ts), -1) for v in (ys, fs))
+        if len(ts) == 1:
+            ts = np.append(ts, ts[0] + max((toward - ts[0]) * 1e-15, 1e-300))
+            ys, fs = np.vstack((ys, ys)), np.vstack((fs, fs))
+        return cls(Grid(ts), ys, events, fs, end_reason)
 
     @property
     def dim(self) -> int:
@@ -479,17 +486,14 @@ def integrate_ode(
     shape (n, dim), (n, 1) for a scalar equation, and the field at the
     nodes as derivs.
 
-    Each EventSpec records every crossing, rising or falling, and the
-    solve runs on past it. Crossings are found by sign changes between 7
-    equally spaced samples of each step's cubic, the first of which is the
-    step before's last, and bisected to root_tol on the cubic of the step
-    they were found in. An event function always gets lanes, an (L,) array
-    of times and a (dim, L) array of states, one column per time, (1, L)
-    for a scalar equation: once per step for its fresh samples, and once
-    per bisection iteration for every crossing of that event, all refined
-    together after the last step. Each time equals a bisection of that
-    step's cubic alone, bit for bit. No crossing is recorded past an
-    escape.
+    Each EventSpec records every zero crossing of its component, rising
+    or falling, and the solve runs on past it. On each accepted step the
+    component is taken at 7 equally spaced times: the step's own states
+    at its two ends and its cubic at the 5 times between. Each sign change
+    between two neighbours, by the rule of `crossings`, is bisected at once
+    to root_tol on that step's cubic. No crossing is recorded past an
+    escape. A component outside the start state raises ValueError before
+    the first step.
 
     The start state's shape picks the kind of equation:
     - A scalar y0 (0-d) is a scalar equation, held as a Python float; in
@@ -513,6 +517,9 @@ def integrate_ode(
     y = np.array(y0, dtype=float)
     if y.ndim > 1:
         raise ValueError("y0 must be a scalar or have shape (dim,)")
+    for spec in events:
+        if not 0 <= spec.component < y.size:
+            raise ValueError(f"event component {spec.component} is outside the state")
     if max_step is None:
         max_step = (t_b - t_a) / 16.0
     return _step_loop(field_fn, float(y) if y.ndim == 0 else y, t_a, t_b,
@@ -568,8 +575,8 @@ def _step_loop(field_fn, y: float | np.ndarray, t_a: float, t_b: float, tol: Tol
     if f_now is None:
         raise IntegrationError("field not evaluable at start", t_a)
     ts, ys, fs = [t_a], [y], [f_now]
+    crossed: list[Event] = []
     escapes: list[Event] = []
-    pending: list[list[tuple]] = [[] for _ in events]  # as in _finish
     escape = tol.escape_magnitude
     live = size(y) <= escape
     reason = "horizon" if live else "escape_magnitude"
@@ -583,7 +590,6 @@ def _step_loop(field_fn, y: float | np.ndarray, t_a: float, t_b: float, tol: Tol
     h = min(h, max_step, width)
 
     t = t_a
-    carried: list[float] = []  # each event's value at t, once a step has ended there
     failed = False  # the last retry came from a stage whose field failed
     for _ in range(_MAX_STEPS):
         # the sliver guard keeps a 1-ulp remainder from looking like collapse
@@ -624,32 +630,18 @@ def _step_loop(field_fn, y: float | np.ndarray, t_a: float, t_b: float, tol: Tol
         def dense(tq):
             return _hermite((tq - t) / h, h, y, y_new, f_now, f_new)
 
-        # event scan: each event function gets the step's fresh subsamples
-        # as lanes, states taken on the cubic one time at a time; the first
-        # sample is the last one of the step before, whose values carry over
+        # event scan: the component at the step's end states and on its
+        # cubic between them; each crossing is bisected on that cubic
         if events:
             samples = _subsamples(t, t_new)
-            fresh = samples[1:] if carried else samples
-            lane_t = np.array(fresh)
-            lane_y = np.array([dense(tq) for tq in fresh]).reshape(len(fresh), -1).T
-            scanned = []
-            for i, spec in enumerate(events):
-                head = [carried[i]] if carried else []
-                g = head + np.asarray(spec.fn(lane_t, lane_y), dtype=float).reshape(-1).tolist()
-                scanned.append(g[-1])
-                subs, directions = [], []
-                for sub in range(_EVENT_SUBSAMPLES):
-                    ga, gb = g[sub], g[sub + 1]
-                    # a strict sign change, or a landing on zero from a nonzero value
-                    if ga == 0.0 or not (ga < 0 < gb or gb < 0 < ga or gb == 0.0):
-                        continue
-                    subs.append(sub)
-                    directions.append(1 if gb > ga else -1)
-                if subs:
-                    cubic = np.array((y, f_now, y_new, f_new)).reshape(4, -1)
-                    pending[i].append((t, h, cubic, np.array(samples), np.array(subs),
-                                       directions))
-            carried = scanned
+            rows = np.array((y, f_now, y_new, f_new)).reshape(4, -1)
+            for spec in events:
+                y0, f0, y1, f1 = rows[:, spec.component].tolist()
+                g = lambda tq: _hermite((tq - t) / h, h, y0, y1, f0, f1)
+                vals = [y0, *map(g, samples[1:-1]), y1]
+                for i in crossings(np.array(vals)).tolist():
+                    te = _bisect_event(g, samples[i], samples[i + 1], tol.root_tol)
+                    crossed.append(Event("zero-crossing", te, 1 if vals[i + 1] > vals[i] else -1))
 
         # escape by magnitude, refined on the dense output; it ends the solve
         if size(y_new) > escape:
@@ -674,42 +666,8 @@ def _step_loop(field_fn, y: float | np.ndarray, t_a: float, t_b: float, tol: Tol
         h = min(h * _step_factor(err), max_step)
     else:
         raise IntegrationError("step budget exhausted", t)
-    return _finish(ts, ys, fs, events, pending, escapes, ts[-1], tol, t_b, reason)
-
-
-def _finish(ts: list, ys: list, fs: list, events: Sequence[EventSpec], pending: list,
-            escapes: list, end: float, tol: Tolerances, t_b: float,
-            reason: str) -> Trajectory:
-    """The Trajectory of the step loop. pending holds, per event, one
-    record per step with crossings, in the order found: (t, h, the step
-    cubic's (4, dim) rows y0, f0, y1, f1, the subsample times, and each
-    crossing's subsample index and direction). Each event's crossings are
-    refined in one lane solve and those past the end dropped; one stable
-    sort by time merges them with the escapes, which come last, so at equal
-    times a crossing comes first. reason is the solve's end_reason."""
-    recorded: list[Event] = []
-    for spec, steps in zip(events, pending):
-        if not steps:
-            continue
-        lanes = [(np.full(len(subs), t), np.full(len(subs), h),
-                  np.repeat(cubic[:, :, None], len(subs), axis=2), at[subs], at[subs + 1],
-                  directions)
-                 for t, h, cubic, at, subs, directions in steps]
-        # lane i follows the cubic of the step [t[i], t[i] + h[i]]
-        t, h, (y0, f0, y1, f1), a, b, directions = (np.concatenate(parts, axis=-1)
-                                                    for parts in zip(*lanes))
-        times = bisect_lanes(lambda tq: np.asarray(spec.fn(tq, _hermite(
-            (tq - t) / h, h, y0, y1, f0, f1)), dtype=float), a, b, tol.root_tol)
-        recorded.extend(Event(spec.kind, te, d) for te, d
-                        in zip(times.tolist(), directions.tolist()) if te <= end)
-    recorded.extend(escapes)
-    recorded.sort(key=lambda ev: ev.time)
-
-    if len(ts) == 1:
-        # the solve ended at the very start; emit a degenerate short span
-        ts.append(ts[0] + max((t_b - ts[0]) * 1e-15, 1e-300))
-        ys.append(ys[0])
-        fs.append(fs[0])
-    n = len(ts)
-    return Trajectory(Grid(np.asarray(ts)), np.asarray(ys).reshape(n, -1), recorded,
-                      np.asarray(fs).reshape(n, -1), reason)
+    # crossings past the last node are dropped; the stable sort by time
+    # puts an escape, listed last, after a crossing at its time
+    recorded = sorted([ev for ev in crossed if ev.time <= ts[-1]] + escapes,
+                      key=lambda ev: ev.time)
+    return Trajectory.from_nodes(ts, ys, fs, recorded, t_b, reason)

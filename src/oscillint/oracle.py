@@ -22,8 +22,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
 
 from .expr import DomainError, sample
-from .numerics import (STEP_COLLAPSE, Event, Grid, Tolerances, Trajectory, bisect_lanes,
-                       crossings)
+from .numerics import STEP_COLLAPSE, Event, Tolerances, Trajectory, bisect_lanes, crossings
 from .transform import SystemSpec
 
 OSCILLATORY_OBSERVED = "oscillatory_observed"
@@ -365,10 +364,7 @@ def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
             events = [ev for ev in events if ev.time <= end]
         if escaped[j]:
             events.append(Event("escape", float(end)))
-        if len(ts) == 1:  # ended at the very start: a degenerate short span
-            ts = np.append(ts, ts[0] + max((span[1] - ts[0]) * 1e-15, 1e-300))
-            ys, fs = np.vstack((ys, ys)), np.vstack((fs, fs))
-        out.append(Trajectory(Grid(ts), ys, events, fs))
+        out.append(Trajectory.from_nodes(ts, ys, fs, events, span[1]))
     return out
 
 

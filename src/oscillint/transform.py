@@ -261,17 +261,16 @@ def alpha_lambda(sys: SystemSpec, lam: float, grid: Grid) -> AlphaTrace:
     _require_grid_start(sys, grid)
     ts = grid.nodes
     p, f, r, g = (sample(e, ts) for e in (sys.p, sys.f, sys.r, sys.g))
-    growth = np.exp(cumulative_integral(p, grid))
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        growth = np.exp(cumulative_integral(p, grid))
     if not np.all(np.isfinite(growth)):
         raise TransformError("growth factor overflows on the grid; shorten the horizon")
     return AlphaTrace(lam=float(lam), grid=grid, system=sys, p=p, f=f, r=r, g=g,
                       growth=growth, forced=cumulative_integral(f / growth, grid))
 
 
-def reduce_equation(eq: SecondOrderSpec, grid: Grid | None = None) -> SystemSpec:
+def reduce_equation(eq: SecondOrderSpec) -> SystemSpec:
     """Rewrite the second-order equation as a 2x2 system via psi = a phi'."""
-    if grid is not None:
-        eq.validate_on(grid)
     return SystemSpec(
         p=Constant(0.0),
         q=_reciprocal(eq.a),

@@ -671,3 +671,28 @@ def test_library_runs_without_scipy(tmp_path):
             "sys.exit(0 if code == 10 and not loaded else 1)\n")
     done = run_python(["-c", code], tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def _wide_compare_span():
+    doc = json.loads((CONFIG_DIR / "riccati_comparison.json").read_text(encoding="utf-8"))
+    doc["compare"]["span"] = [-1e308, 1e308]
+    return doc
+
+
+@pytest.mark.parametrize("subcommand, doc, message", [
+    # exp of the integral of p = 10 overflows on [0, 100]
+    *((sub, {"system": {"p": "10", "q": "1", "r": "-1", "g": "sin(t)"}, "horizon": 100},
+       "growth factor overflows on the grid; shorten the horizon")
+      for sub in ("analyze", "sweep")),
+    # each bound is finite, their distance is not
+    *((sub, {"system": {"q": "1", "r": "-1", "g": "sin(t)"}, "t0": -1e308, "horizon": 1e308},
+       "horizon: horizon - t0 must be finite")
+      for sub in ("analyze", "sweep")),
+    ("compare", _wide_compare_span(), "compare.span: hi - lo must be finite"),
+], ids=["growth_analyze", "growth_sweep", "horizon_analyze", "horizon_sweep", "compare_span"])
+def test_overflowing_input_exits_with_one_line(tmp_path, subcommand, doc, message):
+    # in a fresh interpreter, so that a numpy warning would reach stderr
+    path = write_doc(tmp_path, doc)
+    done = run_python(["-m", "oscillint", subcommand, "--config", str(path)], tmp_path)
+    assert done.returncode == EXIT_ERROR and done.stdout == ""
+    assert done.stderr == f"oscillint: error: {message}\n"

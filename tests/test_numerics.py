@@ -11,10 +11,10 @@ import pytest
 from scipy.integrate import cumulative_simpson
 from scipy.optimize import brentq
 
+from oscillint import numerics
 from oscillint.numerics import (
     CubicHermiteCurve,
     Event,
-    EventSpec,
     Grid,
     IntegrationError,
     RootBracketError,
@@ -247,18 +247,19 @@ class TestMemberAxis:
                 integrate_ode(self.rotation, start, (0.0, 1.0))
 
 
-def _bisected_crossings(member: Trajectory, spec: EventSpec, tol: float) -> list:
-    """(time, direction) of each crossing that scanning and bisecting the
-    member's own cubic, one step and one crossing at a time, finds."""
-    curve = CubicHermiteCurve(member.grid.nodes, member.states, member.derivs)
+def _bisected_crossings(member: Trajectory, component: int, tol: float) -> list:
+    """(time, direction) of each zero crossing of the component that
+    scanning and bisecting the member's own cubic, one step and one
+    crossing at a time, finds; the scan's end values are the step's nodes."""
+    curve = member.component(component)
 
     def g(tq):
-        return float(spec.fn(np.array([tq]), curve(tq)[:, None])[0])
+        return float(curve(tq))
     out = []
-    nodes = member.grid.nodes
-    for t0, t1 in zip(nodes[:-1], nodes[1:]):
+    nodes, values = member.grid.nodes, member.states[:, component]
+    for t0, t1, y0, y1 in zip(nodes[:-1], nodes[1:], values[:-1], values[1:]):
         samples = _subsamples(t0, t1)
-        vals = [g(tq) for tq in samples]
+        vals = [y0, *map(g, samples[1:-1]), y1]
         for a, b, ga, gb in zip(samples, samples[1:], vals, vals[1:]):
             if ga != 0.0 and (ga < 0 < gb or gb < 0 < ga or gb == 0.0):
                 out.append((_bisect_event(g, a, b, tol), 1 if gb > ga else -1))
@@ -266,8 +267,9 @@ def _bisected_crossings(member: Trajectory, spec: EventSpec, tol: float) -> list
 
 
 class TestEventLanes:
-    """Crossings of a float or an array state are bisected as lanes, all of
-    an event's crossings in one lane solve after the last step."""
+    """Zero crossings of one component of a float or an array state, each
+    bisected on the cubic of the step that finds it; bisect_lanes, the
+    oracle's form of that bisection over many brackets, equals it."""
 
     rotation = staticmethod(lambda t, y: np.array([-y[1], y[0]]))
 
@@ -291,13 +293,10 @@ class TestEventLanes:
                 assert got[i] == _bisect_event(fn, float(lo[i]), float(hi[i]), tol), i
             np.testing.assert_array_equal(got[:8], c[:8])
 
-    @pytest.mark.parametrize("spec", [
-        zero_crossing(0),
-        EventSpec(fn=lambda t, y: np.cos(y[0]), kind="angle-line"),
-    ], ids=["zero_crossing", "angle_line"])
-    def test_batch_times_equal_member_bisection(self, spec):
-        # a solve's crossings, bisected as one batch of lanes, equal a
-        # bisection of each step's cubic alone. At rest at t = 0 the first
+    @pytest.mark.parametrize("component", [0, 1], ids=["zero_crossing", "second_component"])
+    def test_batch_times_equal_member_bisection(self, component):
+        # a solve's crossings equal a scan and bisection of each step's
+        # cubic alone, rebuilt from the nodes. At rest at t = 0 the first
         # step falls back to width / 100, and the error stays so small that
         # every step is max_step = 2**-5: each node is exact and each step's
         # width is its nodes' difference
@@ -306,30 +305,39 @@ class TestEventLanes:
         step = 2.0 ** -5
         for j, phase in enumerate(np.linspace(0.3, 5.9, 6)):
             start = 2.0 * np.array([np.cos(phase), np.sin(phase)])
-            traj = integrate_ode(field, start, (0.0, 4.0), tol, events=[spec], max_step=step)
+            traj = integrate_ode(field, start, (0.0, 4.0), tol,
+                                 events=[zero_crossing(component)], max_step=step)
             np.testing.assert_array_equal(traj.grid.nodes, np.arange(129) * step)
             got = [(ev.time, ev.direction) for ev in traj.events]
             assert len(got) >= 2
-            assert got == _bisected_crossings(traj, spec, tol.root_tol), j
+            assert got == _bisected_crossings(traj, component, tol.root_tol), j
 
-    def test_scalar_start_gets_lanes_and_equals_member_bisection(self):
-        # a scalar start is a float in the step loop, and its event function
-        # also gets lanes; at rest at t = 0 every step is max_step, as above
-        shapes = set()
-
-        def angle_line(t, y):
-            shapes.add((np.shape(t), np.shape(y)))
-            return np.cos(y[0])
-        spec = EventSpec(fn=angle_line, kind="angle-line")
-        field = lambda t, y: -t * (4.0 * np.cos(y) ** 2 + np.sin(y) ** 2)
+    def test_scalar_start_equals_member_bisection(self):
+        # a scalar start is a float in the step loop, and its one component
+        # is 0; at rest at t = 0 every step is max_step, as above
+        field = lambda t, y: math.cos(3.0 * t) * t - 0.1 * y
         tol = Tolerances(rel_tol=1e-6, abs_tol=1e-8)
         step = 2.0 ** -5
-        traj = integrate_ode(field, 1.0, (0.0, 4.0), tol, events=[spec], max_step=step)
+        traj = integrate_ode(field, 0.0, (0.0, 4.0), tol, events=[zero_crossing(0)],
+                             max_step=step)
         np.testing.assert_array_equal(traj.grid.nodes, np.arange(129) * step)
-        assert all(len(t) == 1 and y == (1, *t) for t, y in shapes), shapes
         got = [(ev.time, ev.direction) for ev in traj.events]
         assert len(got) >= 2
-        assert got == _bisected_crossings(traj, spec, tol.root_tol)
+        assert got == _bisected_crossings(traj, 0, tol.root_tol)
+
+    @pytest.mark.parametrize("start, component", [
+        (1.0, 1), (1.0, -1), ([1.0, 2.0], 2), ([1.0, 2.0], 5), ([1.0, 2.0], -1),
+    ])
+    def test_component_outside_the_state_rejected(self, start, component):
+        # before any field call, let alone a step
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            return -y
+        with pytest.raises(ValueError, match="outside the state"):
+            integrate_ode(field, start, (0.0, 1.0), events=[zero_crossing(component)])
+        assert calls == []
 
     def test_no_crossing_recorded_past_escape(self):
         # the solution spirals out past 1.5 inside a step that also holds
@@ -365,18 +373,20 @@ class TestEventLanes:
             assert both.events == sorted(apart, key=lambda ev: ev.time), phase
 
     @pytest.mark.parametrize("start", [1.0, [1.0, 2.0, 3.0]], ids=["scalar", "array"])
-    def test_step_boundaries_evaluated_once(self, start):
-        # y never reaches -1, so every event call is a scan, none a bisection:
-        # the start, then the 6 samples past each step's first
-        lanes = []
+    def test_step_boundaries_evaluated_once(self, start, monkeypatch):
+        # y never reaches 0, so the cubic is evaluated only by the scan:
+        # at the 5 samples inside each step, its ends being its own states
+        calls, hermite = [], numerics._hermite
 
-        def fn(t, y):
-            lanes.append(np.size(t))
-            return y[0] + 1.0
-        traj = integrate_ode(lambda t, y: y, start, (0.0, 2.0), events=[EventSpec(fn=fn)])
+        def counted(s, *rest):
+            calls.append(s)
+            return hermite(s, *rest)
+        monkeypatch.setattr(numerics, "_hermite", counted)
+        traj = integrate_ode(lambda t, y: y, start, (0.0, 2.0), events=[zero_crossing(0)])
         steps = len(traj.grid) - 1
         assert traj.events == []
-        assert sum(lanes) == 6 * steps + 1
+        assert len(calls) == 5 * steps
+        assert all(0.0 < s < 1.0 for s in calls)
 
 
 class TestFailedFieldAtEnd:
@@ -409,12 +419,14 @@ class TestScalarLoop:
     loop and gives the same solve bit for bit: stage sums run left to right
     for all three, and the RMS of equal components is their magnitude."""
 
-    angle_line = EventSpec(fn=lambda t, y: np.cos(y[0]), kind="angle-line")
+    zeros = (zero_crossing(0),)
     CASES = {
         "smooth": (lambda t, y: np.sin(t) - y, 1.0, (0.0, 10.0), Tolerances(), ()),
         # angle of phi'' + 4 phi = 0: theta' = -(4 cos^2 + sin^2)
         "angle": (lambda t, y: -(4.0 * np.cos(y) ** 2 + np.sin(y) ** 2), math.pi / 2,
-                  (0.0, 12.0), Tolerances(), (angle_line,)),
+                  (0.0, 12.0), Tolerances(), zeros),
+        # y = (0.1 cos 3t + 3 sin 3t - 0.1 e^(-0.1 t)) / 9.01 from rest
+        "wave": (lambda t, y: np.cos(3.0 * t) - 0.1 * y, 0.0, (0.0, 10.0), Tolerances(), zeros),
         "tangent": (lambda t, y: 1.0 + y * y, 0.0, (0.0, 3.0), Tolerances(), ()),
         "field_raises": (_log_to_ceiling, 0.0, (0.0, 3.0), Tolerances(), ()),
         "starts_escaped": (lambda t, y: -y, 2e8, (0.0, 1.0), Tolerances(), ()),
@@ -461,7 +473,9 @@ class TestScalarLoop:
             ends[case] = (traj.span[1], traj.escape_time(), len(traj.events), traj.end_reason)
         assert ends["smooth"] == (10.0, None, 0, "horizon")
         assert ends["angle"][:2] == (12.0, None)
-        assert ends["angle"][2:] == (7, "horizon")  # theta passes a line every pi/2
+        assert ends["angle"][2:] == (1, "horizon")  # theta falls through 0 once
+        assert ends["wave"][:2] == (10.0, None)
+        assert ends["wave"][2:] == (9, "horizon")  # zeros pi/3 apart past the start
         assert ends["tangent"][1] == pytest.approx(math.pi / 2, abs=1e-4)
         assert ends["tangent"][3] == "escape_magnitude"
         assert ends["field_raises"][1] == pytest.approx(1.3, abs=1e-6)
@@ -476,25 +490,23 @@ class TestScalarLoop:
         assert ends["jump"][3] == "step_collapse"
 
     def test_scalar_start_takes_the_scalar_loop(self):
-        # the field of a scalar start sees Python floats, never arrays, and
-        # its event functions still get (L,) times and (1, L) states
-        seen, lanes = set(), set()
+        # the field of a scalar start sees Python floats, never arrays;
+        # y = e^-t - 1/2 falls through 0 at log 2
+        seen = set()
 
         def field(t, y):
             seen.add((type(t), type(y)))
-            return -y
-
-        def half(t, y):
-            lanes.add((np.shape(t), np.shape(y)))
-            return y[0] - 0.5
-        bare = integrate_ode(field, 1.0, (0.0, 1.0), events=[EventSpec(fn=half)])
+            return -y - 0.5
+        tol = Tolerances(rel_tol=1e-10)
+        bare = integrate_ode(field, 0.5, (0.0, 1.0), tol, events=[zero_crossing(0)])
         assert seen == {(float, float)}
-        assert all(y == (1, *t) for t, y in lanes) and lanes
-        listed = integrate_ode(lambda t, y: -y, [1.0], (0.0, 1.0), events=[EventSpec(fn=half)])
+        listed = integrate_ode(lambda t, y: -y - 0.5, [0.5], (0.0, 1.0), tol,
+                               events=[zero_crossing(0)])
         np.testing.assert_array_equal(bare.states, listed.states)
+        assert bare.events == listed.events
         assert bare.states.shape == (len(bare.grid), 1)
-        assert bare.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-7)
-        assert len(bare.events) == 1
+        assert bare.states[-1, 0] == pytest.approx(math.exp(-1.0) - 0.5, rel=1e-7)
+        assert [ev.direction for ev in bare.events] == [-1]
         assert bare.events[0].time == pytest.approx(math.log(2.0), abs=1e-8)
 
     def test_scalar_field_may_return_numpy_scalars(self):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from oscillint import numerics
 from oscillint.cli import config_from_dict, load_config, run
-from oscillint.numerics import (STEP_COLLAPSE, EventSpec, Tolerances, integrate_ode,
-                                zero_crossing)
+from oscillint.numerics import STEP_COLLAPSE, Tolerances, integrate_ode, zero_crossing
 from oscillint.oracle import (
     _AT_NODES,
     _NODES,
@@ -140,27 +140,28 @@ class TestBatchedOracleAgainstReferences:
             assert len(zeros) == len(roots), j
             assert np.all(np.abs(zeros - roots) <= 2e-6), j
 
-    def test_event_calls_per_solve(self):
-        # a member's own solve makes one scan call per accepted step and one
-        # lane bisection (its start and at most 128 halvings) for all of its
-        # crossings, and records as many as the oracle's member
+    def test_event_calls_per_solve(self, monkeypatch):
+        # a member's own solve bisects each crossing once, in the step that
+        # finds it, and records as many as the oracle's member
         config = load_config(CONFIG_DIR / "forced_harmonic.json")
         sys_spec = config.working_system()
         ens = default_ensemble(config.span(), seed=config.oracle_seed,
                                size=config.oracle_size)
         oracle = simulate_ensemble(sys_spec, ens, config.tolerances)
         assert sum(len(member_zero_times(m)) for m in oracle) > 100
-        phi = zero_crossing(0)
+        bisect = numerics._bisect_event
         for start, member in zip(ens.initial_conditions, oracle):
-            calls = [0]
+            brackets = []
 
-            def counted(t, y):
-                calls[0] += 1
-                return phi.fn(t, y)
+            def counted(g, a, b, tol):
+                brackets.append((a, b))
+                return bisect(g, a, b, tol)
+            monkeypatch.setattr(numerics, "_bisect_event", counted)
             alone = integrate_ode(sys_spec.field(), start, ens.span, config.tolerances,
-                                  events=[EventSpec(fn=counted)])
-            assert calls[0] <= len(alone.grid) - 1 + 129
-            assert len(member_zero_times(alone)) == len(member_zero_times(member))
+                                  events=[zero_crossing(0)])
+            zeros = member_zero_times(alone)
+            assert len(brackets) == len(zeros) == len(member_zero_times(member))
+            assert all(a <= te <= b for (a, b), te in zip(brackets, zeros))
 
 
 class TestSeriesOracle:

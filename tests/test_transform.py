@@ -138,7 +138,7 @@ class TestReduceEquation:
         # integrate the reduced system and, separately, the scalar equation
         # phi'' = (d - (a' + b) phi' - c phi) / a; the phi components must agree
         eq = self.equation("exp(t)", "1", "t", "0")
-        sys = reduce_equation(eq, Grid.uniform(0.0, 2.0, 257))
+        sys = reduce_equation(eq)
         traj = integrate_ode(sys.field(), [1.0, 0.5], (0.0, 2.0),
                              Tolerances(rel_tol=1e-10))
 
@@ -155,8 +155,7 @@ class TestReduceEquation:
 
     def test_rejects_nonpositive_leading_coefficient(self):
         with pytest.raises(TransformError, match="positive"):
-            reduce_equation(self.equation("cos(t)", "0", "1", "0"),
-                            Grid.uniform(0.0, 3.0, 257))
+            self.equation("cos(t)", "0", "1", "0").validate_on(Grid.uniform(0.0, 3.0, 257))
 
     def test_rejects_zero_constant_leading_coefficient(self):
         with pytest.raises(TransformError):
