@@ -360,16 +360,6 @@ def _intersect_windows(xs: list[tuple[float, float]],
     return out
 
 
-def _clip_windows(windows: list[tuple[float, float]], start: float,
-                  min_width: float) -> list[tuple[float, float]]:
-    out = []
-    for lo, hi in windows:
-        lo = max(lo, start)
-        if hi - lo > min_width:
-            out.append((lo, hi))
-    return out
-
-
 def _window_pairs(first: list[tuple[float, float]],
                   second: list[tuple[float, float]],
                   min_width: float) -> list[tuple[float, float, float, float]]:
@@ -503,15 +493,15 @@ def _first_pair(window_sets, T: float, horizon: tuple[float, float],
     pair beyond T whose windows both pass holds(value_at(window)), or None.
 
     window_sets holds (first, second) window lists, scanned in order; both
-    are clipped at T and paired earliest first by _window_pairs.
+    are cut to [T, inf) and paired earliest first by _window_pairs.
     """
     lo, hi = horizon
     if not lo <= T < hi:
         raise ValueError("reference time must lie inside the horizon")
-    min_width = _min_width(lo, hi)
+    min_width, beyond = _min_width(lo, hi), [(T, math.inf)]
     for index, (first, second) in enumerate(window_sets):
-        for pair in _window_pairs(_clip_windows(first, T, min_width),
-                                  _clip_windows(second, T, min_width), min_width):
+        for pair in _window_pairs(_intersect_windows(first, beyond, min_width),
+                                  _intersect_windows(second, beyond, min_width), min_width):
             value1 = value_at(pair[:2])
             if not holds(value1):
                 continue

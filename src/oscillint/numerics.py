@@ -17,7 +17,9 @@ direction; none ends the solve. They are located on each step's cubic
 Comput. Math. Appl. 39, 2000): the component is taken at the step's two
 end states and on the cubic between them, and a sign change between two
 of these samples is bisected to root_tol on that cubic in the step that
-finds it.
+finds it. Bisection (`_bisect_event`, on Python floats) is left only in
+this step loop; every other bracketed root, one or many at once, is
+refined by `refine_roots`, a lane port of Brent's method.
 
 The integrator is deliberately self-contained: the rest of the library
 depends on its exact semantics (dense output shape, dual escape
@@ -384,35 +386,6 @@ def _bisect_event(g: Callable[[float], float], a: float, b: float, tol: float) -
         else:
             b = mid
     return 0.5 * (a + b)
-
-
-def bisect_lanes(g: Callable[[np.ndarray], np.ndarray], a, b, tol: float) -> np.ndarray:
-    """_bisect_event on many brackets at once, each lane equal to it bit for bit.
-
-    g maps an array of times, one per bracket, to the event values there;
-    an iteration makes one call of g over every lane, and a lane that has
-    stopped keeps its result.
-    """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    ga = g(a)
-    root = a.copy()
-    done = ga == 0.0
-    for _ in range(128):
-        open_ = ~done & (b - a > tol)
-        if not open_.any():
-            break
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        zero = open_ & (gm == 0.0)
-        root[zero] = mid[zero]
-        done |= zero
-        left = open_ & ~zero & ((ga < 0) == (gm < 0))
-        right = open_ & ~zero & ~left
-        a = np.where(left, mid, a)
-        ga = np.where(left, gm, ga)
-        b = np.where(right, mid, b)
-    return np.where(done, root, 0.5 * (a + b))
 
 
 def crossings(g: np.ndarray) -> np.ndarray:

@@ -10,6 +10,10 @@ The chunked series solve that serves the ensemble also gives `criteria`,
 without a step-loop solve, the companion's angle turn over a window
 (`angle_turn`, whose negation is the descent that interval oscillation
 reads) and its zeros over a horizon (`unforced_zeros`).
+
+Every zero and blow-up time is found as a sign change between two nodes
+and refined on the chunk's series by `numerics.refine_roots`, a lane port
+of Brent's method, all of a solve's node gaps in one call (`_gap_roots`).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
 
 from .expr import DomainError, sample
-from .numerics import STEP_COLLAPSE, Event, Tolerances, Trajectory, bisect_lanes, crossings
+from .numerics import STEP_COLLAPSE, Event, Tolerances, Trajectory, crossings, refine_roots
 from .transform import SystemSpec
 
 OSCILLATORY_OBSERVED = "oscillatory_observed"
@@ -114,7 +118,7 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
     A member's nodes are _NODES evenly spaced points per chunk, its states
     the series there and its derivs the series' derivative. Its zeros are
     the sign changes of phi between nodes, a start at phi = 0 excluded,
-    each bisected on the series to root_tol. A member whose state passes
+    each refined on the series to root_tol. A member whose state passes
     escape_magnitude ends there, found on the series, with an escape
     event; a chunk that cannot be sampled or resolved down to 1e-12 of the
     span ends every running member at its start, with an escape.
@@ -205,18 +209,18 @@ def unforced_zeros(sys: SystemSpec, lo: float, hi: float, state: np.ndarray,
                    rel_tol: float, root_tol: float) -> tuple[list[float], float]:
     """The sign changes of phi on the unforced solution from state, a start
     at phi = 0 excluded, and the time the chunk walk reached. Each is found
-    between adjacent nodes of _unit_walk and bisected on the chunk's series
-    to root_tol; no two nodes are pi/2 apart in angle, so with q >= 0 a node
-    gap holds at most one."""
+    between adjacent nodes of _unit_walk and refined on the chunk's series
+    to root_tol by _gap_roots; no two nodes are pi/2 apart in angle, so
+    with q >= 0 a node gap holds at most one."""
     chunks = list(_unit_walk(sys, lo, hi, state, rel_tol))
     if not chunks:
         return [], lo
     begin, finish, series, x, _ = (np.array(part) for part in zip(*chunks))
-    nodes = _walk_nodes(begin, finish)
     node = crossings(np.append(x[:, 0, :_NODES], x[-1, 0, _NODES]))  # phi at the nodes
-    chunk, _, at = _lanes(begin, finish, node)
-    lane_phi = series[chunk, 0]  # (lane, degree)
-    times = bisect_lanes(lambda tq: at(lane_phi, tq), nodes[node], nodes[node + 1], root_tol)
+    chunk, k = np.divmod(node, _NODES)
+    at = _lanes(begin, finish, chunk, series[chunk, 0])  # (lane, degree)
+    times = _gap_roots(at, _walk_nodes(begin, finish), node, x[chunk, 0, k],
+                       x[chunk, 0, k + 1], root_tol)
     return times.tolist(), float(finish[-1])
 
 
@@ -305,12 +309,24 @@ def _walk_nodes(begin: np.ndarray, finish: np.ndarray) -> np.ndarray:
     return np.append(np.linspace(begin, finish, _NODES + 1, axis=1)[:, :-1], finish[-1])
 
 
-def _lanes(begin: np.ndarray, finish: np.ndarray, node: np.ndarray):
-    """For node gaps that start at the walk's nodes node: each one's chunk
-    and its width, and at(c, tq), lane i's series c[i] at time tq[i]."""
-    chunk = node // _NODES
-    width = (finish - begin)[chunk]
-    return chunk, width, lambda c, tq: _series_at(c, 2.0 * (tq - begin[chunk]) / width - 1.0)
+def _lanes(begin: np.ndarray, finish: np.ndarray, chunk: np.ndarray, coef: np.ndarray):
+    """For lanes on the walk's chunks chunk, coef[i] the series of lane i's
+    chunk: at(tq, lanes), the series of lane lanes[j] at time tq[j]."""
+    start, scale = begin[chunk], 2.0 / (finish - begin)[chunk]
+    return lambda tq, lanes: _series_at(coef[lanes], (tq - start[lanes]) * scale[lanes] - 1.0)
+
+
+def _gap_roots(value: Callable[[np.ndarray, np.ndarray], np.ndarray], nodes: np.ndarray,
+               node: np.ndarray, first: np.ndarray, second: np.ndarray,
+               root_tol: float) -> np.ndarray:
+    """The time in each node gap [nodes[node[i]], nodes[node[i] + 1]] where
+    value(tq, lanes) changes sign, by refine_roots. At a gap's two nodes it
+    reads first[i] and second[i], the node values that found the change,
+    not the series, which may differ from them in the last bits."""
+    lo, hi = nodes[node], nodes[node + 1]
+    return refine_roots(lambda tq, lanes: np.where(
+        tq == lo[lanes], first[lanes],
+        np.where(tq == hi[lanes], second[lanes], value(tq, lanes))), lo, hi, root_tol)
 
 
 def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
@@ -318,7 +334,7 @@ def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
     """Each member's Trajectory: its nodes up to node last[j] or, for a
     blow-up, up to node blowup[j] and then the time where its series
     passes escape_magnitude. The crossings of phi before last[j] and the
-    blow-ups are bisected on the series in one lane solve."""
+    blow-ups are refined on the series in one _gap_roots call."""
     if chunks:
         begin, finish = (np.array(ends) for ends in zip(*(c[:2] for c in chunks)))
         series = np.stack([c[2] for c in chunks])  # (chunk, component, degree, member)
@@ -338,14 +354,20 @@ def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
     node, member, direction = (np.concatenate(parts) for parts in zip(*lanes))
     times = nodes[node]
     if node.size:
-        chunk, width, at = _lanes(begin, finish, node)
+        chunk = node // _NODES
         coef = series[chunk, :, :, member]  # (lane, component, degree)
 
-        def g(tq):
-            y = at(coef, tq)
-            return np.where(direction == 0, np.abs(y).max(axis=1) - tol.escape_magnitude, y[:, 0])
-        times = bisect_lanes(g, nodes[node], nodes[node + 1], tol.root_tol)
-        end_states, end_rates = at(coef, times), at(chebder(coef, axis=2), times) / width[:, None] * 2.0
+        def g(y, lanes):  # y: (lane, component)
+            return np.where(direction[lanes] == 0,
+                            np.abs(y).max(axis=1) - tol.escape_magnitude, y[:, 0])
+        every = np.arange(node.size)
+        at = _lanes(begin, finish, chunk, coef)
+        times = _gap_roots(lambda tq, lanes: g(at(tq, lanes), lanes), nodes, node,
+                           g(states[:, node, member].T, every),
+                           g(states[:, node + 1, member].T, every), tol.root_tol)
+        end_states = at(times, every)
+        end_rates = (_lanes(begin, finish, chunk, chebder(coef, axis=2))(times, every)
+                     / (finish - begin)[chunk, None] * 2.0)
 
     out = []
     for j, k in enumerate(last):

@@ -684,12 +684,20 @@ def _wide_compare_span():
     *((sub, {"system": {"p": "10", "q": "1", "r": "-1", "g": "sin(t)"}, "horizon": 100},
        "growth factor overflows on the grid; shorten the horizon")
       for sub in ("analyze", "sweep")),
+    # ... and with p = -10 it underflows, to 0 near t = 74.5 (0 / 0 with
+    # f = 0) and below the least double before that (1 / growth with f = 1)
+    *((sub, {"system": {"p": "-10", "q": "1", "r": "-1", "g": "sin(t)", **forcing},
+             "horizon": 100},
+       "growth factor underflows on the grid; shorten the horizon")
+      for forcing in ({}, {"f": "1"}) for sub in ("analyze", "sweep")),
     # each bound is finite, their distance is not
     *((sub, {"system": {"q": "1", "r": "-1", "g": "sin(t)"}, "t0": -1e308, "horizon": 1e308},
        "horizon: horizon - t0 must be finite")
       for sub in ("analyze", "sweep")),
     ("compare", _wide_compare_span(), "compare.span: hi - lo must be finite"),
-], ids=["growth_analyze", "growth_sweep", "horizon_analyze", "horizon_sweep", "compare_span"])
+], ids=["growth_analyze", "growth_sweep", "shrink_analyze", "shrink_sweep",
+        "shrink_forced_analyze", "shrink_forced_sweep", "horizon_analyze", "horizon_sweep",
+        "compare_span"])
 def test_overflowing_input_exits_with_one_line(tmp_path, subcommand, doc, message):
     # in a fresh interpreter, so that a numpy warning would reach stderr
     path = write_doc(tmp_path, doc)

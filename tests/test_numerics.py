@@ -27,7 +27,7 @@ from oscillint.numerics import (
     refine_roots,
     zero_crossing,
 )
-from oscillint.numerics import _bisect_event, _hermite_rate, _subsamples, bisect_lanes
+from oscillint.numerics import _bisect_event, _hermite_rate, _subsamples
 from oscillint.oracle import Ensemble, simulate_ensemble
 from oscillint.expr import parse_text
 from oscillint.transform import SystemSpec
@@ -268,30 +268,34 @@ def _bisected_crossings(member: Trajectory, component: int, tol: float) -> list:
 
 class TestEventLanes:
     """Zero crossings of one component of a float or an array state, each
-    bisected on the cubic of the step that finds it; bisect_lanes, the
-    oracle's form of that bisection over many brackets, equals it."""
+    bisected on the cubic of the step that finds it."""
 
     rotation = staticmethod(lambda t, y: np.array([-y[1], y[0]]))
 
-    def test_lanes_equal_scalar_bisection(self):
+    def test_scalar_bisection_cases(self):
+        # _bisect_event on a cubic whose only root c it brackets: a zero at
+        # the bracket start or at the first midpoint is returned exactly;
+        # otherwise the bracket shrinks to tol, or stops after 128 halvings
+        # when it is too wide to get there, and its midpoint is returned
         rng = np.random.default_rng(7)
-        n = 300
-        c = rng.uniform(-3.0, 3.0, n)
-        a = rng.uniform(0.1, 3.0, n) * rng.choice([-1.0, 1.0], n)
-        lo = c - rng.uniform(1e-6, 2.0, n)
-        hi = c + rng.uniform(1e-6, 2.0, n)
-        lo[:4] = c[:4]  # zero at the bracket start
-        lo[4:8], hi[4:8] = c[4:8] - 1.0, c[4:8] + 1.0  # zero at the first midpoint
-        lo[8:12], hi[8:12] = -1e30, 1e30  # too wide for 128 halvings to reach tol
+        for c, a in zip((0.25, -1.5, 2.0, 0.7), (1.0, 2.5, 0.3, 0.1)):
+            calls = []
 
-        def g(x):
-            return a * (x - c) ** 3 + (x - c)
-        for tol in (1e-9, 0.0):
-            got = bisect_lanes(g, lo, hi, tol)
-            for i in range(n):
-                fn = lambda x, i=i: float(a[i] * (x - c[i]) ** 3 + (x - c[i]))
-                assert got[i] == _bisect_event(fn, float(lo[i]), float(hi[i]), tol), i
-            np.testing.assert_array_equal(got[:8], c[:8])
+            def g(x):
+                calls.append(x)
+                return a * (x - c) ** 3 + (x - c)
+            for tol in (1e-9, 0.0):
+                for lo, hi, evals in ((c, c + 1.0, 1), (c - 1.0, c + 1.0, 2)):
+                    calls.clear()
+                    assert _bisect_event(g, lo, hi, tol) == c
+                    assert len(calls) == evals
+                calls.clear()
+                got = _bisect_event(g, -1e30, 1e30, tol)
+                assert len(calls) == 129  # the start, then one per halving
+                assert abs(got - c) <= 1e30 * 2.0 ** -128
+            for lo, hi in rng.uniform(1e-6, 2.0, (20, 2)):
+                assert abs(_bisect_event(g, c - lo, c + hi, 1e-9) - c) <= 0.5e-9
+                assert abs(_bisect_event(g, c - lo, c + hi, 0.0) - c) <= 4 * np.spacing(2.0)
 
     @pytest.mark.parametrize("component", [0, 1], ids=["zero_crossing", "second_component"])
     def test_batch_times_equal_member_bisection(self, component):

@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from oscillint import numerics
 from oscillint.cli import config_from_dict, load_config, run
 from oscillint.numerics import STEP_COLLAPSE, Tolerances, integrate_ode, zero_crossing
+from oscillint import oracle
 from oscillint.oracle import (
     _AT_NODES,
     _NODES,
@@ -25,8 +27,11 @@ from oscillint.oracle import (
     export_trace,
     member_zero_times,
     simulate_ensemble,
+    unforced_zeros,
     _chunk_series,
     _members,
+    _unit_walk,
+    _walk_nodes,
 )
 from oscillint.expr import parse_text
 from oscillint.transform import SystemSpec
@@ -140,6 +145,24 @@ class TestBatchedOracleAgainstReferences:
             assert len(zeros) == len(roots), j
             assert np.all(np.abs(zeros - roots) <= 2e-6), j
 
+    def test_decaying_forcing_zeros_against_closed_form(self):
+        # phi'' - phi = -exp(-t) from (a, b) is C1 e^t + C2 e^-t + (t/2) e^-t
+        # with C1 = (a + b - 1/2)/2 and C2 = (a - b + 1/2)/2: it vanishes
+        # where C1 e^2t + C2 + t/2 does
+        config = load_config(CONFIG_DIR / "decaying_forcing.json")
+        ens = default_ensemble(config.span(), seed=config.oracle_seed,
+                               size=config.oracle_size)
+        members = simulate_ensemble(config.working_system(), ens, config.tolerances)
+        zeros = 0
+        for (a, b), traj in zip(ens.initial_conditions, members):
+            c1, c2 = (a + b - 0.5) / 2, (a - b + 0.5) / 2
+            for t in member_zero_times(traj):
+                exact = brentq(lambda s: c1 * math.exp(2 * s) + c2 + s / 2,
+                               t - 1e-6, t + 1e-6, xtol=1e-15, rtol=1e-15)
+                assert abs(t - exact) <= 1e-11, (a, b, t)
+                zeros += 1
+        assert zeros > 0
+
     def test_event_calls_per_solve(self, monkeypatch):
         # a member's own solve bisects each crossing once, in the step that
         # finds it, and records as many as the oracle's member
@@ -199,6 +222,29 @@ class TestSeriesOracle:
         with contextlib.redirect_stdout(io.StringIO()):
             assert run("analyze", config).exit_code() == 30
             assert run("oracle", config).exit_code() == 10
+
+
+    def test_zeros_refined_where_series_and_nodes_disagree(self, monkeypatch):
+        # the zero scan reads phi at the nodes, the refinement the series
+        # between them. With the series shifted up by 10 no node gap's
+        # series ends straddle zero; each zero still comes back, inside the
+        # node gap that holds it
+        ens = Ensemble(((1.0, 0.0), (0.6, 0.8)), 0, (0.0, 30.0))
+        start = np.array([1.0, 0.0])
+        want = [member_zero_times(m) for m in simulate_ensemble(harmonic(), ens)]
+        want_alone, _ = unforced_zeros(harmonic(), 0.0, 30.0, start, 1e-8, 1e-9)
+        walk_nodes = _walk_nodes(*(np.array(part) for part in zip(
+            *((t, t_end) for t, t_end, *_ in _unit_walk(harmonic(), 0.0, 30.0, start, 1e-8)))))
+        series_at = oracle._series_at
+        monkeypatch.setattr(oracle, "_series_at", lambda coef, x: series_at(coef, x) + 10.0)
+        members = simulate_ensemble(harmonic(), ens)
+        alone, _ = unforced_zeros(harmonic(), 0.0, 30.0, start, 1e-8, 1e-9)
+        for zeros, exact, nodes in [*((member_zero_times(m), w, m.grid.nodes)
+                                      for m, w in zip(members, want)),
+                                    (alone, want_alone, walk_nodes)]:
+            assert len(zeros) == len(exact) > 0
+            gap = np.searchsorted(nodes, exact)
+            assert np.all((nodes[gap - 1] <= zeros) & (zeros <= nodes[gap]))
 
 
 def unshared_chunk_loop(sys_spec, ens, tol):
