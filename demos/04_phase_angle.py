@@ -4,11 +4,13 @@ Counting zeros through the phase angle
 
 Write (phi, psi) in polar form.  phi vanishes exactly when the angle theta
 crosses a vertical line pi/2 - m pi.  angle_line_crossings reads those
-crossings off the solution from (cos theta0, sin theta0), solved as
-Chebyshev series chunk by chunk and scaled back to unit length at the end
-of each chunk, so a solution that grows by orders of magnitude stays in
-range.  The direct count below steps the same system with integrate_ode
-and records the sign changes of phi as events.
+crossings off one walk of the companion's fundamental matrix, solved as
+Chebyshev series chunk by chunk and rescaled at the end of each chunk, so
+solutions that grow by orders of magnitude stay in range: the solution
+from (cos theta0, sin theta0) vanishes where the Pruefer angle of the
+matrix's first row reaches a level.  The direct count below steps the
+same system with integrate_ode and records the sign changes of phi as
+events.
 """
 
 import numpy as np

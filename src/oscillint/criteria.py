@@ -2,11 +2,10 @@
 
 Four families of checks live here:
 
-* a polar-angle test for homogeneous systems: zeros of phi are crossings of
-  the phase angle through the vertical lines. The horizon test counts them;
-  interval oscillation, how far the angle descends over a window, has no
-  public test of its own and is checked inside the witness search (both
-  read off Chebyshev series, `oracle`),
+* a polar-angle test for homogeneous systems, read off one walk of the
+  companion's Pruefer angle rho (`oracle.angle_walk`): the horizon test
+  counts its level crossings, the zeros of phi; interval oscillation, its
+  descent over a window, is checked inside the witness search,
 * a feasibility scan for the shift parameter lam that certifies
   non-oscillation of a forced system from its homogeneous companion,
 * a witness search that certifies oscillation from paired sign windows of
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,7 +44,7 @@ from .numerics import (
     definite_simpson,
     refine_roots,
 )
-from .oracle import angle_turn, unforced_zeros
+from .oracle import angle_walk
 from .transform import (
     DEFAULT_GRID_NODES,
     PROBE_POINTS,
@@ -55,6 +54,7 @@ from .transform import (
     alpha_lambda,
 )
 
+# the most doubt a window's descent may carry and still be decided
 ANGLE_SLACK = 1e-6
 SIGN_SLACK = 1e-12
 FUNCTIONAL_SLACK = 1e-9
@@ -160,23 +160,15 @@ def _negative_q_verdict(sys: SystemSpec, lo: float, hi: float,
 def angle_line_crossings(sys: SystemSpec, span: tuple[float, float],
                          theta0: float = math.pi / 2,
                          tol: Tolerances = Tolerances()) -> list[float]:
-    """Times where the phase angle crosses a vertical line theta = pi/2 - m pi,
-    i.e. where the first component of the matching solution vanishes with a
-    sign change.  Only crossings up to where the chunk walk stopped are
-    found; `horizon_nonoscillation_test` checks that it reached the end."""
+    """Zeros of phi on the unforced solution from (cos theta0, sin theta0),
+    where the phase angle started at theta0 crosses a vertical line: the
+    level crossings of the companion's angle walk (oracle.angle_walk).
+    Forcing terms play no part. Only crossings up to where the walk stopped
+    are found; `horizon_nonoscillation_test` checks that it reached the end."""
     lo, hi = float(span[0]), float(span[1])
     if not lo < hi:
         raise ValueError("span must be increasing")
-    return _angle_crossings(sys, lo, hi, theta0, tol)[0]
-
-
-def _angle_crossings(sys: SystemSpec, lo: float, hi: float, theta0: float,
-                     tol: Tolerances) -> tuple[list[float], float]:
-    """Crossings of the angle started at theta0, the zeros of phi from
-    (cos theta0, sin theta0) (oracle.unforced_zeros), and the time the chunk
-    walk reached; forcing terms of sys play no part."""
-    start = np.array([math.cos(theta0), math.sin(theta0)])
-    return unforced_zeros(sys.homogeneous(), lo, hi, start, tol.rel_tol, tol.root_tol)
+    return angle_walk(sys.homogeneous(), lo, hi, tol.rel_tol).level_crossings(theta0, tol.root_tol)
 
 
 def horizon_nonoscillation_test(sys: SystemSpec, horizon: tuple[float, float],
@@ -196,7 +188,8 @@ def horizon_nonoscillation_test(sys: SystemSpec, horizon: tuple[float, float],
         return negative_q
     width = hi - lo
     persistence_window = 0.25 * width
-    crossings, reached = _angle_crossings(sys, lo, hi, math.pi / 2, tol)
+    walk = angle_walk(sys.homogeneous(), lo, hi, tol.rel_tol)
+    crossings, reached = walk.level_crossings(math.pi / 2, tol.root_tol), walk.reached
     if reached < hi:
         return Verdict(INCONCLUSIVE, (lo, hi),
                        evidence={"crossings": crossings, "stopped_at": reached},
@@ -459,19 +452,6 @@ def _shift_windows(base: AlphaTrace, lambda_grid: Sequence[float]) -> _ShiftWind
     return _ShiftWindows(lams, first, second, margin_at)
 
 
-def _window_memo(value: Callable[[float, float], object]) -> Callable[[tuple], object]:
-    """value(lo, hi) of a window, computed once; windows whose ends agree to
-    12 decimals share it."""
-    seen: dict = {}
-
-    def at(window: tuple[float, float]):
-        key = (round(window[0], 12), round(window[1], 12))
-        if key not in seen:
-            seen[key] = value(*window)
-        return seen[key]
-    return at
-
-
 def _scan_times(scan: Sequence[float] | None, lo: float, hi: float,
                 reach: float) -> Sequence[float]:
     """The reference times a check scans: scan itself, or by default
@@ -512,18 +492,19 @@ def _first_pair(window_sets, T: float, horizon: tuple[float, float],
 
 
 def _first_witness(shift: _ShiftWindows, T: float, horizon: tuple[float, float],
-                   turn_at: Callable[[tuple[float, float]], float | None]
+                   descent_at: Callable[[tuple[float, float]], tuple[float, float] | None]
                    ) -> IntervalWitness | None:
     """The first witness beyond T: a window pair of one lam on both windows
-    of which every solution of the companion vanishes. With q >= 0 that
-    holds when the angle of the solution vanishing at a window's start
-    descends by pi; turn_at gives its turn (oracle.angle_turn, the descent
-    negated), None where the chunk walk stopped."""
-    found = _first_pair(zip(shift.first, shift.second), T, horizon, turn_at,
-                        lambda turn: turn is not None and -turn >= math.pi - ANGLE_SLACK)
+    of which every solution of the companion vanishes, as rho descends by pi
+    there: short of it by no more than its doubt, which must be at most
+    ANGLE_SLACK. descent_at gives rho(s) - rho(t) and that doubt
+    (oracle.AngleWalk.descent), None where the walk stopped."""
+    found = _first_pair(zip(shift.first, shift.second), T, horizon, descent_at,
+                        lambda down: down is not None and down[1] <= ANGLE_SLACK
+                        and down[0] + down[1] >= math.pi)
     if found is None:
         return None
-    i, (s1, t1, s2, t2), (turn1, turn2) = found
+    i, (s1, t1, s2, t2), ((down1, _), (down2, _)) = found
     k = len(shift.lams)
     sign_margins = tuple(
         shift.least_margin(row, a, b)
@@ -531,7 +512,7 @@ def _first_witness(shift: _ShiftWindows, T: float, horizon: tuple[float, float],
                           (2 * k + i, s2, t2), (3 * k + i, s2, t2)))
     return IntervalWitness(s1=s1, t1=t1, s2=s2, t2=t2, lam=shift.lams[i],
                            sign_margins=sign_margins,
-                           osc_margins=(-turn1 - math.pi, -turn2 - math.pi))
+                           osc_margins=(down1 - math.pi, down2 - math.pi))
 
 
 def find_interval_witness(sys: SystemSpec, T: float,
@@ -579,11 +560,12 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
     horizon, or over one period when periodic is given (periodicity then
     extends the evidence to all later reference times); an empty scan
     raises ValueError. Without a lambda_grid, the default grid has
-    lambda_points values. A lam whose
-    alpha_lam keeps one strict sign at every grid node is skipped before
-    any window is refined (_shift_windows): it has no window of one kind,
-    so the witnesses are those of the full grid. Failure of this
-    sufficient condition proves nothing, so the negative outcome is always
+    lambda_points values; a lam that can pair no window is skipped
+    (_shift_windows). Every window's descent is read off one walk of the
+    companion over the horizon, made when the first window asks; no window
+    past where that walk stops (oracle.angle_walk) is decided, even one a
+    walk from the window's own start could read. Failure of this sufficient
+    condition proves nothing, so the negative outcome is always
     inconclusive.
     """
     lo, hi = float(horizon[0]), float(horizon[1])
@@ -597,10 +579,10 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
         lambda_grid = default_lambda_grid(sys, grid, base_trace, lambda_points)
 
     shift = _shift_windows(base_trace, lambda_grid)
-    turn_at = _window_memo(partial(angle_turn, sys.homogeneous(), rel_tol=tol.rel_tol))
+    walk = cache(lambda: angle_walk(sys.homogeneous(), lo, hi, tol.rel_tol))  # on first use
     witnesses = []
     for T in scan:
-        witness = _first_witness(shift, float(T), (lo, hi), turn_at)
+        witness = _first_witness(shift, float(T), (lo, hi), lambda w: walk().descent(*w))
         if witness is None:
             return Verdict(INCONCLUSIVE, (lo, hi),
                            evidence={"witnesses": witnesses,
@@ -656,8 +638,7 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
     windows = _refined_windows(
         np.stack([-d_vals, d_vals]),
         lambda rows, ts: np.where(rows == 0, -1.0, 1.0) * sample(eq.d, ts), nodes)
-    functional_at = _window_memo(
-        lambda a, b: variational_functional(eq.a, eq.c, half_sine_bridge(a, b)))
+    functional_at = cache(lambda w: variational_functional(eq.a, eq.c, half_sine_bridge(*w)))
 
     records = []
     for T in scan:

@@ -6,14 +6,12 @@ initial conditions, record where each first component actually vanishes, and
 summarize what was observed. Ensemble verdicts never override analytic ones;
 they exist to catch bugs in the analytic path (and vice versa).
 
-The chunked series solve that serves the ensemble also gives `criteria`,
-without a step-loop solve, the companion's angle turn over a window
-(`angle_turn`, whose negation is the descent that interval oscillation
-reads) and its zeros over a horizon (`unforced_zeros`).
-
-Every zero and blow-up time is found as a sign change between two nodes
-and refined on the chunk's series by `numerics.refine_roots`, a lane port
-of Brent's method, all of a solve's node gaps in one call (`_gap_roots`).
+The chunked series solve that serves the ensemble also gives `criteria`
+every conjugate point of the unforced companion from one walk over the
+horizon (`angle_walk`). Every zero, blow-up time and level crossing is
+found between two nodes and refined on the chunk's series by
+`numerics.refine_roots`, a lane port of Brent's method, all of a solve's
+node gaps in one call (`_gap_roots`).
 """
 
 from __future__ import annotations
@@ -158,7 +156,7 @@ def _chunk_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float, widest: f
     """The chunks that cover [lo, hi] from lo, each solved as series: yield
     (t, t_end, h, take(coef)) for each chunk [t, t_end], h wide, with coef
     its _chunk_series coefficients; t_end is t + h, or exactly hi for the
-    last chunk. The oracle and _unit_walk both walk through here.
+    last chunk. The oracle and angle_walk both walk through here.
 
     A chunk is at most widest wide and takes the rest of the span when
     less than half a chunk would be left after it. It is halved while
@@ -184,64 +182,104 @@ def _chunk_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float, widest: f
         t, h = t_end, 2.0 * h
 
 
-def _unit_walk(sys: SystemSpec, lo: float, hi: float, state: np.ndarray, rel_tol: float):
-    """The unforced solution from state over [lo, hi], on a _chunk_walk whose
-    widest chunk is the whole span: yield (t, t_end, series, x, steps) for
-    each chunk (_chunk_turn), carried to the next at unit length."""
-    # the take reads the state that the loop body last set
-    for t, t_end, _, (series, x, steps) in _chunk_walk(
-            sys, lo, hi, rel_tol, hi - lo, lambda coef: _chunk_turn(coef, state, rel_tol)):
-        yield t, t_end, series, x, steps
-        state = x[:, -1] / math.hypot(*x[:, -1])
+@dataclass(frozen=True, eq=False)
+class AngleWalk:
+    """rho = arg(v_phi + i u_phi) up to reached (angle_walk). rows[k]: (u_phi,
+    v_phi) on chunk k as series, times a positive factor; z: them at the
+    nodes, _NODES per chunk; steps: rho's turn over each node gap; rho at
+    the nodes, unwrapped; doubt: a bound on rho's error at each node."""
+
+    nodes: np.ndarray
+    rows: np.ndarray
+    z: np.ndarray
+    steps: np.ndarray
+    rho: np.ndarray
+    doubt: np.ndarray
+    reached: float
+
+    def row_at(self, t: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """(u_phi, v_phi) at times t[i], on the chunk of node gap node[i]."""
+        return _chunk_at(self.nodes, self.rows[node // _NODES], t, node)
+
+    def descent(self, s: float, t: float) -> tuple[float, float] | None:
+        """rho(s) - rho(t), summed from the turns between s and t, and the
+        doubt in it, that from the start of s's chunk to the end of t's;
+        None when the walk stopped before t."""
+        if t > self.reached:
+            return None
+        gap = np.searchsorted(self.nodes[1:-1], (s, t), side="right")  # the gaps holding s, t
+        into = _turn(self.z[gap], self.row_at(np.array((s, t)), gap))  # from the gaps' starts
+        return (float(into[0] - into[1] - self.steps[gap[0]:gap[1]].sum()),
+                float(self.doubt[gap[1] + 1] - self.doubt[gap[0] - gap[0] % _NODES]))
+
+    def level_crossings(self, theta0: float, root_tol: float) -> list[float]:
+        """Zeros of phi from (cos theta0, sin theta0), a start at 0 left out:
+        one per level k pi - theta0 that rho falls below by more than its
+        doubt, in the gap where rho first reaches it, refined on (-1)^k phi."""
+        shifted = self.rho + theta0
+        level = np.ceil(shifted[1:] / np.pi)  # the lowest level each gap reaches, k
+        first = np.minimum.accumulate(shifted)[:-1] > np.pi * level
+        high = np.minimum.accumulate((shifted + self.doubt)[::-1])[-2::-1]  # from each gap's end
+        node = np.flatnonzero(first & (high < np.pi * level))
+        start = np.array([math.cos(theta0), math.sin(theta0)]) * (-1.0) ** level[node, None]
+        phi = lambda tq, lanes: np.sum(self.row_at(tq, node[lanes]) * start[lanes], axis=1)
+        ends = [phi(self.nodes[node + j], np.arange(node.size)) for j in (0, 1)]
+        return _gap_roots(phi, self.nodes, node, np.maximum(ends[0], np.finfo(float).tiny),
+                          np.minimum(ends[1], 0.0), root_tol).tolist()
 
 
-def angle_turn(sys: SystemSpec, lo: float, hi: float, rel_tol: float) -> float | None:
-    """How far the angle of (phi, psi) turns, counterclockwise, over [lo, hi]
-    on the solution of the unforced system from (0, 1), summed over the
-    node steps of _unit_walk; None where the walk stops before hi."""
-    turned, reached = 0.0, lo
-    for _, reached, _, _, steps in _unit_walk(sys, lo, hi, np.array([0.0, 1.0]), rel_tol):
-        turned += float(steps.sum())
-    return turned if reached == hi else None
+def angle_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float) -> AngleWalk:
+    """The Pruefer angle rho = arg(v_phi + i u_phi) of unforced sys over [lo,
+    hi], u and v the solutions from (1, 0) and (0, 1) at lo: rho' = -q det(u,
+    v) / |(u_phi, v_phi)|^2. Where rho falls (q >= 0), every solution
+    vanishes on [s, t] exactly when rho(s) - rho(t) >= pi, and the one from
+    (cos theta0, sin theta0) where rho + theta0 is a multiple of pi.
+
+    On a _chunk_walk with widest chunk the span, a chunk starts from the
+    fundamental matrix at the last one's end, first row at unit length. Its
+    doubt, over the row's least size, is the row's series tail plus the
+    rounding in combining it, read before the second row, e^{int (s - p)}
+    larger, can cancel. It is halved while the tail exceeds rel_tol of the
+    row's end size, or rho rises at a later node step by more than the
+    doubt (q < 0, or a half turn in a gap). The walk ends where rho rises
+    at a first step, or before its doubt would pass _MOST_DOUBT; each turn
+    adds some eps of rho to the doubt, its own and the sum's rounding."""
+    carried, rows, doubt = np.eye(2), [], 0.0
+    parts = [([lo], np.eye(2)[:1], [], [0.0])]  # nodes, z, steps, doubt
+
+    def take(coef):
+        series = coef[:, :, :2] @ carried  # (component, degree, column)
+        end, at = series.sum(axis=1), _AT_NODES @ series[0]
+        # u and v are resolved to rel_tol of their largest values, not the row's
+        tail = np.abs(series[0, -_TAIL:]).max()
+        if not tail <= rel_tol * math.hypot(*end[0]):
+            return None
+        rounding = _N * _EPS * (np.abs(coef[0, :, :2]) @ np.abs(carried)).sum(axis=0).max()
+        own = (tail + rounding) / np.hypot(*at.T).min()  # the chunk's doubt
+        step = _turn(at[:-1], at[1:])
+        rises = ~(step <= own)
+        return (series[0].T, at, step, end, own, rises[0]) if rises[0] or not rises[1:].any() \
+            else None
+
+    for t0, t1, _, (row, at, step, end, own, rises) in _chunk_walk(sys, lo, hi, rel_tol, hi - lo,
+                                                                  take):
+        # past a rise at a chunk's first step, halving would crawl into q < 0
+        if rises or doubt + own > _MOST_DOUBT:
+            break
+        doubt += own
+        rows.append(row)
+        parts.append((np.linspace(t0, t1, _NODES + 1)[1:], at[1:], step, np.full(_NODES, doubt)))
+        carried = end / math.hypot(*end[0])  # take reads the matrix set here
+    nodes, z, steps, doubts = (np.concatenate(part) for part in zip(*parts))
+    rho = 0.5 * math.pi + np.concatenate(([0.0], np.cumsum(steps)))
+    doubts += np.arange(rho.size) * _EPS * (np.maximum.accumulate(np.abs(rho)) + np.pi)
+    return AngleWalk(nodes, np.reshape(rows, (-1, 2, _N)), z, steps, rho, doubts, float(nodes[-1]))
 
 
-def unforced_zeros(sys: SystemSpec, lo: float, hi: float, state: np.ndarray,
-                   rel_tol: float, root_tol: float) -> tuple[list[float], float]:
-    """The sign changes of phi on the unforced solution from state, a start
-    at phi = 0 excluded, and the time the chunk walk reached. Each is found
-    between adjacent nodes of _unit_walk and refined on the chunk's series
-    to root_tol by _gap_roots; no two nodes are pi/2 apart in angle, so
-    with q >= 0 a node gap holds at most one."""
-    chunks = list(_unit_walk(sys, lo, hi, state, rel_tol))
-    if not chunks:
-        return [], lo
-    begin, finish, series, x, _ = (np.array(part) for part in zip(*chunks))
-    node = crossings(np.append(x[:, 0, :_NODES], x[-1, 0, _NODES]))  # phi at the nodes
-    chunk, k = np.divmod(node, _NODES)
-    at = _lanes(begin, finish, chunk, series[chunk, 0])  # (lane, degree)
-    times = _gap_roots(at, _walk_nodes(begin, finish), node, x[chunk, 0, k],
-                       x[chunk, 0, k + 1], root_tol)
-    return times.tolist(), float(finish[-1])
-
-
-def _chunk_turn(coef: np.ndarray, state: np.ndarray,
-                rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The unforced solution from state on the chunk: its series, its values
-    x at the nodes, ends pinned to state and the series' sum, and the angle
-    steps between nodes, by atan2 in (-pi, pi]. None when a step exceeds
-    pi/2, so that no half turn hides between two nodes, or when the
-    solution's share of the chunk's error exceeds rel_tol of its end size."""
-    series = coef[:, :, :2] @ state
-    x, end = series @ _AT_NODES.T, series.sum(axis=1)
-    x[:, 0], x[:, -1] = state, end
-    steps = np.arctan2(x[0, :-1] * x[1, 1:] - x[1, :-1] * x[0, 1:],
-                       x[0, :-1] * x[0, 1:] + x[1, :-1] * x[1, 1:])
-    # the chunk's error is relative to the largest values of u and v: a
-    # solution that decays far below them on the chunk keeps less accuracy
-    tail = np.abs(coef[:, -_TAIL:, :2]).max(axis=(0, 1)) @ np.abs(state)
-    if np.abs(steps).max() > 0.5 * math.pi or tail > rel_tol * math.hypot(*end):
-        return None
-    return series, x, steps
+def _turn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """How far rho moves from rows a to rows b, (u_phi, v_phi) on the last axis."""
+    return np.arctan2(b[..., 0] * a[..., 1] - b[..., 1] * a[..., 0],
+                      a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
 
 
 _DEGREE = 32  # of each chunk's series
@@ -254,7 +292,10 @@ _GROWTH = 1e4
 # a member's nodes per chunk: with chunks of at most 1/16 of the span, the
 # zero scan compares phi at points 1/1024 of the span apart
 _NODES = 64
+# the most doubt in rho a walk may carry: levels, pi apart, stay told apart
+_MOST_DOUBT = math.pi / 4
 _N = _DEGREE + 1
+_EPS = np.finfo(float).eps
 _X = np.cos(np.pi * np.arange(_N) / _DEGREE)  # Lobatto points, from 1 down to -1
 _TO_COEF = np.linalg.inv(chebvander(_X, _DEGREE))  # values at _X to coefficients
 _RATE = chebder(np.eye(_N))  # coefficients to those of the x-derivative
@@ -297,23 +338,15 @@ def _chunk_series(sys: SystemSpec, t: float, h: float, rel_tol: float) -> np.nda
         else None
 
 
-def _series_at(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Lane i's series, coefficients coef[i, ..., :], at x[i] in [-1, 1]:
-    the sum of c_k cos(k theta) with x = cos(theta)."""
-    waves = np.cos(np.arccos(np.clip(x, -1.0, 1.0))[:, None] * np.arange(coef.shape[-1]))
-    return np.sum(coef * np.expand_dims(waves, tuple(range(1, coef.ndim - 1))), axis=-1)
-
-
-def _walk_nodes(begin: np.ndarray, finish: np.ndarray) -> np.ndarray:
-    """The walk's nodes: _NODES evenly spaced per chunk, then the last end."""
-    return np.append(np.linspace(begin, finish, _NODES + 1, axis=1)[:, :-1], finish[-1])
-
-
-def _lanes(begin: np.ndarray, finish: np.ndarray, chunk: np.ndarray, coef: np.ndarray):
-    """For lanes on the walk's chunks chunk, coef[i] the series of lane i's
-    chunk: at(tq, lanes), the series of lane lanes[j] at time tq[j]."""
-    start, scale = begin[chunk], 2.0 / (finish - begin)[chunk]
-    return lambda tq, lanes: _series_at(coef[lanes], (tq - start[lanes]) * scale[lanes] - 1.0)
+def _chunk_at(nodes: np.ndarray, coef: np.ndarray, t: np.ndarray, node: np.ndarray):
+    """Lane i's series, coefficients coef[i] (component, degree), at time
+    t[i] on the chunk that holds the walk's node gap node[i], _NODES per
+    chunk: the sum of c_k cos(k theta), x = cos(theta) the time in [-1, 1]."""
+    first = node - node % _NODES
+    lo, hi = nodes[first], nodes[first + _NODES]
+    x = np.minimum(np.maximum((t - lo) * (2.0 / (hi - lo)) - 1.0, -1.0), 1.0)
+    waves = np.cos(np.arccos(x)[:, None] * _I[:coef.shape[-1]])
+    return np.sum(coef * waves[:, None], axis=-1)
 
 
 def _gap_roots(value: Callable[[np.ndarray, np.ndarray], np.ndarray], nodes: np.ndarray,
@@ -338,7 +371,8 @@ def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
     if chunks:
         begin, finish = (np.array(ends) for ends in zip(*(c[:2] for c in chunks)))
         series = np.stack([c[2] for c in chunks])  # (chunk, component, degree, member)
-        nodes = _walk_nodes(begin, finish)
+        # _NODES evenly spaced per chunk, then the last end
+        nodes = np.append(np.linspace(begin, finish, _NODES + 1, axis=1)[:, :-1], finish[-1])
         states, rates = (np.concatenate([c[k][:, :_NODES] for c in chunks]
                                         + [chunks[-1][k][:, _NODES:]], axis=1) for k in (3, 4))
     else:
@@ -361,12 +395,12 @@ def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
             return np.where(direction[lanes] == 0,
                             np.abs(y).max(axis=1) - tol.escape_magnitude, y[:, 0])
         every = np.arange(node.size)
-        at = _lanes(begin, finish, chunk, coef)
+        at = lambda tq, lanes: _chunk_at(nodes, coef[lanes], tq, node[lanes])
         times = _gap_roots(lambda tq, lanes: g(at(tq, lanes), lanes), nodes, node,
                            g(states[:, node, member].T, every),
                            g(states[:, node + 1, member].T, every), tol.root_tol)
         end_states = at(times, every)
-        end_rates = (_lanes(begin, finish, chunk, chebder(coef, axis=2))(times, every)
+        end_rates = (_chunk_at(nodes, chebder(coef, axis=2), times, node)
                      / (finish - begin)[chunk, None] * 2.0)
 
     out = []

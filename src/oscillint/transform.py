@@ -261,15 +261,16 @@ def alpha_lambda(sys: SystemSpec, lam: float, grid: Grid) -> AlphaTrace:
     _require_grid_start(sys, grid)
     ts = grid.nodes
     p, f, r, g = (sample(e, ts) for e in (sys.p, sys.f, sys.r, sys.g))
-    with np.errstate(over="ignore", divide="ignore"):  # both are refused just below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
         growth = np.exp(cumulative_integral(p, grid))
         shrink = 1.0 / growth
-    if not np.all(np.isfinite(growth)):
-        raise TransformError("growth factor overflows on the grid; shorten the horizon")
-    if not np.all(np.isfinite(shrink)):
-        raise TransformError("growth factor underflows on the grid; shorten the horizon")
+        weighted = f / growth
+    for values, what in ((growth, "growth factor overflows"), (shrink, "growth factor underflows"),
+                         (weighted, "forcing f over the growth factor overflows")):
+        if not np.all(np.isfinite(values)):
+            raise TransformError(f"{what} on the grid; shorten the horizon")
     return AlphaTrace(lam=float(lam), grid=grid, system=sys, p=p, f=f, r=r, g=g,
-                      growth=growth, forced=cumulative_integral(f / growth, grid))
+                      growth=growth, forced=cumulative_integral(weighted, grid))
 
 
 def reduce_equation(eq: SecondOrderSpec) -> SystemSpec:

@@ -690,13 +690,20 @@ def _wide_compare_span():
              "horizon": 100},
        "growth factor underflows on the grid; shorten the horizon")
       for forcing in ({}, {"f": "1"}) for sub in ("analyze", "sweep")),
+    # growth = exp(-10 t) stays in range on [0, 5], but f / growth passes
+    # the largest double near t = 1.9
+    *((sub, {"system": {"p": "-10", "q": "1", "r": "-1", "g": "sin(t)", "f": "1e300"},
+             "horizon": 5},
+       "forcing f over the growth factor overflows on the grid; shorten the horizon")
+      for sub in ("analyze", "sweep")),
     # each bound is finite, their distance is not
     *((sub, {"system": {"q": "1", "r": "-1", "g": "sin(t)"}, "t0": -1e308, "horizon": 1e308},
        "horizon: horizon - t0 must be finite")
       for sub in ("analyze", "sweep")),
     ("compare", _wide_compare_span(), "compare.span: hi - lo must be finite"),
 ], ids=["growth_analyze", "growth_sweep", "shrink_analyze", "shrink_sweep",
-        "shrink_forced_analyze", "shrink_forced_sweep", "horizon_analyze", "horizon_sweep",
+        "shrink_forced_analyze", "shrink_forced_sweep", "forcing_analyze", "forcing_sweep",
+        "horizon_analyze", "horizon_sweep",
         "compare_span"])
 def test_overflowing_input_exits_with_one_line(tmp_path, subcommand, doc, message):
     # in a fresh interpreter, so that a numpy warning would reach stderr

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oscillint import criteria, transform
+from oscillint import criteria, oracle, transform
 from oscillint.cli import load_config
 from oscillint.criteria import (
     ANGLE_SLACK,
@@ -27,7 +27,6 @@ from oscillint.criteria import (
     half_sine_bridge,
     horizon_nonoscillation_test,
     lambda_feasibility,
-    _angle_crossings,
     _refined_windows,
     _runs,
     _shift_windows,
@@ -35,7 +34,7 @@ from oscillint.criteria import (
 )
 from oscillint.expr import Mul, Constant, eval_expr, parse_text
 from oscillint.numerics import Grid, Tolerances, integrate_ode, zero_crossing
-from oscillint.oracle import _AT_NODES, _chunk_series, _chunk_turn, angle_turn
+from oscillint.oracle import _AT_NODES, _chunk_series, angle_walk
 from oscillint.transform import (
     DEFAULT_GRID_NODES,
     SecondOrderSpec,
@@ -64,38 +63,74 @@ def decaying_forced():
 
 
 def descent(sys_h, lo, hi):
-    """How far the angle of the unforced solution from (0, 1) descends over
-    [lo, hi]; None where the chunk walk stops."""
-    turn = angle_turn(sys_h, lo, hi, Tolerances().rel_tol)
-    return None if turn is None else -turn
+    """How far the companion's angle rho descends over [lo, hi] on a walk
+    from lo (oracle.angle_walk), and the doubt in it."""
+    return angle_walk(sys_h, lo, hi, Tolerances().rel_tol).descent(lo, hi)
 
 
-def angle_field(sys):
-    """The angle equation of the unforced system, a reference for scipy:
-    phi = rho cos(theta), psi = rho sin(theta) gives
-    theta' = r cos^2 + (s - p) sin cos - q sin^2."""
+def rho_reference(sys, lo, times):
+    """rho = arg(v_phi + i u_phi) at times, from DOP853 on the fundamental
+    matrix (u, v) from the identity at lo, with rho itself integrated
+    alongside: rho' = (v_phi u_phi' - u_phi v_phi') / (u_phi^2 + v_phi^2)."""
     def rhs(t, y):
         p, q, r, s = (eval_expr(e, t) for e in (sys.p, sys.q, sys.r, sys.s))
-        c, n = math.cos(y[0]), math.sin(y[0])
-        return [r * c * c + (s - p) * n * c - q * n * n]
-    return rhs
+        u_phi, u_psi, v_phi, v_psi = y[:4]
+        du, dv = (p * u_phi + q * u_psi, r * u_phi + s * u_psi), \
+            (p * v_phi + q * v_psi, r * v_phi + s * v_psi)
+        turn = (v_phi * du[0] - u_phi * dv[0]) / (u_phi ** 2 + v_phi ** 2)
+        return [*du, *dv, turn]
+    sol = solve_ivp(rhs, (lo, max(times)), [1.0, 0.0, 0.0, 1.0, math.pi / 2],
+                    method="DOP853", rtol=1e-13, atol=1e-14, dense_output=True)
+    assert sol.status == 0
+    return [float(sol.sol(t)[4]) for t in times]
 
 
 class TestIntervalOscillation:
-    """Every solution vanishes on a window when the angle descends by pi
-    there (angle_turn), the test the witness search applies to each window."""
+    """Every solution vanishes on a window when the companion's angle rho
+    descends by pi there (AngleWalk.descent), the test the witness search
+    applies to each window."""
 
     def test_harmonic_on_half_period(self):
-        half_period = descent(harmonic(), 0.0, math.pi)
+        half_period, doubt = descent(harmonic(), 0.0, math.pi)
         assert half_period == pytest.approx(math.pi, abs=1e-8)
-        assert half_period >= math.pi - ANGLE_SLACK
+        assert half_period + doubt >= math.pi and doubt <= ANGLE_SLACK
 
     def test_harmonic_on_short_interval(self):
-        assert descent(harmonic(), 0.0, 3.0) == pytest.approx(3.0, abs=1e-8)
+        assert descent(harmonic(), 0.0, 3.0)[0] == pytest.approx(3.0, abs=1e-8)
 
     def test_exponential_equation_never_oscillates(self):
-        # phi'' - phi = 0: the angle settles at the pi/4 equilibrium
-        assert descent(make_system(q="1", r="1"), 0.0, 10.0) < math.pi / 2
+        # phi'' - phi = 0: rho = arg(sinh t + i cosh t) settles at pi/4
+        assert descent(make_system(q="1", r="1"), 0.0, 10.0)[0] < math.pi / 2
+
+    def test_half_periods_far_out_pass(self):
+        # phi'' + phi = 0: every half period descends by exactly pi. Read
+        # off the turns within the window, its descent carries no rounding
+        # of rho's thousands of radians before it, only the series' error,
+        # which its doubt covers
+        walk = angle_walk(harmonic(), 0.0, 1000 * math.pi, Tolerances().rel_tol)
+        for k in (1, 500, 998):
+            down, doubt = walk.descent(k * math.pi, (k + 1) * math.pi)
+            assert abs(down - math.pi) <= doubt <= ANGLE_SLACK
+
+    def test_window_with_too_much_doubt_is_not_decided(self, monkeypatch):
+        # phi'' + 4 phi = sin t: certified while each window's doubt stays
+        # within ANGLE_SLACK, not once no doubt at all is allowed
+        sys, horizon = make_system(q="1", r="-4", g="sin(t)"), (0.0, 25.0)
+        assert check_oscillation(sys, horizon).outcome == OSCILLATORY
+        monkeypatch.setattr(criteria, "ANGLE_SLACK", 0.0)
+        assert check_oscillation(sys, horizon).outcome == INCONCLUSIVE
+
+    def test_window_short_of_pi_by_more_than_its_doubt_fails(self):
+        # bursty_coupling's companion from the zero at 3.5 pi: rho falls
+        # 5.3e-7 short of pi by t = 11.79 (also per DOP853), while the
+        # solution vanishing at 3.5 pi is still 0.66 away from its next zero
+        config = load_config(CONFIG_DIR / "bursty_coupling.json")
+        sys_h = config.working_system().homogeneous()
+        walk = angle_walk(sys_h, *config.span(), config.tolerances.rel_tol)
+        down, doubt = walk.descent(3.5 * math.pi, 11.79)
+        assert math.pi - down > 5e-7 > 100 * doubt
+        at_s, at_t = rho_reference(sys_h, 0.0, [3.5 * math.pi, 11.79])
+        assert abs(down - (at_s - at_t)) <= 1e-8
 
     def test_negative_coupling_is_inconclusive(self):
         verdict = check_oscillation(make_system(q="-1", r="-1"), (0.0, 5.0))
@@ -158,21 +193,19 @@ class TestAngleCrossingsAgainstScipy:
 
 
 class TestSeriesDescent:
-    """The window descent, read off the linear system's Chebyshev series,
-    against DOP853 on the angle equation."""
+    """The window descent of rho, read off one walk's Chebyshev series,
+    against rho from DOP853 on the fundamental matrix."""
 
     @staticmethod
-    def reference(sys_h, lo, hi):
-        sol = solve_ivp(angle_field(sys_h), (lo, hi), [math.pi / 2],
-                        method="DOP853", rtol=1e-13, atol=1e-14)
-        assert sol.status == 0
-        return math.pi / 2 - float(sol.y[0, -1])
+    def reference(sys_h, lo, hi, start=None):
+        at_lo, at_hi = rho_reference(sys_h, lo if start is None else start, [lo, hi])
+        return at_lo - at_hi
 
     @staticmethod
-    def node_steps(coef, state):
-        # the solution's angle steps between a chunk's adjacent nodes
-        x = (coef[:, :, :2] @ state) @ _AT_NODES.T
-        return np.diff(np.unwrap(np.arctan2(x[1], x[0])))
+    def node_steps(coef):
+        # rho's steps between a chunk's adjacent nodes, from the identity
+        at = _AT_NODES @ coef[0, :, :2]
+        return oracle._turn(at[:-1], at[1:])
 
     @pytest.mark.parametrize("name, sys_h, window", [
         ("harmonic", harmonic(), (0.3, 3.4)),
@@ -183,36 +216,66 @@ class TestSeriesDescent:
         ("four_turns", make_system(q="9", r="-9"), (1.0, 6.0)),
     ])
     def test_against_dop853(self, name, sys_h, window):
-        expected = self.reference(sys_h, *window)
+        # a window read off a walk from 0, as the witness search reads it
+        expected = self.reference(sys_h, *window, start=0.0)
         if name == "four_turns":
             assert expected > 4 * math.pi
-        assert abs(descent(sys_h, *window) - expected) <= 1e-8
+        walk = angle_walk(sys_h, 0.0, window[1], Tolerances().rel_tol)
+        assert abs(walk.descent(*window)[0] - expected) <= 1e-8
 
-    def test_node_guard_splits_a_chunk(self):
-        # q = 900 swings the angle through a vertical line within 1/450 of
-        # time, less than one of the 64 node gaps of the whole window
+    def test_fast_swing_needs_no_split(self):
+        # q = 900 swings rho through most of a half turn within 1/450 of
+        # time, more than pi/2 in one of the 64 node gaps of the whole
+        # window; it still only falls, so the one chunk holds
         sys_h, lo, hi = make_system(q="900", r="-1"), 0.0, 0.4
-        start = np.array([0.0, 1.0])
         coef = _chunk_series(sys_h, lo, hi - lo, 1e-8)
         assert coef is not None  # the series resolves the whole window
-        assert np.abs(self.node_steps(coef, start)).max() > math.pi / 2
-        assert _chunk_turn(coef, start, 1e-8) is None
-        assert abs(descent(sys_h, lo, hi) - self.reference(sys_h, lo, hi)) <= 1e-8
+        steps = self.node_steps(coef)
+        assert steps.min() < -math.pi / 2 and steps.max() <= 0.0
+        walk = angle_walk(sys_h, lo, hi, 1e-8)
+        assert len(walk.rows) == 1
+        assert abs(walk.descent(lo, hi)[0] - self.reference(sys_h, lo, hi)) <= 1e-8
 
     def test_shrink_guard_splits_a_chunk(self):
-        # p = s = -20: the solution ends the window at e^-20 of its start,
-        # too small for the chunk's error, which is relative to its largest
-        # values, though the series passes the tail test
+        # p = s = -20: the fundamental matrix ends the window at e^-20 of
+        # its start, too small for the chunk's error, which is relative to
+        # its largest values, though the series passes the tail test
         sys_h, lo, hi = make_system(p="-20", s="-20", q="1", r="-4"), 0.0, 1.0
-        start = np.array([0.0, 1.0])
         coef = _chunk_series(sys_h, lo, hi - lo, 1e-8)
         assert coef is not None
-        steps = self.node_steps(coef, start)
-        assert np.abs(steps).max() < math.pi / 2
-        assert _chunk_turn(coef, start, 1e-8) is None
+        steps = self.node_steps(coef)
+        assert steps.max() < 0.0
+        walk = angle_walk(sys_h, lo, hi, 1e-8)
+        assert len(walk.rows) > 1
         expected = self.reference(sys_h, lo, hi)
         assert abs(-steps.sum() - expected) > 1e-8  # read off the one chunk
-        assert abs(descent(sys_h, lo, hi) - expected) <= 1e-8
+        assert abs(walk.descent(lo, hi)[0] - expected) <= 1e-8
+
+    def test_rising_angle_ends_the_walk(self):
+        # q = sin t turns negative at pi, where rho starts to rise: chunks
+        # are halved down to there and the walk ends, without crawling on
+        chunks = []
+        series = oracle._chunk_series
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_chunk_series", lambda *a: chunks.append(a) or series(*a))
+            walk = angle_walk(make_system(q="sin(t)", r="-1"), 0.0, 6.0, 1e-8)
+        assert walk.reached == pytest.approx(math.pi, abs=1e-5)
+        assert len(chunks) < 100
+        assert walk.descent(1.0, 4.0) is None
+        # q < 0 from the start: no chunk is taken
+        assert angle_line_crossings(make_system(q="-1", r="1"), (0.0, 5.0)) == []
+        walk = angle_walk(make_system(q="-1", r="1"), 0.0, 5.0, 1e-8)
+        assert walk.reached == 0.0 and walk.descent(0.0, 1.0) is None
+
+    @pytest.mark.parametrize("sys_h", [make_system(q="1", r="25"),
+                                       make_system(p="-3", r="1")],
+                             ids=["growing", "uncoupled"])
+    def test_flat_angle_does_not_end_the_walk(self, sys_h):
+        # rho settles (at atan 5) or never moves (q = 0): its node steps are
+        # rounding, some of them above zero
+        walk = angle_walk(sys_h, 0.0, 30.0, 1e-8)
+        assert walk.reached == 30.0
+        assert np.diff(walk.rho).max() > 0.0
 
 
 class TestSeriesCrossings:
@@ -229,11 +292,11 @@ class TestSeriesCrossings:
         crossings = angle_line_crossings(harmonic(), (0.0, 20.0), theta0=0.3)
         self.assert_zeros(crossings, 0.3 + math.pi / 2 + math.pi * np.arange(6))
 
-    def test_fast_swings_split_chunks_at_the_node_guard(self):
-        # phi'' = -900 phi: phi = 30 sin(30 t). The angle passes each
-        # vertical line at speed 900, through more than pi/2 in one node gap
-        # of a chunk the series resolves, so only the node guard keeps a
-        # second crossing out of the gap
+    def test_fast_swings_cross_each_level_once(self):
+        # phi'' = -900 phi: phi = 30 sin(30 t). rho passes each level at
+        # speed 900, through more than pi/2 in one node gap of a chunk the
+        # series resolves; falling by pi per half period, it crosses each
+        # level in one gap only
         crossings = angle_line_crossings(make_system(q="900", r="-1"), (0.0, 5.0))
         self.assert_zeros(crossings, math.pi / 30 * np.arange(1, 48))
 
@@ -243,14 +306,42 @@ class TestSeriesCrossings:
         crossings = angle_line_crossings(sys, (0.0, 30.0))
         self.assert_zeros(crossings, math.pi / 2 * np.arange(1, 20))
 
-    def test_growing_solution_is_carried_at_unit_length(self):
-        # phi'' = 25 phi grows like e^150 over the span; scaled to unit
-        # length on each chunk it stays in range and never vanishes
+    def test_growing_solution_never_vanishes(self):
+        # phi'' = 25 phi grows like e^150 over the span; scaled on each
+        # chunk the fundamental matrix stays in range, and rho settles at
+        # atan 5 without reaching a level
         sys = make_system(q="1", r="25")
-        assert _angle_crossings(sys, 0.0, 30.0, math.pi / 2, Tolerances()) == ([], 30.0)
+        walk = angle_walk(sys, 0.0, 30.0, Tolerances().rel_tol)
+        assert walk.reached == 30.0 and walk.level_crossings(math.pi / 2, 1e-9) == []
         verdict = horizon_nonoscillation_test(sys, (0.0, 30.0))
         assert verdict.outcome == NON_OSCILLATORY
         assert verdict.evidence["crossings"] == []
+
+    @pytest.mark.parametrize("hi", [20.0, 30.0])
+    def test_angle_resting_on_a_level_never_crosses(self, hi):
+        # p = -3, q = 0: the solution from (0, 1) has phi = 0 throughout and
+        # rho rests on its level, pi / 2. The first row shrinks like e^-3t
+        # against the second, and its rounding moves rho by some 1e-11,
+        # back and forth across the level but never past its doubt
+        sys = make_system(p="-3", r="1")
+        walk = angle_walk(sys, 0.0, hi, Tolerances().rel_tol)
+        assert walk.reached == hi and np.ptp(walk.rho) > 0.0
+        assert walk.level_crossings(math.pi / 2, 1e-9) == []
+        verdict = horizon_nonoscillation_test(sys, (0.0, hi))
+        assert verdict.outcome == NON_OSCILLATORY
+        assert verdict.evidence["crossings"] == []
+
+    def test_walk_ends_before_its_doubt_passes_the_limit(self, monkeypatch):
+        # p = -3, q = 0: each chunk's row shrinks by e^-11, its doubt 6e-10
+        sys, horizon = make_system(p="-3", r="1"), (0.0, 30.0)
+        whole = angle_walk(sys, *horizon, Tolerances().rel_tol)
+        limit = whole.doubt[-1] / 2
+        monkeypatch.setattr(oracle, "_MOST_DOUBT", limit)
+        walk = angle_walk(sys, *horizon, Tolerances().rel_tol)
+        assert 0.0 < walk.reached < horizon[1] and walk.doubt[-1] <= limit
+        verdict = horizon_nonoscillation_test(sys, horizon)
+        assert verdict.outcome == INCONCLUSIVE
+        assert verdict.evidence["stopped_at"] == walk.reached
 
     @pytest.mark.parametrize("span", [(5.0, 1.0), (2.0, 2.0), (0.0, math.nan)])
     def test_span_must_increase(self, span):
@@ -258,6 +349,37 @@ class TestSeriesCrossings:
             angle_line_crossings(harmonic(), span)
         with pytest.raises(ValueError, match="increasing"):
             horizon_nonoscillation_test(harmonic(), span)
+
+
+class TestOneWalkPerCheck:
+    """One walk of the companion answers every conjugate-point question of
+    a check: each window's descent and the zeros from any start angle."""
+
+    def test_one_walk_serves_every_window_and_start(self, monkeypatch):
+        walks, windows = [], []
+        chunk_walk, window_descent = oracle._chunk_walk, oracle.AngleWalk.descent
+        monkeypatch.setattr(oracle, "_chunk_walk",
+                            lambda *a, **k: walks.append(a) or chunk_walk(*a, **k))
+        monkeypatch.setattr(oracle.AngleWalk, "descent",
+                            lambda walk, s, t: windows.append((s, t)) or window_descent(walk, s, t))
+        # phi'' + 4 phi = sin t: sign windows of length pi against a half
+        # period of pi / 2
+        sys, horizon = make_system(q="1", r="-4", g="sin(t)"), (0.0, 25.0)
+        assert check_oscillation(sys, horizon).outcome == OSCILLATORY
+        assert len(walks) == 1 and len(set(windows)) > 2
+
+        # the unforced solution from (cos theta0, sin theta0) is
+        # cos(2 t - d) times a constant, d = atan2(sin theta0 / 2, cos theta0)
+        walks.clear()
+        walk = angle_walk(sys.homogeneous(), *horizon, 1e-8)
+        for theta0 in (0.0, 0.3, math.pi / 2):
+            d = math.atan2(math.sin(theta0) / 2.0, math.cos(theta0))
+            exact = (d + math.pi / 2 + math.pi * np.arange(-1, 17)) / 2.0
+            exact = exact[(exact > 1e-9) & (exact < horizon[1])]
+            crossings = walk.level_crossings(theta0, 1e-9)
+            assert len(crossings) == len(exact) >= 15
+            assert np.max(np.abs(np.array(crossings) - exact)) <= 1e-8
+        assert len(walks) == 1
 
 
 class TestAngleSolveStopsEarly:

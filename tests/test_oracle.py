@@ -22,16 +22,14 @@ from oscillint.oracle import (
     NONOSCILLATORY_OBSERVED,
     OSCILLATORY_OBSERVED,
     Ensemble,
+    angle_walk,
     default_ensemble,
     empirical_classification,
     export_trace,
     member_zero_times,
     simulate_ensemble,
-    unforced_zeros,
     _chunk_series,
     _members,
-    _unit_walk,
-    _walk_nodes,
 )
 from oscillint.expr import parse_text
 from oscillint.transform import SystemSpec
@@ -225,23 +223,21 @@ class TestSeriesOracle:
 
 
     def test_zeros_refined_where_series_and_nodes_disagree(self, monkeypatch):
-        # the zero scan reads phi at the nodes, the refinement the series
-        # between them. With the series shifted up by 10 no node gap's
-        # series ends straddle zero; each zero still comes back, inside the
-        # node gap that holds it
+        # the zero scan reads phi at the nodes (the angle walk reads rho),
+        # the refinement the series between them. With the series shifted
+        # up by 10 no node gap's series ends straddle zero; each zero still
+        # comes back, inside the node gap that holds it
         ens = Ensemble(((1.0, 0.0), (0.6, 0.8)), 0, (0.0, 30.0))
-        start = np.array([1.0, 0.0])
         want = [member_zero_times(m) for m in simulate_ensemble(harmonic(), ens)]
-        want_alone, _ = unforced_zeros(harmonic(), 0.0, 30.0, start, 1e-8, 1e-9)
-        walk_nodes = _walk_nodes(*(np.array(part) for part in zip(
-            *((t, t_end) for t, t_end, *_ in _unit_walk(harmonic(), 0.0, 30.0, start, 1e-8)))))
-        series_at = oracle._series_at
-        monkeypatch.setattr(oracle, "_series_at", lambda coef, x: series_at(coef, x) + 10.0)
+        walk = angle_walk(harmonic(), 0.0, 30.0, 1e-8)
+        want_alone = walk.level_crossings(0.0, 1e-9)  # from (1, 0)
+        chunk_at = oracle._chunk_at
+        monkeypatch.setattr(oracle, "_chunk_at", lambda *a: chunk_at(*a) + 10.0)
         members = simulate_ensemble(harmonic(), ens)
-        alone, _ = unforced_zeros(harmonic(), 0.0, 30.0, start, 1e-8, 1e-9)
+        alone = walk.level_crossings(0.0, 1e-9)
         for zeros, exact, nodes in [*((member_zero_times(m), w, m.grid.nodes)
                                       for m, w in zip(members, want)),
-                                    (alone, want_alone, walk_nodes)]:
+                                    (alone, want_alone, walk.nodes)]:
             assert len(zeros) == len(exact) > 0
             gap = np.searchsorted(nodes, exact)
             assert np.all((nodes[gap - 1] <= zeros) & (zeros <= nodes[gap]))
@@ -249,7 +245,7 @@ class TestSeriesOracle:
 
 def unshared_chunk_loop(sys_spec, ens, tol):
     """simulate_ensemble as it was written before its chunk loop was shared
-    with the angle descent, kept as the bit-for-bit reference."""
+    with the angle walk, kept as the bit-for-bit reference."""
     lo, hi = ens.span
     start = np.array(ens.initial_conditions).T
     state, m = start, start.shape[1]
@@ -292,7 +288,7 @@ def unshared_chunk_loop(sys_spec, ens, tol):
 
 class TestSharedChunkWalk:
     """The oracle walks its chunks through chunk_walk, which it shares with
-    the angle descent; its members stay those of its own former loop."""
+    the angle walk; its members stay those of its own former loop."""
 
     @pytest.mark.parametrize("name", ["forced_harmonic", "bursty_coupling",
                                       "decaying_forcing", "harmonic_riccati",
