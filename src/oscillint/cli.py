@@ -41,7 +41,7 @@ from .criteria import (
     default_lambda_grid,
     lambda_feasibility,
 )
-from .expr import DomainError, Expr, ExprError, compile_scalar, parse_text, print_expr, sample
+from .expr import DomainError, Expr, ExprError, compile_scalar, parse_text, print_expr
 from .numerics import Grid, IntegrationError, Tolerances
 from .oracle import (
     DEFAULT_ENSEMBLE_SIZE,
@@ -57,6 +57,7 @@ from .oracle import (
 )
 from .riccati import (
     CertificateReport,
+    CoefficientError,
     ComparisonInstance,
     ValidationReport,
     comparison_certificate,
@@ -71,6 +72,7 @@ from .transform import (
     SystemSpec,
     TransformError,
     alpha_lambda,
+    probe_failure,
     reduce_equation,
     riccati_of_system,
 )
@@ -294,13 +296,12 @@ def _comparison(read: dict) -> ComparisonInstance:
     """Remove the comparison instance's settings from `read` and build it;
     each coefficient must evaluate at the probe points of the span."""
     span = read.pop("compare.span")
-    probe = np.linspace(span[0], span[1], PROBE_POINTS)
     problems = []
     for name in ("problem1", "problem2"):
         paths = [f"compare.{name}.{k}" for k in "fgh"]
         for path in paths:
             try:
-                sample(read[path], probe)
+                probe_failure(read[path], *span)
             except DomainError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
         problems.append(RiccatiProblem(*(compile_scalar(read.pop(path)) for path in paths),
@@ -650,10 +651,13 @@ def _run_wong(config: ProblemConfig) -> Report:
 def _run_compare(config: ProblemConfig) -> Report:
     if config.compare is None:
         raise ConfigError("compare: a 'compare' section is required")
-    cert = comparison_certificate(config.compare,
-                                  squared_variant=config.compare_squared_variant,
-                                  grid_nodes=config.grid_nodes,
-                                  tol=config.tolerances)
+    try:
+        cert = comparison_certificate(config.compare,
+                                      squared_variant=config.compare_squared_variant,
+                                      grid_nodes=config.grid_nodes,
+                                      tol=config.tolerances)
+    except CoefficientError as exc:  # fails between the probe points of the load
+        raise ConfigError(f"compare.{exc}") from None
     val = comparison_validate(config.compare, tol=config.tolerances, y2=cert.y2)
     details = {"agreement": cert.holds == val.passed}
     return Report("compare", certificate=cert, validation=val, details=details)

@@ -47,11 +47,11 @@ from .numerics import (
 from .oracle import angle_walk
 from .transform import (
     DEFAULT_GRID_NODES,
-    PROBE_POINTS,
     AlphaTrace,
     SecondOrderSpec,
     SystemSpec,
     alpha_lambda,
+    probe_failure,
 )
 
 # the most doubt a window's descent may carry and still be decided
@@ -134,23 +134,11 @@ def half_sine_bridge(lo: float, hi: float) -> TestFunction:
 # Polar angle machinery
 
 
-def _probe_failure(coef: Expr, lo: float, hi: float,
-                   fails: Callable[[np.ndarray], np.ndarray]) -> float | None:
-    """The first of PROBE_POINTS evenly spaced points of [lo, hi] where
-    fails holds for the coefficient's value, or None when it holds at none
-    of them."""
-    ts = np.linspace(lo, hi, PROBE_POINTS)
-    bad = fails(sample(coef, ts))
-    if not np.any(bad):
-        return None
-    return float(ts[int(np.argmax(bad))])
-
-
 def _negative_q_verdict(sys: SystemSpec, lo: float, hi: float,
                         why: str = "") -> Verdict | None:
     """The inconclusive verdict for a q that dips below zero on [lo, hi]
-    (probed at PROBE_POINTS points), or None when q >= 0 there."""
-    bad_t = _probe_failure(sys.q, lo, hi, lambda q: q < -SIGN_SLACK)
+    (probed at transform.PROBE_POINTS points), or None when q >= 0 there."""
+    bad_t = probe_failure(sys.q, lo, hi, lambda q: q < -SIGN_SLACK)
     if bad_t is None:
         return None
     return Verdict(INCONCLUSIVE, (lo, hi),
@@ -183,9 +171,13 @@ def horizon_nonoscillation_test(sys: SystemSpec, horizon: tuple[float, float],
     lo, hi = float(horizon[0]), float(horizon[1])
     if not lo < hi:
         raise ValueError("horizon must be increasing")
-    negative_q = _negative_q_verdict(sys, lo, hi, _ANGLE_NEEDS_Q)
-    if negative_q is not None:
-        return negative_q
+    return (_negative_q_verdict(sys, lo, hi, _ANGLE_NEEDS_Q)
+            or _crossings_verdict(sys, lo, hi, tol))
+
+
+def _crossings_verdict(sys: SystemSpec, lo: float, hi: float,
+                       tol: Tolerances) -> Verdict:
+    """The horizon test on [lo, hi] once q >= 0 has been probed there."""
     width = hi - lo
     persistence_window = 0.25 * width
     walk = angle_walk(sys.homogeneous(), lo, hi, tol.rel_tol)
@@ -269,7 +261,7 @@ def check_nonoscillation(sys: SystemSpec, horizon: tuple[float, float],
         return Verdict(INCONCLUSIVE, (lo, hi),
                        notes="no nonnegative shift parameter satisfies both "
                              "sign constraints on the grid")
-    homogeneous = horizon_nonoscillation_test(sys.homogeneous(), (lo, hi), tol=tol)
+    homogeneous = _crossings_verdict(sys.homogeneous(), lo, hi, tol)
     if homogeneous.outcome != NON_OSCILLATORY:
         notes = "homogeneous companion is not non-oscillatory on the horizon"
         if homogeneous.notes:
@@ -357,13 +349,14 @@ def _window_pairs(first: list[tuple[float, float]],
                   second: list[tuple[float, float]],
                   min_width: float) -> list[tuple[float, float, float, float]]:
     """Candidate (s1, t1, s2, t2), earliest first: a window of first followed
-    by a window of second, overlapping ones split at their overlap's middle."""
+    by a window of second, overlapping ones split at their overlap's middle;
+    an overlap of at most min_width counts as none."""
     candidates = []
     for w1 in first:
         for w2 in second:
             if w2[1] <= w1[0]:
                 continue
-            if w1[1] <= w2[0] + 1e-9:
+            if w1[1] <= w2[0] + min_width:
                 pair = (w1[0], w1[1], max(w2[0], w1[1]), w2[1])
             else:
                 shared_lo = max(w1[0], w2[0])
@@ -389,20 +382,9 @@ class _ShiftWindows:
     [2k, 3k) alpha, [3k, 4k) forcing, one row per kept lam in each block."""
 
     lams: list[float]
-    first: list[list[tuple[float, float]]]  # per lam: both curves <= 0
-    second: list[list[tuple[float, float]]]  # per lam: both curves >= 0
+    # per lam, the windows where both curves are <= 0 and where both are >= 0
+    window_sets: list[tuple[list[tuple[float, float]], list[tuple[float, float]]]]
     margin_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    least: dict = dataclass_field(default_factory=dict)
-
-    def least_margin(self, row: int, lo: float, hi: float) -> float:
-        """Least margin of row at 65 evenly spaced points of [lo, hi], kept
-        per exact (row, lo, hi): consecutive scan times mostly find the
-        same pair."""
-        key = (row, lo, hi)
-        if key not in self.least:
-            self.least[key] = float(np.min(self.margin_at(np.full(65, row),
-                                                          np.linspace(lo, hi, 65))))
-        return self.least[key]
 
 
 def _shift_windows(base: AlphaTrace, lambda_grid: Sequence[float]) -> _ShiftWindows:
@@ -446,10 +428,10 @@ def _shift_windows(base: AlphaTrace, lambda_grid: Sequence[float]) -> _ShiftWind
 
     windows = _refined_windows(margins, margin_at, ts)
     min_width = _min_width(ts[0], ts[-1])
-    first = [_intersect_windows(windows[i], windows[k + i], min_width) for i in range(k)]
-    second = [_intersect_windows(windows[2 * k + i], windows[3 * k + i], min_width)
-              for i in range(k)]
-    return _ShiftWindows(lams, first, second, margin_at)
+    window_sets = [(_intersect_windows(windows[i], windows[k + i], min_width),
+                    _intersect_windows(windows[2 * k + i], windows[3 * k + i], min_width))
+                   for i in range(k)]
+    return _ShiftWindows(lams, window_sets, margin_at)
 
 
 def _scan_times(scan: Sequence[float] | None, lo: float, hi: float,
@@ -466,53 +448,36 @@ def _scan_times(scan: Sequence[float] | None, lo: float, hi: float,
     return scan
 
 
-def _first_pair(window_sets, T: float, horizon: tuple[float, float],
+def _scan_pairs(window_sets: Sequence, scan: Sequence[float],
+                horizon: tuple[float, float],
                 value_at: Callable[[tuple[float, float]], object],
-                holds: Callable[[object], bool]) -> tuple | None:
-    """(set index, (s1, t1, s2, t2), (value1, value2)) of the first window
-    pair beyond T whose windows both pass holds(value_at(window)), or None.
+                holds: Callable[[object], bool]) -> tuple[list, float | None]:
+    """The first window pair beyond each reference time of scan, in turn,
+    whose windows both pass holds(value_at(window)): a list of
+    (T, set index, (s1, t1, s2, t2), (value1, value2)) up to the first T
+    that has no such pair, and that T (None when every T has one).
 
-    window_sets holds (first, second) window lists, scanned in order; both
-    are cut to [T, inf) and paired earliest first by _window_pairs.
+    window_sets holds (first, second) window lists, tried in order; for each
+    T both are cut to [T, inf) and paired earliest first by _window_pairs.
+    value_at is asked once per distinct window across all T.
     """
     lo, hi = horizon
-    if not lo <= T < hi:
-        raise ValueError("reference time must lie inside the horizon")
-    min_width, beyond = _min_width(lo, hi), [(T, math.inf)]
-    for index, (first, second) in enumerate(window_sets):
-        for pair in _window_pairs(_intersect_windows(first, beyond, min_width),
-                                  _intersect_windows(second, beyond, min_width), min_width):
-            value1 = value_at(pair[:2])
-            if not holds(value1):
-                continue
-            value2 = value_at(pair[2:])
-            if holds(value2):
-                return index, pair, (value1, value2)
-    return None
-
-
-def _first_witness(shift: _ShiftWindows, T: float, horizon: tuple[float, float],
-                   descent_at: Callable[[tuple[float, float]], tuple[float, float] | None]
-                   ) -> IntervalWitness | None:
-    """The first witness beyond T: a window pair of one lam on both windows
-    of which every solution of the companion vanishes, as rho descends by pi
-    there: short of it by no more than its doubt, which must be at most
-    ANGLE_SLACK. descent_at gives rho(s) - rho(t) and that doubt
-    (oracle.AngleWalk.descent), None where the walk stopped."""
-    found = _first_pair(zip(shift.first, shift.second), T, horizon, descent_at,
-                        lambda down: down is not None and down[1] <= ANGLE_SLACK
-                        and down[0] + down[1] >= math.pi)
-    if found is None:
-        return None
-    i, (s1, t1, s2, t2), ((down1, _), (down2, _)) = found
-    k = len(shift.lams)
-    sign_margins = tuple(
-        shift.least_margin(row, a, b)
-        for row, a, b in ((i, s1, t1), (k + i, s1, t1),
-                          (2 * k + i, s2, t2), (3 * k + i, s2, t2)))
-    return IntervalWitness(s1=s1, t1=t1, s2=s2, t2=t2, lam=shift.lams[i],
-                           sign_margins=sign_margins,
-                           osc_margins=(down1 - math.pi, down2 - math.pi))
+    min_width, value_at, found = _min_width(lo, hi), cache(value_at), []
+    for T in map(float, scan):
+        if not lo <= T < hi:
+            raise ValueError("reference time must lie inside the horizon")
+        beyond = [(T, math.inf)]
+        for index, (first, second) in enumerate(window_sets):
+            pairs = _window_pairs(_intersect_windows(first, beyond, min_width),
+                                  _intersect_windows(second, beyond, min_width), min_width)
+            pair = next((p for p in pairs if holds(value_at(p[:2])) and holds(value_at(p[2:]))),
+                        None)
+            if pair is not None:
+                found.append((T, index, pair, (value_at(pair[:2]), value_at(pair[2:]))))
+                break
+        else:
+            return found, T
+    return found, None
 
 
 def find_interval_witness(sys: SystemSpec, T: float,
@@ -580,15 +545,26 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
 
     shift = _shift_windows(base_trace, lambda_grid)
     walk = cache(lambda: angle_walk(sys.homogeneous(), lo, hi, tol.rel_tol))  # on first use
-    witnesses = []
-    for T in scan:
-        witness = _first_witness(shift, float(T), (lo, hi), lambda w: walk().descent(*w))
-        if witness is None:
-            return Verdict(INCONCLUSIVE, (lo, hi),
-                           evidence={"witnesses": witnesses,
-                                     "failed_at": float(T)},
-                           notes=f"no interval witness beyond T = {float(T):.6g}")
-        witnesses.append((float(T), witness))
+    # a window passes when every solution of the companion vanishes on it, as
+    # rho descends by pi there: short of it by no more than its doubt, which
+    # must be at most ANGLE_SLACK; descent gives None where the walk stopped
+    found, failed_at = _scan_pairs(
+        shift.window_sets, scan, (lo, hi), lambda w: walk().descent(*w),
+        lambda down: down is not None and down[1] <= ANGLE_SLACK
+        and down[0] + down[1] >= math.pi)
+    k = len(shift.lams)
+    least = cache(lambda row, a, b: float(np.min(shift.margin_at(np.full(65, row),
+                                                                 np.linspace(a, b, 65)))))
+    witnesses = [
+        (T, IntervalWitness(s1=s1, t1=t1, s2=s2, t2=t2, lam=shift.lams[i],
+                            sign_margins=(least(i, s1, t1), least(k + i, s1, t1),
+                                          least(2 * k + i, s2, t2), least(3 * k + i, s2, t2)),
+                            osc_margins=(down1 - math.pi, down2 - math.pi)))
+        for T, i, (s1, t1, s2, t2), ((down1, _), (down2, _)) in found]
+    if failed_at is not None:
+        return Verdict(INCONCLUSIVE, (lo, hi),
+                       evidence={"witnesses": witnesses, "failed_at": failed_at},
+                       notes=f"no interval witness beyond T = {failed_at:.6g}")
     notes = ""
     if periodic is not None:
         notes = (f"witnesses verified over one period ({periodic:g}); "
@@ -627,7 +603,7 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
     """
     lo, hi = float(horizon[0]), float(horizon[1])
     scan = _scan_times(scan, lo, hi, (hi - lo) / 2.0)
-    bad = _probe_failure(eq.b, lo, hi, lambda b: np.abs(b) > SIGN_SLACK)
+    bad = probe_failure(eq.b, lo, hi, lambda b: np.abs(b) > SIGN_SLACK)
     if bad is not None:
         return Verdict(INCONCLUSIVE, (lo, hi),
                        notes=f"damping coefficient is nonzero at t = {bad:.6g}; "
@@ -638,18 +614,15 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
     windows = _refined_windows(
         np.stack([-d_vals, d_vals]),
         lambda rows, ts: np.where(rows == 0, -1.0, 1.0) * sample(eq.d, ts), nodes)
-    functional_at = cache(lambda w: variational_functional(eq.a, eq.c, half_sine_bridge(*w)))
-
-    records = []
-    for T in scan:
-        found = _first_pair([windows], float(T), (lo, hi), functional_at,
-                            lambda j: j >= -FUNCTIONAL_SLACK)
-        if found is None:
-            return Verdict(INCONCLUSIVE, (lo, hi),
-                           evidence={"records": records, "failed_at": float(T)},
-                           notes=f"no admissible window pair beyond T = {float(T):.6g} "
-                                 "with nonnegative functionals")
-        _, (s1, t1, s2, t2), functionals = found
-        records.append({"T": float(T), "windows": ((s1, t1), (s2, t2)),
-                         "functionals": functionals})
+    found, failed_at = _scan_pairs(
+        [windows], scan, (lo, hi),
+        lambda w: variational_functional(eq.a, eq.c, half_sine_bridge(*w)),
+        lambda j: j >= -FUNCTIONAL_SLACK)
+    records = [{"T": T, "windows": (pair[:2], pair[2:]), "functionals": functionals}
+               for T, _, pair, functionals in found]
+    if failed_at is not None:
+        return Verdict(INCONCLUSIVE, (lo, hi),
+                       evidence={"records": records, "failed_at": failed_at},
+                       notes=f"no admissible window pair beyond T = {failed_at:.6g} "
+                             "with nonnegative functionals")
     return Verdict(OSCILLATORY, (lo, hi), evidence={"records": records})

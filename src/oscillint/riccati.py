@@ -20,19 +20,16 @@ from typing import Callable
 import numpy as np
 
 from .numerics import Grid, Tolerances, Trajectory, cumulative_integral, integrate_ode
-from .transform import DEFAULT_GRID_NODES, PROBE_POINTS, RiccatiProblem
+from .transform import (DEFAULT_GRID_NODES, PROBE_POINTS, RiccatiProblem, probe_failure,
+                        sample_callable)
 
 CERTIFICATE_SLACK = 1e-9
 ORDERING_SLACK = 1e-6
 
 
-def _sample_callable(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
-    """fn at each time; a domain error, a division by zero or an overflow
-    there becomes a ValueError that names the time."""
-    try:
-        return np.array([float(fn(t := float(s))) for s in ts])
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"{exc} at t={t!r}") from None
+class CoefficientError(ValueError):
+    """A coefficient of a comparison instance fails where the certificate
+    samples it; the message names it (problem1.h, say) and the time."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +105,7 @@ class ComparisonInstance:
             raise ValueError("y2_start must not exceed eta1 and eta2 at the start")
         if not (self.y2_start - 1e-12 <= self.gamma <= eta1_start + 1e-12):
             raise ValueError("gamma must lie between y2_start and eta1 at the start")
-        probe = np.linspace(lo, hi, PROBE_POINTS)
-        f1_vals = _sample_callable(self.problem1.fcoef, probe)
-        if np.min(f1_vals) < -1e-12:
+        if probe_failure(self.problem1.fcoef, lo, hi, lambda f: f < -1e-12) is not None:
             raise ValueError("quadratic coefficient of problem 1 must be nonnegative")
 
 
@@ -157,12 +152,12 @@ def hypothesis_residuals(inst: ComparisonInstance) -> tuple[float, float]:
     minima = []
     for prob, eta, rate in ((inst.problem1, inst.eta1, inst.eta1_rate),
                             (inst.problem2, inst.eta2, inst.eta2_rate)):
-        eta_vals = _sample_callable(eta, ts)
-        rate_vals = _sample_callable(rate, ts) if rate is not None else np.zeros_like(ts)
+        eta_vals = sample_callable(eta, ts)
+        rate_vals = sample_callable(rate, ts) if rate is not None else np.zeros_like(ts)
         residual = (rate_vals
-                    + _sample_callable(prob.fcoef, ts) * eta_vals ** 2
-                    + _sample_callable(prob.gcoef, ts) * eta_vals
-                    + _sample_callable(prob.hcoef, ts))
+                    + sample_callable(prob.fcoef, ts) * eta_vals ** 2
+                    + sample_callable(prob.gcoef, ts) * eta_vals
+                    + sample_callable(prob.hcoef, ts))
         minima.append(float(np.min(residual)))
     return minima[0], minima[1]
 
@@ -186,13 +181,15 @@ def comparison_certificate(inst: ComparisonInstance, squared_variant: bool = Fal
     ts = grid.nodes
 
     y2_vals = np.atleast_1d(y2.value_at(ts))
-    f1 = _sample_callable(inst.problem1.fcoef, ts)
-    g1 = _sample_callable(inst.problem1.gcoef, ts)
-    h1 = _sample_callable(inst.problem1.hcoef, ts)
-    f2 = _sample_callable(inst.problem2.fcoef, ts)
-    g2 = _sample_callable(inst.problem2.gcoef, ts)
-    h2 = _sample_callable(inst.problem2.hcoef, ts)
-    eta_sum = _sample_callable(inst.eta1, ts) + _sample_callable(inst.eta2, ts)
+    coefs = []
+    for name, prob in (("problem1", inst.problem1), ("problem2", inst.problem2)):
+        for key, coef in zip("fgh", (prob.fcoef, prob.gcoef, prob.hcoef)):
+            try:
+                coefs.append(sample_callable(coef, ts))
+            except ValueError as exc:
+                raise CoefficientError(f"{name}.{key}: {exc}") from None
+    f1, g1, h1, f2, g2, h2 = coefs
+    eta_sum = sample_callable(inst.eta1, ts) + sample_callable(inst.eta2, ts)
 
     weight = np.exp(cumulative_integral(f1 * eta_sum + g1, grid))
     gap = f2 - f1

@@ -36,6 +36,30 @@ class TransformError(ValueError):
     """A change of variables is undefined for the given data."""
 
 
+def sample_callable(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
+    """fn at each time; a domain error, a division by zero or an overflow
+    there becomes a ValueError that names the time."""
+    try:
+        return np.array([float(fn(t := float(s))) for s in ts])
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{exc} at t={t!r}") from None
+
+
+def probe_failure(coef: Expr | Callable[[float], float], lo: float, hi: float,
+                  fails: Callable[[np.ndarray], np.ndarray] | None = None
+                  ) -> float | None:
+    """The first of PROBE_POINTS evenly spaced points of [lo, hi] where
+    fails holds for the coefficient's value, or None when it holds at none
+    of them (always None without fails). A coefficient that cannot be
+    evaluated at a point raises ValueError naming the time: an Expr through
+    `sample`, a callable through `sample_callable`."""
+    ts = np.linspace(lo, hi, PROBE_POINTS)
+    values = sample(coef, ts) if isinstance(coef, Expr) else sample_callable(coef, ts)
+    if fails is None or not np.any(bad := fails(values)):
+        return None
+    return float(ts[int(np.argmax(bad))])
+
+
 def _negated(e: Expr) -> Expr:
     if isinstance(e, Constant):
         return Constant(-e.value)

@@ -477,6 +477,18 @@ class TestMainEntry:
         assert code == EXIT_ERROR and captured.out == ""
         assert captured.err == f"oscillint: error: compare.{problem}.{key}: {message}\n"
 
+    def test_compare_coefficient_failing_between_probe_points_is_named(self, tmp_path,
+                                                                       capsys):
+        # h is undefined on (0.2999, 0.3001), which no probe point of the load hits
+        doc = json.loads((CONFIG_DIR / "riccati_comparison.json").read_text(
+            encoding="utf-8"))
+        doc["compare"]["problem1"]["h"] = "sqrt(abs(t - 0.3) - 0.0001)"
+        code = main(["compare", "--config", str(write_doc(tmp_path, doc))])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err == ("oscillint: error: compare.problem1.h: math domain "
+                                "error at t=0.29995114802149486\n")
+
     @pytest.mark.parametrize("q, message", [
         ("sin(" * 200 + "t" + ")" * 200,
          "expression nests deeper than 400 parser levels at offset 320"),

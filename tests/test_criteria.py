@@ -27,9 +27,11 @@ from oscillint.criteria import (
     half_sine_bridge,
     horizon_nonoscillation_test,
     lambda_feasibility,
+    _min_width,
     _refined_windows,
     _runs,
     _shift_windows,
+    _window_pairs,
     variational_functional,
 )
 from oscillint.expr import Mul, Constant, eval_expr, parse_text
@@ -353,7 +355,9 @@ class TestSeriesCrossings:
 
 class TestOneWalkPerCheck:
     """One walk of the companion answers every conjugate-point question of
-    a check: each window's descent and the zeros from any start angle."""
+    a check: each window's descent and the zeros from any start angle. A
+    check asks for each window's descent once, however many reference
+    times find it."""
 
     def test_one_walk_serves_every_window_and_start(self, monkeypatch):
         walks, windows = [], []
@@ -367,6 +371,7 @@ class TestOneWalkPerCheck:
         sys, horizon = make_system(q="1", r="-4", g="sin(t)"), (0.0, 25.0)
         assert check_oscillation(sys, horizon).outcome == OSCILLATORY
         assert len(walks) == 1 and len(set(windows)) > 2
+        assert len(windows) == len(set(windows))
 
         # the unforced solution from (cos theta0, sin theta0) is
         # cos(2 t - d) times a constant, d = atan2(sin theta0 / 2, cos theta0)
@@ -456,10 +461,16 @@ class TestLambdaFeasibility:
 
 
 class TestNonoscillationCheck:
-    def test_decaying_forced_certified(self):
+    def test_decaying_forced_certified(self, monkeypatch):
+        probed = []
+        probe = criteria.probe_failure
+        monkeypatch.setattr(criteria, "probe_failure",
+                            lambda coef, *a: probed.append(coef) or probe(coef, *a))
         verdict = check_nonoscillation(decaying_forced(), (0.0, 30.0))
         assert verdict.outcome == NON_OSCILLATORY
         assert verdict.evidence["lambda_witness"] == pytest.approx(1.0, abs=1e-6)
+        # the horizon test on the companion does not probe q again
+        assert probed == [decaying_forced().q]
 
     def test_forced_harmonic_inconclusive(self):
         verdict = check_nonoscillation(harmonic(g="sin(t)"), (0.0, 30.0))
@@ -553,6 +564,18 @@ class TestRuns:
         row, first, last = _runs(mask)
         assert list(zip(row.tolist(), first.tolist(), last.tolist())) == [
             (0, 1, 2), (1, 0, 1), (2, 0, 0), (2, 2, 2)]
+
+
+class TestWindowPairs:
+    def test_pairing_scales_with_the_windows(self):
+        # windows overlapping by 5e-4 are split at the middle of the overlap
+        # at any scale: an absolute sliver tolerance of 1e-9 took the overlap
+        # of the same windows x 1e-6 for none
+        pairs = [np.array(_window_pairs([(0.0, scale)], [(0.9995 * scale, 2.0 * scale)],
+                                        _min_width(0.0, 2.0 * scale))) / scale
+                 for scale in (1.0, 1e-6)]
+        assert np.allclose(pairs[0], [(0.0, 0.99975, 0.99975, 2.0)], rtol=0.0, atol=1e-15)
+        assert np.allclose(pairs[1], pairs[0], rtol=0.0, atol=1e-12)
 
 
 class TestWitnessSearch:
