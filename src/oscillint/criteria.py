@@ -47,6 +47,7 @@ from .numerics import (
 from .oracle import angle_walk
 from .transform import (
     DEFAULT_GRID_NODES,
+    SIGN_SLACK,
     AlphaTrace,
     SecondOrderSpec,
     SystemSpec,
@@ -56,7 +57,6 @@ from .transform import (
 
 # the most doubt a window's descent may carry and still be decided
 ANGLE_SLACK = 1e-6
-SIGN_SLACK = 1e-12
 FUNCTIONAL_SLACK = 1e-9
 DEFAULT_SCAN_POINTS = 8
 DEFAULT_LAMBDA_POINTS = 41
@@ -301,48 +301,46 @@ def _min_width(lo: float, hi: float) -> float:
     return 1e-9 * (hi - lo)
 
 
-def _refined_windows(margins: np.ndarray,
-                     margin_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def _refined_windows(curves: np.ndarray,
+                     curve_at: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
                      nodes: np.ndarray) -> list[list[tuple[float, float]]]:
-    """Sign windows of each row of continuous margins, endpoints sharpened
-    off-grid.
+    """Sign windows of each row of a stack of continuous curves, endpoints
+    sharpened off-grid.
 
-    margins holds the rows' values at the nodes, shape (k, n); margin_at
-    evaluates row rows[i] at time t[i].  Grid nodes rarely hit the true
-    sign-change times; interval tests need the full window (a half period,
-    say), so each boundary adjacent to a violating node is pushed to the
-    bracketed root of margin + SIGN_SLACK, all rows in one vectorised solve.
+    curves holds the curves' values at the nodes, shape (c, k, n);
+    curve_at(curve, rows, t) evaluates curve[i] of row rows[i] at t[i]. A
+    window of a row is a maximal run of nodes where every curve of the row
+    is >= -SIGN_SLACK. Grid nodes rarely hit the true sign-change times;
+    interval tests need the full window (a half period, say), so each end
+    next to a failing node moves, within that node gap, to the root of
+    curve + SIGN_SLACK of each curve that fails there, the innermost root
+    when several do; every end of every row in one vectorised solve.
     """
-    row, first, last = _runs(margins >= -SIGN_SLACK)
+    holds = curves >= -SIGN_SLACK
+    row, first, last = _runs(holds.all(axis=0))
     lo, hi = nodes[first], nodes[last]
     left = np.flatnonzero(first > 0)
     right = np.flatnonzero(last < len(nodes) - 1)
-    lanes = np.concatenate([row[left], row[right]])
-    if lanes.size:
-        roots = refine_roots(lambda t, i: margin_at(lanes[i], t) + SIGN_SLACK,
-                             np.concatenate([nodes[first[left] - 1], nodes[last[right]]]),
-                             np.concatenate([lo[left], nodes[last[right] + 1]]),
-                             tol=1e-13)
-        lo[left], hi[right] = roots[:left.size], roots[left.size:]
+    # every window end next to a failing node, and that node
+    ends = np.concatenate([left, right])
+    outer = np.concatenate([first[left] - 1, last[right] + 1])
+    # one root lane per end and curve that fails at its outer node
+    failing, end = np.nonzero(~holds[:, row[ends], outer])
+    if end.size:
+        on_left = end < left.size
+        lane_rows, below = row[ends[end]], np.where(on_left, outer[end], outer[end] - 1)
+        roots = refine_roots(lambda t, i: curve_at(failing[i], lane_rows[i], t) + SIGN_SLACK,
+                             nodes[below], nodes[below + 1], tol=1e-13)
+        # innermost: the latest root of a left end, the earliest of a right one
+        edge = np.full(ends.size, -np.inf)
+        np.maximum.at(edge, end, np.where(on_left, roots, -roots))
+        lo[left], hi[right] = edge[:left.size], -edge[left.size:]
     min_width = _min_width(nodes[0], nodes[-1])
-    windows: list[list[tuple[float, float]]] = [[] for _ in margins]
+    windows: list[list[tuple[float, float]]] = [[] for _ in range(curves.shape[1])]
     for r, a, b in zip(row, lo, hi):
         if b - a > min_width:
             windows[r].append((float(a), float(b)))
     return windows
-
-
-def _intersect_windows(xs: list[tuple[float, float]],
-                       ys: list[tuple[float, float]],
-                       min_width: float) -> list[tuple[float, float]]:
-    out = []
-    for a0, a1 in xs:
-        for b0, b1 in ys:
-            lo, hi = max(a0, b0), min(a1, b1)
-            if hi - lo > min_width:
-                out.append((lo, hi))
-    out.sort()
-    return out
 
 
 def _window_pairs(first: list[tuple[float, float]],
@@ -377,14 +375,15 @@ def _window_pairs(first: list[tuple[float, float]],
 @dataclass(frozen=True, eq=False)
 class _ShiftWindows:
     """Sign windows of alpha_lam and the shifted forcing for the lams of a
-    grid that can pair windows, and their margins as a function of (row, t).
-    With k = len(lams), rows [0, k) hold -alpha, [k, 2k) -forcing,
-    [2k, 3k) alpha, [3k, 4k) forcing, one row per kept lam in each block."""
+    grid that can pair windows, and the two curves as a function of
+    (curve, row, t): curve 0 is alpha, curve 1 the forcing; with
+    k = len(lams), rows [0, k) hold them negated, rows [k, 2k) as they are,
+    one row per kept lam in each block."""
 
     lams: list[float]
     # per lam, the windows where both curves are <= 0 and where both are >= 0
     window_sets: list[tuple[list[tuple[float, float]], list[tuple[float, float]]]]
-    margin_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    curve_at: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def _shift_windows(base: AlphaTrace, lambda_grid: Sequence[float]) -> _ShiftWindows:
@@ -393,12 +392,13 @@ def _shift_windows(base: AlphaTrace, lambda_grid: Sequence[float]) -> _ShiftWind
     alpha_lam = alpha_0 + (lam - lam_0) growth is affine in lam, so the
     traces of all lams are rows of one (lam, node) matrix (alpha_rows of the
     base trace, whose nodal samples every row reads). A lam whose alpha_lam
-    is >= -SIGN_SLACK at no node, or <= SIGN_SLACK at none, is dropped before anything else is built: refinement only widens windows
-    that already hold at the nodes, so such a lam has no window of one kind
-    and pairs none. Dropping it changes no window of another lam, since each
-    root lane is solved on its own. For the survivors the margins at the
+    is >= -SIGN_SLACK at no node, or <= SIGN_SLACK at none, is dropped
+    before anything else is built: refinement only widens windows that
+    already hold at the nodes, so such a lam has no window of one kind and
+    pairs none. Dropping it changes no window of another lam, since each
+    root lane is solved on its own. For the survivors the curves at the
     nodes come straight from the matrix, and one root solve sharpens the
-    window boundaries of every row.
+    window ends of every row.
     """
     sys, ts = base.system, base.grid.nodes
     lams = sorted(dict.fromkeys(float(v) for v in lambda_grid), key=abs)
@@ -406,32 +406,28 @@ def _shift_windows(base: AlphaTrace, lambda_grid: Sequence[float]) -> _ShiftWind
     live = (traces.max(axis=1) >= -SIGN_SLACK) & (traces.min(axis=1) <= SIGN_SLACK)
     lams = [lam for lam, keep in zip(lams, live) if keep]
     k = len(lams)
-    # traces is the one array over every lam; the margins hold four rows per
-    # surviving lam, filled in place
-    margins = np.empty((4 * k, len(ts)))
-    alpha, forcing = margins[2 * k:3 * k], margins[3 * k:]
+    # traces is the one array over every lam; both curves of every kept lam
+    # are filled into one stack in place
+    curves = np.empty((2, 2 * k, len(ts)))
+    alpha, forcing = curves[0, k:], curves[1, k:]
     alpha[:] = traces[live]
     np.multiply(base.r, alpha, out=forcing)
     forcing += base.g
-    np.negative(margins[2 * k:], out=margins[:2 * k])
+    np.negative(curves[:, k:], out=curves[:, :k])
     rate = base.p * alpha
     rate += base.f
     alpha_curve = CubicHermiteCurve(ts, alpha.T, rate.T)
 
-    def margin_at(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def curve_at(curve: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         v = alpha_curve.columns_at(t, rows % k)
-        on_forcing = (rows // k) % 2 == 1
+        on_forcing = curve == 1
         if on_forcing.any():
             tf = t[on_forcing]
             v[on_forcing] = sample(sys.r, tf) * v[on_forcing] + sample(sys.g, tf)
-        return np.where(rows < 2 * k, -v, v)
+        return np.where(rows < k, -v, v)
 
-    windows = _refined_windows(margins, margin_at, ts)
-    min_width = _min_width(ts[0], ts[-1])
-    window_sets = [(_intersect_windows(windows[i], windows[k + i], min_width),
-                    _intersect_windows(windows[2 * k + i], windows[3 * k + i], min_width))
-                   for i in range(k)]
-    return _ShiftWindows(lams, window_sets, margin_at)
+    windows = _refined_windows(curves, curve_at, ts)
+    return _ShiftWindows(lams, [(windows[i], windows[k + i]) for i in range(k)], curve_at)
 
 
 def _scan_times(scan: Sequence[float] | None, lo: float, hi: float,
@@ -457,8 +453,9 @@ def _scan_pairs(window_sets: Sequence, scan: Sequence[float],
     (T, set index, (s1, t1, s2, t2), (value1, value2)) up to the first T
     that has no such pair, and that T (None when every T has one).
 
-    window_sets holds (first, second) window lists, tried in order; for each
-    T both are cut to [T, inf) and paired earliest first by _window_pairs.
+    window_sets holds (first, second) lists of disjoint windows in order,
+    tried in turn; for each T both are cut to [T, inf) and paired earliest
+    first by _window_pairs.
     value_at is asked once per distinct window across all T.
     """
     lo, hi = horizon
@@ -466,10 +463,10 @@ def _scan_pairs(window_sets: Sequence, scan: Sequence[float],
     for T in map(float, scan):
         if not lo <= T < hi:
             raise ValueError("reference time must lie inside the horizon")
-        beyond = [(T, math.inf)]
-        for index, (first, second) in enumerate(window_sets):
-            pairs = _window_pairs(_intersect_windows(first, beyond, min_width),
-                                  _intersect_windows(second, beyond, min_width), min_width)
+        for index, windows in enumerate(window_sets):
+            first, second = ([(max(a, T), b) for a, b in side if b - max(a, T) > min_width]
+                             for side in windows)
+            pairs = _window_pairs(first, second, min_width)
             pair = next((p for p in pairs if holds(value_at(p[:2])) and holds(value_at(p[2:]))),
                         None)
             if pair is not None:
@@ -553,12 +550,12 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
         lambda down: down is not None and down[1] <= ANGLE_SLACK
         and down[0] + down[1] >= math.pi)
     k = len(shift.lams)
-    least = cache(lambda row, a, b: float(np.min(shift.margin_at(np.full(65, row),
-                                                                 np.linspace(a, b, 65)))))
+    least = cache(lambda curve, row, a, b: float(np.min(shift.curve_at(
+        np.full(65, curve), np.full(65, row), np.linspace(a, b, 65)))))
     witnesses = [
         (T, IntervalWitness(s1=s1, t1=t1, s2=s2, t2=t2, lam=shift.lams[i],
-                            sign_margins=(least(i, s1, t1), least(k + i, s1, t1),
-                                          least(2 * k + i, s2, t2), least(3 * k + i, s2, t2)),
+                            sign_margins=(least(0, i, s1, t1), least(1, i, s1, t1),
+                                          least(0, k + i, s2, t2), least(1, k + i, s2, t2)),
                             osc_margins=(down1 - math.pi, down2 - math.pi)))
         for T, i, (s1, t1, s2, t2), ((down1, _), (down2, _)) in found]
     if failed_at is not None:
@@ -610,10 +607,10 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
                              "this test needs b identically 0")
     nodes = Grid.uniform(lo, hi, grid_nodes).nodes
     d_vals = sample(eq.d, nodes)
-    # row 0 holds -d, row 1 holds d
+    # the one curve d, row 0 negated
     windows = _refined_windows(
-        np.stack([-d_vals, d_vals]),
-        lambda rows, ts: np.where(rows == 0, -1.0, 1.0) * sample(eq.d, ts), nodes)
+        np.stack([-d_vals, d_vals])[None],
+        lambda _, rows, ts: np.where(rows == 0, -1.0, 1.0) * sample(eq.d, ts), nodes)
     found, failed_at = _scan_pairs(
         [windows], scan, (lo, hi),
         lambda w: variational_functional(eq.a, eq.c, half_sine_bridge(*w)),

@@ -330,7 +330,8 @@ def _chunk_series(sys: SystemSpec, t: float, h: float, rel_tol: float) -> np.nda
         values = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError:
         return None
-    coef = _TO_COEF @ values.reshape(2, _N, 3)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite chunk is refused below
+        coef = _TO_COEF @ values.reshape(2, _N, 3)
     size = np.abs(coef)
     scale = size.max(axis=(0, 1))
     resolved = size[:, -_TAIL:].max(axis=(0, 1)) <= rel_tol * scale

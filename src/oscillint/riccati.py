@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .numerics import Grid, Tolerances, Trajectory, cumulative_integral, integrate_ode
-from .transform import (DEFAULT_GRID_NODES, PROBE_POINTS, RiccatiProblem, probe_failure,
-                        sample_callable)
+from .transform import (DEFAULT_GRID_NODES, PROBE_POINTS, SIGN_SLACK, RiccatiProblem,
+                        probe_failure, sample_callable)
 
 CERTIFICATE_SLACK = 1e-9
 ORDERING_SLACK = 1e-6
@@ -105,7 +105,7 @@ class ComparisonInstance:
             raise ValueError("y2_start must not exceed eta1 and eta2 at the start")
         if not (self.y2_start - 1e-12 <= self.gamma <= eta1_start + 1e-12):
             raise ValueError("gamma must lie between y2_start and eta1 at the start")
-        if probe_failure(self.problem1.fcoef, lo, hi, lambda f: f < -1e-12) is not None:
+        if probe_failure(self.problem1.fcoef, lo, hi, lambda f: f < -SIGN_SLACK) is not None:
             raise ValueError("quadratic coefficient of problem 1 must be nonnegative")
 
 
@@ -172,7 +172,8 @@ def comparison_certificate(inst: ComparisonInstance, squared_variant: bool = Fal
     the cumulative eta-coupling of equation 1) against the coefficient-gap
     bracket; with squared_variant the quadratic gap enters squared.  The
     certificate holds when the trace never dips below -CERTIFICATE_SLACK.
-    If y2 blows up early, the trace is truncated there.
+    If y2 blows up early, the trace is truncated there; a weight that
+    overflows raises ValueError.
     """
     y2 = solve_riccati(inst.problem2, inst.y2_start, tol)
     lo = inst.span[0]
@@ -191,7 +192,11 @@ def comparison_certificate(inst: ComparisonInstance, squared_variant: bool = Fal
     f1, g1, h1, f2, g2, h2 = coefs
     eta_sum = sample_callable(inst.eta1, ts) + sample_callable(inst.eta2, ts)
 
-    weight = np.exp(cumulative_integral(f1 * eta_sum + g1, grid))
+    with np.errstate(over="ignore"):  # refused below
+        weight = np.exp(cumulative_integral(f1 * eta_sum + g1, grid))
+    if not np.all(np.isfinite(weight)):
+        raise ValueError("certificate weight exp(integral of f (eta1 + eta2) + g of problem1) "
+                         f"overflows at t={ts[np.argmax(~np.isfinite(weight))]:.6g}")
     gap = f2 - f1
     if squared_variant:
         gap = gap * gap

@@ -30,6 +30,8 @@ from .numerics import CubicHermiteCurve, Grid, cumulative_integral
 DEFAULT_GRID_NODES = 2048
 # evenly spaced points of a span at which coefficient conditions are probed
 PROBE_POINTS = 513
+# how far below zero a value may sit and still count as nonnegative
+SIGN_SLACK = 1e-12
 
 
 class TransformError(ValueError):

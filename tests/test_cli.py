@@ -713,13 +713,34 @@ def _wide_compare_span():
        "horizon: horizon - t0 must be finite")
       for sub in ("analyze", "sweep")),
     ("compare", _wide_compare_span(), "compare.span: hi - lo must be finite"),
+    # f = 1e300 makes the certificate weight exp(integral of f (eta1 + eta2))
+    # pass the largest double at once
+    ("compare", {"system": {"q": "1", "r": "-1"}, "horizon": 1,
+                 "compare": {"problem1": {"f": "1e300", "g": "0", "h": "1"},
+                             "problem2": {"f": "1e300", "g": "0", "h": "2"},
+                             "span": [0, 1], "y2_start": 0}},
+     "certificate weight exp(integral of f (eta1 + eta2) + g of problem1) "
+     "overflows at t=4.8852e-19"),
 ], ids=["growth_analyze", "growth_sweep", "shrink_analyze", "shrink_sweep",
         "shrink_forced_analyze", "shrink_forced_sweep", "forcing_analyze", "forcing_sweep",
         "horizon_analyze", "horizon_sweep",
-        "compare_span"])
+        "compare_span", "compare_weight"])
 def test_overflowing_input_exits_with_one_line(tmp_path, subcommand, doc, message):
     # in a fresh interpreter, so that a numpy warning would reach stderr
     path = write_doc(tmp_path, doc)
     done = run_python(["-m", "oscillint", subcommand, "--config", str(path)], tmp_path)
     assert done.returncode == EXIT_ERROR and done.stdout == ""
     assert done.stderr == f"oscillint: error: {message}\n"
+
+
+@pytest.mark.parametrize("subcommand, expected", [("analyze", EXIT_OSCILLATORY),
+                                                  ("oracle", EXIT_NON_OSCILLATORY)])
+def test_refused_oracle_chunk_prints_no_warning(tmp_path, subcommand, expected):
+    # d = 1e308 sin(t) makes the oracle's first chunk solve non-finite; the
+    # chunk is refused without a numpy warning reaching stderr (a fresh
+    # interpreter shows one), and the exit codes stay as they were
+    path = write_doc(tmp_path, {"equation": {"a": "1", "c": "1", "d": "1e308*sin(t)"},
+                                "horizon": 30})
+    done = run_python(["-m", "oscillint", subcommand, "--config", str(path)], tmp_path)
+    assert done.returncode == expected
+    assert done.stderr == ""

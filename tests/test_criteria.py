@@ -489,13 +489,18 @@ class TestNonoscillationCheck:
 
 
 class TestSignWindows:
-    """_refined_windows: the runs of the nodes where the margin is at least
-    -SIGN_SLACK, each end next to a failing node sharpened to the margin's
-    root between the two nodes."""
+    """_refined_windows: the runs of the nodes where every curve is at least
+    -SIGN_SLACK, each end next to a failing node sharpened to the root
+    between the two nodes of the curve that fails there, the innermost root
+    when several fail."""
 
     @staticmethod
-    def windows(margin, nodes):
-        return _refined_windows(margin(nodes)[None, :], lambda rows, t: margin(t), nodes)[0]
+    def windows(curves, nodes):
+        # the windows of one row holding one curve, or a tuple of curves
+        curves = curves if isinstance(curves, tuple) else (curves,)
+        return _refined_windows(np.stack([c(nodes) for c in curves])[:, None],
+                                lambda curve, rows, t: np.choose(curve, [c(t) for c in curves]),
+                                nodes)[0]
 
     @staticmethod
     def held_at(points):
@@ -539,6 +544,30 @@ class TestSignWindows:
         assert np.allclose(windows[0], (2.0, 3.0), rtol=0.0, atol=1e-12)
         assert self.windows(self.held_at([0.0, 2.0, 4.0]), nodes) == []
         assert self.windows(self.held_at([1.0, 3.0]), nodes) == []
+
+    def test_overlapping_runs_end_on_the_failing_curve(self):
+        nodes = Grid.uniform(0.0, 4.0, 41).nodes
+        # the first curve holds up to 3.05, the second from 1.05: at node 1.0
+        # only the second fails, at node 3.1 only the first
+        windows = self.windows((lambda t: 3.05 - t, lambda t: t - 1.05), nodes)
+        assert len(windows) == 1
+        assert windows[0][0] == pytest.approx(1.05 - SIGN_SLACK, abs=1e-13)
+        assert windows[0][1] == pytest.approx(3.05 + SIGN_SLACK, abs=1e-13)
+
+    def test_ends_where_both_curves_fail_take_the_innermost_root(self):
+        nodes = Grid.uniform(0.0, 3.0, 31).nodes
+        # both fail at nodes 1.0 and 2.0 and hold at 1.1 and 1.9; the second
+        # curve's roots, 1.07 and 1.93, lie inside the first's
+        windows = self.windows((lambda t: (t - 1.03) * (1.97 - t),
+                                lambda t: (t - 1.07) * (1.93 - t)), nodes)
+        assert len(windows) == 1
+        assert windows[0] == pytest.approx((1.07, 1.93), abs=1e-11)
+
+    def test_runs_that_share_no_node_give_no_window(self):
+        nodes = Grid.uniform(0.0, 2.0, 21).nodes
+        # the curves both hold on [1.02, 1.04], between nodes 1.0 and 1.1,
+        # but at no node, so no run starts there
+        assert self.windows((lambda t: 1.04 - t, lambda t: t - 1.02), nodes) == []
 
 
 class TestRuns:

@@ -5,7 +5,9 @@ of the 7 subcommands, what `oscillint <subcommand> --config <file> --out
 report.txt` gave: its exit code, its stderr line and the JSON report it
 wrote (null when it stopped with an error). A run must give the same
 exit code and stderr line, and a report whose non-float values and list
-lengths are the same and whose floats agree within 1e-9 relative.
+lengths are the same and whose floats agree within 1e-9 relative or
+1e-13 absolute: some recorded floats are rounding of an exact 0 or of
+-SIGN_SLACK, whose last digits move with the order of float operations.
 
 Run this file as a script to record golden_reports.json from the current
 code:
@@ -28,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
 CONFIGS = sorted(path.stem for path in (ROOT / "configs").glob("*.json"))
 REL_TOL = 1e-9
+ABS_TOL = 1e-13
 
 
 def record_run(config: str, subcommand: str) -> dict:
@@ -44,9 +47,10 @@ def record_run(config: str, subcommand: str) -> dict:
 
 
 def assert_matches(got, want, where: str = "report") -> None:
-    """Equal apart from floats, which agree within REL_TOL relative."""
+    """Equal apart from floats, which agree within REL_TOL relative or
+    ABS_TOL absolute."""
     if isinstance(want, float) and isinstance(got, float):
-        assert abs(got - want) <= REL_TOL * max(abs(got), abs(want)), \
+        assert abs(got - want) <= max(REL_TOL * max(abs(got), abs(want)), ABS_TOL), \
             f"{where}: {got!r} != {want!r}"
     elif isinstance(want, dict) and isinstance(got, dict):
         assert sorted(got) == sorted(want), f"{where}: keys differ"
