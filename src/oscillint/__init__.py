@@ -62,8 +62,8 @@ from .criteria import (
     INCONCLUSIVE,
     NON_OSCILLATORY,
     OSCILLATORY,
+    HalfSine,
     IntervalWitness,
-    TestFunction,
     Verdict,
     angle_line_crossings,
     check_nonoscillation,

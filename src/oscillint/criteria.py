@@ -26,17 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import (
-    Call,
-    Constant,
-    Expr,
-    Mul,
-    Sub,
-    TimeVar,
-    differentiate,
-    eval_expr,
-    sample,
-)
+from .expr import Expr, sample
 from .numerics import (
     CubicHermiteCurve,
     Grid,
@@ -102,32 +92,28 @@ class IntervalWitness:
             raise ValueError("witness intervals must satisfy s1 < t1 <= s2 < t2")
 
 
-@dataclass(frozen=True, eq=False)
-class TestFunction:
-    """C1 bridge vanishing at both interval endpoints, not identically zero."""
+@dataclass(frozen=True)
+class HalfSine:
+    """Wong's test function u = sin(pi (t - lo) / (hi - lo)) on [lo, hi]:
+    it vanishes at both ends and nowhere inside."""
 
-    __test__ = False  # not a pytest case
-
-    u: Expr
-    interval: tuple[float, float]
+    lo: float
+    hi: float
 
     def __post_init__(self):
-        lo, hi = float(self.interval[0]), float(self.interval[1])
-        if not lo < hi:
+        if not self.lo < self.hi:
             raise ValueError("interval must be increasing")
-        object.__setattr__(self, "interval", (lo, hi))
-        if abs(eval_expr(self.u, lo)) > 1e-9 or abs(eval_expr(self.u, hi)) > 1e-9:
-            raise ValueError("test function must vanish at both endpoints")
-        probe = np.linspace(lo, hi, 33)
-        if np.max(np.abs(sample(self.u, probe))) <= 1e-12:
-            raise ValueError("test function must not vanish identically")
+
+    def values(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u and u' at ts."""
+        k = math.pi / (self.hi - self.lo)
+        theta = k * (ts - self.lo)
+        return np.sin(theta), np.cos(theta) * k
 
 
-def half_sine_bridge(lo: float, hi: float) -> TestFunction:
+def half_sine_bridge(lo: float, hi: float) -> HalfSine:
     """Default test function sin(pi (t - lo) / (hi - lo)) on [lo, hi]."""
-    length = hi - lo
-    u = Call("sin", Mul(Constant(math.pi / length), Sub(TimeVar(), Constant(lo))))
-    return TestFunction(u=u, interval=(lo, hi))
+    return HalfSine(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +212,7 @@ def lambda_feasibility(sys: SystemSpec, grid: Grid,
     # second constraint: (r growth) lam + (r alpha0 + g) >= 0
     coef = trace.r * growth
     offset = trace.r * alpha0 + trace.g + SIGN_SLACK
-    pos = coef > SIGN_SLACK
-    neg = coef < -SIGN_SLACK
-    flat = ~pos & ~neg
+    pos, neg, flat = coef > 0.0, coef < 0.0, coef == 0.0
     if np.any(pos):
         lam_lo = max(lam_lo, float(np.max(-offset[pos] / coef[pos])))
     if np.any(neg):
@@ -576,16 +560,14 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
 # Variational criterion for undamped second-order equations
 
 
-def variational_functional(a: Expr, c: Expr, u: TestFunction) -> float:
-    """Integral of c u^2 - a u'^2 over the test interval, u' symbolic."""
-    du = differentiate(u.u)
-    lo, hi = u.interval
+def variational_functional(a: Expr, c: Expr, u: HalfSine) -> float:
+    """Integral of c u^2 - a u'^2 over the test interval."""
 
     def integrand(ts: np.ndarray) -> np.ndarray:
-        return (sample(c, ts) * sample(u.u, ts) ** 2
-                - sample(a, ts) * sample(du, ts) ** 2)
+        u_vals, du_vals = u.values(ts)
+        return sample(c, ts) * u_vals ** 2 - sample(a, ts) * du_vals ** 2
 
-    return definite_simpson(integrand, lo, hi)
+    return definite_simpson(integrand, u.lo, u.hi)
 
 
 def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],

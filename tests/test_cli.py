@@ -409,6 +409,30 @@ class TestSubcommands:
                       and row["lam"] <= interval[1] + 1e-9)
             assert row["feasible"] == inside, row
 
+    # a coupling coefficient r growth within 1e-12 of zero, of either sign,
+    # still bounds lambda: the interval ends where the rows' coupling
+    # margin crosses -1e-12
+    @pytest.mark.parametrize("system, lams, expected", [
+        ({"q": "1", "r": "-1e-13"}, [0, 5, 20, 40], [0.0, 10.0]),
+        ({"q": "1", "r": "1e-13", "g": "-1e-11"}, [0, 50, 100, 200], [90.0, math.inf]),
+    ], ids=["tiny_negative_r", "tiny_positive_r"])
+    def test_sweep_rows_agree_with_interval(self, system, lams, expected):
+        config = config_from_dict({"system": system, "horizon": 10,
+                                   "lambda": {"values": lams}})
+        report = run("sweep", config)
+        lo, hi = report.details["feasible_interval"]
+        assert [lo, hi] == pytest.approx(expected)
+        for row in report.details["rows"]:
+            assert row["feasible"] == (lo <= row["lam"] <= hi), row
+
+    def test_tiny_positive_coupling_is_certified(self):
+        config = config_from_dict({"system": {"q": "1", "r": "1e-13", "g": "-1e-11"},
+                                   "horizon": 10})
+        report = run("analyze", config)
+        assert report.exit_code() == EXIT_NON_OSCILLATORY
+        assert report.verdict.evidence["lambda_witness"] == pytest.approx(90.0)
+        assert report.empirical.outcome == "nonoscillatory_observed"
+
     def test_unknown_subcommand(self):
         config = config_from_dict(decaying_doc())
         with pytest.raises(ConfigError, match="subcommand"):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from oscillint import criteria, oracle, transform
 from oscillint.cli import load_config
@@ -16,7 +16,6 @@ from oscillint.criteria import (
     OSCILLATORY,
     SIGN_SLACK,
     IntervalWitness,
-    TestFunction,
     Verdict,
     angle_line_crossings,
     check_nonoscillation,
@@ -34,7 +33,7 @@ from oscillint.criteria import (
     _window_pairs,
     variational_functional,
 )
-from oscillint.expr import Mul, Constant, eval_expr, parse_text
+from oscillint.expr import eval_expr, parse_text, sample
 from oscillint.numerics import Grid, Tolerances, integrate_ode, zero_crossing
 from oscillint.oracle import _AT_NODES, _chunk_series, angle_walk
 from oscillint.transform import (
@@ -808,19 +807,32 @@ class TestVariationalFunctional:
         value = variational_functional(parse_text("1"), parse_text("4"), u)
         assert value == pytest.approx(3.0 * math.pi / 2.0, abs=1e-6)
 
-    def test_quadratic_homogeneity(self):
-        u = half_sine_bridge(0.0, math.pi)
-        doubled = TestFunction(Mul(Constant(2.0), u.u), u.interval)
-        a, c = parse_text("1"), parse_text("3")
-        single = variational_functional(a, c, u)
-        assert variational_functional(a, c, doubled) == pytest.approx(
-            4.0 * single, rel=1e-12)
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError, match="increasing"):
+            half_sine_bridge(1.0, 1.0)
 
-    def test_invalid_test_function_rejected(self):
-        with pytest.raises(ValueError, match="vanish"):
-            TestFunction(parse_text("1 + t"), (0.0, 1.0))
-        with pytest.raises(ValueError, match="identically"):
-            TestFunction(parse_text("0"), (0.0, 1.0))
+    def test_matches_scipy_quad(self):
+        a, c = parse_text("1 + t/10"), parse_text("2 + sin(t)")
+        lo, hi = 0.3, 2.9
+        k = math.pi / (hi - lo)
+
+        def integrand(t):
+            return ((2.0 + math.sin(t)) * math.sin(k * (t - lo)) ** 2
+                    - (1.0 + t / 10.0) * (k * math.cos(k * (t - lo))) ** 2)
+
+        expected, _ = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13)
+        assert variational_functional(a, c, half_sine_bridge(lo, hi)) == pytest.approx(
+            expected, abs=1e-8)
+
+    def test_one_sample_per_coefficient(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(criteria, "sample",
+                            lambda e, ts: calls.append(e) or sample(e, ts))
+        u = half_sine_bridge(0.0, math.pi)
+        assert calls == []
+        a, c = parse_text("1 + t"), parse_text("3")
+        variational_functional(a, c, u)
+        assert sorted(map(id, calls)) == sorted([id(a), id(c)])
 
 
 class TestUndampedCheck:
