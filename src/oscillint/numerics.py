@@ -389,10 +389,10 @@ def _bisect_event(g: Callable[[float], float], a: float, b: float, tol: float) -
 
 
 def crossings(g: np.ndarray) -> np.ndarray:
-    """Indices i where g changes sign from g[i] to g[i + 1]: strictly, or by
-    landing on zero from a nonzero value."""
+    """True at i where g changes sign from g[i] to g[i + 1], along its first
+    axis: strictly, or by landing on zero from a nonzero value."""
     ga, gb = g[:-1], g[1:]
-    return np.flatnonzero((ga != 0.0) & (((ga < 0.0) != (gb < 0.0)) | (gb == 0.0)))
+    return (ga != 0.0) & (((ga < 0.0) != (gb < 0.0)) | (gb == 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +612,7 @@ def _step_loop(field_fn, y: float | np.ndarray, t_a: float, t_b: float, tol: Tol
                 y0, f0, y1, f1 = rows[:, spec.component].tolist()
                 g = lambda tq: _hermite((tq - t) / h, h, y0, y1, f0, f1)
                 vals = [y0, *map(g, samples[1:-1]), y1]
-                for i in crossings(np.array(vals)).tolist():
+                for i in np.flatnonzero(crossings(np.array(vals))).tolist():
                     te = _bisect_event(g, samples[i], samples[i + 1], tol.root_tol)
                     crossed.append(Event("zero-crossing", te, 1 if vals[i + 1] > vals[i] else -1))
 

@@ -16,12 +16,12 @@ node gaps in one call (`_gap_roots`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebvander
 
 from .expr import DomainError, sample
 from .numerics import STEP_COLLAPSE, Event, Tolerances, Trajectory, crossings, refine_roots
@@ -107,19 +107,23 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
     system from (1, 0) and (0, 1), and w the forced one from (0, 0). Each
     chunk solves the three at once as Chebyshev series by collocation
     (Trefethen, Spectral Methods in MATLAB, ch. 6-7), from one `sample`
-    call per coefficient. _chunk_walk makes a chunk at most 1/16 of the
-    span, as a default integrate_ode step is, and halves it until each
-    series' last coefficients are below rel_tol of its largest and u and v
-    stay below _GROWTH. A member's state at a chunk's end starts it on the
-    next.
+    call per coefficient. _chunk_walk tries the whole span as one chunk,
+    as the angle walk does, and halves a chunk until each series' last
+    coefficients are below rel_tol of its largest and u and v stay below
+    _GROWTH. A member's state at a chunk's end starts it on the next.
 
-    A member's nodes are _NODES evenly spaced points per chunk, its states
-    the series there and its derivs the series' derivative. Its zeros are
-    the sign changes of phi between nodes, a start at phi = 0 excluded,
-    each refined on the series to root_tol. A member whose state passes
-    escape_magnitude ends there, found on the series, with an escape
-    event; a chunk that cannot be sampled or resolved down to 1e-12 of the
-    span ends every running member at its start, with an escape.
+    A member's nodes are evenly spaced on each chunk, _NODES per block of
+    _NODES / _SPAN_GAPS of the span it covers, rounded up, so that no node
+    gap is wider than 1/1024 of the span; its states are the series there
+    and its derivs the series' derivative. Its zeros are the sign changes
+    of phi between nodes, a start at phi = 0 excluded, each refined on the
+    series to root_tol. A chunk wider than a block is also halved while a
+    zero of a running member is off by more than root_tol by estimate:
+    its series' tail over the change of phi across the zero's node gap,
+    times the gap. A member whose state passes escape_magnitude ends there,
+    found on the series, with an escape event; a chunk that cannot be
+    sampled or resolved down to 1e-12 of the span ends every running
+    member at its start, with an escape.
     """
     lo, hi = ens.span
     start = np.array(ens.initial_conditions).T  # (2, m)
@@ -129,51 +133,67 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
     last = np.zeros(m, dtype=int)  # each member's last node, once it has ended
     blowup = np.full(m, -1)  # the node after which a member passes escape_magnitude
     chunks = []  # (start, end, member series, member states, member rates)
-    walk, reached = _chunk_walk(sys, lo, hi, tol.rel_tol, (hi - lo) / 16.0), lo
+    block = (hi - lo) * _NODES / _SPAN_GAPS  # the widest chunk with _NODES nodes
+
+    def take(coef, h):
+        # _NODES per block, rounded up, but not for the few ulps that
+        # halving the rest of the span leaves over a multiple
+        n = _NODES * math.ceil(h / block * (1.0 - 1e-12))
+        weights = np.vstack((np.where(live, state, 0.0), np.ones(m)))
+        series = coef @ weights  # an ended member's series, that of w, is never read
+        at = _at_nodes(n)
+        states = at @ series
+        states[:, 0], states[:, -1] = state, series.sum(axis=1)  # every T_k is 1 at x = 1
+        # a zero is off by about the state's error, its series' tail, over
+        # phi's slope there. A chunk one block wide is kept on the tail test
+        # alone, as every chunk once was, so that a zero where phi barely
+        # changes sign cannot halve the walk to a stop
+        phi, tail = states[0], np.abs(series[:, -_TAIL:]).max(axis=(0, 1))
+        slow = tail * (h / n) > tol.root_tol * np.abs(np.diff(phi, axis=0))
+        return None if n > _NODES and (crossings(phi) & slow & live).any() \
+            else (n, at, series, states)
+
+    walk, reached, count = _chunk_walk(sys, lo, hi, tol.rel_tol, take), lo, 0
     while live.any() and (chunk := next(walk, None)) is not None:
-        t, reached, h, coef = chunk
-        # an ended member's series, that of w, is never read
-        series = coef @ np.vstack((np.where(live, state, 0.0), np.ones(m)))
-        states, rates = _AT_NODES @ series, _RATE_AT_NODES @ series * (2.0 / h)
-        end = series.sum(axis=1)  # every T_k is 1 at x = 1
-        states[:, 0], states[:, -1] = state, end
+        t, reached, h, (n, at, series, states) = chunk
+        rates = at[:, :_DEGREE] @ (_RATE @ series) * (2.0 / h)
         over = (np.abs(states[:, 1:]).max(axis=0) > tol.escape_magnitude) & live
         blown = over.any(axis=0)
-        blowup[blown] = len(chunks) * _NODES + over.argmax(axis=0)[blown]
+        blowup[blown] = count + over.argmax(axis=0)[blown]
         last[blown] = blowup[blown] + 1
         escaped |= blown
         live &= ~blown
         chunks.append((t, reached, series, states, rates))
-        state = end
-    last[live] = len(chunks) * _NODES
+        state, count = states[:, -1], count + n
+    last[live] = count
     if reached < hi:  # the walk stopped early: every running member escapes there
         escaped |= live
     return _members(chunks, start, ens.span, last, escaped, blowup, tol)
 
 
-def _chunk_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float, widest: float,
-                take: Callable[[np.ndarray], object] = lambda coef: coef):
+def _chunk_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float,
+                take: Callable[[np.ndarray, float], object] = lambda coef, h: coef):
     """The chunks that cover [lo, hi] from lo, each solved as series: yield
-    (t, t_end, h, take(coef)) for each chunk [t, t_end], h wide, with coef
+    (t, t_end, h, take(coef, h)) for each chunk [t, t_end], h wide, with coef
     its _chunk_series coefficients; t_end is t + h, or exactly hi for the
     last chunk. The oracle and angle_walk both walk through here.
 
-    A chunk is at most widest wide and takes the rest of the span when
-    less than half a chunk would be left after it. It is halved while
-    _chunk_series rejects it or take returns None, and the next chunk
-    tries twice its width. The walk stops early where a chunk would be
-    narrower than STEP_COLLAPSE of the span: a coefficient that cannot be
-    sampled or resolved there.
+    The first chunk tries the whole span. A chunk takes the rest of the
+    span when less than half a chunk would be left after it. It is halved
+    while _chunk_series rejects it or take returns None, and the next
+    chunk tries twice its width. The walk stops early where a chunk would
+    be narrower than STEP_COLLAPSE of the span: a coefficient that cannot
+    be sampled or resolved there.
     """
     t, h = lo, hi - lo
     while t < hi:
-        h = min(h, hi - t, widest)
+        h = min(h, hi - t)
         if hi - t - h < 0.5 * h:  # no sliver chunk before the end
             h = hi - t
         if h < STEP_COLLAPSE * (hi - lo):
             return
         coef = _chunk_series(sys, t, h, rel_tol)
-        piece = None if coef is None else take(coef)
+        piece = None if coef is None else take(coef, h)
         if piece is None:
             h *= 0.5
             continue
@@ -199,7 +219,9 @@ class AngleWalk:
 
     def row_at(self, t: np.ndarray, node: np.ndarray) -> np.ndarray:
         """(u_phi, v_phi) at times t[i], on the chunk of node gap node[i]."""
-        return _chunk_at(self.nodes, self.rows[node // _NODES], t, node)
+        first = node - node % _NODES
+        return _chunk_at(self.rows[node // _NODES], t, self.nodes[first],
+                         self.nodes[first + _NODES])
 
     def descent(self, s: float, t: float) -> tuple[float, float] | None:
         """rho(s) - rho(t), summed from the turns between s and t, and the
@@ -235,19 +257,19 @@ def angle_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float) -> AngleWa
     vanishes on [s, t] exactly when rho(s) - rho(t) >= pi, and the one from
     (cos theta0, sin theta0) where rho + theta0 is a multiple of pi.
 
-    On a _chunk_walk with widest chunk the span, a chunk starts from the
-    fundamental matrix at the last one's end, first row at unit length. Its
-    doubt, over the row's least size, is the row's series tail plus the
-    rounding in combining it, read before the second row, e^{int (s - p)}
-    larger, can cancel. It is halved while the tail exceeds rel_tol of the
-    row's end size, or rho rises at a later node step by more than the
-    doubt (q < 0, or a half turn in a gap). The walk ends where rho rises
-    at a first step, or before its doubt would pass _MOST_DOUBT; each turn
-    adds some eps of rho to the doubt, its own and the sum's rounding."""
+    On a _chunk_walk, a chunk starts from the fundamental matrix at the
+    last one's end, first row at unit length. Its doubt, over the row's
+    least size, is the row's series tail plus the rounding in combining
+    it, read before the second row, e^{int (s - p)} larger, can cancel.
+    It is halved while the tail exceeds rel_tol of the row's end size, or
+    rho rises at a later node step by more than the doubt (q < 0, or a
+    half turn in a gap). The walk ends where rho rises at a first step,
+    or before its doubt would pass _MOST_DOUBT; each turn adds some eps
+    of rho to the doubt, its own and the sum's rounding."""
     carried, rows, doubt = np.eye(2), [], 0.0
     parts = [([lo], np.eye(2)[:1], [], [0.0])]  # nodes, z, steps, doubt
 
-    def take(coef):
+    def take(coef, _):
         series = coef[:, :, :2] @ carried  # (component, degree, column)
         end, at = series.sum(axis=1), _AT_NODES @ series[0]
         # u and v are resolved to rel_tol of their largest values, not the row's
@@ -261,8 +283,7 @@ def angle_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float) -> AngleWa
         return (series[0].T, at, step, end, own, rises[0]) if rises[0] or not rises[1:].any() \
             else None
 
-    for t0, t1, _, (row, at, step, end, own, rises) in _chunk_walk(sys, lo, hi, rel_tol, hi - lo,
-                                                                  take):
+    for t0, t1, _, (row, at, step, end, own, rises) in _chunk_walk(sys, lo, hi, rel_tol, take):
         # past a rise at a chunk's first step, halving would crawl into q < 0
         if rises or doubt + own > _MOST_DOUBT:
             break
@@ -289,21 +310,56 @@ _TAIL = 4  # trailing coefficients of each series that the chunk test reads
 # chunk's dominant mode loses that much accuracy: one chunk over the span
 # 30 of phi'' = phi moved zeros by 1e-3
 _GROWTH = 1e4
-# a member's nodes per chunk: with chunks of at most 1/16 of the span, the
-# zero scan compares phi at points 1/1024 of the span apart
+# nodes per chunk in the angle walk (AngleWalk.row_at finds a node's chunk
+# by node // _NODES); in the oracle, nodes per block of _NODES / _SPAN_GAPS
+# of the span that a chunk covers, rounded up
 _NODES = 64
+# the oracle's node gaps per span: its zero scan compares phi at points at
+# most 1/_SPAN_GAPS of the span apart, however wide the chunk, and a chunk
+# one block wide, as wide as chunks once were at most, keeps its nodes
+_SPAN_GAPS = 1024
 # the most doubt in rho a walk may carry: levels, pi apart, stay told apart
 _MOST_DOUBT = math.pi / 4
 _N = _DEGREE + 1
 _EPS = np.finfo(float).eps
+
+
+def _chebvander(x: np.ndarray, degree: int) -> np.ndarray:
+    """T_0(x) .. T_degree(x) on a new last axis, by numpy.polynomial's
+    chebvander recurrence; importing that package costs 0.8 MB resident."""
+    v = np.empty((degree + 1,) + x.shape)
+    v[0], v[1] = 1.0, x
+    for k in range(2, degree + 1):
+        v[k] = v[k - 1] * (2.0 * x) - v[k - 2]
+    return np.moveaxis(v, 0, -1)
+
+
+def _rate_matrix() -> np.ndarray:
+    """Coefficients to those of the x-derivative, by numpy.polynomial's
+    chebder recurrence on the identity."""
+    c, rate = np.eye(_N), np.empty((_DEGREE, _N))
+    for j in range(_DEGREE, 2, -1):
+        rate[j - 1] = 2 * j * c[j]
+        c[j - 2] += j * c[j] / (j - 2)
+    rate[1], rate[0] = 4 * c[2], c[1]
+    return rate
+
+
 _X = np.cos(np.pi * np.arange(_N) / _DEGREE)  # Lobatto points, from 1 down to -1
-_TO_COEF = np.linalg.inv(chebvander(_X, _DEGREE))  # values at _X to coefficients
-_RATE = chebder(np.eye(_N))  # coefficients to those of the x-derivative
-_EVEN = np.linspace(-1.0, 1.0, _NODES + 1)  # a chunk's nodes in x
-_AT_NODES, _RATE_AT_NODES = chebvander(_EVEN, _DEGREE), chebvander(_EVEN, _DEGREE - 1) @ _RATE
+_TO_COEF = np.linalg.inv(_chebvander(_X, _DEGREE))  # values at _X to coefficients
+_RATE = _rate_matrix()  # coefficients to those of the x-derivative
+
+
+@functools.cache
+def _at_nodes(n: int) -> np.ndarray:
+    """Coefficients to values at n + 1 evenly spaced nodes from x = -1 to 1."""
+    return _chebvander(np.linspace(-1.0, 1.0, n + 1), _DEGREE)
+
+
+_AT_NODES = _at_nodes(_NODES)  # at an angle walk chunk's nodes
 # the collocation matrix: on each component's block the derivative at _X,
 # less (h / 2) A on the diagonals of the four blocks; start rows at x = -1
-_BLOCKS = np.kron(np.eye(2), chebvander(_X, _DEGREE - 1) @ _RATE @ _TO_COEF)
+_BLOCKS = np.kron(np.eye(2), _chebvander(_X, _DEGREE - 1) @ _RATE @ _TO_COEF)
 _I = np.arange(_N)
 _DIAGONALS = (np.r_[_I, _I, _I + _N, _I + _N], np.r_[_I, _I + _N, _I, _I + _N])
 _STARTS = [_N - 1, 2 * _N - 1]
@@ -316,9 +372,12 @@ def _chunk_series(sys: SystemSpec, t: float, h: float, rel_tol: float) -> np.nda
     sampled there or the chunk is not accepted."""
     ts = t + (_X + 1.0) * (0.5 * h)
     try:
-        coeffs = 0.5 * h * np.array([sample(e, ts) for e in
-                                     (sys.p, sys.q, sys.r, sys.s, sys.f, sys.g)])
+        values = np.array([sample(e, ts) for e in (sys.p, sys.q, sys.r, sys.s, sys.f, sys.g)])
     except DomainError:
+        return None
+    with np.errstate(over="ignore"):  # a coefficient that overflows is refused here
+        coeffs = 0.5 * h * values
+    if not np.isfinite(coeffs).all():
         return None
     matrix = _BLOCKS.copy()
     matrix[_DIAGONALS] -= coeffs[:4].ravel()
@@ -339,12 +398,10 @@ def _chunk_series(sys: SystemSpec, t: float, h: float, rel_tol: float) -> np.nda
         else None
 
 
-def _chunk_at(nodes: np.ndarray, coef: np.ndarray, t: np.ndarray, node: np.ndarray):
+def _chunk_at(coef: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Lane i's series, coefficients coef[i] (component, degree), at time
-    t[i] on the chunk that holds the walk's node gap node[i], _NODES per
-    chunk: the sum of c_k cos(k theta), x = cos(theta) the time in [-1, 1]."""
-    first = node - node % _NODES
-    lo, hi = nodes[first], nodes[first + _NODES]
+    t[i] on its chunk [lo[i], hi[i]]: the sum of c_k cos(k theta), x =
+    cos(theta) the time in [-1, 1]."""
     x = np.minimum(np.maximum((t - lo) * (2.0 / (hi - lo)) - 1.0, -1.0), 1.0)
     waves = np.cos(np.arccos(x)[:, None] * _I[:coef.shape[-1]])
     return np.sum(coef * waves[:, None], axis=-1)
@@ -372,10 +429,13 @@ def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
     if chunks:
         begin, finish = (np.array(ends) for ends in zip(*(c[:2] for c in chunks)))
         series = np.stack([c[2] for c in chunks])  # (chunk, component, degree, member)
-        # _NODES evenly spaced per chunk, then the last end
-        nodes = np.append(np.linspace(begin, finish, _NODES + 1, axis=1)[:, :-1], finish[-1])
-        states, rates = (np.concatenate([c[k][:, :_NODES] for c in chunks]
-                                        + [chunks[-1][k][:, _NODES:]], axis=1) for k in (3, 4))
+        # each chunk's evenly spaced nodes but its end, which starts the next, then the last end
+        counts = [c[3].shape[1] - 1 for c in chunks]
+        first = np.cumsum([0] + counts)  # each chunk's first node
+        nodes = np.append(np.concatenate([np.linspace(t, t_end, n + 1)[:-1] for t, t_end, n
+                                          in zip(begin, finish, counts)]), finish[-1])
+        states, rates = (np.concatenate([c[k][:, :-1] for c in chunks]
+                                        + [chunks[-1][k][:, -1:]], axis=1) for k in (3, 4))
     else:
         nodes, states, rates = np.array(span[:1]), start[:, None], np.zeros_like(start)[:, None]
     # lanes: the node a bracket starts at, the member, and the direction of
@@ -384,25 +444,25 @@ def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
     lanes = [(blowup[blown], blown, np.zeros(blown.size, dtype=int))]
     for j, k in enumerate(last):
         phi = states[0, :k + 1, j]
-        pair = crossings(phi)
+        pair = np.flatnonzero(crossings(phi))
         lanes.append((pair, np.full(pair.size, j), np.where(phi[pair + 1] > phi[pair], 1, -1)))
     node, member, direction = (np.concatenate(parts) for parts in zip(*lanes))
     times = nodes[node]
     if node.size:
-        chunk = node // _NODES
+        chunk = np.searchsorted(first, node, side="right") - 1
         coef = series[chunk, :, :, member]  # (lane, component, degree)
+        lo, hi = begin[chunk], finish[chunk]
 
         def g(y, lanes):  # y: (lane, component)
             return np.where(direction[lanes] == 0,
                             np.abs(y).max(axis=1) - tol.escape_magnitude, y[:, 0])
         every = np.arange(node.size)
-        at = lambda tq, lanes: _chunk_at(nodes, coef[lanes], tq, node[lanes])
+        at = lambda tq, lanes: _chunk_at(coef[lanes], tq, lo[lanes], hi[lanes])
         times = _gap_roots(lambda tq, lanes: g(at(tq, lanes), lanes), nodes, node,
                            g(states[:, node, member].T, every),
                            g(states[:, node + 1, member].T, every), tol.root_tol)
         end_states = at(times, every)
-        end_rates = (_chunk_at(nodes, chebder(coef, axis=2), times, node)
-                     / (finish - begin)[chunk, None] * 2.0)
+        end_rates = _chunk_at(coef @ _RATE.T, times, lo, hi) / (hi - lo)[:, None] * 2.0
 
     out = []
     for j, k in enumerate(last):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oscillint.cli import (
@@ -583,6 +584,13 @@ class TestMainEntry:
         assert files == [f"member_{i:02d}.csv" for i in range(4)]
         header = (traces / "member_00.csv").read_text().splitlines()[0]
         assert header == "t,phi,psi"
+        # the rows keep their node times, span/1024 apart, however wide the
+        # oracle's chunks
+        for name in files:
+            rows = np.loadtxt(traces / name, delimiter=",", skiprows=1)
+            assert rows.shape == (1025, 3)
+            np.testing.assert_allclose(rows[:, 0], np.linspace(0.0, 8.0 * math.pi, 1025),
+                                       rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("out", ["run.txt", "run.json", "./sub/../run.json"])
     def test_out_over_the_config_is_refused(self, tmp_path, capsys, monkeypatch, out):
@@ -757,14 +765,18 @@ def test_overflowing_input_exits_with_one_line(tmp_path, subcommand, doc, messag
     assert done.stderr == f"oscillint: error: {message}\n"
 
 
-@pytest.mark.parametrize("subcommand, expected", [("analyze", EXIT_OSCILLATORY),
-                                                  ("oracle", EXIT_NON_OSCILLATORY)])
-def test_refused_oracle_chunk_prints_no_warning(tmp_path, subcommand, expected):
-    # d = 1e308 sin(t) makes the oracle's first chunk solve non-finite; the
-    # chunk is refused without a numpy warning reaching stderr (a fresh
-    # interpreter shows one), and the exit codes stay as they were
-    path = write_doc(tmp_path, {"equation": {"a": "1", "c": "1", "d": "1e308*sin(t)"},
-                                "horizon": 30})
+@pytest.mark.parametrize("subcommand, equation, expected", [
+    ("analyze", {"c": "1", "d": "1e308*sin(t)"}, EXIT_OSCILLATORY),
+    ("oracle", {"c": "1", "d": "1e308*sin(t)"}, EXIT_NON_OSCILLATORY),
+    ("analyze", {"c": "1e308", "d": "sin(t)"}, EXIT_INCONCLUSIVE),
+    ("oracle", {"c": "1e308", "d": "sin(t)"}, EXIT_NON_OSCILLATORY),
+], ids=["analyze-10", "oracle-20", "huge_c-analyze-30", "huge_c-oracle-20"])
+def test_refused_oracle_chunk_prints_no_warning(tmp_path, subcommand, equation, expected):
+    # d = 1e308 sin(t) makes the oracle's first chunk solve non-finite, and
+    # c = 1e308 overflows once a chunk's coefficients are scaled by its
+    # width; the chunk is refused without a numpy warning reaching stderr
+    # (a fresh interpreter shows one), and the exit codes stay as they were
+    path = write_doc(tmp_path, {"equation": {"a": "1", **equation}, "horizon": 30})
     done = run_python(["-m", "oscillint", subcommand, "--config", str(path)], tmp_path)
     assert done.returncode == expected
     assert done.stderr == ""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebder, chebvander
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -16,8 +17,9 @@ from oscillint.numerics import STEP_COLLAPSE, Tolerances, integrate_ode, zero_cr
 from oscillint import oracle
 from oscillint.oracle import (
     _AT_NODES,
+    _DEGREE,
     _NODES,
-    _RATE_AT_NODES,
+    _RATE,
     MIXED_OBSERVED,
     NONOSCILLATORY_OBSERVED,
     OSCILLATORY_OBSERVED,
@@ -243,9 +245,12 @@ class TestSeriesOracle:
             assert np.all((nodes[gap - 1] <= zeros) & (zeros <= nodes[gap]))
 
 
+_RATE_AT_NODES = chebvander(np.linspace(-1.0, 1.0, _NODES + 1), _DEGREE - 1) @ _RATE
+
+
 def unshared_chunk_loop(sys_spec, ens, tol):
     """simulate_ensemble as it was written before its chunk loop was shared
-    with the angle walk, kept as the bit-for-bit reference."""
+    with the angle walk, chunks at most span/16 wide, kept as the reference."""
     lo, hi = ens.span
     start = np.array(ens.initial_conditions).T
     state, m = start, start.shape[1]
@@ -286,33 +291,90 @@ def unshared_chunk_loop(sys_spec, ens, tol):
     return _members(chunks, start, ens.span, last, escaped, blowup, tol)
 
 
+def shipped_or_edge_config(name):
+    if name == "escapes":  # every member blows up before the end
+        return config_from_dict({"system": {"q": "1", "r": "1"}, "horizon": 30,
+                                 "tolerances": {"escape_magnitude": 1e3}})
+    if name == "singular":  # the walk stops early
+        return config_from_dict({"system": {"q": "1", "r": "-1/(t-3.3)^2"}, "horizon": 6})
+    return load_config(CONFIG_DIR / f"{name}.json")
+
+
+def chunk_solves(monkeypatch, solve):
+    """The _chunk_series calls solve() makes, how many of them gave a
+    series (a chunk, unless the oracle's zero check then halves it), and
+    what solve() returns."""
+    calls = []
+    series = oracle._chunk_series
+    counted = lambda *a: calls.append(series(*a)) or calls[-1]
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_chunk_series", counted)
+        patch.setitem(globals(), "_chunk_series", counted)  # unshared_chunk_loop's
+        out = solve()
+    return len(calls), sum(coef is not None for coef in calls), out
+
+
 class TestSharedChunkWalk:
-    """The oracle walks its chunks through chunk_walk, which it shares with
-    the angle walk; its members stay those of its own former loop."""
+    """The oracle walks chunks as wide as the series resolves, through the
+    chunk walk it shares with the angle walk; its members keep what the
+    former loop, with chunks of at most a sixteenth of the span, found."""
 
     @pytest.mark.parametrize("name", ["forced_harmonic", "bursty_coupling",
                                       "decaying_forcing", "harmonic_riccati",
                                       "riccati_comparison", "escapes", "singular"])
     def test_members_bit_identical_to_the_unshared_loop(self, name):
-        if name == "escapes":  # every member blows up before the end
-            config = config_from_dict({"system": {"q": "1", "r": "1"}, "horizon": 30,
-                                       "tolerances": {"escape_magnitude": 1e3}})
-        elif name == "singular":  # the walk stops early
-            config = config_from_dict({"system": {"q": "1", "r": "-1/(t-3.3)^2"},
-                                       "horizon": 6})
-        else:
-            config = load_config(CONFIG_DIR / f"{name}.json")
+        # the name is the former test's; the members now agree with the
+        # span/16 loop's in every event, their times within root_tol
+        config = shipped_or_edge_config(name)
+        tol = config.tolerances
         ens = default_ensemble(config.span(), seed=config.oracle_seed,
                                size=config.oracle_size)
         sys_spec = config.working_system()
-        shared = simulate_ensemble(sys_spec, ens, config.tolerances)
-        own = unshared_chunk_loop(sys_spec, ens, config.tolerances)
+        shared = simulate_ensemble(sys_spec, ens, tol)
+        own = unshared_chunk_loop(sys_spec, ens, tol)
         assert len(shared) == len(own) == len(ens)
+        mine, theirs = empirical_classification(shared), empirical_classification(own)
+        assert mine.outcome == theirs.outcome
+        assert mine.zero_counts == theirs.zero_counts
         for a, b in zip(shared, own):
-            np.testing.assert_array_equal(a.grid.nodes, b.grid.nodes)
-            np.testing.assert_array_equal(a.states, b.states)
-            np.testing.assert_array_equal(a.derivs, b.derivs)
-            assert a.events == b.events
+            assert [(ev.kind, ev.direction) for ev in a.events] \
+                == [(ev.kind, ev.direction) for ev in b.events]
+            assert (a.escape_time() is None) == (b.escape_time() is None)
+            np.testing.assert_allclose([ev.time for ev in a.events],
+                                       [ev.time for ev in b.events], rtol=0, atol=tol.root_tol)
+
+    @pytest.mark.parametrize("name", ["forced_harmonic", "bursty_coupling", "decaying_forcing"])
+    def test_fewer_chunk_solves_and_nodes_at_most_span_over_1024_apart(self, monkeypatch, name):
+        config = shipped_or_edge_config(name)
+        ens = default_ensemble(config.span(), seed=config.oracle_seed,
+                               size=config.oracle_size)
+        sys_spec = config.working_system()
+        solves, kept, members = chunk_solves(monkeypatch, lambda: simulate_ensemble(
+            sys_spec, ens, config.tolerances))
+        former, former_kept, _ = chunk_solves(monkeypatch, lambda: unshared_chunk_loop(
+            sys_spec, ens, config.tolerances))
+        if name == "bursty_coupling":
+            # q's bursts, pi apart, cap its chunks near pi/2: it keeps as
+            # many chunks as the former loop, but its solves are not pinned,
+            # since the walk tries the span and twice each kept width first
+            assert kept <= former_kept
+        else:
+            assert solves <= 0.5 * former
+        lo, hi = config.span()
+        for member in members:
+            assert member.grid.nodes[0] == lo and member.grid.nodes[-1] == hi
+            assert np.diff(member.grid.nodes).max() <= (hi - lo) / 1024 * (1.0 + 1e-12)
+
+    def test_matrices_are_numpy_polynomials(self):
+        # oracle builds its Chebyshev matrices without numpy.polynomial
+        # (importing it costs 0.8 MB resident); they are that package's own
+        for x in (oracle._X, np.linspace(-1.0, 1.0, _NODES + 1)):
+            for n in (_DEGREE - 1, _DEGREE):
+                np.testing.assert_array_equal(oracle._chebvander(x, n), chebvander(x, n))
+        np.testing.assert_array_equal(_RATE, chebder(np.eye(_DEGREE + 1)))
+        for n in range(_NODES, 1024 + 1, _NODES):  # the oracle's node counts
+            np.testing.assert_array_equal(
+                oracle._at_nodes(n), chebvander(np.linspace(-1.0, 1.0, n + 1), _DEGREE))
 
 
 class TestClassification:
