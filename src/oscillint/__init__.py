@@ -55,7 +55,6 @@ from .riccati import (
     ValidationReport,
     comparison_certificate,
     comparison_validate,
-    hypothesis_residuals,
     solve_riccati,
 )
 from .criteria import (
@@ -71,7 +70,6 @@ from .criteria import (
     check_undamped_equation,
     find_interval_witness,
     half_sine_bridge,
-    horizon_nonoscillation_test,
     lambda_feasibility,
     variational_functional,
 )

@@ -20,8 +20,8 @@ the relevant conditions were verified on [t0, T_max], not proved for all time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
-from functools import cache
+from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .numerics import (
     definite_simpson,
     refine_roots,
 )
-from .oracle import angle_walk
+from .oracle import AngleWalk, angle_walk
 from .transform import (
     DEFAULT_GRID_NODES,
     SIGN_SLACK,
@@ -50,7 +50,6 @@ ANGLE_SLACK = 1e-6
 FUNCTIONAL_SLACK = 1e-9
 DEFAULT_SCAN_POINTS = 8
 DEFAULT_LAMBDA_POINTS = 41
-_ANGLE_NEEDS_Q = "; the angle test needs q >= 0"
 
 OSCILLATORY = "oscillatory"
 NON_OSCILLATORY = "non_oscillatory"
@@ -120,17 +119,6 @@ def half_sine_bridge(lo: float, hi: float) -> HalfSine:
 # Polar angle machinery
 
 
-def _negative_q_verdict(sys: SystemSpec, lo: float, hi: float,
-                        why: str = "") -> Verdict | None:
-    """The inconclusive verdict for a q that dips below zero on [lo, hi]
-    (probed at transform.PROBE_POINTS points), or None when q >= 0 there."""
-    bad_t = probe_failure(sys.q, lo, hi, lambda q: q < -SIGN_SLACK)
-    if bad_t is None:
-        return None
-    return Verdict(INCONCLUSIVE, (lo, hi),
-                   notes=f"coupling coefficient q is negative at t = {bad_t:.6g}{why}")
-
-
 def angle_line_crossings(sys: SystemSpec, span: tuple[float, float],
                          theta0: float = math.pi / 2,
                          tol: Tolerances = Tolerances()) -> list[float]:
@@ -138,36 +126,24 @@ def angle_line_crossings(sys: SystemSpec, span: tuple[float, float],
     where the phase angle started at theta0 crosses a vertical line: the
     level crossings of the companion's angle walk (oracle.angle_walk).
     Forcing terms play no part. Only crossings up to where the walk stopped
-    are found; `horizon_nonoscillation_test` checks that it reached the end."""
+    are found; `check_nonoscillation` checks that it reached the end."""
     lo, hi = float(span[0]), float(span[1])
     if not lo < hi:
         raise ValueError("span must be increasing")
     return angle_walk(sys.homogeneous(), lo, hi, tol.rel_tol).level_crossings(theta0, tol.root_tol)
 
 
-def horizon_nonoscillation_test(sys: SystemSpec, horizon: tuple[float, float],
-                                tol: Tolerances = Tolerances()) -> Verdict:
-    """Classify the homogeneous companion over the whole horizon.
+def _crossings_verdict(walk: AngleWalk, lo: float, hi: float, root_tol: float) -> Verdict:
+    """Classify the companion on [lo, hi], q >= 0 there, from its walk.
 
     non_oscillatory when no angle-line crossing happens in the trailing half
     of the horizon; oscillatory when crossings recur in every window of a
     quarter of the horizon (the persistence width); inconclusive between the
-    two, or when the chunk walk stops before the end of the horizon.
+    two, or when the walk stops before the end of the horizon.
     """
-    lo, hi = float(horizon[0]), float(horizon[1])
-    if not lo < hi:
-        raise ValueError("horizon must be increasing")
-    return (_negative_q_verdict(sys, lo, hi, _ANGLE_NEEDS_Q)
-            or _crossings_verdict(sys, lo, hi, tol))
-
-
-def _crossings_verdict(sys: SystemSpec, lo: float, hi: float,
-                       tol: Tolerances) -> Verdict:
-    """The horizon test on [lo, hi] once q >= 0 has been probed there."""
     width = hi - lo
     persistence_window = 0.25 * width
-    walk = angle_walk(sys.homogeneous(), lo, hi, tol.rel_tol)
-    crossings, reached = walk.level_crossings(math.pi / 2, tol.root_tol), walk.reached
+    crossings, reached = walk.level_crossings(math.pi / 2, root_tol), walk.reached
     if reached < hi:
         return Verdict(INCONCLUSIVE, (lo, hi),
                        evidence={"crossings": crossings, "stopped_at": reached},
@@ -225,6 +201,33 @@ def lambda_feasibility(sys: SystemSpec, grid: Grid,
     return lam_lo, lam_hi
 
 
+def _horizon(sys: SystemSpec, lo: float, hi: float, grid_nodes: int, rel_tol: float
+             ) -> tuple[Verdict | None, AlphaTrace | None, Callable[[], AngleWalk]]:
+    """What both checks read of sys on [lo, hi], kept on sys outside its
+    fields (as expr._compile keeps closures) for the last key only: the
+    verdict of a q that dips below zero there (probed at PROBE_POINTS, before
+    any trace), or None and the base trace alpha_lambda(sys, 0, grid), its
+    arrays read-only; and the companion's angle walk, made on first use."""
+    key = (lo, hi, grid_nodes, rel_tol)
+    kept = sys.__dict__.get("_horizon")
+    if kept is None or kept[0] != key:
+        grid = Grid.uniform(lo, hi, grid_nodes)
+        bad_t = probe_failure(sys.q, lo, hi, lambda q: q < -SIGN_SLACK)
+        negative_q = base = None
+        if bad_t is not None:
+            negative_q = Verdict(INCONCLUSIVE, (lo, hi),
+                                 notes=f"coupling coefficient q is negative at t = {bad_t:.6g}")
+        else:
+            # on a copy of sys, as the walk is on the companion: no cycle keeps sys
+            base = alpha_lambda(replace(sys), 0.0, grid)
+            for values in (grid.nodes, *vars(base).values()):
+                if isinstance(values, np.ndarray):
+                    values.flags.writeable = False
+        kept = sys.__dict__["_horizon"] = (
+            key, negative_q, base, cache(partial(angle_walk, sys.homogeneous(), lo, hi, rel_tol)))
+    return kept[1:]
+
+
 def check_nonoscillation(sys: SystemSpec, horizon: tuple[float, float],
                          grid_nodes: int = DEFAULT_GRID_NODES,
                          tol: Tolerances = Tolerances()) -> Verdict:
@@ -232,20 +235,19 @@ def check_nonoscillation(sys: SystemSpec, horizon: tuple[float, float],
 
     Needs q >= 0, a feasible shift parameter lam >= 0, and a non-oscillatory
     homogeneous companion; each requirement that fails makes the verdict
-    inconclusive (the criterion is one-sided).
+    inconclusive (the criterion is one-sided). It shares the q probe, base
+    trace and walk with check_oscillation on the same sys (_horizon).
     """
     lo, hi = float(horizon[0]), float(horizon[1])
-    grid = Grid.uniform(lo, hi, grid_nodes)
-    negative_q = _negative_q_verdict(sys, lo, hi)
+    negative_q, base, walk = _horizon(sys, lo, hi, grid_nodes, tol.rel_tol)
     if negative_q is not None:
         return negative_q
-    base = alpha_lambda(sys, 0.0, grid)
-    feasible = lambda_feasibility(sys, grid, base)
+    feasible = lambda_feasibility(sys, base.grid, base)
     if feasible is None:
         return Verdict(INCONCLUSIVE, (lo, hi),
                        notes="no nonnegative shift parameter satisfies both "
                              "sign constraints on the grid")
-    homogeneous = _crossings_verdict(sys.homogeneous(), lo, hi, tol)
+    homogeneous = _crossings_verdict(walk(), lo, hi, tol.root_tol)
     if homogeneous.outcome != NON_OSCILLATORY:
         notes = "homogeneous companion is not non-oscillatory on the horizon"
         if homogeneous.notes:
@@ -508,24 +510,21 @@ def check_oscillation(sys: SystemSpec, horizon: tuple[float, float],
     raises ValueError. Without a lambda_grid, the default grid has
     lambda_points values; a lam that can pair no window is skipped
     (_shift_windows). Every window's descent is read off one walk of the
-    companion over the horizon, made when the first window asks; no window
-    past where that walk stops (oracle.angle_walk) is decided, even one a
-    walk from the window's own start could read. Failure of this sufficient
-    condition proves nothing, so the negative outcome is always
+    companion over the horizon, shared with check_nonoscillation (_horizon);
+    no window past where that walk stops (oracle.angle_walk) is decided,
+    even one a walk from the window's own start could read. Failure of this
+    sufficient condition proves nothing, so the negative outcome is always
     inconclusive.
     """
     lo, hi = float(horizon[0]), float(horizon[1])
     scan = _scan_times(scan, lo, hi, periodic if periodic is not None else (hi - lo) / 2.0)
-    negative_q = _negative_q_verdict(sys, lo, hi)
+    negative_q, base, walk = _horizon(sys, lo, hi, grid_nodes, tol.rel_tol)
     if negative_q is not None:
         return negative_q
-    grid = Grid.uniform(lo, hi, grid_nodes)
-    base_trace = alpha_lambda(sys, 0.0, grid)
     if lambda_grid is None:
-        lambda_grid = default_lambda_grid(sys, grid, base_trace, lambda_points)
+        lambda_grid = default_lambda_grid(sys, base.grid, base, lambda_points)
 
-    shift = _shift_windows(base_trace, lambda_grid)
-    walk = cache(lambda: angle_walk(sys.homogeneous(), lo, hi, tol.rel_tol))  # on first use
+    shift = _shift_windows(base, lambda_grid)
     # a window passes when every solution of the companion vanishes on it, as
     # rho descends by pi there: short of it by no more than its doubt, which
     # must be at most ANGLE_SLACK; descent gives None where the walk stopped

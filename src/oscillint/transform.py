@@ -101,6 +101,10 @@ class SystemSpec:
     g: Expr
     t0: float = 0.0
 
+    def __getstate__(self) -> dict:
+        """The fields alone: a check's kept record is not pickled or copied."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
     def coefficients(self) -> dict[str, Expr]:
         return {"p": self.p, "q": self.q, "r": self.r, "s": self.s,
                 "f": self.f, "g": self.g}
@@ -194,8 +198,6 @@ class AlphaTrace:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "g_lambda", self.r * alpha + self.g)
         object.__setattr__(self, "alpha_rate", self.p * alpha + self.f)
-        object.__setattr__(self, "_alpha_curve", CubicHermiteCurve(
-            self.grid.nodes, alpha, self.alpha_rate))
 
     def at(self, lam: float) -> "AlphaTrace":
         """The trace of another lam, from the same samples and integrals."""
@@ -209,7 +211,7 @@ class AlphaTrace:
         return rows
 
     def alpha_at(self, t):
-        return self._alpha_curve(t)
+        return CubicHermiteCurve(self.grid.nodes, self.alpha, self.alpha_rate)(t)
 
     def g_lambda_at(self, t):
         if np.ndim(t) == 0:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oscillint import criteria
 from oscillint.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -241,6 +242,29 @@ class TestConfigLoading:
         config = config_from_dict(decaying_doc(compare=None))
         assert config.compare is None
         assert "compare" not in config.effective
+
+
+class TestOneRecordPerRun:
+    """An analyze run that reaches check_oscillation shares one record of
+    the horizon between both checks: the q probe, the base trace and the
+    companion's walk are each made once."""
+
+    @pytest.mark.parametrize("name", ["forced_harmonic", "bursty_coupling"])
+    def test_analyze_makes_each_once(self, name, monkeypatch):
+        calls = dict.fromkeys(("alpha_lambda", "probe_failure", "angle_walk"), 0)
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
+        for fn in calls:
+            monkeypatch.setattr(criteria, fn, counted(fn, getattr(criteria, fn)))
+        report = run("analyze", load_config(CONFIG_DIR / f"{name}.json"))
+        # oscillatory: check_nonoscillation failed and check_oscillation ran
+        assert report.verdict.outcome == OSCILLATORY
+        assert calls["alpha_lambda"] == calls["probe_failure"] == 1
+        assert calls["angle_walk"] <= 1
 
 
 class TestSubcommands:

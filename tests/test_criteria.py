@@ -1,6 +1,10 @@
 """Criteria tests: angle flow closed forms, feasibility, witnesses, functionals."""
 
+import copy
+import gc
 import math
+import pickle
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +28,8 @@ from oscillint.criteria import (
     default_lambda_grid,
     find_interval_witness,
     half_sine_bridge,
-    horizon_nonoscillation_test,
     lambda_feasibility,
+    _crossings_verdict,
     _min_width,
     _refined_windows,
     _runs,
@@ -67,6 +71,13 @@ def descent(sys_h, lo, hi):
     """How far the companion's angle rho descends over [lo, hi] on a walk
     from lo (oracle.angle_walk), and the doubt in it."""
     return angle_walk(sys_h, lo, hi, Tolerances().rel_tol).descent(lo, hi)
+
+
+def horizon_verdict(sys_h, lo, hi):
+    """The horizon test of check_nonoscillation on [lo, hi], on its own: the
+    companion's crossings classified from a walk over the horizon."""
+    tol = Tolerances()
+    return _crossings_verdict(angle_walk(sys_h, lo, hi, tol.rel_tol), lo, hi, tol.root_tol)
 
 
 def rho_reference(sys, lo, times):
@@ -141,7 +152,7 @@ class TestIntervalOscillation:
 
 class TestHorizonClassification:
     def test_harmonic_oscillates(self):
-        verdict = horizon_nonoscillation_test(harmonic(), (0.0, 30.0))
+        verdict = horizon_verdict(harmonic(), 0.0, 30.0)
         assert verdict.outcome == OSCILLATORY
         # default angle start pi/2 tracks the member with phi(0) = 0
         crossings = verdict.evidence["crossings"]
@@ -150,12 +161,12 @@ class TestHorizonClassification:
         assert np.max(np.abs(np.array(crossings) - np.array(expected))) < 1e-6
 
     def test_exponential_equation_is_nonoscillatory(self):
-        verdict = horizon_nonoscillation_test(make_system(q="1", r="1"), (0.0, 30.0))
+        verdict = check_nonoscillation(make_system(q="1", r="1"), (0.0, 30.0))
         assert verdict.outcome == NON_OSCILLATORY
-        assert verdict.evidence["crossings"] == []
+        assert verdict.evidence["homogeneous"]["crossings"] == []
 
     def test_frozen_angle_is_nonoscillatory(self):
-        verdict = horizon_nonoscillation_test(make_system(), (0.0, 10.0))
+        verdict = check_nonoscillation(make_system(), (0.0, 10.0))
         assert verdict.outcome == NON_OSCILLATORY
 
     def test_crossing_count_matches_direct_integration(self):
@@ -314,9 +325,9 @@ class TestSeriesCrossings:
         sys = make_system(q="1", r="25")
         walk = angle_walk(sys, 0.0, 30.0, Tolerances().rel_tol)
         assert walk.reached == 30.0 and walk.level_crossings(math.pi / 2, 1e-9) == []
-        verdict = horizon_nonoscillation_test(sys, (0.0, 30.0))
+        verdict = check_nonoscillation(sys, (0.0, 30.0))
         assert verdict.outcome == NON_OSCILLATORY
-        assert verdict.evidence["crossings"] == []
+        assert verdict.evidence["homogeneous"]["crossings"] == []
 
     @pytest.mark.parametrize("hi", [20.0, 30.0])
     def test_angle_resting_on_a_level_never_crosses(self, hi):
@@ -328,9 +339,9 @@ class TestSeriesCrossings:
         walk = angle_walk(sys, 0.0, hi, Tolerances().rel_tol)
         assert walk.reached == hi and np.ptp(walk.rho) > 0.0
         assert walk.level_crossings(math.pi / 2, 1e-9) == []
-        verdict = horizon_nonoscillation_test(sys, (0.0, hi))
+        verdict = check_nonoscillation(sys, (0.0, hi))
         assert verdict.outcome == NON_OSCILLATORY
-        assert verdict.evidence["crossings"] == []
+        assert verdict.evidence["homogeneous"]["crossings"] == []
 
     def test_walk_ends_before_its_doubt_passes_the_limit(self, monkeypatch):
         # p = -3, q = 0: each chunk's row shrinks by e^-11, its doubt 6e-10
@@ -340,7 +351,7 @@ class TestSeriesCrossings:
         monkeypatch.setattr(oracle, "_MOST_DOUBT", limit)
         walk = angle_walk(sys, *horizon, Tolerances().rel_tol)
         assert 0.0 < walk.reached < horizon[1] and walk.doubt[-1] <= limit
-        verdict = horizon_nonoscillation_test(sys, horizon)
+        verdict = horizon_verdict(sys, *horizon)
         assert verdict.outcome == INCONCLUSIVE
         assert verdict.evidence["stopped_at"] == walk.reached
 
@@ -348,8 +359,9 @@ class TestSeriesCrossings:
     def test_span_must_increase(self, span):
         with pytest.raises(ValueError, match="increasing"):
             angle_line_crossings(harmonic(), span)
-        with pytest.raises(ValueError, match="increasing"):
-            horizon_nonoscillation_test(harmonic(), span)
+        # the checks' grid refuses the span: not increasing, or not finite
+        with pytest.raises(ValueError, match="increasing|finite"):
+            check_nonoscillation(harmonic(), span)
 
 
 class TestOneWalkPerCheck:
@@ -396,7 +408,7 @@ class TestAngleSolveStopsEarly:
         return make_system(q="1", r="-1/(t-3.3)^2")
 
     def test_horizon_test_is_inconclusive(self):
-        verdict = horizon_nonoscillation_test(self.singular(), (0.0, 10.0))
+        verdict = horizon_verdict(self.singular(), 0.0, 10.0)
         assert verdict.outcome == INCONCLUSIVE
         assert 3.2 < verdict.evidence["stopped_at"] < 3.3
         assert "stopped" in verdict.notes
@@ -703,8 +715,9 @@ class TestWindowSharing:
 
 
 class TestTraceSampledOnce:
-    """A check samples p, f, r and g on its grid once, in alpha_lambda;
-    every other lam and every later stage reads that trace."""
+    """A run samples p, f, r and g on its grid once, in alpha_lambda;
+    every other lam, every later stage and the other check read that
+    trace."""
 
     @staticmethod
     def grid_samples(monkeypatch, sys_spec, horizon):
@@ -735,6 +748,70 @@ class TestTraceSampledOnce:
         # read the one trace
         assert check_oscillation(sys_spec, (0.0, 30.0)).outcome == OSCILLATORY
         assert counts == dict.fromkeys("pfrg", 1)
+
+    def test_both_checks_of_one_spec(self, monkeypatch):
+        # analyze's order: check_oscillation runs once non-oscillation fails
+        sys_spec = make_system(p="0.05 * sin(t)", q="1", r="-2.25", f="0.2 * cos(t)",
+                               g="sin(t)")
+        counts = self.grid_samples(monkeypatch, sys_spec, (0.0, 30.0))
+        assert check_nonoscillation(sys_spec, (0.0, 30.0)).outcome == INCONCLUSIVE
+        assert check_oscillation(sys_spec, (0.0, 30.0)).outcome == OSCILLATORY
+        assert counts == dict.fromkeys("pfrg", 1)
+
+
+class TestHorizonRecord:
+    """Both checks read one record of a spec on a horizon (_horizon): the
+    q probe, the base trace and the companion's walk. The spec keeps it
+    for its last horizon, grid and tolerance only."""
+
+    @staticmethod
+    def verdicts(sys_spec, horizon, tol=Tolerances()):
+        return [(v.outcome, v.evidence, v.notes)
+                for v in (check_nonoscillation(sys_spec, horizon, tol=tol),
+                          check_oscillation(sys_spec, horizon, tol=tol))]
+
+    def test_a_new_key_rebuilds_the_record(self):
+        sys_spec = harmonic(g="sin(t)")
+        loose = Tolerances(rel_tol=1e-6, abs_tol=1e-8)
+        for horizon, tol in (((0.0, 30.0), Tolerances()), ((0.0, 20.0), Tolerances()),
+                             ((0.0, 30.0), loose)):
+            assert self.verdicts(sys_spec, horizon, tol) == \
+                self.verdicts(harmonic(g="sin(t)"), horizon, tol)
+        # the kept trace is shared, so no caller may change it
+        _, base, _ = criteria._horizon(sys_spec, 0.0, 30.0, DEFAULT_GRID_NODES, loose.rel_tol)
+        assert base is vars(sys_spec)["_horizon"][2]
+        for values in (base.alpha, base.g, base.growth, base.grid.nodes):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+
+    def test_negative_q_is_decided_before_the_trace(self):
+        # the growth factor e^{1000 t} overflows the grid, but q < 0 is
+        # found first: both checks read inconclusive and nothing raises
+        sys_spec = make_system(p="1000", q="-1", r="-1", g="sin(t)")
+        for outcome, evidence, notes in self.verdicts(sys_spec, (0.0, 30.0)):
+            assert outcome == INCONCLUSIVE and evidence == {}
+            assert notes == "coupling coefficient q is negative at t = 0"
+
+    def test_pickle_and_copy_drop_the_record(self):
+        sys_spec = decaying_forced()
+        before = self.verdicts(sys_spec, (0.0, 30.0))
+        assert "_horizon" in vars(sys_spec)
+        for clone in (pickle.loads(pickle.dumps(sys_spec)), copy.copy(sys_spec)):
+            assert clone == sys_spec and "_horizon" not in vars(clone)
+            assert self.verdicts(clone, (0.0, 30.0)) == before
+
+    def test_the_record_dies_with_its_spec(self):
+        # no reference cycle: the spec and its kept trace go without the
+        # cyclic collector
+        sys_spec = harmonic(g="sin(t)")
+        self.verdicts(sys_spec, (0.0, 30.0))
+        spec_ref, base_ref = weakref.ref(sys_spec), weakref.ref(vars(sys_spec)["_horizon"][2])
+        gc.disable()
+        try:
+            del sys_spec
+            assert spec_ref() is None and base_ref() is None
+        finally:
+            gc.enable()
 
 
 class TestShiftPruning:
