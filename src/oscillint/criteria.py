@@ -20,7 +20,7 @@ the relevant conditions were verified on [t0, T_max], not proved for all time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from functools import cache, partial
 from typing import Callable, Sequence
 
@@ -34,7 +34,7 @@ from .numerics import (
     definite_simpson,
     refine_roots,
 )
-from .oracle import AngleWalk, angle_walk
+from .oracle import AngleWalk, _sharing_solves, angle_walk
 from .transform import (
     DEFAULT_GRID_NODES,
     SIGN_SLACK,
@@ -207,24 +207,26 @@ def _horizon(sys: SystemSpec, lo: float, hi: float, grid_nodes: int, rel_tol: fl
     fields (as expr._compile keeps closures) for the last key only: the
     verdict of a q that dips below zero there (probed at PROBE_POINTS, before
     any trace), or None and the base trace alpha_lambda(sys, 0, grid), its
-    arrays read-only; and the companion's angle walk, made on first use."""
+    arrays read-only; and the companion's angle walk, made on first use.
+    Both are made on a copy of sys that shares its chunk solves, so the
+    oracle on sys and [lo, hi] finds the walk's, and nothing kept refers
+    back to sys."""
     key = (lo, hi, grid_nodes, rel_tol)
     kept = sys.__dict__.get("_horizon")
     if kept is None or kept[0] != key:
-        grid = Grid.uniform(lo, hi, grid_nodes)
+        grid, twin = Grid.uniform(lo, hi, grid_nodes), _sharing_solves(sys)
         bad_t = probe_failure(sys.q, lo, hi, lambda q: q < -SIGN_SLACK)
         negative_q = base = None
         if bad_t is not None:
             negative_q = Verdict(INCONCLUSIVE, (lo, hi),
                                  notes=f"coupling coefficient q is negative at t = {bad_t:.6g}")
         else:
-            # on a copy of sys, as the walk is on the companion: no cycle keeps sys
-            base = alpha_lambda(replace(sys), 0.0, grid)
+            base = alpha_lambda(twin, 0.0, grid)
             for values in (grid.nodes, *vars(base).values()):
                 if isinstance(values, np.ndarray):
                     values.flags.writeable = False
         kept = sys.__dict__["_horizon"] = (
-            key, negative_q, base, cache(partial(angle_walk, sys.homogeneous(), lo, hi, rel_tol)))
+            key, negative_q, base, cache(partial(angle_walk, twin, lo, hi, rel_tol)))
     return kept[1:]
 
 

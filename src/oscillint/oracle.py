@@ -8,17 +8,18 @@ they exist to catch bugs in the analytic path (and vice versa).
 
 The chunked series solve that serves the ensemble also gives `criteria`
 every conjugate point of the unforced companion from one walk over the
-horizon (`angle_walk`). Every zero, blow-up time and level crossing is
-found between two nodes and refined on the chunk's series by
-`numerics.refine_roots`, a lane port of Brent's method, all of a solve's
-node gaps in one call (`_gap_roots`).
+horizon (`angle_walk`), which reads only the unforced solutions of each
+chunk's solve; the two walks of one spec and span share those solves.
+Every zero, blow-up time and level crossing is found between two nodes
+and refined on the chunk's series by `numerics.refine_roots`, a lane port
+of Brent's method, all of a solve's node gaps in one call (`_gap_roots`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -108,9 +109,10 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
     chunk solves the three at once as Chebyshev series by collocation
     (Trefethen, Spectral Methods in MATLAB, ch. 6-7), from one `sample`
     call per coefficient. _chunk_walk tries the whole span as one chunk,
-    as the angle walk does, and halves a chunk until each series' last
-    coefficients are below rel_tol of its largest and u and v stay below
-    _GROWTH. A member's state at a chunk's end starts it on the next.
+    as the angle walk does, and halves a chunk until the three series pass
+    _resolved; a chunk the angle walk of sys on the same span already
+    solved (criteria._horizon) is not solved again. A member's state at a
+    chunk's end starts it on the next.
 
     A member's nodes are evenly spaced on each chunk, _NODES per block of
     _NODES / _SPAN_GAPS of the span it covers, rounded up, so that no node
@@ -136,6 +138,8 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
     block = (hi - lo) * _NODES / _SPAN_GAPS  # the widest chunk with _NODES nodes
 
     def take(coef, h):
+        if not _resolved(coef, tol.rel_tol, 3):
+            return None
         # _NODES per block, rounded up, but not for the few ulps that
         # halving the rest of the span leaves over a multiple
         n = _NODES * math.ceil(h / block * (1.0 - 1e-12))
@@ -153,7 +157,7 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
         return None if n > _NODES and (crossings(phi) & slow & live).any() \
             else (n, at, series, states)
 
-    walk, reached, count = _chunk_walk(sys, lo, hi, tol.rel_tol, take), lo, 0
+    walk, reached, count = _chunk_walk(sys, lo, hi, take), lo, 0
     while live.any() and (chunk := next(walk, None)) is not None:
         t, reached, h, (n, at, series, states) = chunk
         rates = at[:, :_DEGREE] @ (_RATE @ series) * (2.0 / h)
@@ -171,28 +175,39 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
     return _members(chunks, start, ens.span, last, escaped, blowup, tol)
 
 
-def _chunk_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float,
-                take: Callable[[np.ndarray, float], object] = lambda coef, h: coef):
+def _chunk_walk(sys: SystemSpec, lo: float, hi: float,
+                take: Callable[[np.ndarray, float], object]):
     """The chunks that cover [lo, hi] from lo, each solved as series: yield
     (t, t_end, h, take(coef, h)) for each chunk [t, t_end], h wide, with coef
     its _chunk_series coefficients; t_end is t + h, or exactly hi for the
-    last chunk. The oracle and angle_walk both walk through here.
+    last chunk. The oracle and angle_walk both walk through here, each with
+    its own test in take.
 
     The first chunk tries the whole span. A chunk takes the rest of the
     span when less than half a chunk would be left after it. It is halved
-    while _chunk_series rejects it or take returns None, and the next
-    chunk tries twice its width. The walk stops early where a chunk would
-    be narrower than STEP_COLLAPSE of the span: a coefficient that cannot
-    be sampled or resolved there.
+    while _chunk_series fails or take returns None, and the next chunk
+    tries twice its width. The walk stops early where a chunk would be
+    narrower than STEP_COLLAPSE of the span: a coefficient that cannot be
+    sampled or resolved there. Each solve is kept on sys outside its
+    fields (as criteria._horizon keeps its record), by (t, h), for the last
+    span walked only: a second walk of sys over [lo, hi] solves only the
+    chunks that the first did not try, and the two try the same chunks
+    until their tests first differ.
     """
-    t, h = lo, hi - lo
+    kept = sys.__dict__.setdefault("_solves", {})
+    if (lo, hi) not in kept:
+        kept.clear()
+        kept[lo, hi] = {}
+    solves, t, h = kept[lo, hi], lo, hi - lo
     while t < hi:
         h = min(h, hi - t)
         if hi - t - h < 0.5 * h:  # no sliver chunk before the end
             h = hi - t
         if h < STEP_COLLAPSE * (hi - lo):
             return
-        coef = _chunk_series(sys, t, h, rel_tol)
+        if (t, h) not in solves:
+            solves[t, h] = _chunk_series(sys, t, h)
+        coef = solves[t, h]
         piece = None if coef is None else take(coef, h)
         if piece is None:
             h *= 0.5
@@ -200,6 +215,14 @@ def _chunk_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float,
         t_end = hi if h == hi - t else t + h
         yield t, t_end, h, piece
         t, h = t_end, 2.0 * h
+
+
+def _sharing_solves(sys: SystemSpec) -> SystemSpec:
+    """A copy of sys that keeps its chunk solves in sys's: a record kept on
+    sys walks it, so that nothing sys keeps refers back to sys."""
+    twin = replace(sys)
+    twin.__dict__["_solves"] = sys.__dict__.setdefault("_solves", {})
+    return twin
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,25 +274,31 @@ class AngleWalk:
 
 
 def angle_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float) -> AngleWalk:
-    """The Pruefer angle rho = arg(v_phi + i u_phi) of unforced sys over [lo,
-    hi], u and v the solutions from (1, 0) and (0, 1) at lo: rho' = -q det(u,
-    v) / |(u_phi, v_phi)|^2. Where rho falls (q >= 0), every solution
-    vanishes on [s, t] exactly when rho(s) - rho(t) >= pi, and the one from
-    (cos theta0, sin theta0) where rho + theta0 is a multiple of pi.
+    """The Pruefer angle rho = arg(v_phi + i u_phi) of sys's unforced
+    companion over [lo, hi], u and v the solutions from (1, 0) and (0, 1)
+    at lo: rho' = -q det(u, v) / |(u_phi, v_phi)|^2. Where rho falls (q >=
+    0), every solution vanishes on [s, t] exactly when rho(s) - rho(t) >=
+    pi, and the one from (cos theta0, sin theta0) where rho + theta0 is a
+    multiple of pi.
 
     On a _chunk_walk, a chunk starts from the fundamental matrix at the
-    last one's end, first row at unit length. Its doubt, over the row's
-    least size, is the row's series tail plus the rounding in combining
-    it, read before the second row, e^{int (s - p)} larger, can cancel.
-    It is halved while the tail exceeds rel_tol of the row's end size, or
-    rho rises at a later node step by more than the doubt (q < 0, or a
-    half turn in a gap). The walk ends where rho rises at a first step,
-    or before its doubt would pass _MOST_DOUBT; each turn adds some eps
-    of rho to the doubt, its own and the sum's rounding."""
+    last one's end, first row at unit length. It reads u and v alone: a
+    chunk passes _resolved on those two, whatever the forcing and w, so
+    rho is the same for sys as for sys.homogeneous(), and the oracle finds
+    the solves of the chunks tried (criteria._horizon). Its doubt, over
+    the row's least size, is the row's series tail plus the rounding in
+    combining it, read before the second row, e^{int (s - p)} larger, can
+    cancel. It is halved while the tail exceeds rel_tol of the row's end
+    size, or rho rises at a later node step by more than the doubt (q <
+    0, or a half turn in a gap). The walk ends where rho rises at a first
+    step, or before its doubt would pass _MOST_DOUBT; each turn adds some
+    eps of rho to the doubt, its own and the sum's rounding."""
     carried, rows, doubt = np.eye(2), [], 0.0
     parts = [([lo], np.eye(2)[:1], [], [0.0])]  # nodes, z, steps, doubt
 
     def take(coef, _):
+        if not _resolved(coef, rel_tol, 2):
+            return None
         series = coef[:, :, :2] @ carried  # (component, degree, column)
         end, at = series.sum(axis=1), _AT_NODES @ series[0]
         # u and v are resolved to rel_tol of their largest values, not the row's
@@ -283,7 +312,7 @@ def angle_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float) -> AngleWa
         return (series[0].T, at, step, end, own, rises[0]) if rises[0] or not rises[1:].any() \
             else None
 
-    for t0, t1, _, (row, at, step, end, own, rises) in _chunk_walk(sys, lo, hi, rel_tol, take):
+    for t0, t1, _, (row, at, step, end, own, rises) in _chunk_walk(sys, lo, hi, take):
         # past a rise at a chunk's first step, halving would crawl into q < 0
         if rises or doubt + own > _MOST_DOUBT:
             break
@@ -366,36 +395,54 @@ _STARTS = [_N - 1, 2 * _N - 1]
 _START_ROWS = np.eye(2 * _N)[_STARTS]
 
 
-def _chunk_series(sys: SystemSpec, t: float, h: float, rel_tol: float) -> np.ndarray | None:
+def _chunk_series(sys: SystemSpec, t: float, h: float) -> np.ndarray | None:
     """Coefficients of u, v and w on [t, t + h], shape (2, _DEGREE + 1, 3)
-    for component, degree and solution; None when a coefficient cannot be
-    sampled there or the chunk is not accepted."""
+    for component, degree and solution, from one sample call per
+    coefficient and one collocation solve; None when p, q, r or s cannot
+    be sampled there or the solve fails. w's series is NaN when f or g
+    cannot be sampled or overflows there. LAPACK solves each column on its
+    own, so u and v are the same bits whatever the forcing: those of
+    sys.homogeneous()."""
     ts = t + (_X + 1.0) * (0.5 * h)
     try:
-        values = np.array([sample(e, ts) for e in (sys.p, sys.q, sys.r, sys.s, sys.f, sys.g)])
+        values = np.array([sample(e, ts) for e in (sys.p, sys.q, sys.r, sys.s)])
     except DomainError:
         return None
+    try:
+        forcing = np.array([sample(e, ts) for e in (sys.f, sys.g)])
+    except DomainError:
+        forcing = np.full((2, _N), np.nan)
     with np.errstate(over="ignore"):  # a coefficient that overflows is refused here
-        coeffs = 0.5 * h * values
+        coeffs, forcing = 0.5 * h * values, 0.5 * h * forcing
     if not np.isfinite(coeffs).all():
         return None
+    forced = np.isfinite(forcing).all()
     matrix = _BLOCKS.copy()
-    matrix[_DIAGONALS] -= coeffs[:4].ravel()
+    matrix[_DIAGONALS] -= coeffs.ravel()
     matrix[_STARTS] = _START_ROWS
     rhs = np.zeros((2 * _N, 3))
-    rhs[:, 2] = coeffs[4:].ravel()
+    if forced:
+        rhs[:, 2] = forcing.ravel()
     rhs[_STARTS] = np.eye(2, 3)
     try:
         values = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError:
         return None
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite chunk is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite chunk is refused by _resolved
         coef = _TO_COEF @ values.reshape(2, _N, 3)
-    size = np.abs(coef)
+    if not forced:
+        coef[:, :, 2] = np.nan
+    return coef
+
+
+def _resolved(coef: np.ndarray, rel_tol: float, solutions: int) -> bool:
+    """The chunk test on the first solutions series of coef, u, v and then
+    w: each is finite, its last _TAIL coefficients are below rel_tol of its
+    largest, and u and v stay below _GROWTH."""
+    size = np.abs(coef[:, :, :solutions])
     scale = size.max(axis=(0, 1))
     resolved = size[:, -_TAIL:].max(axis=(0, 1)) <= rel_tol * scale
-    return coef if np.isfinite(scale).all() and resolved.all() and scale[:2].max() <= _GROWTH \
-        else None
+    return np.isfinite(scale).all() and resolved.all() and scale[:2].max() <= _GROWTH
 
 
 def _chunk_at(coef: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -439,14 +486,14 @@ def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
     else:
         nodes, states, rates = np.array(span[:1]), start[:, None], np.zeros_like(start)[:, None]
     # lanes: the node a bracket starts at, the member, and the direction of
-    # a crossing of phi, or 0 for a blow-up
-    blown = np.flatnonzero(blowup >= 0)
-    lanes = [(blowup[blown], blown, np.zeros(blown.size, dtype=int))]
-    for j, k in enumerate(last):
-        phi = states[0, :k + 1, j]
-        pair = np.flatnonzero(crossings(phi))
-        lanes.append((pair, np.full(pair.size, j), np.where(phi[pair + 1] > phi[pair], 1, -1)))
-    node, member, direction = (np.concatenate(parts) for parts in zip(*lanes))
+    # a crossing of phi, or 0 for a blow-up. The blow-ups come first, then
+    # each member's crossings before its last node, member by member
+    blown, phi = np.flatnonzero(blowup >= 0), states[0]  # phi: (node, member)
+    owned = crossings(phi) & (np.arange(phi.shape[0] - 1)[:, None] < last)
+    crossed, pair = np.nonzero(owned.T)
+    node, member = np.concatenate((blowup[blown], pair)), np.concatenate((blown, crossed))
+    direction = np.concatenate((np.zeros(blown.size, dtype=int),
+                                np.where(phi[pair + 1, crossed] > phi[pair, crossed], 1, -1)))
     times = nodes[node]
     if node.size:
         chunk = np.searchsorted(first, node, side="right") - 1

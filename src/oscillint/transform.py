@@ -102,7 +102,8 @@ class SystemSpec:
     t0: float = 0.0
 
     def __getstate__(self) -> dict:
-        """The fields alone: a check's kept record is not pickled or copied."""
+        """The fields alone: a check's kept record and chunk solves are not
+        pickled or copied."""
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     def coefficients(self) -> dict[str, Expr]:

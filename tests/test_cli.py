@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscillint import criteria
+from oscillint import criteria, oracle
 from oscillint.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -265,6 +265,18 @@ class TestOneRecordPerRun:
         assert report.verdict.outcome == OSCILLATORY
         assert calls["alpha_lambda"] == calls["probe_failure"] == 1
         assert calls["angle_walk"] <= 1
+
+    @pytest.mark.parametrize("name", ["forced_harmonic", "bursty_coupling",
+                                      "decaying_forcing"])
+    def test_analyze_solves_each_chunk_once(self, name, monkeypatch):
+        # the checks' angle walk and the oracle share every chunk they both
+        # try: one collocation solve per (t, h)
+        chunks = []
+        series = oracle._chunk_series
+        monkeypatch.setattr(oracle, "_chunk_series",
+                            lambda sys, t, h: chunks.append((t, h)) or series(sys, t, h))
+        run("analyze", load_config(CONFIG_DIR / f"{name}.json"))
+        assert chunks and len(chunks) == len(set(chunks))
 
 
 class TestSubcommands:

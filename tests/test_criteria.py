@@ -39,7 +39,7 @@ from oscillint.criteria import (
 )
 from oscillint.expr import eval_expr, parse_text, sample
 from oscillint.numerics import Grid, Tolerances, integrate_ode, zero_crossing
-from oscillint.oracle import _AT_NODES, _chunk_series, angle_walk
+from oscillint.oracle import _AT_NODES, _chunk_series, _resolved, angle_walk
 from oscillint.transform import (
     DEFAULT_GRID_NODES,
     SecondOrderSpec,
@@ -240,8 +240,8 @@ class TestSeriesDescent:
         # time, more than pi/2 in one of the 64 node gaps of the whole
         # window; it still only falls, so the one chunk holds
         sys_h, lo, hi = make_system(q="900", r="-1"), 0.0, 0.4
-        coef = _chunk_series(sys_h, lo, hi - lo, 1e-8)
-        assert coef is not None  # the series resolves the whole window
+        coef = _chunk_series(sys_h, lo, hi - lo)
+        assert _resolved(coef, 1e-8, 2)  # the series resolves the whole window
         steps = self.node_steps(coef)
         assert steps.min() < -math.pi / 2 and steps.max() <= 0.0
         walk = angle_walk(sys_h, lo, hi, 1e-8)
@@ -253,8 +253,8 @@ class TestSeriesDescent:
         # its start, too small for the chunk's error, which is relative to
         # its largest values, though the series passes the tail test
         sys_h, lo, hi = make_system(p="-20", s="-20", q="1", r="-4"), 0.0, 1.0
-        coef = _chunk_series(sys_h, lo, hi - lo, 1e-8)
-        assert coef is not None
+        coef = _chunk_series(sys_h, lo, hi - lo)
+        assert _resolved(coef, 1e-8, 2)
         steps = self.node_steps(coef)
         assert steps.max() < 0.0
         walk = angle_walk(sys_h, lo, hi, 1e-8)
@@ -801,17 +801,80 @@ class TestHorizonRecord:
             assert self.verdicts(clone, (0.0, 30.0)) == before
 
     def test_the_record_dies_with_its_spec(self):
-        # no reference cycle: the spec and its kept trace go without the
-        # cyclic collector
+        # no reference cycle: the spec, its kept trace and its chunk solves
+        # go without the cyclic collector
         sys_spec = harmonic(g="sin(t)")
         self.verdicts(sys_spec, (0.0, 30.0))
-        spec_ref, base_ref = weakref.ref(sys_spec), weakref.ref(vars(sys_spec)["_horizon"][2])
+        solves = vars(sys_spec)["_solves"][0.0, 30.0]
+        refs = [weakref.ref(sys_spec), weakref.ref(vars(sys_spec)["_horizon"][2]),
+                weakref.ref(vars(sys_spec)["_horizon"][3]())]
+        refs += [weakref.ref(coef) for coef in solves.values() if coef is not None]
+        del solves
+        assert len(refs) > 3
         gc.disable()
         try:
             del sys_spec
-            assert spec_ref() is None and base_ref() is None
+            assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("name", ["forced_harmonic", "bursty_coupling", "decaying_forcing",
+                                      "harmonic_riccati", "riccati_comparison",
+                                      "overflowing_forcing", "unsampled_forcing"])
+    def test_walk_of_the_forced_spec_is_the_companions(self, name):
+        # rho reads u and v alone: walked on the forced spec, whose solves
+        # the oracle then finds, it is the companion's to the bit, also
+        # where the forcing overflows or cannot be sampled
+        rel_tol = Tolerances().rel_tol
+        if name == "unsampled_forcing":  # nor can the checks' trace: walk it as they would
+            sys_spec, horizon = harmonic(g="sqrt(t - 10)"), (0.0, 30.0)
+            walk = angle_walk(sys_spec, *horizon, rel_tol)
+        else:
+            if name == "overflowing_forcing":
+                sys_spec, horizon = reduce_equation(SecondOrderSpec(
+                    parse_text("1"), parse_text("0"), parse_text("1"),
+                    parse_text("1e308*sin(t)"))), (0.0, 30.0)
+            else:
+                config = load_config(CONFIG_DIR / f"{name}.json")
+                sys_spec, horizon = config.working_system(), config.span()
+            walk = criteria._horizon(sys_spec, *horizon, DEFAULT_GRID_NODES, rel_tol)[2]()
+        companion = angle_walk(sys_spec.homogeneous(), *horizon, rel_tol)
+        for part in ("nodes", "rows", "rho", "doubt"):
+            np.testing.assert_array_equal(getattr(walk, part), getattr(companion, part))
+        assert walk.reached == companion.reached
+        solves = [coef for coef in vars(sys_spec)["_solves"][horizon].values()
+                  if coef is not None]
+        assert solves
+        if name in ("overflowing_forcing", "unsampled_forcing"):  # w refused, u and v read
+            assert any(np.isnan(coef[..., 2]).all() for coef in solves)
+
+    def test_the_last_span_keeps_its_solves(self):
+        sys_spec = harmonic(g="sin(t)")
+        self.verdicts(sys_spec, (0.0, 30.0))
+        self.verdicts(sys_spec, (0.0, 20.0))
+        kept = vars(sys_spec)["_solves"]
+        assert list(kept) == [(0.0, 20.0)]
+        assert all(t + h <= 20.0 for t, h in kept[0.0, 20.0])
+
+    def test_pickle_and_copy_drop_the_solves(self):
+        sys_spec = harmonic(g="sin(t)")
+        self.verdicts(sys_spec, (0.0, 30.0))
+        assert vars(sys_spec)["_solves"][0.0, 30.0]
+        for clone in (pickle.loads(pickle.dumps(sys_spec)), copy.copy(sys_spec)):
+            assert clone == sys_spec and "_solves" not in vars(clone)
+
+    @pytest.mark.parametrize("span", [(0.0, 30.0), (0.0, 20.0)])
+    def test_oracle_reads_kept_solves_as_its_own(self, span):
+        # a spec that holds the checks' solves, of this span or another,
+        # gives the members a fresh spec gives
+        ens = oracle.default_ensemble(span)
+        fresh = oracle.simulate_ensemble(harmonic(g="sin(t)"), ens)
+        sys_spec = harmonic(g="sin(t)")
+        self.verdicts(sys_spec, (0.0, 30.0))
+        for mine, theirs in zip(oracle.simulate_ensemble(sys_spec, ens), fresh):
+            np.testing.assert_array_equal(mine.grid.nodes, theirs.grid.nodes)
+            np.testing.assert_array_equal(mine.states, theirs.states)
+            assert mine.events == theirs.events
 
 
 class TestShiftPruning:

@@ -32,6 +32,7 @@ from oscillint.oracle import (
     simulate_ensemble,
     _chunk_series,
     _members,
+    _resolved,
 )
 from oscillint.expr import parse_text
 from oscillint.transform import SystemSpec
@@ -268,8 +269,8 @@ def unshared_chunk_loop(sys_spec, ens, tol):
             last[live] = len(chunks) * _NODES
             escaped |= live
             break
-        coef = _chunk_series(sys_spec, t, h, tol.rel_tol)
-        if coef is None:
+        coef = _chunk_series(sys_spec, t, h)
+        if coef is None or not _resolved(coef, tol.rel_tol, 3):
             h *= 0.5
             continue
         series = coef @ np.vstack((np.where(live, state, 0.0), np.ones(m)))
@@ -300,10 +301,11 @@ def shipped_or_edge_config(name):
     return load_config(CONFIG_DIR / f"{name}.json")
 
 
-def chunk_solves(monkeypatch, solve):
-    """The _chunk_series calls solve() makes, how many of them gave a
-    series (a chunk, unless the oracle's zero check then halves it), and
-    what solve() returns."""
+def chunk_solves(monkeypatch, solve, rel_tol):
+    """The _chunk_series calls solve() makes, its collocation solves (a
+    walk calls it only for a chunk it has no solve of), how many of them
+    pass the oracle's chunk test (a chunk, unless its zero check then
+    halves it), and what solve() returns."""
     calls = []
     series = oracle._chunk_series
     counted = lambda *a: calls.append(series(*a)) or calls[-1]
@@ -311,7 +313,8 @@ def chunk_solves(monkeypatch, solve):
         patch.setattr(oracle, "_chunk_series", counted)
         patch.setitem(globals(), "_chunk_series", counted)  # unshared_chunk_loop's
         out = solve()
-    return len(calls), sum(coef is not None for coef in calls), out
+    kept = sum(coef is not None and _resolved(coef, rel_tol, 3) for coef in calls)
+    return len(calls), kept, out
 
 
 class TestSharedChunkWalk:
@@ -349,10 +352,11 @@ class TestSharedChunkWalk:
         ens = default_ensemble(config.span(), seed=config.oracle_seed,
                                size=config.oracle_size)
         sys_spec = config.working_system()
+        rel_tol = config.tolerances.rel_tol
         solves, kept, members = chunk_solves(monkeypatch, lambda: simulate_ensemble(
-            sys_spec, ens, config.tolerances))
+            sys_spec, ens, config.tolerances), rel_tol)
         former, former_kept, _ = chunk_solves(monkeypatch, lambda: unshared_chunk_loop(
-            sys_spec, ens, config.tolerances))
+            sys_spec, ens, config.tolerances), rel_tol)
         if name == "bursty_coupling":
             # q's bursts, pi apart, cap its chunks near pi/2: it keeps as
             # many chunks as the former loop, but its solves are not pinned,
