@@ -302,7 +302,8 @@ def _refined_windows(curves: np.ndarray,
     interval tests need the full window (a half period, say), so each end
     next to a failing node moves, within that node gap, to the root of
     curve + SIGN_SLACK of each curve that fails there, the innermost root
-    when several do; every end of every row in one vectorised solve.
+    when several do; every end of every row in one vectorised solve, which
+    reads the gap's two ends from curves.
     """
     holds = curves >= -SIGN_SLACK
     row, first, last = _runs(holds.all(axis=0))
@@ -317,8 +318,9 @@ def _refined_windows(curves: np.ndarray,
     if end.size:
         on_left = end < left.size
         lane_rows, below = row[ends[end]], np.where(on_left, outer[end], outer[end] - 1)
+        at_nodes = [curves[failing, lane_rows, below + j] + SIGN_SLACK for j in (0, 1)]
         roots = refine_roots(lambda t, i: curve_at(failing[i], lane_rows[i], t) + SIGN_SLACK,
-                             nodes[below], nodes[below + 1], tol=1e-13)
+                             nodes[below], nodes[below + 1], tol=1e-13, ends=at_nodes)
         # innermost: the latest root of a left end, the earliest of a right one
         edge = np.full(ends.size, -np.inf)
         np.maximum.at(edge, end, np.where(on_left, roots, -roots))

@@ -164,6 +164,12 @@ class CubicHermiteCurve:
         return _hermite(s, h, v[idx, cols], v[idx + 1, cols], d[idx, cols], d[idx + 1, cols])
 
 
+def short_span_end(t: float, toward: float) -> float:
+    """Where the degenerate span of a solution that ended at its first
+    node, t, ends: just past t, toward the time `toward`."""
+    return t + max((toward - t) * 1e-15, 1e-300)
+
+
 @dataclass
 class Trajectory:
     """A solution's nodes, its states and derivatives there, and its events
@@ -202,7 +208,7 @@ class Trajectory:
         ts = np.asarray(ts, dtype=float)
         ys, fs = (np.asarray(v, dtype=float).reshape(len(ts), -1) for v in (ys, fs))
         if len(ts) == 1:
-            ts = np.append(ts, ts[0] + max((toward - ts[0]) * 1e-15, 1e-300))
+            ts = np.append(ts, short_span_end(ts[0], toward))
             ys, fs = np.vstack((ys, ys)), np.vstack((fs, fs))
         return cls(Grid(ts), ys, events, fs, end_reason)
 
@@ -294,7 +300,7 @@ _BRENT_MAXITER = 100
 
 
 def refine_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
-                 tol: float = 1e-9) -> np.ndarray:
+                 tol: float = 1e-9, ends=None) -> np.ndarray:
     """Many bracketed roots at once, each equal to scipy's brentq bit for bit.
 
     fn(points, lanes) gives the value of bracket lanes[i] (an index into lo
@@ -302,21 +308,25 @@ def refine_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
     rtol = 4 eps, step rules and stopping test); an iteration makes one
     call of fn over the brackets still open, and a converged bracket is
     never passed again. A bracket with a zero at an end returns that end,
-    the lower one first.
+    the lower one first. ends, when given, holds fn's values at lo and hi,
+    which a caller that found the brackets from them already has; the sign
+    test and the iteration then start from those.
     """
     xpre = np.array(lo, dtype=float)
     xcur = np.array(hi, dtype=float)
     if np.any(xcur <= xpre):
         raise RootBracketError("empty bracket")
 
-    def values(x, lanes):
-        out = np.asarray(fn(x, lanes), dtype=float)
+    def checked(out):
+        out = np.asarray(out, dtype=float)
         if np.isnan(out).any():
             raise ValueError("root function returned NaN")
         return out
 
     lanes = np.arange(xcur.size)
-    fpre, fcur = values(xpre, lanes), values(xcur, lanes)
+    if ends is None:
+        ends = fn(xpre, lanes), fn(xcur, lanes)
+    fpre, fcur = (checked(v) for v in ends)
     open_ = (fpre != 0.0) & (fcur != 0.0)
     if np.any(open_ & (np.signbit(fpre) == np.signbit(fcur))):
         raise RootBracketError("no sign change on some bracket")
@@ -365,7 +375,7 @@ def refine_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
 
         xpre, fpre = xcur, fcur
         xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = values(xcur, lanes)
+        fcur = checked(fn(xcur, lanes))
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations")
 
 

@@ -12,20 +12,23 @@ horizon (`angle_walk`), which reads only the unforced solutions of each
 chunk's solve; the two walks of one spec and span share those solves.
 Every zero, blow-up time and level crossing is found between two nodes
 and refined on the chunk's series by `numerics.refine_roots`, a lane port
-of Brent's method, all of a solve's node gaps in one call (`_gap_roots`).
+of Brent's method, all of a solve's node gaps in one call that starts from
+the node values which found them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .expr import DomainError, sample
-from .numerics import STEP_COLLAPSE, Event, Tolerances, Trajectory, crossings, refine_roots
+from .numerics import (STEP_COLLAPSE, Event, Tolerances, Trajectory, crossings, refine_roots,
+                       short_span_end)
 from .transform import SystemSpec
 
 OSCILLATORY_OBSERVED = "oscillatory_observed"
@@ -100,8 +103,9 @@ class EmpiricalVerdict:
 
 
 def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
-                      tol: Tolerances = Tolerances()) -> list[Trajectory]:
-    """One trajectory per member, with sign changes of phi recorded.
+                      tol: Tolerances = Tolerances()) -> EnsembleRun:
+    """The run of every member, with sign changes of phi recorded: an
+    EnsembleRun, read as the sequence of the members' Trajectories.
 
     The system is linear, so on a chunk [t, t + h] every member is
     a u + b v + w: (a, b) is its state at t, u and v solve the unforced
@@ -126,6 +130,12 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
     found on the series, with an escape event; a chunk that cannot be
     sampled or resolved down to 1e-12 of the span ends every running
     member at its start, with an escape.
+
+    The run keeps the series, the nodes and the states there, and what
+    empirical_classification reads of each member. A member's
+    Trajectory, with its rates at the nodes, is built when the run is
+    first indexed or iterated: `--dump-traces` and library callers read
+    them, the classification does not.
     """
     lo, hi = ens.span
     start = np.array(ens.initial_conditions).T  # (2, m)
@@ -134,7 +144,7 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
     escaped = ~live  # the members that end with an escape event
     last = np.zeros(m, dtype=int)  # each member's last node, once it has ended
     blowup = np.full(m, -1)  # the node after which a member passes escape_magnitude
-    chunks = []  # (start, end, member series, member states, member rates)
+    chunks = []  # (start, end, width, member series, member states)
     block = (hi - lo) * _NODES / _SPAN_GAPS  # the widest chunk with _NODES nodes
 
     def take(coef, h):
@@ -155,24 +165,23 @@ def simulate_ensemble(sys: SystemSpec, ens: Ensemble,
         phi, tail = states[0], np.abs(series[:, -_TAIL:]).max(axis=(0, 1))
         slow = tail * (h / n) > tol.root_tol * np.abs(np.diff(phi, axis=0))
         return None if n > _NODES and (crossings(phi) & slow & live).any() \
-            else (n, at, series, states)
+            else (n, series, states)
 
     walk, reached, count = _chunk_walk(sys, lo, hi, take), lo, 0
     while live.any() and (chunk := next(walk, None)) is not None:
-        t, reached, h, (n, at, series, states) = chunk
-        rates = at[:, :_DEGREE] @ (_RATE @ series) * (2.0 / h)
+        t, reached, h, (n, series, states) = chunk
         over = (np.abs(states[:, 1:]).max(axis=0) > tol.escape_magnitude) & live
         blown = over.any(axis=0)
         blowup[blown] = count + over.argmax(axis=0)[blown]
         last[blown] = blowup[blown] + 1
         escaped |= blown
         live &= ~blown
-        chunks.append((t, reached, series, states, rates))
+        chunks.append((t, reached, h, series, states))
         state, count = states[:, -1], count + n
     last[live] = count
     if reached < hi:  # the walk stopped early: every running member escapes there
         escaped |= live
-    return _members(chunks, start, ens.span, last, escaped, blowup, tol)
+    return EnsembleRun(chunks, start, ens.span, last, escaped, blowup, tol)
 
 
 def _chunk_walk(sys: SystemSpec, lo: float, hi: float,
@@ -269,8 +278,9 @@ class AngleWalk:
         start = np.array([math.cos(theta0), math.sin(theta0)]) * (-1.0) ** level[node, None]
         phi = lambda tq, lanes: np.sum(self.row_at(tq, node[lanes]) * start[lanes], axis=1)
         ends = [phi(self.nodes[node + j], np.arange(node.size)) for j in (0, 1)]
-        return _gap_roots(phi, self.nodes, node, np.maximum(ends[0], np.finfo(float).tiny),
-                          np.minimum(ends[1], 0.0), root_tol).tolist()
+        return refine_roots(phi, self.nodes[node], self.nodes[node + 1], root_tol,
+                            ends=(np.maximum(ends[0], np.finfo(float).tiny),
+                                  np.minimum(ends[1], 0.0))).tolist()
 
 
 def angle_walk(sys: SystemSpec, lo: float, hi: float, rel_tol: float) -> AngleWalk:
@@ -454,127 +464,176 @@ def _chunk_at(coef: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return np.sum(coef * waves[:, None], axis=-1)
 
 
-def _gap_roots(value: Callable[[np.ndarray, np.ndarray], np.ndarray], nodes: np.ndarray,
-               node: np.ndarray, first: np.ndarray, second: np.ndarray,
-               root_tol: float) -> np.ndarray:
-    """The time in each node gap [nodes[node[i]], nodes[node[i] + 1]] where
-    value(tq, lanes) changes sign, by refine_roots. At a gap's two nodes it
-    reads first[i] and second[i], the node values that found the change,
-    not the series, which may differ from them in the last bits."""
-    lo, hi = nodes[node], nodes[node + 1]
-    return refine_roots(lambda tq, lanes: np.where(
-        tq == lo[lanes], first[lanes],
-        np.where(tq == hi[lanes], second[lanes], value(tq, lanes))), lo, hi, root_tol)
+class _Facts(NamedTuple):
+    """What empirical_classification reads of a run: the members' start,
+    and per member its zero count, last zero (None without one), the end
+    of its span and whether it is the trivial solution."""
+
+    start: float
+    zero_counts: list
+    last_zeros: list
+    ends: list
+    trivial: list
 
 
-def _members(chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
-             escaped: np.ndarray, blowup: np.ndarray, tol: Tolerances) -> list[Trajectory]:
-    """Each member's Trajectory: its nodes up to node last[j] or, for a
-    blow-up, up to node blowup[j] and then the time where its series
-    passes escape_magnitude. The crossings of phi before last[j] and the
-    blow-ups are refined on the series in one _gap_roots call."""
-    if chunks:
-        begin, finish = (np.array(ends) for ends in zip(*(c[:2] for c in chunks)))
-        series = np.stack([c[2] for c in chunks])  # (chunk, component, degree, member)
-        # each chunk's evenly spaced nodes but its end, which starts the next, then the last end
-        counts = [c[3].shape[1] - 1 for c in chunks]
-        first = np.cumsum([0] + counts)  # each chunk's first node
-        nodes = np.append(np.concatenate([np.linspace(t, t_end, n + 1)[:-1] for t, t_end, n
-                                          in zip(begin, finish, counts)]), finish[-1])
-        states, rates = (np.concatenate([c[k][:, :-1] for c in chunks]
-                                        + [chunks[-1][k][:, -1:]], axis=1) for k in (3, 4))
-    else:
-        nodes, states, rates = np.array(span[:1]), start[:, None], np.zeros_like(start)[:, None]
-    # lanes: the node a bracket starts at, the member, and the direction of
-    # a crossing of phi, or 0 for a blow-up. The blow-ups come first, then
-    # each member's crossings before its last node, member by member
-    blown, phi = np.flatnonzero(blowup >= 0), states[0]  # phi: (node, member)
-    owned = crossings(phi) & (np.arange(phi.shape[0] - 1)[:, None] < last)
-    crossed, pair = np.nonzero(owned.T)
-    node, member = np.concatenate((blowup[blown], pair)), np.concatenate((blown, crossed))
-    direction = np.concatenate((np.zeros(blown.size, dtype=int),
-                                np.where(phi[pair + 1, crossed] > phi[pair, crossed], 1, -1)))
-    times = nodes[node]
-    if node.size:
-        chunk = np.searchsorted(first, node, side="right") - 1
-        coef = series[chunk, :, :, member]  # (lane, component, degree)
-        lo, hi = begin[chunk], finish[chunk]
+class EnsembleRun(Sequence):
+    """One simulate_ensemble run: a record of its members, and the sequence
+    of their Trajectories, each built from the record when first read.
 
-        def g(y, lanes):  # y: (lane, component)
-            return np.where(direction[lanes] == 0,
-                            np.abs(y).max(axis=1) - tol.escape_magnitude, y[:, 0])
-        every = np.arange(node.size)
-        at = lambda tq, lanes: _chunk_at(coef[lanes], tq, lo[lanes], hi[lanes])
-        times = _gap_roots(lambda tq, lanes: g(at(tq, lanes), lanes), nodes, node,
-                           g(states[:, node, member].T, every),
-                           g(states[:, node + 1, member].T, every), tol.root_tol)
-        end_states = at(times, every)
-        end_rates = _chunk_at(coef @ _RATE.T, times, lo, hi) / (hi - lo)[:, None] * 2.0
+    The record holds each chunk's series, the nodes, every member's states
+    there, its refined zeros and its end, and the facts the classification
+    reads. The crossings of phi before each member's last node and the
+    blow-ups are found at the nodes and refined on the series, all in one
+    refine_roots call. A member runs through its nodes up to the last it
+    reached, or for a blow-up up to the node before it passes
+    escape_magnitude and then to the time its series does; its zeros are
+    its crossings up to that end."""
 
-    out = []
-    for j, k in enumerate(last):
-        mine = member == j
+    def __init__(self, chunks: list, start: np.ndarray, span: tuple, last: np.ndarray,
+                 escaped: np.ndarray, blowup: np.ndarray, tol: Tolerances):
+        if chunks:
+            begin, finish, self._widths = (np.array(c) for c in zip(*(c[:3] for c in chunks)))
+            self._bounds = np.append(begin, finish[-1])  # chunk k spans bounds[k], bounds[k + 1]
+            self._series = np.stack([c[3] for c in chunks])  # (chunk, component, degree, member)
+            # each chunk's evenly spaced nodes but its end, which starts the
+            # next, then the last end
+            counts = [c[4].shape[1] - 1 for c in chunks]
+            self._first = np.cumsum([0] + counts)  # each chunk's first node, then the last node
+            nodes = np.append(np.concatenate([np.linspace(t, t_end, n + 1)[:-1] for t, t_end, n
+                                              in zip(begin, finish, counts)]), finish[-1])
+            states = np.concatenate([c[4][:, :-1] for c in chunks] + [chunks[-1][4][:, -1:]],
+                                    axis=1)
+        else:
+            nodes, states, self._series = np.array(span[:1]), start[:, None], None
+        # lanes: the node a bracket starts at, the member, and the direction of
+        # a crossing of phi, or 0 for a blow-up. The blow-ups come first, then
+        # each member's crossings before its last node, member by member
+        blown, phi = np.flatnonzero(blowup >= 0), states[0]  # phi: (node, member)
+        owned = crossings(phi) & (np.arange(phi.shape[0] - 1)[:, None] < last)
+        crossed, pair = np.nonzero(owned.T)
+        node, member = np.concatenate((blowup[blown], pair)), np.concatenate((blown, crossed))
+        direction = np.concatenate((np.zeros(blown.size, dtype=int),
+                                    np.where(phi[pair + 1, crossed] > phi[pair, crossed], 1, -1)))
+        times = nodes[node]
+        if node.size:
+            coef, lo, hi = self._on_chunks(node, member)
+
+            def g(y, lanes):  # y: (lane, component)
+                return np.where(direction[lanes] == 0,
+                                np.abs(y).max(axis=1) - tol.escape_magnitude, y[:, 0])
+            every = np.arange(node.size)
+            times = refine_roots(
+                lambda tq, lanes: g(_chunk_at(coef[lanes], tq, lo[lanes], hi[lanes]), lanes),
+                nodes[node], nodes[node + 1], tol.root_tol,
+                ends=[g(states[:, node + j, member].T, every) for j in (0, 1)])
+        # each member's last node, and its end: that node's time, or a blow-up's
+        self._top, self._ends = last.copy(), nodes[last]
+        self._top[blown], self._ends[blown] = blowup[blown], times[:blown.size]
+        zero = (direction != 0) & (times <= self._ends[member])
+        self._zero_times, self._directions = times[zero].tolist(), direction[zero].tolist()
+        zero_counts = np.bincount(member[zero], minlength=last.size).tolist()
+        self._offsets = np.cumsum([0] + zero_counts).tolist()  # each member's first zero
+        self._toward, self._nodes, self._states, self._blown = span[1], nodes, states, blown
+        self._escaped, self._built = escaped.tolist(), [None] * last.size
+        # a member that ends at its first node has Trajectory.from_nodes'
+        # degenerate span; one is trivial when its states are zero up to node
+        # last, which for a blow-up is the node past escape_magnitude
+        nonzero, t0 = np.any(states, axis=0), float(nodes[0])  # nonzero: (node, member)
+        self.facts = _Facts(
+            t0, zero_counts,
+            [self._zero_times[k - 1] if n else None
+             for k, n in zip(self._offsets[1:], zero_counts)],
+            [end if top or end > t0 else short_span_end(t0, span[1])
+             for top, end in zip(self._top.tolist(), self._ends.tolist())],
+            (~nonzero.any(axis=0) | (nonzero.argmax(axis=0) > last)).tolist())
+
+    def _on_chunks(self, node: np.ndarray, member: np.ndarray) -> tuple:
+        """For lanes i, the series of member[i] (component, degree) on the
+        chunk that holds node gap node[i], and that chunk's two ends."""
+        chunk = np.searchsorted(self._first, node, side="right") - 1
+        return (self._series[chunk, :, :, member], self._bounds[chunk],
+                self._bounds[chunk + 1])
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, j: int) -> Trajectory:
+        j = range(len(self))[j]  # from the end when negative; IndexError past it
+        if self._built[j] is None:
+            self._built[j] = self._trajectory(j)
+        return self._built[j]
+
+    @functools.cached_property
+    def _rates(self) -> tuple:
+        """Every member's rates at the nodes, then each blown-up member's
+        state and rate at its end, in the order of _blown."""
+        if self._series is None:
+            return np.zeros_like(self._states), None, None
+        rates = [_at_nodes(n)[:, :_DEGREE] @ (_RATE @ series) * (2.0 / h) for n, series, h
+                 in zip(np.diff(self._first).tolist(), self._series, self._widths)]
+        rates = np.concatenate([r[:, :-1] for r in rates] + [rates[-1][:, -1:]], axis=1)
+        coef, lo, hi = self._on_chunks(self._top[self._blown], self._blown)
+        t = self._ends[self._blown]
+        return (rates, _chunk_at(coef, t, lo, hi),
+                _chunk_at(coef @ _RATE.T, t, lo, hi) / (hi - lo)[:, None] * 2.0)
+
+    def _trajectory(self, j: int) -> Trajectory:
+        rates, end_states, end_rates = self._rates
+        top, end = self._top[j], float(self._ends[j])
+        ts, ys, fs = self._nodes[:top + 1], self._states[:, :top + 1, j].T, rates[:, :top + 1, j].T
+        if end > ts[-1]:  # a blow-up between two nodes
+            i = np.searchsorted(self._blown, j)
+            ts = np.append(ts, end)
+            ys, fs = np.vstack((ys, end_states[i])), np.vstack((fs, end_rates[i]))
+        first, stop = self._offsets[j], self._offsets[j + 1]
         events = [Event("zero-crossing", te, d) for te, d
-                  in zip(times[mine].tolist(), direction[mine].tolist()) if d]
-        ts, ys, fs = nodes[:k + 1], states[:, :k + 1, j].T, rates[:, :k + 1, j].T
-        end = ts[-1]
-        if blowup[j] >= 0:  # the blow-up lane comes first
-            i = np.flatnonzero(mine)[0]
-            end, k = times[i], blowup[j] + 1
-            ts, ys, fs = ts[:k], ys[:k], fs[:k]
-            if end > ts[-1]:
-                ts = np.append(ts, end)
-                ys, fs = np.vstack((ys, end_states[i])), np.vstack((fs, end_rates[i]))
-            events = [ev for ev in events if ev.time <= end]
-        if escaped[j]:
-            events.append(Event("escape", float(end)))
-        out.append(Trajectory.from_nodes(ts, ys, fs, events, span[1]))
-    return out
+                  in zip(self._zero_times[first:stop], self._directions[first:stop])]
+        if self._escaped[j]:
+            events.append(Event("escape", end))
+        return Trajectory.from_nodes(ts, ys, fs, events, self._toward)
 
 
 def member_zero_times(traj: Trajectory) -> list[float]:
     return [ev.time for ev in traj.events if ev.kind == "zero-crossing"]
 
 
-def _is_trivial(traj: Trajectory) -> bool:
+def _facts(trajectories: list[Trajectory]) -> _Facts:
+    """A run's facts, read off the events and states of its Trajectories."""
+    starts = [float(traj.grid.nodes[0]) for traj in trajectories]
+    if max(starts) - min(starts) > 1e-12 * (1.0 + abs(starts[0])):
+        raise ValueError("trajectories must share a starting time")
+    zeros = [member_zero_times(traj) for traj in trajectories]
     # the zero solution of an unforced system is exactly zero on the series
-    return not np.any(traj.states)
+    return _Facts(starts[0], [len(z) for z in zeros], [z[-1] if z else None for z in zeros],
+                  [float(traj.grid.nodes[-1]) for traj in trajectories],
+                  [not np.any(traj.states) for traj in trajectories])
 
 
 def empirical_classification(
-        trajectories: list[Trajectory],
+        trajectories: Sequence[Trajectory],
         final_window_fraction: float = DEFAULT_FINAL_WINDOW_FRACTION) -> EmpiricalVerdict:
     """Classify simulated behavior by zeros inside the trailing window.
 
-    A member that stopped early (escape) contributes whatever zeros it
-    recorded; sign-definite blowup therefore reads as a non-oscillation
-    witness. The identically-zero member is ignored: its first component
-    has no sign changes to count.
+    The window is the trailing final_window_fraction of the span from the
+    members' start to the latest end of theirs. A member that stopped
+    early (escape) contributes whatever zeros it recorded; sign-definite
+    blowup therefore reads as a non-oscillation witness. The
+    identically-zero member is ignored: its first component has no sign
+    changes to count. An EnsembleRun is classified from its record,
+    without building a Trajectory; other Trajectories, which must share
+    their start, from their events and states.
     """
     if not trajectories:
         raise ValueError("no trajectories to classify")
     if not 0.0 < final_window_fraction <= 1.0:
         raise ValueError("final_window_fraction must lie in (0, 1]")
-    starts = [float(traj.grid.nodes[0]) for traj in trajectories]
-    if max(starts) - min(starts) > 1e-12 * (1.0 + abs(starts[0])):
-        raise ValueError("trajectories must share a starting time")
-    t_lo = starts[0]
-    t_hi = max(float(traj.grid.nodes[-1]) for traj in trajectories)
+    t_lo, zero_counts, last_zeros, ends, trivial = (
+        trajectories.facts if isinstance(trajectories, EnsembleRun) else _facts(trajectories))
+    t_hi = max(ends)
     window_lo = t_hi - final_window_fraction * (t_hi - t_lo)
-
-    zero_counts = []
-    last_zeros = []
-    trivial = []
-    active_in_window = []
-    for idx, traj in enumerate(trajectories):
-        zeros = member_zero_times(traj)
-        zero_counts.append(len(zeros))
-        last_zeros.append(zeros[-1] if zeros else None)
-        if _is_trivial(traj):
-            trivial.append(idx)
-            continue
-        active_in_window.append(any(t >= window_lo for t in zeros))
-
+    # zeros come in time order: a member's last is its latest
+    active_in_window = [last is not None and last >= window_lo
+                        for last, flat in zip(last_zeros, trivial) if not flat]
     if not active_in_window:
         outcome = MIXED_OBSERVED
     elif all(active_in_window):
@@ -582,7 +641,7 @@ def empirical_classification(
     else:
         outcome = NONOSCILLATORY_OBSERVED
     return EmpiricalVerdict(outcome, tuple(last_zeros), tuple(zero_counts),
-                            (window_lo, t_hi), tuple(trivial))
+                            (window_lo, t_hi), tuple(j for j, flat in enumerate(trivial) if flat))
 
 
 def export_trace(traj: Trajectory, path) -> None:

@@ -1,5 +1,6 @@
 """CLI tests: config validation, subcommand wiring, reports, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscillint import criteria, oracle
+from oscillint import cli, criteria, numerics, oracle
 from oscillint.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -277,6 +278,58 @@ class TestOneRecordPerRun:
                             lambda sys, t, h: chunks.append((t, h)) or series(sys, t, h))
         run("analyze", load_config(CONFIG_DIR / f"{name}.json"))
         assert chunks and len(chunks) == len(set(chunks))
+
+
+# sha256 over each `--dump-traces` CSV's name, a newline and its bytes, in
+# name order, as the members' Trajectories read before the oracle kept one
+# record per run and built them from it on demand
+TRACE_DIGESTS = {
+    "bursty_coupling": "0bf3778176ba00411b67f1c7f2f0557931a7c3516e47cf1ec1be86096f798ebe",
+    "decaying_forcing": "70e3c8ca6b74629ccf1b523119c9d64ec0c7ea3edf06e44461c1ad77037d6a2f",
+    "forced_harmonic": "8728f10c673548ac94b63e9076c1e6e7ec0c4b687bd145b9117c52fee02989ca",
+    "harmonic_riccati": "dfcf0cbae4913454e74ff8dc3f5371c3d4fdb677084bef770102cf308033bc36",
+    "riccati_comparison": "0d8744c1c368c21b56b977333c3bacc6a80338085e516f923fda4a797a6813bb",
+}
+
+
+class TestOracleRecord:
+    """The oracle classifies from one record of its run: without
+    --dump-traces a run builds no Trajectory, and the oracle refines every
+    zero and blow-up of its members in one refine_roots call."""
+
+    @pytest.mark.parametrize("subcommand", ["analyze", "oracle"])
+    @pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+    def test_no_trajectory_and_one_refinement(self, name, subcommand, monkeypatch):
+        built, refinements, simulating = [], [], []
+        post_init = numerics.Trajectory.__post_init__
+        monkeypatch.setattr(numerics.Trajectory, "__post_init__",
+                            lambda traj: built.append(traj) or post_init(traj))
+        refine, simulate = oracle.refine_roots, cli.simulate_ensemble
+        monkeypatch.setattr(oracle, "refine_roots",
+                            lambda *a, **k: refinements.append(bool(simulating))
+                            or refine(*a, **k))
+
+        def simulated(*args):
+            simulating.append(True)
+            try:
+                return simulate(*args)
+            finally:
+                simulating.pop()
+        monkeypatch.setattr(cli, "simulate_ensemble", simulated)
+        run(subcommand, load_config(CONFIG_DIR / f"{name}.json"))
+        assert built == []
+        assert refinements.count(True) == 1
+
+    @pytest.mark.parametrize("subcommand", ["analyze", "oracle"])
+    @pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+    def test_dumped_traces_unchanged(self, name, subcommand, tmp_path, capsys):
+        main([subcommand, "--config", str(CONFIG_DIR / f"{name}.json"),
+              "--dump-traces", str(tmp_path)])
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode() + b"\n" + path.read_bytes())
+        assert len(list(tmp_path.iterdir())) == 16
+        assert digest.hexdigest() == TRACE_DIGESTS[name]
 
 
 class TestSubcommands:

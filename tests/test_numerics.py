@@ -648,6 +648,25 @@ class TestRefineRoots:
                          lo[i:i + 1], hi[i:i + 1], tol=1e-12)
             assert sum(i in lanes for lanes in calls) == len(own), i
 
+    def test_bracket_values_the_caller_holds(self):
+        # given fn's values at the bracket ends, the solve starts from them:
+        # the same roots, two calls fewer, and the sign test reads them
+        rng = np.random.default_rng(7)
+        n = 50
+        a, b, c = np.ones(n), 10.0 ** rng.uniform(-4.0, 2.0, n), rng.uniform(-1.0, 1.0, n)
+        lo, hi = c - rng.uniform(0.1, 2.0, n), c + rng.uniform(0.1, 2.0, n)
+        hi[:3] = c[:3]
+        cubic, calls = self.lanes_of(a, b, c), []
+        counted = lambda x, lanes: calls.append(1) or cubic(x, lanes)
+        every = np.arange(n)
+        ends = cubic(lo, every), cubic(hi, every)
+        alone = refine_roots(counted, lo, hi, tol=1e-12)
+        made = len(calls)
+        np.testing.assert_array_equal(refine_roots(counted, lo, hi, tol=1e-12, ends=ends), alone)
+        assert len(calls) - made == made - 2
+        with pytest.raises(RootBracketError, match="sign change"):
+            refine_roots(cubic, lo, hi, ends=(ends[0], ends[0]))
+
     def test_empty_bracket_rejected(self):
         with pytest.raises(RootBracketError, match="empty"):
             refine_roots(lambda x, lanes: x, [0.0, 1.0], [1.0, 1.0])

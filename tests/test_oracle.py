@@ -24,6 +24,7 @@ from oscillint.oracle import (
     NONOSCILLATORY_OBSERVED,
     OSCILLATORY_OBSERVED,
     Ensemble,
+    EnsembleRun,
     angle_walk,
     default_ensemble,
     empirical_classification,
@@ -31,7 +32,6 @@ from oscillint.oracle import (
     member_zero_times,
     simulate_ensemble,
     _chunk_series,
-    _members,
     _resolved,
 )
 from oscillint.expr import parse_text
@@ -246,9 +246,6 @@ class TestSeriesOracle:
             assert np.all((nodes[gap - 1] <= zeros) & (zeros <= nodes[gap]))
 
 
-_RATE_AT_NODES = chebvander(np.linspace(-1.0, 1.0, _NODES + 1), _DEGREE - 1) @ _RATE
-
-
 def unshared_chunk_loop(sys_spec, ens, tol):
     """simulate_ensemble as it was written before its chunk loop was shared
     with the angle walk, chunks at most span/16 wide, kept as the reference."""
@@ -275,7 +272,6 @@ def unshared_chunk_loop(sys_spec, ens, tol):
             continue
         series = coef @ np.vstack((np.where(live, state, 0.0), np.ones(m)))
         states = _AT_NODES @ series
-        rates = _RATE_AT_NODES @ series * (2.0 / h)
         end = series.sum(axis=1)
         states[:, 0], states[:, -1] = state, end
         over = (np.abs(states[:, 1:]).max(axis=0) > tol.escape_magnitude) & live
@@ -285,11 +281,11 @@ def unshared_chunk_loop(sys_spec, ens, tol):
         escaped |= blown
         live &= ~blown
         t_end = hi if h == hi - t else t + h
-        chunks.append((t, t_end, series, states, rates))
+        chunks.append((t, t_end, h, series, states))
         state, t, h = end, t_end, 2.0 * h
     else:
         last[live] = len(chunks) * _NODES
-    return _members(chunks, start, ens.span, last, escaped, blowup, tol)
+    return EnsembleRun(chunks, start, ens.span, last, escaped, blowup, tol)
 
 
 def shipped_or_edge_config(name):
@@ -298,6 +294,9 @@ def shipped_or_edge_config(name):
                                  "tolerances": {"escape_magnitude": 1e3}})
     if name == "singular":  # the walk stops early
         return config_from_dict({"system": {"q": "1", "r": "-1/(t-3.3)^2"}, "horizon": 6})
+    if name == "huge_forcing":  # every member blows up in its first node gap, refined to t0
+        return config_from_dict({"equation": {"a": "1", "c": "1", "d": "1e308*sin(t)"},
+                                 "horizon": 30})
     return load_config(CONFIG_DIR / f"{name}.json")
 
 
@@ -379,6 +378,64 @@ class TestSharedChunkWalk:
         for n in range(_NODES, 1024 + 1, _NODES):  # the oracle's node counts
             np.testing.assert_array_equal(
                 oracle._at_nodes(n), chebvander(np.linspace(-1.0, 1.0, n + 1), _DEGREE))
+
+
+class TestRunRecord:
+    """simulate_ensemble returns one record of the run. The classification
+    reads each member's facts from it and builds no Trajectory; from the
+    Trajectories the record builds it reads the same facts."""
+
+    @staticmethod
+    def assert_same_verdict(members, fraction=0.5):
+        from_record = empirical_classification(members, fraction)
+        from_list = empirical_classification(list(members), fraction)
+        for field in ("outcome", "last_zero_per_member", "zero_counts", "window",
+                      "trivial_members"):
+            # repr tells a float from a numpy float, as the JSON report does
+            assert repr(getattr(from_record, field)) == repr(getattr(from_list, field)), field
+        return from_record
+
+    @pytest.mark.parametrize("name", ["forced_harmonic", "bursty_coupling",
+                                      "decaying_forcing", "harmonic_riccati",
+                                      "riccati_comparison", "escapes", "singular",
+                                      "huge_forcing"])
+    def test_record_and_trajectories_agree(self, name):
+        config = shipped_or_edge_config(name)
+        ens = default_ensemble(config.span(), seed=config.oracle_seed,
+                               size=config.oracle_size)
+        members = simulate_ensemble(config.working_system(), ens, config.tolerances)
+        verdict = self.assert_same_verdict(members, config.oracle_final_window_fraction)
+        assert verdict.window[1] == max(member.span[1] for member in members)
+        if name == "huge_forcing":
+            # each member ends at t0, on Trajectory.from_nodes' degenerate span
+            assert all(member.escape_time() == 0.0 for member in members)
+            assert verdict.window == pytest.approx((1.5e-14, 3e-14), rel=1e-12)
+            assert all(member.span == (0.0, verdict.window[1]) for member in members)
+
+    @pytest.mark.parametrize("forcing, starts, trivial", [
+        ("0", ((1.0, 0.0), (0.0, 0.0), (0.0, 1.0)), (1,)),
+        ("0", ((0.0, 0.0), (0.0, 0.0)), (0, 1)),
+        ("sin(t)", ((0.0, 0.0), (1.0, 0.0)), ()),  # forced from rest: not trivial
+    ], ids=["trivial_member", "all_trivial", "forced_from_rest"])
+    def test_trivial_members_agree(self, forcing, starts, trivial):
+        members = simulate_ensemble(harmonic(g=forcing), Ensemble(starts, 0, (0.0, 30.0)))
+        assert self.assert_same_verdict(members).trivial_members == trivial
+
+    def test_trajectories_built_when_read(self, monkeypatch):
+        built = []
+        post_init = numerics.Trajectory.__post_init__
+        monkeypatch.setattr(numerics.Trajectory, "__post_init__",
+                            lambda traj: built.append(traj) or post_init(traj))
+        ens = default_ensemble((0.0, 30.0), size=4)
+        members = simulate_ensemble(harmonic(g="sin(t)"), ens)
+        empirical_classification(members)
+        assert built == []
+        second = members[1]
+        assert len(built) == 1 and built[0] is second
+        assert members[1] is second and members[-3] is second
+        assert len(list(members)) == 4 == len(built)
+        with pytest.raises(IndexError):
+            members[4]
 
 
 class TestClassification:
