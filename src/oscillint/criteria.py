@@ -43,6 +43,7 @@ from .transform import (
     SystemSpec,
     alpha_lambda,
     probe_failure,
+    reduce_equation,
 )
 
 # the most doubt a window's descent may carry and still be decided
@@ -201,32 +202,38 @@ def lambda_feasibility(sys: SystemSpec, grid: Grid,
     return lam_lo, lam_hi
 
 
-def _horizon(sys: SystemSpec, lo: float, hi: float, grid_nodes: int, rel_tol: float
-             ) -> tuple[Verdict | None, AlphaTrace | None, Callable[[], AngleWalk]]:
-    """What both checks read of sys on [lo, hi], kept on sys outside its
-    fields (as expr._compile keeps closures) for the last key only: the
-    verdict of a q that dips below zero there (probed at PROBE_POINTS, before
-    any trace), or None and the base trace alpha_lambda(sys, 0, grid), its
-    arrays read-only; and the companion's angle walk, made on first use.
-    Both are made on a copy of sys that shares its chunk solves, so the
-    oracle on sys and [lo, hi] finds the walk's, and nothing kept refers
-    back to sys."""
-    key = (lo, hi, grid_nodes, rel_tol)
+def _horizon(sys: SystemSpec, lo: float, hi: float, grid_nodes: int, rel_tol: float | None
+             ) -> tuple[Verdict | None, AlphaTrace | None, Callable[[], AngleWalk] | None]:
+    """What the checks read of sys on [lo, hi], kept on sys outside its
+    fields (as expr._compile keeps closures) for the last horizon and grid
+    only: the verdict of a q that dips below zero there (probed at
+    PROBE_POINTS, before any trace), or None and the base trace
+    alpha_lambda(sys, 0, grid), its arrays read-only, which keeps each
+    lam's refined windows once built (_shift_windows); and the companion's
+    angle walk at rel_tol, made on first use and kept for the last rel_tol.
+    Only the walk depends on rel_tol: a new rel_tol makes a new walk and
+    keeps the rest. rel_tol None asks for no walk (Wong's test reads the
+    windows alone), so any kept record serves it, and the walk returned is
+    the kept one, or None. The trace and the walk are made on copies of sys
+    that share its chunk solves, so the oracle on sys and [lo, hi] finds
+    the walk's, and nothing kept refers back to sys."""
     kept = sys.__dict__.get("_horizon")
-    if kept is None or kept[0] != key:
-        grid, twin = Grid.uniform(lo, hi, grid_nodes), _sharing_solves(sys)
+    if kept is None or kept[0][:3] != (lo, hi, grid_nodes):
         bad_t = probe_failure(sys.q, lo, hi, lambda q: q < -SIGN_SLACK)
         negative_q = base = None
         if bad_t is not None:
             negative_q = Verdict(INCONCLUSIVE, (lo, hi),
                                  notes=f"coupling coefficient q is negative at t = {bad_t:.6g}")
         else:
-            base = alpha_lambda(twin, 0.0, grid)
-            for values in (grid.nodes, *vars(base).values()):
+            base = alpha_lambda(_sharing_solves(sys), 0.0, Grid.uniform(lo, hi, grid_nodes))
+            for values in (base.grid.nodes, *vars(base).values()):
                 if isinstance(values, np.ndarray):
                     values.flags.writeable = False
-        kept = sys.__dict__["_horizon"] = (
-            key, negative_q, base, cache(partial(angle_walk, twin, lo, hi, rel_tol)))
+        kept = ((lo, hi, grid_nodes, None), negative_q, base, None)
+    if rel_tol is not None and kept[0][3] != rel_tol:
+        kept = ((lo, hi, grid_nodes, rel_tol), *kept[1:3],
+                cache(partial(angle_walk, _sharing_solves(sys), lo, hi, rel_tol)))
+    sys.__dict__["_horizon"] = kept
     return kept[1:]
 
 
@@ -385,10 +392,12 @@ def _shift_windows(base: AlphaTrace, lambda_grid: Sequence[float]) -> _ShiftWind
     is >= -SIGN_SLACK at no node, or <= SIGN_SLACK at none, is dropped
     before anything else is built: refinement only widens windows that
     already hold at the nodes, so such a lam has no window of one kind and
-    pairs none. Dropping it changes no window of another lam, since each
-    root lane is solved on its own. For the survivors the curves at the
-    nodes come straight from the matrix, and one root solve sharpens the
-    window ends of every row.
+    pairs none. For the survivors the curves at the nodes come straight
+    from the matrix. Each lam's windows are kept on base outside its fields
+    (so a horizon record, which holds base, keeps them for every later
+    check of its spec), and one root solve sharpens the window ends of the
+    survivors base does not hold yet. Which lams share that solve changes
+    no window, since each root lane is solved on its own.
     """
     sys, ts = base.system, base.grid.nodes
     lams = sorted(dict.fromkeys(float(v) for v in lambda_grid), key=abs)
@@ -416,8 +425,15 @@ def _shift_windows(base: AlphaTrace, lambda_grid: Sequence[float]) -> _ShiftWind
             v[on_forcing] = sample(sys.r, tf) * v[on_forcing] + sample(sys.g, tf)
         return np.where(rows < k, -v, v)
 
-    windows = _refined_windows(curves, curve_at, ts)
-    return _ShiftWindows(lams, [(windows[i], windows[k + i]) for i in range(k)], curve_at)
+    held = base.__dict__.setdefault("_windows", {})
+    fresh = [i for i, lam in enumerate(lams) if lam not in held]
+    if fresh:
+        picked = np.array(fresh + [k + i for i in fresh])
+        windows = _refined_windows(curves[:, picked], lambda c, r, t: curve_at(c, picked[r], t),
+                                   ts)
+        for j, i in enumerate(fresh):
+            held[lams[i]] = (windows[j], windows[len(fresh) + j])
+    return _ShiftWindows(lams, [held[lam] for lam in lams], curve_at)
 
 
 def _scan_times(scan: Sequence[float] | None, lo: float, hi: float,
@@ -582,6 +598,14 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
     followed by one with d >= 0 on which the functional of the half-sine
     bridge is nonnegative.  Requires a genuinely undamped equation (b
     identically 0).
+
+    The windows are those of lam = 0 in the horizon record of the reduced
+    system (reduce_equation, _horizon): p = f = 0 there, so alpha_0 is 0
+    and the shifted forcing is d itself, and one refinement serves this
+    test and the system checks alike. So a q = 1/a that dips below zero on
+    the probe gives the record's inconclusive verdict, a c or d that
+    cannot be sampled at a grid node raises ValueError, and so does a
+    horizon that does not start at eq.t0.
     """
     lo, hi = float(horizon[0]), float(horizon[1])
     scan = _scan_times(scan, lo, hi, (hi - lo) / 2.0)
@@ -590,14 +614,11 @@ def check_undamped_equation(eq: SecondOrderSpec, horizon: tuple[float, float],
         return Verdict(INCONCLUSIVE, (lo, hi),
                        notes=f"damping coefficient is nonzero at t = {bad:.6g}; "
                              "this test needs b identically 0")
-    nodes = Grid.uniform(lo, hi, grid_nodes).nodes
-    d_vals = sample(eq.d, nodes)
-    # the one curve d, row 0 negated
-    windows = _refined_windows(
-        np.stack([-d_vals, d_vals])[None],
-        lambda _, rows, ts: np.where(rows == 0, -1.0, 1.0) * sample(eq.d, ts), nodes)
+    negative_q, base, _ = _horizon(reduce_equation(eq), lo, hi, grid_nodes, None)
+    if negative_q is not None:
+        return negative_q
     found, failed_at = _scan_pairs(
-        [windows], scan, (lo, hi),
+        _shift_windows(base, [0.0]).window_sets, scan, (lo, hi),
         lambda w: variational_functional(eq.a, eq.c, half_sine_bridge(*w)),
         lambda j: j >= -FUNCTIONAL_SLACK)
     records = [{"T": T, "windows": (pair[:2], pair[2:]), "functionals": functionals}

@@ -495,11 +495,14 @@ def eval_expr(e: Expr, t: float) -> float:
 def sample(e: Expr, ts: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an array of times.
 
-    Fast path computes the whole tree with numpy; if anything non-finite
+    A finite constant is filled in directly. Otherwise the fast path
+    computes the whole tree with numpy; if anything non-finite
     shows up, the first offending time is re-evaluated through eval_expr
     so the error message names the exact subexpression.
     """
     ts = np.asarray(ts, dtype=float)
+    if isinstance(e, Constant) and math.isfinite(e.value):
+        return np.full(ts.shape, e.value, dtype=float)
     with np.errstate(all="ignore"):
         out = _compile(e, _SAMPLED)(ts)
     if not np.isfinite(out).all():

@@ -154,6 +154,11 @@ class SecondOrderSpec:
     d: Expr
     t0: float = 0.0
 
+    def __getstate__(self) -> dict:
+        """The fields alone: the kept reduction (reduce_equation) is not
+        pickled or copied."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
     def validate_on(self, grid: Grid) -> None:
         try:
             a_vals = sample(self.a, grid.nodes)
@@ -303,16 +308,25 @@ def alpha_lambda(sys: SystemSpec, lam: float, grid: Grid) -> AlphaTrace:
 
 
 def reduce_equation(eq: SecondOrderSpec) -> SystemSpec:
-    """Rewrite the second-order equation as a 2x2 system via psi = a phi'."""
-    return SystemSpec(
-        p=Constant(0.0),
-        q=_reciprocal(eq.a),
-        r=_negated(eq.c),
-        s=_quotient(_negated(eq.b), eq.a),
-        f=Constant(0.0),
-        g=eq.d,
-        t0=eq.t0,
-    )
+    """Rewrite the second-order equation as a 2x2 system via psi = a phi'.
+
+    The same equation object gives the same SystemSpec: it is kept on eq
+    outside its fields (as criteria._horizon keeps its record on a spec),
+    so the checks of the system and Wong's test of eq read one horizon
+    record, and the two live as long as eq. The spec does not refer back to eq;
+    pickling or copying eq drops it."""
+    reduced = eq.__dict__.get("_reduced")
+    if reduced is None:
+        reduced = eq.__dict__["_reduced"] = SystemSpec(
+            p=Constant(0.0),
+            q=_reciprocal(eq.a),
+            r=_negated(eq.c),
+            s=_quotient(_negated(eq.b), eq.a),
+            f=Constant(0.0),
+            g=eq.d,
+            t0=eq.t0,
+        )
+    return reduced
 
 
 def shift_system(sys: SystemSpec, lam: float, grid: Grid) -> ShiftedSystem:

@@ -1028,6 +1028,175 @@ class TestUndampedCheck:
         assert verdict.outcome == OSCILLATORY
 
 
+def wong_by_hand(eq, horizon, scan=None, grid_nodes=DEFAULT_GRID_NODES):
+    """Wong's evidence from d's own sign windows, apart from any record:
+    d sampled on the grid and refined as the stack (-d, d)."""
+    lo, hi = horizon
+    nodes = Grid.uniform(lo, hi, grid_nodes).nodes
+    d = sample(eq.d, nodes)
+    windows = _refined_windows(
+        np.stack([-d, d])[None],
+        lambda _, rows, ts: np.where(rows == 0, -1.0, 1.0) * sample(eq.d, ts), nodes)
+    found, failed_at = criteria._scan_pairs(
+        [windows], criteria._scan_times(scan, lo, hi, (hi - lo) / 2.0), (lo, hi),
+        lambda w: variational_functional(eq.a, eq.c, half_sine_bridge(*w)),
+        lambda j: j >= -criteria.FUNCTIONAL_SLACK)
+    evidence = {"records": [{"T": T, "windows": (pair[:2], pair[2:]), "functionals": values}
+                            for T, _, pair, values in found]}
+    if failed_at is not None:
+        evidence["failed_at"] = failed_at
+    return evidence
+
+
+def wong_corpus():
+    """Seeded forced and decaying undamped equations on (0, 30)."""
+    rng = np.random.default_rng(2718)
+    corpus = []
+    for _ in range(6):
+        k, w, amp, ph = (rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.2, 2.0),
+                         rng.uniform(0.0, 3.0))
+        corpus.append(("1", repr(k * k), f"{amp!r} * sin({w!r} * t + {ph!r})"))
+        corpus.append((f"1 + {rng.uniform(0.0, 0.5)!r} * sin(t)", repr(rng.uniform(-1.0, 3.0)),
+                       f"{amp!r} * exp(-{rng.uniform(0.05, 0.5)!r} * t) * cos({w!r} * t)"))
+    corpus.append(("1", "-1", "-exp(-t)"))
+    return [SecondOrderSpec(*(parse_text(x) for x in (a, "0", c, d))) for a, c, d in corpus]
+
+
+class TestWongReadsTheRecord:
+    """Wong's test reads the lam = 0 windows of the reduced system's horizon
+    record: alpha_0 is 0 there and the shifted forcing is d, so they are
+    d's own windows, refined once for it and the system checks alike."""
+
+    horizon = (0.0, 30.0)
+
+    @staticmethod
+    def forced():
+        return SecondOrderSpec(parse_text("1"), parse_text("0"), parse_text("2.25"),
+                               parse_text("sin(t)"))
+
+    @pytest.mark.parametrize("wong_first", [False, True])
+    def test_one_window_pass(self, monkeypatch, wong_first):
+        calls = []
+        monkeypatch.setattr(criteria, "_refined_windows",
+                            lambda *args, refine=_refined_windows: calls.append(1) or refine(*args))
+        eq = self.forced()
+        sys_spec = reduce_equation(eq)
+        if wong_first:
+            wong = check_undamped_equation(eq, self.horizon)
+            systems = [check_oscillation(sys_spec, self.horizon)]
+        else:
+            systems = [check_nonoscillation(sys_spec, self.horizon),
+                       check_oscillation(sys_spec, self.horizon)]
+            wong = check_undamped_equation(eq, self.horizon)
+        assert len(calls) == 1
+        assert wong.outcome == systems[-1].outcome == OSCILLATORY
+        assert wong.evidence == wong_by_hand(eq, self.horizon)
+
+    @pytest.mark.parametrize("name", ["forced_harmonic", "decaying_forcing"])
+    def test_shipped_evidence_is_d_windows(self, name):
+        config = load_config(CONFIG_DIR / f"{name}.json")
+        by_hand = wong_by_hand(config.equation, config.span())
+        assert check_undamped_equation(config.equation, config.span()).evidence == by_hand
+
+    @pytest.mark.parametrize("eq", wong_corpus())
+    def test_corpus_evidence_is_d_windows(self, eq):
+        # alone on a fresh equation, and after the system checks filled the record
+        by_hand = wong_by_hand(eq, self.horizon)
+        alone = check_undamped_equation(eq, self.horizon)
+        twin = copy.copy(eq)
+        check_nonoscillation(reduce_equation(twin), self.horizon)
+        check_oscillation(reduce_equation(twin), self.horizon)
+        after = check_undamped_equation(twin, self.horizon)
+        assert alone.evidence == after.evidence == by_hand
+        assert alone.outcome == after.outcome
+
+    def test_corpus_reaches_both_outcomes(self):
+        outcomes = {check_undamped_equation(eq, self.horizon).outcome for eq in wong_corpus()}
+        assert outcomes == {OSCILLATORY, INCONCLUSIVE}
+
+    def test_the_reduction_is_kept(self):
+        eq = self.forced()
+        assert reduce_equation(eq) is reduce_equation(eq)
+        equal = self.forced()
+        assert equal == eq and reduce_equation(equal) is not reduce_equation(eq)
+
+    def test_pickle_and_copy_drop_the_reduction(self):
+        eq = self.forced()
+        before = check_undamped_equation(eq, self.horizon)
+        assert vars(eq)["_reduced"] is reduce_equation(eq)
+        for clone in (pickle.loads(pickle.dumps(eq)), copy.copy(eq)):
+            assert clone == eq and "_reduced" not in vars(clone)
+            assert reduce_equation(clone) == reduce_equation(eq)
+            assert reduce_equation(clone) is not reduce_equation(eq)
+            after = check_undamped_equation(clone, self.horizon)
+            assert (after.outcome, after.evidence) == (before.outcome, before.evidence)
+
+    def test_the_reduction_and_its_record_die_with_the_equation(self):
+        eq = self.forced()
+        sys_spec = reduce_equation(eq)
+        check_nonoscillation(sys_spec, self.horizon)
+        check_oscillation(sys_spec, self.horizon)
+        check_undamped_equation(eq, self.horizon)
+        kept = vars(sys_spec)["_horizon"]
+        assert 0.0 in vars(kept[2])["_windows"]
+        refs = [weakref.ref(eq), weakref.ref(sys_spec), weakref.ref(kept[2]),
+                weakref.ref(kept[3]())]
+        del sys_spec, kept
+        gc.disable()
+        try:
+            del eq
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_wong_reads_a_record_of_any_rel_tol(self, monkeypatch):
+        # the probe, the trace and the windows do not depend on rel_tol;
+        # only the walk does, and Wong's test reads none
+        traces = []
+        monkeypatch.setattr(criteria, "alpha_lambda",
+                            lambda *args, make=alpha_lambda: traces.append(1) or make(*args))
+        eq = self.forced()
+        sys_spec = reduce_equation(eq)
+        loose = Tolerances(rel_tol=1e-6, abs_tol=1e-8)
+        check_nonoscillation(sys_spec, self.horizon, tol=loose)
+        _, base, walk = criteria._horizon(sys_spec, *self.horizon, DEFAULT_GRID_NODES,
+                                          loose.rel_tol)
+        check_undamped_equation(eq, self.horizon)
+        check_oscillation(sys_spec, self.horizon, tol=loose)
+        assert len(traces) == 1
+        assert criteria._horizon(sys_spec, *self.horizon, DEFAULT_GRID_NODES,
+                                 loose.rel_tol)[1:] == (base, walk)
+        # a new rel_tol makes a new walk on the same trace
+        _, same, other = criteria._horizon(sys_spec, *self.horizon, DEFAULT_GRID_NODES,
+                                           Tolerances().rel_tol)
+        assert same is base and other is not walk and len(traces) == 1
+
+    @pytest.mark.parametrize("a", ["-1", "t - 1"])
+    def test_leading_coefficient_below_zero_is_the_records_verdict(self, a):
+        # q = 1/a dips below zero on the probe: the verdict the system
+        # checks give, before any trace (the CLI refuses a <= 0 at load)
+        eq = SecondOrderSpec(parse_text(a), parse_text("0"), parse_text("1"),
+                             parse_text("sin(t)"))
+        verdict = check_undamped_equation(eq, self.horizon)
+        assert (verdict.outcome, verdict.evidence) == (INCONCLUSIVE, {})
+        assert verdict.notes == "coupling coefficient q is negative at t = 0"
+        assert check_nonoscillation(reduce_equation(eq), self.horizon).notes == verdict.notes
+
+    def test_c_that_cannot_be_sampled_at_a_node_raises(self):
+        # the record samples c on the whole grid, as analyze does; d's own
+        # windows read c only on the windows they pair
+        eq = SecondOrderSpec(parse_text("1"), parse_text("0"), parse_text("sqrt(29 - t)"),
+                             parse_text("sin(t)"))
+        assert "failed_at" not in wong_by_hand(eq, self.horizon)
+        with pytest.raises(ValueError, match="sqrt"):
+            check_undamped_equation(eq, self.horizon)
+
+    def test_horizon_must_start_at_t0(self):
+        # as for the system checks, whose grid the windows come from
+        with pytest.raises(ValueError, match="grid must start at t0"):
+            check_undamped_equation(self.forced(), (1.0, 30.0))
+
+
 class TestPruferDirectEquivalence:
     def test_random_homogeneous_systems(self):
         rng = np.random.default_rng(20240815)

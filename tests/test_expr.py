@@ -24,6 +24,7 @@ from oscillint.expr import (
     DifferentiationError,
     Div,
     DomainError,
+    ExprError,
     LexError,
     Mul,
     Negate,
@@ -241,6 +242,24 @@ class TestEval:
     def test_sample_raises_domain_error(self):
         with pytest.raises(DomainError):
             sample(parse_text("log(t)"), np.linspace(-1.0, 1.0, 5))
+
+    @pytest.mark.parametrize("value", [2.5, -0.0, 1e308, -7.0])
+    @pytest.mark.parametrize("ts", [np.linspace(0.0, 5.0, 11), np.array(1.5),
+                                    np.empty(0), [0, 1, 2]])
+    def test_sampled_constant_fills_the_shape(self, value, ts):
+        # a finite constant skips the closure: the same bytes as the
+        # array path gives, in a fresh float array of the times' shape
+        got = sample(Constant(value), ts)
+        want = np.full_like(np.asarray(ts, dtype=float), value)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.writeable
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constant_still_raises(self, value):
+        # through the array path, whose error cannot print the constant
+        with pytest.raises(ExprError, match="cannot print non-finite constant"):
+            sample(Constant(value), np.linspace(0.0, 1.0, 3))
 
     def test_compiled_matches_eval(self):
         e = parse_text("cosh(t/3) - 2^t + abs(t - 1)")
